@@ -3,13 +3,14 @@
 Subcommands: gen, verify, certify, solve, bounds.  Exit codes: 0 success /
 verified, 1 verified-false, 2 bad parameters, 3 bad input file, 4 resource
 cap exceeded.  Output files are written atomically and every JSON report
-carries a header with the tool version, the command line, and the instance
-hash.
+carries a header with the tool version, the command line, and the SHA-256
+of the instance file's bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -66,18 +67,19 @@ def apply_config(args: argparse.Namespace) -> None:
             setattr(args, key, value)
 
 
-def report_header(args_line, inst=None) -> dict:
+def report_header(args_line, instance_sha256=None) -> dict:
     header = {"tool": "dstgap", "version": __version__, "command": args_line}
-    if inst is not None:
-        header["instance_sha256"] = model.instance_sha256(inst)
+    if instance_sha256 is not None:
+        header["instance_sha256"] = instance_sha256
     return header
 
 
-def load_instance(path: str) -> model.DstInstance:
+def load_instance(path: str) -> tuple[model.DstInstance, str]:
+    """The instance in `path` and the SHA-256 of the file's bytes."""
     try:
-        with open(path) as fh:
-            text = fh.read()
-        return model.instance_from_json(text)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return model.instance_from_json(data), hashlib.sha256(data).hexdigest()
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CliError(f"cannot load instance {path}: {exc}", EXIT_BAD_INPUT)
 
@@ -110,8 +112,9 @@ def cmd_generate(args, argline) -> int:
     objects = make_objects(args)
     inst = model.build_instance(objects)
     stats = model.instance_stats(inst)
+    text = model.instance_to_json(inst)
     if args.out:
-        atomic_write(args.out, model.instance_to_json(inst))
+        atomic_write(args.out, text)
     if args.dot:
         try:
             atomic_write(args.dot, model.instance_to_dot(inst))
@@ -124,12 +127,12 @@ def cmd_generate(args, argline) -> int:
     print(f"d, d', s, k      {stats.d} {stats.d_prime} {stats.s} {stats.k}")
     print(f"total cost       {render_rational(stats.total_cost)}")
     print(f"canonical LP     {render_rational(stats.canonical_lp_cost)}")
-    print(f"sha256           {model.instance_sha256(inst)}")
+    print(f"sha256           {hashlib.sha256(text.encode()).hexdigest()}")
     return EXIT_OK
 
 
 def cmd_verify(args, argline) -> int:
-    inst = load_instance(args.instance)
+    inst, sha256 = load_instance(args.instance)
     sol = flows.canonical_solution(inst)
     report = flows.verify_feasibility(inst, sol)
     witnesses_ok = True
@@ -149,7 +152,7 @@ def cmd_verify(args, argline) -> int:
     all_unit = all(e.value == 1 for e in report.entries)
     if args.json_out:
         payload = {
-            "header": report_header(argline, inst),
+            "header": report_header(argline, sha256),
             "feasible": report.feasible,
             "all_flows_unit": all_unit,
             "path_witnesses_ok": witnesses_ok,
@@ -192,7 +195,7 @@ def certificate_payload(cert, thresh=None):
 
 
 def cmd_certify(args, argline) -> int:
-    inst = load_instance(args.instance)
+    inst, sha256 = load_instance(args.instance)
     objects = inst.provenance
     try:
         if args.sweep:
@@ -215,7 +218,7 @@ def cmd_certify(args, argline) -> int:
                 else objects.params.get("thresh")
     except ValueError as exc:
         raise CliError(str(exc), EXIT_BAD_PARAMS)
-    payload = {"header": report_header(argline, inst)}
+    payload = {"header": report_header(argline, sha256)}
     payload.update(certificate_payload(cert, thresh))
     if args.out:
         atomic_write(args.out, json.dumps(payload, indent=1) + "\n")
@@ -228,10 +231,10 @@ def cmd_certify(args, argline) -> int:
 
 
 def cmd_solve(args, argline) -> int:
-    inst = load_instance(args.instance)
+    inst, sha256 = load_instance(args.instance)
     methods = (["structured", "brute", "lp"] if args.method == "all"
                else [args.method])
-    payload = {"header": report_header(argline, inst)}
+    payload = {"header": report_header(argline, sha256)}
     stats = model.instance_stats(inst)
     capped = False
     opt_values = {}

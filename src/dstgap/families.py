@@ -11,7 +11,7 @@ exactly when A is contained in B:
   [m]; A = K = all a-subsets, B = all 2a-subsets, edge color = B \\ A.
   Here d = C(m-a, a), d' = C(2a, a), k = C(m, a), and s = d.
 
-Subsets are ordered colexicographically everywhere (labels, ranks, edge
+Subsets are ordered colexicographically everywhere (labels, indices, edge
 order) so generated objects are reproducible byte for byte.
 """
 
@@ -26,31 +26,6 @@ from .model import GapObjects, SizeCapError, parse_set_label, set_label
 comb = math.comb
 
 DEFAULT_EDGE_CAP = 10**7
-
-
-def rank_subset(subset, m: int) -> int:
-    """Colexicographic rank of a subset of {1..m} among same-size subsets."""
-    elems = sorted(subset)
-    if elems and not (1 <= elems[0] and elems[-1] <= m):
-        raise ValueError(f"elements of {subset} not in 1..{m}")
-    return sum(comb(c - 1, i + 1) for i, c in enumerate(elems))
-
-
-def unrank_subset(rank: int, m: int, size: int):
-    """Inverse of rank_subset: the rank-th size-subset of {1..m} in colex order."""
-    if not 0 <= rank < comb(m, size):
-        raise ValueError(f"rank {rank} out of range for C({m},{size})")
-    out = []
-    rem = rank
-    c = m
-    for i in range(size, 0, -1):
-        while comb(c - 1, i) > rem:
-            c -= 1
-        out.append(c)
-        rem -= comb(c - 1, i)
-        c -= 1
-    assert rem == 0
-    return frozenset(out)
 
 
 def colex_subsets(m: int, size: int):

@@ -4,9 +4,10 @@ The canonical solution puts capacity 1/s on every edge; it routes one unit
 to each terminal along the s edge-disjoint paths r -> u -> v -> pi(v) -> t,
 one per matching edge (u, v) of the terminal's color.  Feasibility of an
 arbitrary capacity vector is checked terminal by terminal with an exact
-max-flow: capacities are scaled by their common denominator and the flow is
-computed over integers (Dinic), then scaled back, so values are exact and
-every call returns a min-cut witness of equal capacity.
+max-flow: capacities are scaled once by their common denominator into one
+integer network (Dinic), whose capacities are restored before each
+terminal's run; the flow is scaled back, so values are exact, and every
+terminal gets a min-cut witness of equal capacity.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import E2, DstInstance
+from .model import DstInstance
 
 
 @dataclass(frozen=True)
@@ -121,22 +122,7 @@ class MaxFlowResult:
 def max_flow_value(inst: DstInstance, sol: FractionalSolution,
                    terminal: int) -> MaxFlowResult:
     """Exact max-flow from the root to `terminal` under capacities sol.x."""
-    scale = math.lcm(*(v.denominator for v in sol.x)) if sol.x else 1
-    net = _Dinic(inst.n)
-    for e, v in zip(inst.edges, sol.x):
-        net.add(e.tail, e.head, int(v * scale))
-    flow = net.max_flow(inst.root, terminal)
-    value = Fraction(flow, scale)
-
-    reach = net.residual_reachable(inst.root)
-    cut = tuple(
-        i for i, e in enumerate(inst.edges)
-        if reach[e.tail] and not reach[e.head]
-    )
-    cut_cap = sum((sol.x[i] for i in cut), Fraction(0))
-    assert cut_cap == value, "max-flow/min-cut mismatch"
-    return MaxFlowResult(value, cut, cut_cap,
-                         frozenset(i for i, r in enumerate(reach) if r))
+    return verify_feasibility(inst, sol, [terminal]).entries[0].cut
 
 
 @dataclass(frozen=True)
@@ -162,14 +148,37 @@ class FeasibilityReport:
 
 def verify_feasibility(inst: DstInstance, sol: FractionalSolution,
                        terminals=None) -> FeasibilityReport:
-    """Max-flow >= 1 for every terminal; empty terminal set is vacuous."""
+    """Max-flow >= 1 for every terminal; empty terminal set is vacuous.
+
+    One integer network carries x * scale on every edge; each terminal's
+    run starts from those base capacities and ends with its min cut, whose
+    capacity must equal the flow.
+    """
     if terminals is None:
-        terminals = list(inst.terminals)
+        terminals = inst.terminals
+    scale = math.lcm(*(v.denominator for v in sol.x))
+    net = _Dinic(inst.n)
+    for e, v in zip(inst.edges, sol.x):
+        net.add(e.tail, e.head, v.numerator * (scale // v.denominator))
+    base = net.cap[:]
+
     entries = []
     for t in terminals:
-        res = max_flow_value(inst, sol, t)
-        entries.append(TerminalFlow(t, inst.labels[t], res.value,
-                                    res.value >= 1, res))
+        net.cap[:] = base
+        value = Fraction(net.max_flow(inst.root, t), scale)
+        reach = net.residual_reachable(inst.root)
+        cut = tuple(
+            i for i, e in enumerate(inst.edges)
+            if reach[e.tail] and not reach[e.head]
+        )
+        cut_cap = sum((sol.x[i] for i in cut), Fraction(0))
+        if cut_cap != value:
+            raise RuntimeError(
+                f"max-flow/min-cut mismatch at terminal {inst.labels[t]}: "
+                f"flow {value}, cut capacity {cut_cap}")
+        res = MaxFlowResult(value, cut, cut_cap,
+                            frozenset(i for i, r in enumerate(reach) if r))
+        entries.append(TerminalFlow(t, inst.labels[t], value, value >= 1, res))
     return FeasibilityReport(tuple(entries))
 
 
@@ -191,7 +200,7 @@ def path_witness(inst: DstInstance, terminal: int) -> PathWitness:
     color = terminal - t_off
     if not 0 <= color < obj.k:
         raise ValueError(f"vertex {terminal} is not a terminal")
-    eidx = inst.edge_index()
+    eidx = inst.edge_index
     a_off, b_off = 1, 1 + obj.num_a
 
     paths = []
@@ -213,27 +222,24 @@ def path_witness(inst: DstInstance, terminal: int) -> PathWitness:
 
 def check_path_witness(inst: DstInstance, witness: PathWitness,
                        sol: FractionalSolution) -> bool:
-    """Witness invariants: simple r->t paths, unit total weight, load <= x."""
+    """Witness invariants: simple edge-disjoint r->t paths, unit total
+    weight, and each path's weight within x on each of its edges (the paths
+    share no edge, so that weight is the edge's whole load)."""
     if sum(witness.weights, Fraction(0)) != 1:
         return False
-    load = {}
     used_edges = set()
     for path, w in zip(witness.paths, witness.weights):
-        if w < 0:
+        if w < 0 or used_edges.intersection(path):
             return False
+        used_edges.update(path)
         at = inst.root
         seen = {at}
         for i in path:
             e = inst.edges[i]
-            if e.tail != at or e.head in seen:
+            if e.tail != at or e.head in seen or w > sol.x[i]:
                 return False
             at = e.head
             seen.add(at)
-            load[i] = load.get(i, Fraction(0)) + w
         if at != witness.terminal:
             return False
-        # the witness paths must also be pairwise edge-disjoint
-        if used_edges & set(path):
-            return False
-        used_edges |= set(path)
-    return all(load[i] <= sol.x[i] for i in load)
+    return True

@@ -133,12 +133,11 @@ class StructuredResult:
 
 
 def _h_adjacency(obj: GapObjects):
+    """The A-neighbours of every B-vertex."""
     nbr_of_b = [set() for _ in range(obj.num_b)]
-    nbr_of_a = [set() for _ in range(obj.num_a)]
     for a, b, _ in obj.edges:
         nbr_of_b[b].add(a)
-        nbr_of_a[a].add(b)
-    return nbr_of_a, nbr_of_b
+    return nbr_of_b
 
 
 def _greedy_cover(obj: GapObjects, kv, nbr_of_b, ra: Fraction):
@@ -173,7 +172,7 @@ def solve_structured(inst: DstInstance,
     obj = inst.provenance
     ra = Fraction(obj.num_b, obj.num_a)
     kv = obj.color_sets_by_b()
-    nbr_of_a, nbr_of_b = _h_adjacency(obj)
+    nbr_of_b = _h_adjacency(obj)
     by_color = [[] for _ in range(obj.k)]
     for v in range(obj.num_b):
         for c in kv[v]:

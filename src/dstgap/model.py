@@ -19,6 +19,7 @@ given GapObjects value always builds the identical instance.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -248,7 +249,9 @@ class DstInstance:
             raise ValueError(f"vertex {b_id} is not in level 2")
         return b_id + self.level_sizes[2]
 
+    @functools.cached_property
     def edge_index(self) -> dict:
+        """(tail, head) -> edge position; built once per instance."""
         return {(e.tail, e.head): i for i, e in enumerate(self.edges)}
 
     def out_adjacency(self):
@@ -468,7 +471,7 @@ def instance_from_dict(data: dict) -> DstInstance:
     )
 
 
-def instance_from_json(text: str) -> DstInstance:
+def instance_from_json(text: str | bytes) -> DstInstance:
     return instance_from_dict(json.loads(text))
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -116,6 +117,42 @@ def test_verify_bad_file(tmp_path):
     empty.write_text("")
     assert main(["verify", str(empty)]) == EXIT_BAD_INPUT
     assert main(["verify", str(tmp_path / "missing.json")]) == EXIT_BAD_INPUT
+
+
+# ---------------------------------------------------------------------------
+# instance hashes: SHA-256 of the instance file's bytes
+
+def _file_sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_gen_prints_file_sha256(tmp_path, capsys, zk4_instance):
+    out = tmp_path / "zk4.json"
+    assert main(["gen", "--family", "zk", "--k", "4", "--out", str(out)]) \
+        == EXIT_OK
+    line = next(ln for ln in capsys.readouterr().out.splitlines()
+                if ln.startswith("sha256"))
+    assert line.split()[1] == _file_sha256(out)
+    assert line.split()[1] == model.instance_sha256(zk4_instance)
+
+
+@pytest.mark.parametrize("compact", [False, True])
+def test_report_headers_hash_file_bytes(tmp_path, zk4_instance, compact):
+    path = tmp_path / "zk4.json"
+    if compact:  # no indent: differs from the file gen writes
+        path.write_text(json.dumps(model.instance_to_dict(zk4_instance)))
+    else:
+        path.write_text(model.instance_to_json(zk4_instance))
+    expected = _file_sha256(path)
+    assert (expected == model.instance_sha256(zk4_instance)) != compact
+    commands = (["verify", str(path), "--json-out"],
+                ["certify", str(path), "--out"],
+                ["solve", str(path), "--method", "structured", "--out"])
+    for i, argv in enumerate(commands):
+        report = tmp_path / f"report{i}.json"
+        assert main(argv + [str(report)]) == EXIT_OK
+        header = json.loads(report.read_text())["header"]
+        assert header["instance_sha256"] == expected, argv[0]
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,7 @@ from dstgap.families import (
     SubsetFamilyParams,
     colex_subsets,
     default_j_sets,
-    rank_subset,
     subset_objects,
-    unrank_subset,
     zk_objects,
 )
 from dstgap.model import SizeCapError, parse_set_label, validate_objects
@@ -113,36 +111,13 @@ def test_generators_pass_validation_grid():
 
 
 # ---------------------------------------------------------------------------
-# rank / unrank
+# colex order
 
-def test_rank_extremes():
-    assert rank_subset({1, 2}, 6) == 0
-    assert unrank_subset(comb(6, 2) - 1, 6, 2) == frozenset({5, 6})
-
-
-def test_rank_matches_colex_order():
-    subs = colex_subsets(6, 2)
-    assert subs[0] == frozenset({1, 2})
-    assert subs[-1] == frozenset({5, 6})
-    for i, s in enumerate(subs):
-        assert rank_subset(s, 6) == i
-
-
-def test_rank_round_trip_all_c83():
-    for r in range(comb(8, 3)):
-        s = unrank_subset(r, 8, 3)
-        assert rank_subset(s, 8) == r
-    for s in colex_subsets(8, 3):
-        assert unrank_subset(rank_subset(s, 8), 8, 3) == s
-
-
-def test_rank_errors():
-    with pytest.raises(ValueError):
-        rank_subset({0, 1}, 6)
-    with pytest.raises(ValueError):
-        unrank_subset(comb(6, 2), 6, 2)
-    with pytest.raises(ValueError):
-        unrank_subset(-1, 6, 2)
+def test_colex_subsets_order():
+    # colex on pairs {i < j}: by j, then by i
+    expected = [frozenset({i, j}) for j in range(2, 7) for i in range(1, j)]
+    assert len(expected) == comb(6, 2)
+    assert colex_subsets(6, 2) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
+
+import dstgap
 
 from dstgap.families import SubsetFamilyParams, subset_objects
 from dstgap.flows import (
@@ -12,6 +18,7 @@ from dstgap.flows import (
     solution_cost,
     verify_feasibility,
 )
+from dstgap.lp import solve_lp_exact
 from dstgap.model import E1, E3, build_instance
 
 from _util import toy_instance
@@ -103,6 +110,62 @@ def test_zeroed_e3_edge_breaks_feasibility(zk4_instance):
     # the terminals colored at that B-vertex each lose one of their 3 paths
     assert failing and all(e.value == 1 - Fraction(1, 3) for e in failing)
     assert all(e.cut.cut_capacity == e.value for e in failing)
+
+
+def _mixed_denominator_solutions(inst):
+    canon = canonical_solution(inst)
+    zeroed = list(canon.x)
+    zeroed[next(i for i, e in enumerate(inst.edges) if e.klass == E3)] = \
+        Fraction(0)
+    return [
+        FractionalSolution(tuple(zeroed)),
+        solve_lp_exact(inst).x_opt,
+        FractionalSolution(tuple(Fraction(1, 2 + i % 5)
+                                 for i in range(len(inst.edges)))),
+    ]
+
+
+def test_shared_network_matches_fresh_max_flow(zk4_instance):
+    # one network serves every terminal; its capacities must be restored
+    # between runs, whatever the terminal order
+    inst = zk4_instance
+    for sol in _mixed_denominator_solutions(inst):
+        assert len({v.denominator for v in sol.x}) > 1
+        fresh = {t: max_flow_value(inst, sol, t) for t in inst.terminals}
+        for order in (list(inst.terminals), list(reversed(inst.terminals))):
+            rep = verify_feasibility(inst, sol, terminals=order)
+            assert [e.terminal for e in rep.entries] == order
+            for e in rep.entries:
+                f = fresh[e.terminal]
+                assert e.value == f.value == e.cut.cut_capacity
+                assert e.cut.cut_edges == f.cut_edges
+                assert e.cut.source_side == f.source_side
+
+
+def test_cut_mismatch_raises_under_optimize():
+    # the flow/cut equality is an explicit check, not an assert, so it
+    # still runs under python -O
+    code = textwrap.dedent("""
+        import sys
+        from dstgap import build_instance, flows, zk_objects
+        if __debug__:
+            sys.exit("not running under -O")
+        real = flows._Dinic.max_flow
+        flows._Dinic.max_flow = lambda self, s, t: real(self, s, t) + 1
+        inst = build_instance(zk_objects(4))
+        try:
+            flows.verify_feasibility(inst, flows.canonical_solution(inst))
+        except RuntimeError as exc:
+            print(exc)
+        else:
+            sys.exit("no error raised")
+    """)
+    src = os.path.dirname(os.path.dirname(dstgap.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "max-flow/min-cut mismatch" in proc.stdout
 
 
 def test_empty_terminal_set_vacuous(zk4_instance):
