@@ -91,10 +91,7 @@ def make_objects(args) -> model.GapObjects:
         if args.family == "zk":
             if args.k is None:
                 raise ValueError("--k is required for the zk family")
-            objects = zk = families.zk_objects(int(args.k))
-            if zk.k * zk.d > cap:
-                raise SizeCapError(f"zk k={zk.k} exceeds edge cap {cap}")
-            return objects
+            return families.zk_objects(int(args.k), max_edges=cap)
         if args.family == "subset":
             if args.m is None or args.a is None:
                 raise ValueError("--m and --a are required for the subset family")

@@ -35,13 +35,18 @@ def colex_subsets(m: int, size: int):
     return subs
 
 
-def zk_objects(k: int) -> GapObjects:
+def zk_objects(k: int, max_edges: int = DEFAULT_EDGE_CAP) -> GapObjects:
     """The element-colored family on k terminals; k must be a perfect square >= 4."""
     rk = math.isqrt(k)
     if rk * rk != k:
         raise ValueError(f"k must be a perfect square, got {k}")
     if k < 4:
         raise ValueError(f"k must be at least 4, got {k}")
+    # one edge per (B-vertex, element of it), counted before enumerating
+    n_edges = comb(k, rk + 1) * (rk + 1)
+    if n_edges > max_edges:
+        raise SizeCapError(
+            f"zk family k={k} has {n_edges} edges > cap {max_edges}")
 
     a_sets = colex_subsets(k, rk)
     b_sets = colex_subsets(k, rk + 1)

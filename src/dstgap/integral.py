@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import ceil
+from operator import itemgetter
 
 from .model import E1, E2, E3, DstInstance, GapObjects, SizeCapError
 from .families import JSetFamily
@@ -78,7 +79,9 @@ def certify_gap(objects: GapObjects, j: JSetFamily) -> GapCertificate:
             if kv[b] - j.j_sets[a]
         ]
     )
-    assert check == alpha, "self-check failed: alpha mismatch"
+    if check != alpha:
+        raise RuntimeError(
+            f"self-check failed: alpha mismatch ({alpha} vs {check})")
 
     return GapCertificate(
         alpha=alpha,
@@ -108,7 +111,8 @@ def density_bound(objects: GapObjects, j: JSetFamily, u: int, v_set):
     covered = frozenset().union(*(kv[v] for v in v_set)) if v_set else frozenset()
     true = Fraction(len(covered)) / (
         Fraction(objects.num_b, objects.num_a) + len(v_set))
-    assert bound >= true
+    if bound < true:
+        raise RuntimeError(f"density bound {bound} below true density {true}")
     return bound, true
 
 
@@ -132,120 +136,140 @@ class StructuredResult:
     nodes: int
 
 
-def _h_adjacency(obj: GapObjects):
-    """The A-neighbours of every B-vertex."""
-    nbr_of_b = [set() for _ in range(obj.num_b)]
-    for a, b, _ in obj.edges:
-        nbr_of_b[b].add(a)
-    return nbr_of_b
+def _bit_indices(mask: int):
+    """The indices of the set bits of mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
-def _greedy_cover(obj: GapObjects, kv, nbr_of_b, ra: Fraction):
-    """Greedy incumbent: best new-coverage per cost, ties to smallest index."""
-    covered = set()
-    s_set, v_set = set(), set()
-    full = set(range(obj.k))
+def _greedy_cover(kv, nbr, na: int, nb: int, full: int):
+    """Greedy incumbent: best new coverage per cost, ties to smallest index.
+
+    kv[v] and nbr[v] are the color and A-neighbour bitmasks of B-vertex v;
+    costs are in units of 1/|A|.  Returns (S, V') bitmasks, or None when the
+    colors are not coverable.
+    """
+    covered = s_mask = v_mask = 0
     while covered != full:
-        best = None
-        for v in range(obj.num_b):
-            if v in v_set:
-                continue
-            gain = len(kv[v] - covered)
+        best = None  # (gain, cost, v)
+        for v, colors in enumerate(kv):
+            gain = (colors & ~covered).bit_count()
             if not gain:
                 continue
-            cost = Fraction(1) + (0 if nbr_of_b[v] & s_set else ra)
-            key = (-Fraction(gain) / cost, v)
-            if best is None or key < best[0]:
-                best = (key, v, cost)
+            cost = na if nbr[v] & s_mask else na + nb
+            if best is None or gain * best[1] > best[0] * cost:
+                best = (gain, cost, v)
         if best is None:
-            return None  # colors not coverable
-        _, v, _ = best
-        v_set.add(v)
-        if not (nbr_of_b[v] & s_set):
-            s_set.add(min(nbr_of_b[v]))
+            return None
+        v = best[2]
+        v_mask |= 1 << v
+        if not nbr[v] & s_mask:
+            s_mask |= nbr[v] & -nbr[v]
         covered |= kv[v]
-    return s_set, v_set
+    return s_mask, v_mask
 
 
 def solve_structured(inst: DstInstance,
                      node_budget: int = 2_000_000) -> StructuredResult:
-    obj = inst.provenance
-    ra = Fraction(obj.num_b, obj.num_a)
-    kv = obj.color_sets_by_b()
-    nbr_of_b = _h_adjacency(obj)
-    by_color = [[] for _ in range(obj.k)]
-    for v in range(obj.num_b):
-        for c in kv[v]:
-            by_color[c].append(v)
+    """Exact structured optimum by depth-first branch and bound.
 
-    greedy = _greedy_cover(obj, kv, nbr_of_b, ra)
+    The search runs in integer units of 1/|A|: opening an A-vertex costs
+    |B| and opening a B-vertex costs |A|.  Colors, S and V' are int
+    bitmasks.  Bit i of a color mask is the i-th color in (number of
+    candidate B-vertices, index) order, so the branching color (the
+    uncovered one with the fewest candidates) is the lowest zero bit.
+    """
+    obj = inst.provenance
+    na, nb, k = obj.num_a, obj.num_b, obj.k
+    kv_sets = obj.color_sets_by_b()
+    by_color = [[] for _ in range(k)]
+    for v, colors in enumerate(kv_sets):
+        for c in colors:
+            by_color[c].append(v)
+    order = sorted(range(k), key=lambda c: (len(by_color[c]), c))
+    pos = [0] * k
+    for i, c in enumerate(order):
+        pos[c] = i
+    by_pos = [by_color[c] for c in order]
+    kv = [sum(1 << pos[c] for c in colors) for colors in kv_sets]
+    nbr = [0] * nb
+    for a, b, _ in obj.edges:
+        nbr[b] |= 1 << a
+    nbr_bits = [[1 << u for u in _bit_indices(m)] for m in nbr]
+    full = (1 << k) - 1
+
+    greedy = _greedy_cover(kv, nbr, na, nb, full)
     if greedy is None:
         raise ValueError("colors are not coverable; instance is infeasible")
-    gs, gv = greedy
-    best_cost = ra * len(gs) + len(gv)
-    best = (frozenset(gs), frozenset(gv))
+    best = greedy
+    best_cost = nb * greedy[0].bit_count() + na * greedy[1].bit_count()
 
-    full = frozenset(range(obj.k))
-    dp = obj.d_prime
+    # Each further B-vertex covers at most dp colors.  dp is read off the
+    # edges: the d' a loaded file claims is not trusted in a bound.
+    dp = max(map(len, kv_sets))
     nodes = 0
     exhausted = True
 
-    def lb(cost, uncovered, s_set):
-        extra = Fraction(len(uncovered), dp)
-        if uncovered and not s_set:
-            extra += ra
-        return cost + extra
-
-    stack = [(Fraction(0), frozenset(), frozenset(), frozenset())]
+    # A node (cost, uncovered colors u) is pruned when its lower bound
+    # cost + u/dp, plus |B|/|A| while nothing is open, reaches the best
+    # cost; in integer units that is cost*dp + u*|A| (+ |B|*dp) >= best*dp.
+    # Children always have an open A-vertex, so their test drops the last
+    # term: kept iff c*dp - covered*|A| < best*dp - k*|A|.
+    stack = [(0, 0, 0, 0, 0)]  # (covered count, cost, S, V', covered)
     while stack:
-        cost, s_set, v_set, covered = stack.pop()
+        npc, cost, s_mask, v_mask, covered = stack.pop()
         nodes += 1
         if nodes > node_budget:
             exhausted = False
             break
-        uncovered = full - covered
-        if not uncovered:
+        if npc == k:
             if cost < best_cost:
-                best_cost, best = cost, (s_set, v_set)
+                best_cost, best = cost, (s_mask, v_mask)
             continue
-        if lb(cost, uncovered, s_set) >= best_cost:
+        if (cost * dp + (k - npc) * na + (0 if s_mask else nb * dp)
+                >= best_cost * dp):
             continue
-        # branch on the uncovered color with the fewest candidate vertices
-        t = min(uncovered, key=lambda c: (len(by_color[c]), c))
+        t = ((covered + 1) & ~covered).bit_length() - 1
+        limit = best_cost * dp - k * na
         children = []
-        for v in by_color[t]:
-            if v in v_set:
-                continue
-            if nbr_of_b[v] & s_set:
-                children.append((cost + 1, s_set, v_set | {v},
-                                 covered | kv[v]))
+        for v in by_pos[t]:  # v covers t, so v is not open yet
+            cov = covered | kv[v]
+            pc = cov.bit_count()
+            vm = v_mask | 1 << v
+            if nbr[v] & s_mask:
+                c = cost + na
+                if c * dp - pc * na < limit:
+                    children.append((pc, c, s_mask, vm, cov))
             else:
-                for u in sorted(nbr_of_b[v]):
-                    children.append((cost + 1 + ra, s_set | {u},
-                                     v_set | {v}, covered | kv[v]))
-        children = [ch for ch in children
-                    if lb(ch[0], full - ch[3], ch[1]) < best_cost]
+                c = cost + na + nb
+                if c * dp - pc * na < limit:
+                    for ubit in nbr_bits[v]:
+                        children.append((pc, c, s_mask | ubit, vm, cov))
         # explore most-promising (largest coverage) first
-        children.sort(key=lambda ch: len(ch[3]))
+        children.sort(key=itemgetter(0))
         stack.extend(children)
 
-    s_set, v_set = best
+    s_mask, v_mask = best
     assignment = tuple(
         sorted(
-            (obj.b_labels[v],
-             obj.a_labels[min(nbr_of_b[v] & s_set)])
-            for v in v_set
+            (obj.b_labels[v], obj.a_labels[_bit_indices(nbr[v] & s_mask)[0]])
+            for v in _bit_indices(v_mask)
         )
     )
+    value = Fraction(best_cost, na)
     solution = StructuredSolution(
-        opened_a=tuple(sorted(obj.a_labels[u] for u in s_set)),
-        opened_b=tuple(sorted(obj.b_labels[v] for v in v_set)),
+        opened_a=tuple(sorted(obj.a_labels[u] for u in _bit_indices(s_mask))),
+        opened_b=tuple(sorted(obj.b_labels[v] for v in _bit_indices(v_mask))),
         assignment=assignment,
-        cost=best_cost,
+        cost=value,
     )
-    lower = best_cost if exhausted else min(
-        best_cost, Fraction(obj.k, dp) + ra)
-    return StructuredResult(solution, best_cost, exhausted, lower, nodes)
+    lower = value if exhausted else min(
+        value, Fraction(k * na + nb * dp, na * dp))
+    return StructuredResult(solution, value, exhausted, lower, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +348,8 @@ def brute_force_opt(inst: DstInstance,
         covered |= t_of_b[v]
     best_val = ra * len(inc_s) + len(inc_v)
     best_s, best_v = set(inc_s), set(inc_v)
-    assert terminals <= reach(best_s, best_v)
+    if not terminals <= reach(best_s, best_v):
+        raise RuntimeError("greedy incumbent does not reach every terminal")
 
     for ns in range(1, na + 1):
         if ra * ns + min_vp >= best_val:

@@ -6,8 +6,8 @@ steepest-coefficient (Dantzig) for speed but switches to Bland's rule
 whenever a run of degenerate pivots is detected and stays there until the
 objective strictly improves, which preserves Bland's termination guarantee.
 
-The solver also returns exact duals (recovered by solving B^T y = c_B on
-the optimal basis) so callers can assemble a strong-duality certificate.
+The solver also returns exact duals, read off the final phase-2 reduced
+costs, so callers can assemble a strong-duality certificate.
 """
 
 from __future__ import annotations
@@ -121,9 +121,9 @@ def solve_lp(c, rows, senses, b) -> LpSolution:
         z1 = _run(tableau, basis, cost1, ncols, banned=frozenset())
         if z1 is None:
             raise SimplexError("phase 1 unbounded: impossible")
-        if z1 != 0:
+        if z1[ncols] != 0:
             return LpSolution(INFEASIBLE, None, None, None, None)
-        _evict_artificials(tableau, basis, art_set, ncols, n, slack_col)
+        _evict_artificials(tableau, basis, art_set, ncols)
 
     cost2 = c + [_F0] * (ncols - n)
     z2 = _run(tableau, basis, cost2, ncols, banned=frozenset(art_set))
@@ -135,15 +135,21 @@ def solve_lp(c, rows, senses, b) -> LpSolution:
         if bj < n:
             x[bj] = tableau[i][ncols]
 
-    y = _recover_duals(rows, senses, slack_col, art_col, basis, cost2, m, n)
-    for i in range(m):
-        if flipped[i]:
-            y[i] = -y[i]
-    return LpSolution(OPTIMAL, z2, x, y, senses)
+    # The reduced cost of a column is c_j - y^T A_j with y^T = c_B^T B^-1.
+    # Row i's unit column (its slack on '<=' rows, its artificial otherwise)
+    # has cost 0 and A_j = e_i, so y_i is minus its reduced cost.
+    # A row negated on input gets the dual of its negation, sign flipped.
+    unit = {**slack_col, **art_col}
+    y = [z2[unit[i]] if flipped[i] else -z2[unit[i]] for i in range(m)]
+    return LpSolution(OPTIMAL, -z2[ncols], x, y, senses)
 
 
 def _run(tableau, basis, cost, ncols, banned):
-    """Primal simplex iterations; returns the optimal value, None if unbounded."""
+    """Primal simplex iterations.
+
+    Returns the final reduced-cost row (its last entry is minus the optimal
+    value), or None if the problem is unbounded.
+    """
     m = len(tableau)
     z = [_F0] * (ncols + 1)
     for j in range(ncols):
@@ -172,7 +178,7 @@ def _run(tableau, basis, cost, ncols, banned):
                     best = z[j]
                     enter = j
         if enter < 0:
-            return -z[ncols]
+            return z
 
         leave = -1
         best_ratio = None
@@ -220,7 +226,7 @@ def _pivot(tableau, z, basis, r, jc, ncols):
     basis[r] = jc
 
 
-def _evict_artificials(tableau, basis, art_set, ncols, n, slack_col):
+def _evict_artificials(tableau, basis, art_set, ncols):
     """Pivot basic artificials out where possible; leftover rows are redundant."""
     m = len(tableau)
     z = [_F0] * (ncols + 1)  # dummy cost row for _pivot
@@ -231,53 +237,6 @@ def _evict_artificials(tableau, basis, art_set, ncols, n, slack_col):
                 (j for j in range(ncols) if j not in art_set and row[j]), -1)
             if enter >= 0:
                 _pivot(tableau, z, basis, i, enter, ncols)
-            else:
-                assert row[ncols] == 0, "inconsistent redundant row"
+            elif row[ncols] != 0:
+                raise SimplexError("inconsistent redundant row")
 
-
-def _recover_duals(rows, senses, slack_col, art_col, basis, cost, m, n):
-    """Solve B^T y = c_B exactly for the optimal basis B."""
-    cols = []
-    cb = []
-    for i, bj in enumerate(basis):
-        col = [_F0] * m
-        if bj < n:
-            for r in range(m):
-                col[r] = rows[r].get(bj, _F0)
-        elif bj in slack_col.values():
-            r = next(i2 for i2, j2 in slack_col.items() if j2 == bj)
-            col[r] = _F1 if senses[r] == LE else -_F1
-        else:
-            r = next(i2 for i2, j2 in art_col.items() if j2 == bj)
-            col[r] = _F1
-        cols.append(col)
-        cb.append(cost[bj])
-    # rows of the system: for each basis column q: sum_r col_q[r] * y[r] = cb[q]
-    aug = [cols[q] + [cb[q]] for q in range(m)]
-    return _gauss_solve(aug, m)
-
-
-def _gauss_solve(aug, m):
-    row_used = [False] * m
-    where = [-1] * m
-    for col in range(m):
-        piv = next((r for r in range(m)
-                    if not row_used[r] and aug[r][col]), -1)
-        if piv < 0:
-            continue
-        row_used[piv] = True
-        where[col] = piv
-        inv = _F1 / aug[piv][col]
-        aug[piv] = [v * inv for v in aug[piv]]
-        for r in range(m):
-            if r != piv and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * p for a, p in zip(aug[r], aug[piv])]
-    y = [_F0] * m
-    for col in range(m):
-        if where[col] >= 0:
-            y[col] = aug[where[col]][m]
-    for r in range(m):
-        if not row_used[r] and aug[r][m] != 0:
-            raise SimplexError("singular dual system")
-    return y

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from dstgap import cli, model
+from dstgap import cli, families, model
 from dstgap.cli import (
     EXIT_BAD_INPUT,
     EXIT_BAD_PARAMS,
@@ -68,6 +68,16 @@ def test_gen_edge_cap():
     rc = main(["gen", "--family", "subset", "--m", "8", "--a", "2",
                "--max-edges", "100"])
     assert rc == EXIT_CAP
+
+
+def test_gen_zk_edge_cap_before_generating(monkeypatch, capsys):
+    # zk10000 has C(10000, 101) * 101 edges; the cap must be checked from
+    # that closed form, without enumerating a single subset
+    def refuse(*args):
+        raise AssertionError("zk10000 was enumerated")
+    monkeypatch.setattr(families, "colex_subsets", refuse)
+    assert main(["gen", "--family=zk", "--k=10000"]) == EXIT_CAP
+    assert "edges > cap" in capsys.readouterr().err
 
 
 def test_gen_config_file(tmp_path, capsys):

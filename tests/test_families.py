@@ -101,6 +101,13 @@ def test_subset_size_cap():
         subset_objects(SubsetFamilyParams(8, 2), max_edges=100)
 
 
+def test_zk_size_cap_counts_edges():
+    # zk9: C(9, 4) * 4 = 504 edges, the cap is inclusive
+    assert len(zk_objects(9, max_edges=504).edges) == 504
+    with pytest.raises(SizeCapError, match="504 edges"):
+        zk_objects(9, max_edges=503)
+
+
 def test_generators_pass_validation_grid():
     for k in (4, 9):
         assert validate_objects(zk_objects(k)).ok

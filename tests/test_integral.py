@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from dstgap.families import JSetFamily, default_j_sets
+import dstgap
+from dstgap import build_instance, subset_objects
+from dstgap.families import JSetFamily, SubsetFamilyParams, default_j_sets
 from dstgap.integral import (
     brute_force_opt,
     certify_gap,
@@ -55,6 +61,31 @@ def test_certify_rejects_wrong_length(zk4_objects):
         certify_gap(zk4_objects, JSetFamily((frozenset(),)))
 
 
+def test_certify_self_check_raises_under_optimize():
+    # the alpha self-check is an explicit check, not an assert, so it
+    # still runs under python -O; a wrong min() breaks the re-enumeration
+    code = textwrap.dedent("""
+        import sys
+        from dstgap import default_j_sets, integral, zk_objects
+        if __debug__:
+            sys.exit("not running under -O")
+        integral.min = max
+        obj = zk_objects(9)
+        try:
+            integral.certify_gap(obj, default_j_sets(obj))
+        except RuntimeError as exc:
+            print(exc)
+        else:
+            sys.exit("no error raised")
+    """)
+    src = os.path.dirname(os.path.dirname(dstgap.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "self-check failed: alpha mismatch" in proc.stdout
+
+
 # ---------------------------------------------------------------------------
 # density bound
 
@@ -103,16 +134,49 @@ def test_structured_zk4(zk4_instance):
     assert sol.cost == Fraction(2, 3) + 2
 
 
+# The node counts and opened sets below pin the search order (branching
+# color, child order, child filter, greedy incumbent): a change to any of
+# them moves these figures.
+
 def test_structured_zk9(zk9_instance):
     res = solve_structured(zk9_instance)
     assert res.optimal
-    assert res.value == 6
+    assert res.value == res.lower_bound == 6
+    assert res.nodes == 47_265
+    assert res.solution.opened_a == ("{1,2,3}", "{5,6,7}")
+    assert res.solution.opened_b == ("{1,2,3,4}", "{1,2,3,9}", "{5,6,7,8}")
 
 
 def test_structured_subset_m6(subset_m6_instance):
     res = solve_structured(subset_m6_instance)
     assert res.optimal
     assert res.value == 5
+    assert res.nodes == 737
+    assert res.solution.opened_a == ("{1,2}", "{3,4}")
+    assert res.solution.opened_b == ("{1,2,3,4}", "{1,2,5,6}", "{3,4,5,6}")
+
+
+def test_structured_subset_m7a3():
+    inst = build_instance(subset_objects(SubsetFamilyParams(7, 3, 1)))
+    res = solve_structured(inst)
+    assert res.optimal
+    assert res.value == Fraction(21, 5)
+    assert res.nodes == 72_817
+    assert res.solution.opened_a == ("{1,2,3}",)
+    assert res.solution.opened_b == ("{1,2,3,4,5,6}", "{1,2,3,4,5,7}",
+                                     "{1,2,3,4,6,7}", "{1,2,3,5,6,7}")
+
+
+def test_structured_ignores_claimed_d_prime(zk9_instance):
+    # the bound divides by max |K_v| from the edges, not by meta.d_prime;
+    # trusting a claimed d' = 1 would prune the whole tree at the root
+    obj = zk9_instance.provenance
+    lying = replace(zk9_instance, provenance=replace(obj, d_prime=1))
+    res = solve_structured(lying)
+    assert res.optimal and res.value == 6
+    assert res.nodes == 47_265
+    short = solve_structured(lying, node_budget=5)
+    assert short.lower_bound == Fraction(15, 4)
 
 
 def test_structured_toy():
@@ -132,7 +196,10 @@ def test_structured_assignment_valid(zk4_instance):
 def test_structured_budget_exhaustion(zk9_instance):
     res = solve_structured(zk9_instance, node_budget=5)
     assert not res.optimal
-    assert res.lower_bound <= res.value
+    assert res.nodes == 6
+    assert res.value == 6
+    # k/d' + |B|/|A| = 9/4 + 3/2
+    assert res.lower_bound == Fraction(15, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +222,19 @@ def test_brute_agrees_on_m4(subset_m4_instance):
     s = solve_structured(subset_m4_instance)
     assert b.feasible and s.optimal
     assert b.value == s.value == Fraction(7, 6)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("toy", Fraction(2)),
+    ("zk4_instance", Fraction(8, 3)),
+    ("subset_m5_instance", Fraction(7, 2)),
+])
+def test_brute_agrees_with_structured(request, name, value):
+    inst = toy_instance() if name == "toy" else request.getfixturevalue(name)
+    b = brute_force_opt(inst)
+    s = solve_structured(inst)
+    assert b.feasible and s.optimal
+    assert b.value == s.value == s.lower_bound == value
 
 
 def test_brute_size_cap(zk9_instance):

@@ -103,3 +103,20 @@ def test_redundant_equalities():
     sol = solve_lp(c, rows, senses, b)
     assert sol.status == OPTIMAL and sol.value == 2
     assert sol.check_certificate(c, rows, senses, b)
+
+
+def test_duals_with_basic_artificial_and_flipped_row():
+    # min 2x + y  s.t.  x + y = 2, 2x + 2y = 4 (redundant: its artificial
+    # stays basic), x >= 1/2, -x + y <= -1 (negated to x - y >= 1)
+    c = [F(2), F(1)]
+    rows = [{0: F(1), 1: F(1)}, {0: F(2), 1: F(2)}, {0: F(1)},
+            {0: F(-1), 1: F(1)}]
+    senses = [EQ, EQ, GE, LE]
+    b = [F(2), F(4), F(1, 2), F(-1)]
+    sol = solve_lp(c, rows, senses, b)
+    assert sol.status == OPTIMAL and sol.value == F(7, 2)
+    assert sol.x == [F(3, 2), F(1, 2)]
+    # y2 and y3 are unique; only y0 + 2 y1 is fixed on the redundant pair
+    assert sol.duals[2] == 0 and sol.duals[3] == F(-1, 2)
+    assert sol.duals[0] + 2 * sol.duals[1] == F(3, 2)
+    assert sol.check_certificate(c, rows, senses, b)
