@@ -139,8 +139,9 @@ def cmd_verify(args, argline) -> int:
                 w = flows.path_witness(inst, t)
                 if not flows.check_path_witness(inst, w, sol):
                     witnesses_ok = False
-            except KeyError:
-                witnesses_ok = False  # corrupted instance: path edges missing
+            except (KeyError, ValueError):
+                # corrupted instance: path edges missing, or not s of them
+                witnesses_ok = False
 
     print(f"{'terminal':>12} {'flow':>8} status")
     for e in report.entries:

@@ -60,7 +60,9 @@ def zk_objects(k: int, max_edges: int = DEFAULT_EDGE_CAP) -> GapObjects:
 
     d, dp = k - rk, rk + 1
     s, rem = divmod(d * len(a_sets), k)
-    assert rem == 0
+    if rem:
+        raise RuntimeError(
+            f"zk family k={k}: d*|A| = {d * len(a_sets)} is not a multiple of k")
     return GapObjects(
         a_labels=tuple(set_label(x) for x in a_sets),
         b_labels=tuple(set_label(x) for x in b_sets),

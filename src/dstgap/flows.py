@@ -6,16 +6,24 @@ one per matching edge (u, v) of the terminal's color.  Feasibility of an
 arbitrary capacity vector is checked terminal by terminal with an exact
 max-flow: capacities are scaled once by their common denominator into one
 integer network (Dinic), whose capacities are restored before each
-terminal's run; the flow is scaled back, so values are exact, and every
-terminal gets a min-cut witness of equal capacity.
+terminal's run; the flow is scaled back, so values are exact.  Dinic's
+levels are distances to the terminal, found by a BFS backward from it, so
+a run only works on the part of the network that can still reach its
+terminal.  Every terminal gets a min-cut witness of equal capacity, checked
+in integers: the vertices reachable from the root in the final residual
+network, found by a scan of the whole network.  That is the unique smallest
+min-cut source side, the same for every maximum flow, so the witness does
+not depend on which maximum flow Dinic finds.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 from .model import DstInstance
 
@@ -32,8 +40,8 @@ class FractionalSolution:
 
 
 def canonical_solution(inst: DstInstance) -> FractionalSolution:
-    s = inst.provenance.s
-    return FractionalSolution(tuple(Fraction(1, s) for _ in inst.edges))
+    w = Fraction(1, inst.provenance.s)
+    return FractionalSolution((w,) * len(inst.edges))
 
 
 def solution_cost(inst: DstInstance, sol: FractionalSolution) -> Fraction:
@@ -41,71 +49,110 @@ def solution_cost(inst: DstInstance, sol: FractionalSolution) -> Fraction:
 
 
 class _Dinic:
-    """Integer max-flow; standard Dinic with the iterator trick."""
+    """Integer max-flow: Dinic with levels measured to the sink.
 
-    def __init__(self, n):
+    Edge j is arc 2j (capacity caps[j]) and its reverse 2j + 1 (capacity
+    0), so arc i ^ 1 is always the reverse of arc i.  Each phase labels
+    vertices with their residual distance to t by a BFS run backward from t:
+    arc i out of v stands for arc i ^ 1 into v, whose capacity it tests.
+    The BFS stops as soon as it labels the root.  The blocking flow then
+    walks from the root only along arcs one level closer to t, so a phase
+    never enters a vertex that cannot reach t.
+    """
+
+    def __init__(self, n, tails, heads, caps):
         self.n = n
-        self.head = [[] for _ in range(n)]  # per vertex: indices into arcs
-        self.to = []
-        self.cap = []
+        m = len(tails)
+        self.to = [0] * (2 * m)
+        self.to[0::2] = heads
+        self.to[1::2] = tails
+        self.cap = [0] * (2 * m)
+        self.cap[0::2] = caps
+        self.head = [[] for _ in range(n)]  # per vertex: its arc indices
+        for j, (u, v) in enumerate(zip(tails, heads)):
+            self.head[u].append(2 * j)
+            self.head[v].append(2 * j + 1)
 
-    def add(self, u, v, c):
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(c)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
+    def _levels(self, s, t):
+        """Residual distances to t; -1 for vertices not reached before s.
 
-    def _bfs(self, s, t):
+        BFS labels are exact, and every vertex closer to t than s is
+        labelled before s is, so the search can stop at s."""
+        head, to, cap = self.head, self.to, self.cap
         level = [-1] * self.n
-        level[s] = 0
-        q = deque([s])
+        level[t] = 0
+        q = deque([t])
         while q:
-            u = q.popleft()
-            for i in self.head[u]:
-                v = self.to[i]
-                if self.cap[i] > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
-                    q.append(v)
-        self.level = level
-        return level[t] >= 0
+            v = q.popleft()
+            lu = level[v] + 1
+            for i in head[v]:
+                u = to[i]
+                if level[u] < 0 and cap[i ^ 1]:
+                    level[u] = lu
+                    if u == s:
+                        return level
+                    q.append(u)
+        return level
 
-    def _dfs(self, u, t, f, it):
-        if u == t:
-            return f
-        while it[u] < len(self.head[u]):
-            i = self.head[u][it[u]]
-            v = self.to[i]
-            if self.cap[i] > 0 and self.level[v] == self.level[u] + 1:
-                pushed = self._dfs(v, t, min(f, self.cap[i]), it)
-                if pushed:
-                    self.cap[i] -= pushed
-                    self.cap[i ^ 1] += pushed
-                    return pushed
-            it[u] += 1
-        return 0
+    def _blocking_flow(self, s, t, level):
+        """Augment along level-decreasing paths from s until none is left.
+
+        One path is grown at a time with a current-arc pointer per vertex.
+        Each augmentation pushes the path's bottleneck and cuts the path
+        back to the tail of its first saturated arc.  A dead end loses its
+        level, so no arc leads into it again in this phase.
+        """
+        head, to, cap = self.head, self.to, self.cap
+        it = [0] * self.n
+        path = []
+        flow = 0
+        u = s
+        while True:
+            if u == t:
+                f = min(cap[i] for i in path)
+                for i in path:
+                    cap[i] -= f
+                    cap[i ^ 1] += f
+                flow += f
+                for j, i in enumerate(path):
+                    if not cap[i]:
+                        del path[j:]
+                        break
+                u = to[path[-1]] if path else s
+                continue
+            arcs = head[u]
+            down = level[u] - 1
+            for k in range(it[u], len(arcs)):
+                i = arcs[k]
+                if cap[i] and level[to[i]] == down:
+                    it[u] = k
+                    path.append(i)
+                    u = to[i]
+                    break
+            else:
+                level[u] = -1  # a dead end for the rest of the phase
+                if not path:
+                    return flow
+                u = to[path.pop() ^ 1]
 
     def max_flow(self, s, t):
         flow = 0
-        while self._bfs(s, t):
-            it = [0] * self.n
-            while True:
-                pushed = self._dfs(s, t, 1 << 62, it)
-                if not pushed:
-                    break
-                flow += pushed
-        return flow
+        while True:
+            level = self._levels(s, t)
+            if level[s] < 0:
+                return flow
+            flow += self._blocking_flow(s, t, level)
 
     def residual_reachable(self, s):
+        head, to, cap = self.head, self.to, self.cap
         seen = [False] * self.n
         seen[s] = True
         q = deque([s])
         while q:
             u = q.popleft()
-            for i in self.head[u]:
-                v = self.to[i]
-                if self.cap[i] > 0 and not seen[v]:
+            for i in head[u]:
+                v = to[i]
+                if cap[i] and not seen[v]:
                     seen[v] = True
                     q.append(v)
         return seen
@@ -152,32 +199,35 @@ def verify_feasibility(inst: DstInstance, sol: FractionalSolution,
 
     One integer network carries x * scale on every edge; each terminal's
     run starts from those base capacities and ends with its min cut, whose
-    capacity must equal the flow.
+    integer capacity must equal the integer flow.
     """
     if terminals is None:
         terminals = inst.terminals
-    scale = math.lcm(*(v.denominator for v in sol.x))
-    net = _Dinic(inst.n)
-    for e, v in zip(inst.edges, sol.x):
-        net.add(e.tail, e.head, v.numerator * (scale // v.denominator))
+    scale = math.lcm(*{v.denominator for v in sol.x})
+    tails = [e.tail for e in inst.edges]
+    heads = [e.head for e in inst.edges]
+    caps = [v.numerator * (scale // v.denominator) for v in sol.x]
+    net = _Dinic(inst.n, tails, heads, caps)
     base = net.cap[:]
 
     entries = []
     for t in terminals:
         net.cap[:] = base
-        value = Fraction(net.max_flow(inst.root, t), scale)
+        flow = net.max_flow(inst.root, t)
         reach = net.residual_reachable(inst.root)
-        cut = tuple(
-            i for i, e in enumerate(inst.edges)
-            if reach[e.tail] and not reach[e.head]
-        )
-        cut_cap = sum((sol.x[i] for i in cut), Fraction(0))
-        if cut_cap != value:
+        # edges from the reached side to the rest: reach[tail] > reach[head]
+        cut = tuple(compress(range(len(tails)), map(
+            operator.gt, map(reach.__getitem__, tails),
+            map(reach.__getitem__, heads))))
+        cut_int = sum(map(caps.__getitem__, cut))
+        value = Fraction(flow, scale)
+        cut_cap = Fraction(cut_int, scale)
+        if cut_int != flow:
             raise RuntimeError(
                 f"max-flow/min-cut mismatch at terminal {inst.labels[t]}: "
                 f"flow {value}, cut capacity {cut_cap}")
         res = MaxFlowResult(value, cut, cut_cap,
-                            frozenset(i for i, r in enumerate(reach) if r))
+                            frozenset(compress(range(inst.n), reach)))
         entries.append(TerminalFlow(t, inst.labels[t], value, value >= 1, res))
     return FeasibilityReport(tuple(entries))
 
@@ -193,7 +243,9 @@ def path_witness(inst: DstInstance, terminal: int) -> PathWitness:
     """The s edge-disjoint unit paths for one terminal.
 
     One path per matching edge (u, v) of the terminal's color; weight 1/s
-    each, so the witness saturates the canonical solution exactly.
+    each, so the witness saturates the canonical solution exactly.  Raises
+    ValueError if `terminal` is not a terminal or its color does not have
+    exactly s matching edges (a file whose s disagrees with its edges).
     """
     obj = inst.provenance
     t_off = inst.level_offset(4)
@@ -215,7 +267,9 @@ def path_witness(inst: DstInstance, terminal: int) -> PathWitness:
             eidx[(v, vp)],
             eidx[(vp, terminal)],
         ))
-    assert len(paths) == obj.s
+    if len(paths) != obj.s:
+        raise ValueError(f"terminal {inst.labels[terminal]} has {len(paths)} "
+                         f"matching edges, but s = {obj.s}")
     w = Fraction(1, obj.s)
     return PathWitness(terminal, tuple(paths), tuple(w for _ in paths))
 

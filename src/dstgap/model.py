@@ -306,14 +306,22 @@ def build_instance(objects: GapObjects) -> DstInstance:
     )
 
     # DstInstance invariants; cheap, and they guard generator bugs
-    assert inst.n == 1 + na + 2 * nb + k
+    if inst.n != 1 + na + 2 * nb + k:
+        raise RuntimeError(f"built instance has {inst.n} vertices, "
+                           f"expected {1 + na + 2 * nb + k}")
     counts = edge_class_counts(inst)
-    assert counts == {E1: na, E2: len(objects.edges), E3: nb,
-                      E4: nb * objects.d_prime}
+    expected = {E1: na, E2: len(objects.edges), E3: nb,
+                E4: nb * objects.d_prime}
+    if counts != expected:
+        raise RuntimeError(f"built instance has edge classes {counts}, "
+                           f"expected {expected}")
     indeg = [0] * inst.n
     for e in inst.edges:
         indeg[e.head] += 1
-    assert all(indeg[t] == objects.s for t in inst.terminals)
+    bad = [inst.labels[t] for t in inst.terminals if indeg[t] != objects.s]
+    if bad:
+        raise RuntimeError(
+            f"terminals with in-degree != s={objects.s}: {bad[:5]}")
     return inst
 
 

@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import dstgap
 from dstgap import cli, families, model
 from dstgap.cli import (
     EXIT_BAD_INPUT,
@@ -120,6 +124,28 @@ def test_verify_corrupted_instance(tmp_path, zk4_instance, capsys):
     assert rc == EXIT_FALSE
     assert "FAIL terminal" in out
     assert "2/3" in out
+
+
+def test_verify_wrong_s_is_invalid_witness(tmp_path, zk4_instance):
+    # meta.s = 2 against 3 matching edges per color: the path witness is
+    # invalid (exit 1, one FAIL line), the same with or without python -O
+    data = model.instance_to_dict(zk4_instance)
+    data["meta"]["s"] = 2
+    path = tmp_path / "s2.json"
+    path.write_text(json.dumps(data))
+    src = os.path.dirname(os.path.dirname(dstgap.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    stdouts = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "dstgap.cli", "verify", str(path)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == EXIT_FALSE, flags
+        assert "Traceback" not in proc.stderr, flags
+        stdouts.append(proc.stdout)
+    assert stdouts[0] == stdouts[1]
+    assert stdouts[0].splitlines()[-1] == "FAIL path witness invalid"
+    assert "3/2" in stdouts[0]  # x = 1/s = 1/2 on three paths
 
 
 def test_verify_bad_file(tmp_path):

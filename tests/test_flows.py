@@ -1,7 +1,9 @@
 import os
+import random
 import subprocess
 import sys
 import textwrap
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -18,7 +20,7 @@ from dstgap.flows import (
     solution_cost,
     verify_feasibility,
 )
-from dstgap.lp import solve_lp_exact
+from dstgap.lp import DEFAULT_VAR_CAP, solve_lp_exact
 from dstgap.model import E1, E3, build_instance
 
 from _util import toy_instance
@@ -140,6 +142,95 @@ def test_shared_network_matches_fresh_max_flow(zk4_instance):
                 assert e.value == f.value == e.cut.cut_capacity
                 assert e.cut.cut_edges == f.cut_edges
                 assert e.cut.source_side == f.source_side
+
+
+def _oracle_max_flow(inst, x, t):
+    """Shortest augmenting paths over Fraction capacities; independent of
+    flows._Dinic.  Returns the value, the edges leaving the residual-
+    reachable set of the root, and that set."""
+    edges = inst.edges
+    out_edges = [[] for _ in range(inst.n)]
+    in_edges = [[] for _ in range(inst.n)]
+    for j, e in enumerate(edges):
+        out_edges[e.tail].append(j)
+        in_edges[e.head].append(j)
+    flow = [Fraction(0)] * len(edges)
+    value = Fraction(0)
+    while True:
+        prev = {inst.root: None}  # vertex -> (edge, +1 forward / -1 back)
+        queue = deque([inst.root])
+        while queue:
+            v = queue.popleft()
+            for j in out_edges[v]:
+                w = edges[j].head
+                if w not in prev and flow[j] < x[j]:
+                    prev[w] = (j, 1)
+                    queue.append(w)
+            for j in in_edges[v]:
+                w = edges[j].tail
+                if w not in prev and flow[j] > 0:
+                    prev[w] = (j, -1)
+                    queue.append(w)
+        if t not in prev:
+            break
+        steps, v = [], t
+        while prev[v] is not None:
+            j, sign = prev[v]
+            steps.append((j, sign))
+            v = edges[j].tail if sign > 0 else edges[j].head
+        delta = min(x[j] - flow[j] if sign > 0 else flow[j]
+                    for j, sign in steps)
+        for j, sign in steps:
+            flow[j] += sign * delta
+        value += delta
+    cut = tuple(j for j, e in enumerate(edges)
+                if e.tail in prev and e.head not in prev)
+    assert sum((x[j] for j in cut), Fraction(0)) == value
+    return value, cut, frozenset(prev)
+
+
+def _oracle_solutions(inst):
+    canon = canonical_solution(inst)
+    zeroed = list(canon.x)
+    zeroed[next(i for i, e in enumerate(inst.edges) if e.klass == E3)] = \
+        Fraction(0)
+    # sparse random capacities: on zk4 and m6 some of these need augmenting
+    # paths that cancel flow along a reverse arc
+    noisy = []
+    for seed in range(3):
+        rng = random.Random(seed)
+        noisy.append(FractionalSolution(tuple(
+            Fraction(rng.choice((0, 0, 1, 2, 3)), rng.randint(1, 4))
+            for _ in inst.edges)))
+    # the root reaches every other terminal, but not the first one
+    t0 = inst.terminals[0]
+    cut_off = [Fraction(0) if e.head == t0 else canon.x[i]
+               for i, e in enumerate(inst.edges)]
+    sols = [canon, FractionalSolution(tuple(zeroed)),
+            FractionalSolution(tuple(Fraction(1, 2 + i % 5)
+                                     for i in range(len(inst.edges)))),
+            *noisy]
+    if len(inst.edges) <= DEFAULT_VAR_CAP:  # m6's LP is over the cap
+        sols.append(solve_lp_exact(inst).x_opt)
+    return sols + [FractionalSolution(tuple(cut_off))]
+
+
+@pytest.mark.parametrize("name", ["zk4", "subset_m4", "subset_m6"])
+def test_max_flow_matches_oracle(name, request):
+    inst = request.getfixturevalue(f"{name}_instance")
+    for sol in _oracle_solutions(inst):
+        rep = verify_feasibility(inst, sol)
+        assert [e.terminal for e in rep.entries] == list(inst.terminals)
+        for e in rep.entries:
+            value, cut, side = _oracle_max_flow(inst, sol.x, e.terminal)
+            assert e.value == e.cut.cut_capacity == value
+            assert e.cut.cut_edges == cut
+            assert e.cut.source_side == side
+    # the last solution cuts the first terminal off, and only it: the root
+    # still reaches every other terminal
+    first, *rest = rep.entries
+    assert first.value == 0 and all(e.value == 1 for e in rest)
+    assert first.cut.source_side >= set(inst.terminals[1:])
 
 
 def test_cut_mismatch_raises_under_optimize():

@@ -1,10 +1,15 @@
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+import dstgap
 from dstgap.families import SubsetFamilyParams, subset_objects
 from dstgap.model import (
     E1, E2, E3, E4,
@@ -125,6 +130,43 @@ def test_build_rejects_invalid_objects(zk4_objects):
     bad = replace(zk4_objects, edges=zk4_objects.edges[1:])
     with pytest.raises(ValueError):
         build_instance(bad)
+
+
+def test_build_invariants_raise_under_optimize():
+    # the generator and build invariants are explicit checks, not asserts,
+    # so they still run under python -O
+    code = textwrap.dedent("""
+        import sys
+        from dstgap import families, model
+        if __debug__:
+            sys.exit("not running under -O")
+        real = families.colex_subsets
+        # one extra A-set breaks the counting identity d*|A| = s*k
+        families.colex_subsets = lambda m, size: (
+            real(m, size) + [frozenset()] if size == 2 else real(m, size))
+        try:
+            families.zk_objects(4)
+        except RuntimeError as exc:
+            print(exc)
+        else:
+            sys.exit("zk_objects: no error raised")
+        families.colex_subsets = real
+        model.edge_class_counts = lambda inst: {}
+        try:
+            model.build_instance(families.zk_objects(4))
+        except RuntimeError as exc:
+            print(exc)
+        else:
+            sys.exit("build_instance: no error raised")
+    """)
+    src = os.path.dirname(os.path.dirname(dstgap.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    first, second = proc.stdout.splitlines()
+    assert "is not a multiple of k" in first
+    assert "built instance has edge classes {}" in second
 
 
 def test_build_deterministic(zk4_objects):
