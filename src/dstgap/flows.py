@@ -30,7 +30,7 @@ from .model import DstInstance
 
 @dataclass(frozen=True)
 class FractionalSolution:
-    """Edge capacities, aligned with inst.edges."""
+    """Edge capacities, aligned with the instance's edge columns."""
 
     x: tuple
 
@@ -41,11 +41,13 @@ class FractionalSolution:
 
 def canonical_solution(inst: DstInstance) -> FractionalSolution:
     w = Fraction(1, inst.provenance.s)
-    return FractionalSolution((w,) * len(inst.edges))
+    return FractionalSolution((w,) * len(inst.tails))
 
 
 def solution_cost(inst: DstInstance, sol: FractionalSolution) -> Fraction:
-    return sum((e.cost * v for e, v in zip(inst.edges, sol.x)), Fraction(0))
+    costs = inst.class_costs
+    return sum((costs[c] * v for c, v in zip(inst.classes, sol.x)),
+               Fraction(0))
 
 
 class _Dinic:
@@ -204,8 +206,7 @@ def verify_feasibility(inst: DstInstance, sol: FractionalSolution,
     if terminals is None:
         terminals = inst.terminals
     scale = math.lcm(*{v.denominator for v in sol.x})
-    tails = [e.tail for e in inst.edges]
-    heads = [e.head for e in inst.edges]
+    tails, heads = inst.tails, inst.heads
     caps = [v.numerator * (scale // v.denominator) for v in sol.x]
     net = _Dinic(inst.n, tails, heads, caps)
     base = net.cap[:]
@@ -289,10 +290,9 @@ def check_path_witness(inst: DstInstance, witness: PathWitness,
         at = inst.root
         seen = {at}
         for i in path:
-            e = inst.edges[i]
-            if e.tail != at or e.head in seen or w > sol.x[i]:
+            if inst.tails[i] != at or inst.heads[i] in seen or w > sol.x[i]:
                 return False
-            at = e.head
+            at = inst.heads[i]
             seen.add(at)
         if at != witness.terminal:
             return False

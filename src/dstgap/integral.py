@@ -303,7 +303,12 @@ def brute_force_opt(inst: DstInstance,
     a_ids = list(inst.level_ids(1))
     b_ids = list(inst.level_ids(2))
     terminals = set(inst.terminals)
-    out = inst.out_adjacency()
+    out = [[] for _ in range(inst.n)]  # per vertex: (head, class) pairs
+    b_in_a = {v: set() for v in b_ids}  # per B-vertex: its A-neighbours
+    for tail, head, klass in zip(inst.tails, inst.heads, inst.classes):
+        out[tail].append((head, klass))
+        if klass == E2:
+            b_in_a[head].add(tail)
 
     def reach(s_ids, v_ids):
         s_ids, v_ids = set(s_ids), set(v_ids)
@@ -311,11 +316,10 @@ def brute_force_opt(inst: DstInstance,
         q = deque([inst.root])
         while q:
             u = q.popleft()
-            for w, ei in out[u]:
-                e = inst.edges[ei]
-                if e.klass == E1 and w not in s_ids:
+            for w, klass in out[u]:
+                if klass == E1 and w not in s_ids:
                     continue
-                if e.klass == E3 and e.tail not in v_ids:
+                if klass == E3 and u not in v_ids:
                     continue
                 if w not in seen:
                     seen.add(w)
@@ -329,9 +333,6 @@ def brute_force_opt(inst: DstInstance,
                                 tuple(inst.labels[t] for t in blocked))
 
     ra = Fraction(nb, na)
-    in_adj = inst.in_adjacency()
-    b_in_a = {v: {u for u, ei in in_adj[v] if inst.edges[ei].klass == E2}
-              for v in b_ids}
     t_of_b = {v: {w for w, _ in out[inst.pi(v)]} for v in b_ids}
     max_gain = max(len(t_of_b[v]) for v in b_ids)
     min_vp = ceil(len(terminals) / max_gain)

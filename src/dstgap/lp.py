@@ -35,14 +35,14 @@ def _edges_toward(inst: DstInstance, t: int):
     exactly the set of edges whose head can still reach t)."""
     back = {t}
     # walk levels upward; edges are sorted by class so a reverse sweep works
-    for e in reversed(inst.edges):
-        if e.head in back:
-            back.add(e.tail)
-    return [i for i, e in enumerate(inst.edges) if e.head in back or e.head == t]
+    for tail, head in zip(reversed(inst.tails), reversed(inst.heads)):
+        if head in back:
+            back.add(tail)
+    return [i for i, head in enumerate(inst.heads) if head in back]
 
 
 def solve_lp_exact(inst: DstInstance, var_cap: int = DEFAULT_VAR_CAP) -> LpResult:
-    ne = len(inst.edges)
+    ne = len(inst.tails)
     terminals = list(inst.terminals)
     rel = {t: _edges_toward(inst, t) for t in terminals}
 
@@ -58,16 +58,16 @@ def solve_lp_exact(inst: DstInstance, var_cap: int = DEFAULT_VAR_CAP) -> LpResul
             fvar[(t, i)] = idx
             idx += 1
 
-    c = [e.cost for e in inst.edges] + [Fraction(0)] * (nvars - ne)
+    costs = inst.class_costs
+    c = [costs[k] for k in inst.classes] + [Fraction(0)] * (nvars - ne)
     rows, senses, b, kinds = [], [], [], []
 
     for t in terminals:
         inflow = {}
         outflow = {}
         for i in rel[t]:
-            e = inst.edges[i]
-            inflow.setdefault(e.head, []).append(fvar[(t, i)])
-            outflow.setdefault(e.tail, []).append(fvar[(t, i)])
+            inflow.setdefault(inst.heads[i], []).append(fvar[(t, i)])
+            outflow.setdefault(inst.tails[i], []).append(fvar[(t, i)])
         vertices = set(inflow) | set(outflow)
         for v in sorted(vertices - {inst.root, t}):
             row = {j: Fraction(1) for j in inflow.get(v, [])}

@@ -12,6 +12,10 @@ graph built from it:
     level 3: B' (copy of B)       (matching v->pi(v), cost 1)
     level 4: terminals K          (pi(v)->t for each color t at v, cost 0)
 
+Costs are fixed by the edge class (the level of the head), as above: an
+instance keeps int edge columns and one cost per class, and the loader
+rejects a file whose edge costs differ from them.
+
 Vertex ids are dense integers assigned level by level in the canonical
 label order of the objects; edges are sorted by (level, tail, head), so a
 given GapObjects value always builds the identical instance.
@@ -22,6 +26,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -196,6 +201,7 @@ def validate_objects(objects: GapObjects) -> ValidationReport:
     add("kv-size", not bad_kv,
         f"B-vertices with |K_v| != d'={dp}: {bad_kv[:5]}" if bad_kv else "")
 
+    add("s-positive", s >= 1, f"s={s}: a terminal needs an in-edge")
     add("s-at-most-A", s <= na, f"s={s} > |A|={na}")
     add("k-at-least-d", k >= d, f"k={k} < d={d}")
 
@@ -206,21 +212,16 @@ def validate_objects(objects: GapObjects) -> ValidationReport:
 
 
 @dataclass(frozen=True)
-class Edge:
-    tail: int
-    head: int
-    cost: Fraction
-    klass: int
-    color: int | None = None  # color index, E2 edges only
-
-
-@dataclass(frozen=True)
 class DstInstance:
-    """The built 5-level DST graph.  Vertex ids index into `labels`."""
+    """The built 5-level DST graph.  Vertex ids index into `labels`; edge i
+    runs tails[i] -> heads[i] and costs class_costs[classes[i]]."""
 
     labels: tuple          # all vertex labels, id order
     level_sizes: tuple     # (1, |A|, |B|, |B|, k)
-    edges: tuple           # Edge tuples sorted by (klass, tail, head)
+    tails: tuple           # int vertex ids
+    heads: tuple           # int vertex ids
+    classes: tuple         # E1..E4: the level of the head
+    colors: tuple          # color index on E2 edges, None elsewhere
     provenance: GapObjects
 
     @property
@@ -250,29 +251,29 @@ class DstInstance:
         return b_id + self.level_sizes[2]
 
     @functools.cached_property
+    def class_costs(self) -> dict:
+        """Edge cost by class, the only place edge costs are set: root
+        edges |B|/|A|, copy edges v -> pi(v) 1, all other edges 0."""
+        na, nb = self.level_sizes[1], self.level_sizes[2]
+        return {E1: Fraction(nb, na), E2: Fraction(0), E3: Fraction(1),
+                E4: Fraction(0)}
+
+    @functools.cached_property
     def edge_index(self) -> dict:
         """(tail, head) -> edge position; built once per instance."""
-        return {(e.tail, e.head): i for i, e in enumerate(self.edges)}
-
-    def out_adjacency(self):
-        adj = [[] for _ in range(self.n)]
-        for i, e in enumerate(self.edges):
-            adj[e.tail].append((e.head, i))
-        return adj
-
-    def in_adjacency(self):
-        adj = [[] for _ in range(self.n)]
-        for i, e in enumerate(self.edges):
-            adj[e.head].append((e.tail, i))
-        return adj
+        return dict(zip(zip(self.tails, self.heads), range(len(self.tails))))
 
 
-def build_instance(objects: GapObjects) -> DstInstance:
-    """Build the 5-level instance; deterministic for a given GapObjects."""
+def _require_valid(objects: GapObjects) -> None:
     report = validate_objects(objects)
     if not report.ok:
         names = ", ".join(c.name for c in report.failures() if c.required)
         raise ValueError(f"objects fail validation: {names}")
+
+
+def build_instance(objects: GapObjects) -> DstInstance:
+    """Build the 5-level instance; deterministic for a given GapObjects."""
+    _require_valid(objects)
 
     na, nb, k = objects.num_a, objects.num_b, objects.k
     labels = (
@@ -285,25 +286,15 @@ def build_instance(objects: GapObjects) -> DstInstance:
     a_off, b_off = 1, 1 + na
     bp_off, t_off = 1 + na + nb, 1 + na + 2 * nb
 
-    cost1 = Fraction(nb, na)
-    edges = []
-    for i in range(na):
-        edges.append(Edge(0, a_off + i, cost1, E1))
-    for a, b, c in sorted(objects.edges):
-        edges.append(Edge(a_off + a, b_off + b, Fraction(0), E2, c))
-    for i in range(nb):
-        edges.append(Edge(b_off + i, bp_off + i, Fraction(1), E3))
     kv = objects.color_sets_by_b()
-    for i in range(nb):
-        for c in sorted(kv[i]):
-            edges.append(Edge(bp_off + i, t_off + c, Fraction(0), E4))
-
-    inst = DstInstance(
-        labels=labels,
-        level_sizes=(1, na, nb, nb, k),
-        edges=tuple(edges),
-        provenance=objects,
-    )
+    rows = [(0, a_off + i, E1, None) for i in range(na)]
+    rows += [(a_off + a, b_off + b, E2, c) for a, b, c in sorted(objects.edges)]
+    rows += [(b_off + i, bp_off + i, E3, None) for i in range(nb)]
+    rows += [(bp_off + i, t_off + c, E4, None)
+             for i in range(nb) for c in sorted(kv[i])]
+    tails, heads, classes, colors = zip(*rows)  # there is an E1 edge: s >= 1
+    inst = DstInstance(labels, (1, na, nb, nb, k), tails, heads, classes,
+                       colors, provenance=objects)
 
     # DstInstance invariants; cheap, and they guard generator bugs
     if inst.n != 1 + na + 2 * nb + k:
@@ -315,9 +306,7 @@ def build_instance(objects: GapObjects) -> DstInstance:
     if counts != expected:
         raise RuntimeError(f"built instance has edge classes {counts}, "
                            f"expected {expected}")
-    indeg = [0] * inst.n
-    for e in inst.edges:
-        indeg[e.head] += 1
+    indeg = Counter(inst.heads)
     bad = [inst.labels[t] for t in inst.terminals if indeg[t] != objects.s]
     if bad:
         raise RuntimeError(
@@ -326,10 +315,7 @@ def build_instance(objects: GapObjects) -> DstInstance:
 
 
 def edge_class_counts(inst: DstInstance) -> dict:
-    counts = {E1: 0, E2: 0, E3: 0, E4: 0}
-    for e in inst.edges:
-        counts[e.klass] += 1
-    return counts
+    return {c: inst.classes.count(c) for c in (E1, E2, E3, E4)}
 
 
 @dataclass(frozen=True)
@@ -342,22 +328,24 @@ class Stats:
     s: int
     k: int
     total_cost: Fraction
-    canonical_lp_cost: Fraction  # 2|B|/s
+    canonical_cost: Fraction  # 2|B|/s, the cost of x = 1/s
 
 
 def instance_stats(inst: DstInstance) -> Stats:
     obj = inst.provenance
-    total = sum((e.cost for e in inst.edges), Fraction(0))
+    counts = edge_class_counts(inst)
+    total = sum((inst.class_costs[c] * n for c, n in counts.items()),
+                Fraction(0))
     return Stats(
         n=inst.n,
         level_sizes=inst.level_sizes,
-        edge_class_counts=edge_class_counts(inst),
+        edge_class_counts=counts,
         d=obj.d,
         d_prime=obj.d_prime,
         s=obj.s,
         k=obj.k,
         total_cost=total,
-        canonical_lp_cost=Fraction(2 * obj.num_b, obj.s),
+        canonical_cost=Fraction(2 * obj.num_b, obj.s),
     )
 
 
@@ -366,22 +354,21 @@ def instance_stats(inst: DstInstance) -> Stats:
 
 def instance_to_dict(inst: DstInstance) -> dict:
     obj = inst.provenance
-    levels = []
-    for lvl in range(5):
-        levels.append([inst.labels[i] for i in inst.level_ids(lvl)])
+    labels = inst.labels
+    levels = [[labels[i] for i in inst.level_ids(lvl)] for lvl in range(5)]
+    cost_text = {c: render_rational(q) for c, q in inst.class_costs.items()}
     edges = []
-    for e in inst.edges:
+    for tail, head, klass, color in zip(inst.tails, inst.heads, inst.classes,
+                                        inst.colors):
         entry = {
-            "tail": inst.labels[e.tail],
-            "head": inst.labels[e.head],
-            "cost": render_rational(e.cost),
+            "tail": labels[tail],
+            "head": labels[head],
+            "cost": cost_text[klass],
         }
-        if e.color is not None:
-            entry["color"] = obj.color_labels[e.color]
+        if color is not None:
+            entry["color"] = obj.color_labels[color]
         edges.append(entry)
-    pi = {}
-    for i in inst.level_ids(2):
-        pi[inst.labels[i]] = inst.labels[inst.pi(i)]
+    pi = {labels[i]: labels[inst.pi(i)] for i in inst.level_ids(2)}
     return {
         "meta": {
             "family": obj.family,
@@ -408,39 +395,34 @@ def instance_sha256(inst: DstInstance) -> str:
 def instance_from_dict(data: dict) -> DstInstance:
     """Load an instance file.
 
-    The instance is reconstructed verbatim (not re-built from its objects),
-    so a corrupted file, e.g. with a level-3 edge deleted, loads into an
-    instance whose feasibility check then fails with a named terminal.
+    The edges are taken verbatim (not re-built from the objects), so a
+    corrupted file, e.g. with a level-3 edge deleted, loads into an instance
+    whose feasibility check then fails with a named terminal.  A file that
+    contradicts itself raises ValueError: its meta and level-2 edges must
+    pass validate_objects, no (tail, head) pair may repeat, and every edge
+    must cost its class cost.
     """
     meta = data["meta"]
     levels = data["levels"]
     if len(levels) != 5 or levels[0] != [ROOT_LABEL]:
         raise ValueError("instance must have 5 levels with root 'r'")
-    a_labels, b_labels = list(levels[1]), list(levels[2])
-    color_labels = list(levels[4])
-    expected_bp = [lbl + "'" for lbl in b_labels]
-    if levels[3] != expected_bp:
+    if levels[3] != [lbl + "'" for lbl in levels[2]]:
         raise ValueError("level 3 is not the primed copy of level 2")
     for v, vp in data.get("pi", {}).items():
         if vp != v + "'":
             raise ValueError(f"pi maps {v!r} to {vp!r}, expected {v + chr(39)!r}")
 
-    labels = [ROOT_LABEL]
-    for lvl_labels in (a_labels, b_labels, expected_bp, color_labels):
-        labels.extend(lvl_labels)
-    na, nb, k = len(a_labels), len(b_labels), len(color_labels)
-    offsets = [0, 1, 1 + na, 1 + na + nb, 1 + na + 2 * nb]
     # per-level maps: the same label may appear on two levels (the subset
     # family uses identical labels for A-vertices and terminals)
-    level_ids = [
-        {lbl: offsets[lvl] + i for i, lbl in enumerate(lvl_labels)}
-        for lvl, lvl_labels in enumerate(
-            ([ROOT_LABEL], a_labels, b_labels, expected_bp, color_labels))
-    ]
-    color_idx = {lbl: i for i, lbl in enumerate(color_labels)}
+    labels, level_ids = [], []
+    for lvl_labels in levels:
+        level_ids.append({lbl: len(labels) + i
+                          for i, lbl in enumerate(lvl_labels)})
+        labels.extend(lvl_labels)
+    na, nb = len(levels[1]), len(levels[2])
+    color_idx = {lbl: i for i, lbl in enumerate(levels[4])}
 
-    h_edges = []
-    edges = []
+    tails, heads, classes, colors, cost_texts = [], [], [], [], []
     for entry in data["edges"]:
         hits = [
             klass for klass in (E1, E2, E3, E4)
@@ -450,20 +432,19 @@ def instance_from_dict(data: dict) -> DstInstance:
         if len(hits) != 1:
             raise ValueError(f"edge {entry} does not go down one level")
         klass = hits[0]
-        tail = level_ids[klass - 1][entry["tail"]]
-        head = level_ids[klass][entry["head"]]
-        color = None
-        if klass == E2:
-            color = color_idx[entry["color"]]
-            h_edges.append((tail - 1, head - 1 - na, color))
-        edges.append(Edge(tail, head, parse_rational(entry["cost"]),
-                          klass, color))
+        tails.append(level_ids[klass - 1][entry["tail"]])
+        heads.append(level_ids[klass][entry["head"]])
+        classes.append(klass)
+        colors.append(color_idx[entry["color"]] if klass == E2 else None)
+        cost_texts.append(entry["cost"])
+    h_edges = sorted((u - 1, v - 1 - na, c)
+                     for u, v, c in zip(tails, heads, colors) if c is not None)
 
     objects = GapObjects(
-        a_labels=tuple(a_labels),
-        b_labels=tuple(b_labels),
-        color_labels=tuple(color_labels),
-        edges=tuple(sorted(h_edges)),
+        a_labels=tuple(levels[1]),
+        b_labels=tuple(levels[2]),
+        color_labels=tuple(levels[4]),
+        edges=tuple(h_edges),
         d=meta["d"],
         d_prime=meta["d_prime"],
         s=meta["s"],
@@ -471,12 +452,24 @@ def instance_from_dict(data: dict) -> DstInstance:
         family=meta.get("family", "generic"),
         family_params=tuple(sorted(meta.get("params", {}).items())),
     )
-    return DstInstance(
+    _require_valid(objects)
+    inst = DstInstance(
         labels=tuple(labels),
-        level_sizes=(1, na, nb, nb, k),
-        edges=tuple(edges),
+        level_sizes=(1, na, nb, nb, len(levels[4])),
+        tails=tuple(tails),
+        heads=tuple(heads),
+        classes=tuple(classes),
+        colors=tuple(colors),
         provenance=objects,
     )
+    if len(inst.edge_index) != len(tails):
+        raise ValueError("an edge (tail, head) appears more than once")
+    costs = inst.class_costs
+    for klass, text in dict.fromkeys(zip(classes, cost_texts)):
+        if parse_rational(text) != costs[klass]:
+            raise ValueError(f"an E{klass} edge costs {text}, but every E{klass} "
+                             f"edge costs {render_rational(costs[klass])}")
+    return inst
 
 
 def instance_from_json(text: str | bytes) -> DstInstance:
@@ -492,12 +485,15 @@ def instance_to_dot(inst: DstInstance, max_vertices: int = 500) -> str:
     for lvl in range(5):
         names = " ".join(f'"{inst.labels[i]}"' for i in inst.level_ids(lvl))
         lines.append(f"  {{ rank=same; {names} }}")
-    for e in inst.edges:
-        attrs = [f'label="{render_rational(e.cost)}"'] if e.cost else []
-        if e.color is not None:
-            attrs.append(f'tooltip="{inst.provenance.color_labels[e.color]}"')
+    cost_label = {c: f'label="{render_rational(q)}"'
+                  for c, q in inst.class_costs.items() if q}
+    for tail, head, klass, color in zip(inst.tails, inst.heads, inst.classes,
+                                        inst.colors):
+        attrs = [cost_label[klass]] if klass in cost_label else []
+        if color is not None:
+            attrs.append(f'tooltip="{inst.provenance.color_labels[color]}"')
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
         lines.append(
-            f'  "{inst.labels[e.tail]}" -> "{inst.labels[e.head]}"{suffix};')
+            f'  "{inst.labels[tail]}" -> "{inst.labels[head]}"{suffix};')
     lines.append("}")
     return "\n".join(lines) + "\n"

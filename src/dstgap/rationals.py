@@ -9,11 +9,15 @@ from fractions import Fraction
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "num/den" (or a bare integer) into a Fraction."""
+    """Parse "num/den" (or a bare integer) into a Fraction.
+
+    Raises ValueError on a zero denominator."""
     text = text.strip()
     if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
+        num, den = (int(x) for x in text.split("/", 1))
+        if not den:
+            raise ValueError(f"zero denominator in {text!r}")
+        return Fraction(num, den)
     return Fraction(int(text))
 
 

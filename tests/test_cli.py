@@ -126,26 +126,79 @@ def test_verify_corrupted_instance(tmp_path, zk4_instance, capsys):
     assert "2/3" in out
 
 
+def _run_cli(flags, *argv):
+    src = os.path.dirname(os.path.dirname(dstgap.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "dstgap.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60)
+
+
 def test_verify_wrong_s_is_invalid_witness(tmp_path, zk4_instance):
-    # meta.s = 2 against 3 matching edges per color: the path witness is
-    # invalid (exit 1, one FAIL line), the same with or without python -O
+    # meta.s = 2 against 3 matching edges per color: the loader rejects the
+    # file (exit 3, one error line), the same with or without python -O
     data = model.instance_to_dict(zk4_instance)
     data["meta"]["s"] = 2
     path = tmp_path / "s2.json"
     path.write_text(json.dumps(data))
-    src = os.path.dirname(os.path.dirname(dstgap.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
     stdouts = []
     for flags in ([], ["-O"]):
-        proc = subprocess.run(
-            [sys.executable, *flags, "-m", "dstgap.cli", "verify", str(path)],
-            env=env, capture_output=True, text=True, timeout=60)
-        assert proc.returncode == EXIT_FALSE, flags
+        proc = _run_cli(flags, "verify", str(path))
+        assert proc.returncode == EXIT_BAD_INPUT, flags
         assert "Traceback" not in proc.stderr, flags
+        assert "color-classes-are-matchings-of-size-s" in proc.stderr, flags
         stdouts.append(proc.stdout)
     assert stdouts[0] == stdouts[1]
-    assert stdouts[0].splitlines()[-1] == "FAIL path witness invalid"
-    assert "3/2" in stdouts[0]  # x = 1/s = 1/2 on three paths
+
+
+def _set_e1_costs(text):
+    def mutate(data):
+        for entry in data["edges"]:
+            if entry["tail"] == "r":
+                entry["cost"] = text
+    return mutate
+
+
+def _set_first_cost(text):
+    def mutate(data):
+        data["edges"][0]["cost"] = text
+    return mutate
+
+
+def _set_meta(key, value):
+    def mutate(data):
+        data["meta"][key] = value
+    return mutate
+
+
+def _repeat_first_edge(data):
+    data["edges"].insert(1, dict(data["edges"][0]))
+
+
+@pytest.mark.parametrize("mutate, code", [
+    (_set_e1_costs("5/1"), EXIT_BAD_INPUT),  # would give OPT < LP
+    (_set_first_cost("-2/3"), EXIT_BAD_INPUT),
+    (_set_first_cost("1/0"), EXIT_BAD_INPUT),
+    (_set_meta("s", 2), EXIT_BAD_INPUT),
+    (_set_meta("s", 0), EXIT_BAD_INPUT),
+    (_set_meta("k", 5), EXIT_BAD_INPUT),
+    (_set_meta("d_prime", 0), EXIT_BAD_INPUT),
+    (_repeat_first_edge, EXIT_BAD_INPUT),
+    (_set_e1_costs("4/6"), EXIT_OK),  # the class cost 2/3, spelled otherwise
+], ids=["e1-cost-5", "cost-negative", "cost-zero-den", "s-2", "s-0", "k-5",
+        "d-prime-0", "repeated-e1-edge", "e1-cost-4/6"])
+def test_tampered_zk4_files(tmp_path, zk4_instance, mutate, code):
+    data = model.instance_to_dict(zk4_instance)
+    mutate(data)
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(data))
+    for flags in ([], ["-O"]):
+        proc = _run_cli(flags, "verify", str(path))
+        assert proc.returncode == code, (flags, proc.stderr)
+        assert "Traceback" not in proc.stderr, flags
+        if code == EXIT_BAD_INPUT:
+            assert proc.stderr.startswith("error: cannot load instance")
+            assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
 def test_verify_bad_file(tmp_path):
@@ -229,7 +282,7 @@ def test_solve_zk4_all(zk4_file, tmp_path, capsys):
     assert "brute OPT        8/3" in text
     assert "LP value         2/1 (duality certified)" in text
     assert "certified alpha  1/1" in text
-    assert "canonical LP     8/3" in text
+    assert "canonical cost   8/3" in text
     assert "observed OPT/LP  4/3" in text
     payload = json.loads(out.read_text())
     assert payload["structured"]["value"] == "8/3"

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 from collections import deque
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -71,12 +72,12 @@ def test_max_flow_canonical_is_one(zk4_instance):
 
 
 def test_max_flow_all_zero(zk4_instance):
-    zero = FractionalSolution(tuple(Fraction(0) for _ in zk4_instance.edges))
+    zero = FractionalSolution(tuple(Fraction(0) for _ in zk4_instance.tails))
     t = next(iter(zk4_instance.terminals))
     res = max_flow_value(zk4_instance, zero, t)
     assert res.value == 0
     # the min cut is exactly the edges out of the root
-    e1 = tuple(i for i, e in enumerate(zk4_instance.edges) if e.klass == E1)
+    e1 = tuple(i for i, k in enumerate(zk4_instance.classes) if k == E1)
     assert res.cut_edges == e1
     assert res.source_side == frozenset({zk4_instance.root})
 
@@ -103,7 +104,7 @@ def test_canonical_feasible_everywhere(zk4_instance, subset_m6_instance,
 def test_zeroed_e3_edge_breaks_feasibility(zk4_instance):
     inst = zk4_instance
     sol = canonical_solution(inst)
-    idx = next(i for i, e in enumerate(inst.edges) if e.klass == E3)
+    idx = inst.classes.index(E3)
     x = list(sol.x)
     x[idx] = Fraction(0)
     rep = verify_feasibility(inst, FractionalSolution(tuple(x)))
@@ -117,13 +118,12 @@ def test_zeroed_e3_edge_breaks_feasibility(zk4_instance):
 def _mixed_denominator_solutions(inst):
     canon = canonical_solution(inst)
     zeroed = list(canon.x)
-    zeroed[next(i for i, e in enumerate(inst.edges) if e.klass == E3)] = \
-        Fraction(0)
+    zeroed[inst.classes.index(E3)] = Fraction(0)
     return [
         FractionalSolution(tuple(zeroed)),
         solve_lp_exact(inst).x_opt,
         FractionalSolution(tuple(Fraction(1, 2 + i % 5)
-                                 for i in range(len(inst.edges)))),
+                                 for i in range(len(inst.tails)))),
     ]
 
 
@@ -148,13 +148,13 @@ def _oracle_max_flow(inst, x, t):
     """Shortest augmenting paths over Fraction capacities; independent of
     flows._Dinic.  Returns the value, the edges leaving the residual-
     reachable set of the root, and that set."""
-    edges = inst.edges
+    tails, heads = inst.tails, inst.heads
     out_edges = [[] for _ in range(inst.n)]
     in_edges = [[] for _ in range(inst.n)]
-    for j, e in enumerate(edges):
-        out_edges[e.tail].append(j)
-        in_edges[e.head].append(j)
-    flow = [Fraction(0)] * len(edges)
+    for j, (u, w) in enumerate(zip(tails, heads)):
+        out_edges[u].append(j)
+        in_edges[w].append(j)
+    flow = [Fraction(0)] * len(tails)
     value = Fraction(0)
     while True:
         prev = {inst.root: None}  # vertex -> (edge, +1 forward / -1 back)
@@ -162,12 +162,12 @@ def _oracle_max_flow(inst, x, t):
         while queue:
             v = queue.popleft()
             for j in out_edges[v]:
-                w = edges[j].head
+                w = heads[j]
                 if w not in prev and flow[j] < x[j]:
                     prev[w] = (j, 1)
                     queue.append(w)
             for j in in_edges[v]:
-                w = edges[j].tail
+                w = tails[j]
                 if w not in prev and flow[j] > 0:
                     prev[w] = (j, -1)
                     queue.append(w)
@@ -177,14 +177,14 @@ def _oracle_max_flow(inst, x, t):
         while prev[v] is not None:
             j, sign = prev[v]
             steps.append((j, sign))
-            v = edges[j].tail if sign > 0 else edges[j].head
+            v = tails[j] if sign > 0 else heads[j]
         delta = min(x[j] - flow[j] if sign > 0 else flow[j]
                     for j, sign in steps)
         for j, sign in steps:
             flow[j] += sign * delta
         value += delta
-    cut = tuple(j for j, e in enumerate(edges)
-                if e.tail in prev and e.head not in prev)
+    cut = tuple(j for j, (u, w) in enumerate(zip(tails, heads))
+                if u in prev and w not in prev)
     assert sum((x[j] for j in cut), Fraction(0)) == value
     return value, cut, frozenset(prev)
 
@@ -192,8 +192,7 @@ def _oracle_max_flow(inst, x, t):
 def _oracle_solutions(inst):
     canon = canonical_solution(inst)
     zeroed = list(canon.x)
-    zeroed[next(i for i, e in enumerate(inst.edges) if e.klass == E3)] = \
-        Fraction(0)
+    zeroed[inst.classes.index(E3)] = Fraction(0)
     # sparse random capacities: on zk4 and m6 some of these need augmenting
     # paths that cancel flow along a reverse arc
     noisy = []
@@ -201,16 +200,16 @@ def _oracle_solutions(inst):
         rng = random.Random(seed)
         noisy.append(FractionalSolution(tuple(
             Fraction(rng.choice((0, 0, 1, 2, 3)), rng.randint(1, 4))
-            for _ in inst.edges)))
+            for _ in inst.tails)))
     # the root reaches every other terminal, but not the first one
     t0 = inst.terminals[0]
-    cut_off = [Fraction(0) if e.head == t0 else canon.x[i]
-               for i, e in enumerate(inst.edges)]
+    cut_off = [Fraction(0) if w == t0 else canon.x[i]
+               for i, w in enumerate(inst.heads)]
     sols = [canon, FractionalSolution(tuple(zeroed)),
             FractionalSolution(tuple(Fraction(1, 2 + i % 5)
-                                     for i in range(len(inst.edges)))),
+                                     for i in range(len(inst.tails)))),
             *noisy]
-    if len(inst.edges) <= DEFAULT_VAR_CAP:  # m6's LP is over the cap
+    if len(inst.tails) <= DEFAULT_VAR_CAP:  # m6's LP is over the cap
         sols.append(solve_lp_exact(inst).x_opt)
     return sols + [FractionalSolution(tuple(cut_off))]
 
@@ -292,7 +291,7 @@ def test_witness_paths_disjoint(zk9_instance):
     for path in w.paths:
         assert not (seen_edges & set(path))
         seen_edges |= set(path)
-        inner = {zk9_instance.edges[i].head for i in path[:-1]}
+        inner = {zk9_instance.heads[i] for i in path[:-1]}
         assert not (seen_inner & inner)  # vertex-disjoint except at r and t
         seen_inner |= inner
 
@@ -300,6 +299,14 @@ def test_witness_paths_disjoint(zk9_instance):
 def test_witness_rejects_non_terminal(zk4_instance):
     with pytest.raises(ValueError):
         path_witness(zk4_instance, zk4_instance.root)
+
+
+def test_witness_rejects_wrong_s(zk4_instance):
+    # the loader refuses such a file; the witness checks s on its own
+    lying = replace(zk4_instance,
+                    provenance=replace(zk4_instance.provenance, s=2))
+    with pytest.raises(ValueError, match="3 matching edges, but s = 2"):
+        path_witness(lying, lying.terminals[0])
 
 
 def test_check_witness_rejects_tampering(zk4_instance):

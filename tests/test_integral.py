@@ -244,9 +244,12 @@ def test_brute_size_cap(zk9_instance):
 
 def test_brute_reports_isolated_terminal(zk4_instance):
     t = next(iter(zk4_instance.terminals))
-    edges = tuple(e for e in zk4_instance.edges
-                  if not (e.klass == E4 and e.head == t))
-    bad = replace(zk4_instance, edges=edges)
+    keep = [i for i, (k, w) in enumerate(zip(zk4_instance.classes,
+                                              zk4_instance.heads))
+            if not (k == E4 and w == t)]
+    bad = replace(zk4_instance, **{
+        col: tuple(getattr(zk4_instance, col)[i] for i in keep)
+        for col in ("tails", "heads", "classes", "colors")})
     res = brute_force_opt(bad)
     assert not res.feasible
     assert res.value is None
