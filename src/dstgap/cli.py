@@ -40,9 +40,10 @@ def atomic_write(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def read_config(path: str) -> dict:
-    """key=value lines; '#' starts a comment.  Flags win over the file."""
-    out = {}
+def read_config(path: str) -> list:
+    """'key = value' lines as '--key=value' tokens; '#' starts a comment.
+    A key is a long option name, with '-' or '_' between words."""
+    tokens = []
     try:
         with open(path) as fh:
             for line in fh:
@@ -52,19 +53,10 @@ def read_config(path: str) -> dict:
                 if "=" not in line:
                     raise CliError(f"bad config line: {line!r}", EXIT_BAD_PARAMS)
                 key, value = line.split("=", 1)
-                out[key.strip().replace("-", "_")] = value.strip()
+                tokens.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
     except OSError as exc:
         raise CliError(f"cannot read config: {exc}", EXIT_BAD_INPUT)
-    return out
-
-
-def apply_config(args: argparse.Namespace) -> None:
-    if not getattr(args, "config", None):
-        return
-    cfg = read_config(args.config)
-    for key, value in cfg.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
+    return tokens
 
 
 def report_header(args_line, instance_sha256=None) -> dict:
@@ -85,22 +77,15 @@ def load_instance(path: str) -> tuple[model.DstInstance, str]:
 
 
 def make_objects(args) -> model.GapObjects:
-    cap = int(args.max_edges) if args.max_edges is not None \
-        else families.DEFAULT_EDGE_CAP
     try:
         if args.family == "zk":
             if args.k is None:
                 raise ValueError("--k is required for the zk family")
-            return families.zk_objects(int(args.k), max_edges=cap)
-        if args.family == "subset":
-            if args.m is None or args.a is None:
-                raise ValueError("--m and --a are required for the subset family")
-            params = families.SubsetFamilyParams(
-                int(args.m), int(args.a), int(args.thresh or 0))
-            return families.subset_objects(params, max_edges=cap)
-        raise ValueError(f"unknown family {args.family!r}")
-    except SizeCapError as exc:
-        raise CliError(str(exc), EXIT_CAP)
+            return families.zk_objects(args.k, max_edges=args.max_edges)
+        if args.m is None or args.a is None:
+            raise ValueError("--m and --a are required for the subset family")
+        params = families.SubsetFamilyParams(args.m, args.a, args.thresh)
+        return families.subset_objects(params, max_edges=args.max_edges)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_BAD_PARAMS)
 
@@ -113,10 +98,7 @@ def cmd_generate(args, argline) -> int:
     if args.out:
         atomic_write(args.out, text)
     if args.dot:
-        try:
-            atomic_write(args.dot, model.instance_to_dot(inst))
-        except SizeCapError as exc:
-            raise CliError(str(exc), EXIT_CAP)
+        atomic_write(args.dot, model.instance_to_dot(inst))
     print(f"family           {objects.family} {objects.params}")
     print(f"n                {stats.n}")
     print(f"levels           {list(stats.level_sizes)}")
@@ -193,27 +175,25 @@ def certificate_payload(cert, thresh=None):
 def cmd_certify(args, argline) -> int:
     inst, sha256 = load_instance(args.instance)
     objects = inst.provenance
+    if objects.family != "subset" and (args.sweep or args.thresh is not None):
+        flag = "--sweep" if args.sweep else "--thresh"
+        raise CliError(f"{flag} only applies to the subset family",
+                       EXIT_BAD_PARAMS)
+    if args.sweep:
+        thresholds = range(objects.params["a"])
+    else:
+        thresholds = [objects.params.get("thresh") if args.thresh is None
+                      else args.thresh]
+    best = None
     try:
-        if args.sweep:
-            if objects.family != "subset":
-                raise CliError("--sweep only applies to the subset family",
-                               EXIT_BAD_PARAMS)
-            a = objects.params["a"]
-            best = None
-            for thresh in range(a):
-                j = families.default_j_sets(objects, thresh=thresh)
-                cert = integral.certify_gap(objects, j)
-                if best is None or cert.alpha > best[0].alpha:
-                    best = (cert, thresh)
-            cert, thresh = best
-        else:
-            thresh = int(args.thresh) if args.thresh is not None else None
+        for thresh in thresholds:
             j = families.default_j_sets(objects, thresh=thresh)
             cert = integral.certify_gap(objects, j)
-            thresh = thresh if thresh is not None \
-                else objects.params.get("thresh")
+            if best is None or cert.alpha > best[0].alpha:
+                best = (cert, thresh)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_BAD_PARAMS)
+    cert, thresh = best
     payload = {"header": report_header(argline, sha256)}
     payload.update(certificate_payload(cert, thresh))
     if args.out:
@@ -250,9 +230,7 @@ def cmd_solve(args, argline) -> int:
                       f"{'' if res.optimal else ' (not proven optimal)'}")
                 opt_values[method] = res.value
             elif method == "brute":
-                cap = int(args.brute_cap) if args.brute_cap is not None \
-                    else integral.DEFAULT_BRUTE_CAP
-                res = integral.brute_force_opt(inst, cap=cap)
+                res = integral.brute_force_opt(inst, cap=args.brute_cap)
                 if not res.feasible:
                     payload["brute"] = {"feasible": False,
                                         "unreachable": list(res.unreachable)}
@@ -267,9 +245,7 @@ def cmd_solve(args, argline) -> int:
                     print(f"brute OPT        {render_rational(res.value)}")
                     opt_values[method] = res.value
             elif method == "lp":
-                cap = int(args.lp_cap) if args.lp_cap is not None \
-                    else lp.DEFAULT_VAR_CAP
-                res = lp.solve_lp_exact(inst, var_cap=cap)
+                res = lp.solve_lp_exact(inst, var_cap=args.lp_cap)
                 payload["lp"] = {
                     "value": render_rational(res.optimal_value),
                     "duality_certified": res.certified,
@@ -303,14 +279,13 @@ def cmd_solve(args, argline) -> int:
 
 
 def cmd_bounds(args, argline) -> int:
-    digits = int(args.digits) if args.digits is not None else bounds.DEFAULT_DIGITS
-    if digits < 20:
+    if args.digits < 20:
         raise CliError("precision must be at least 20 digits", EXIT_BAD_PARAMS)
+    m_list = sorted(args.m_list)
     try:
-        m_list = sorted(int(x) for x in args.m_list.split(","))
-        reports = [(m, bounds.verify_ja_bound(m, digits),
-                    bounds.verify_kb_bound(m, digits)) for m in m_list]
-        alphas = bounds.alpha_asymptotics(m_list, digits)
+        reports = [(m, bounds.verify_ja_bound(m, args.digits),
+                    bounds.verify_kb_bound(m, args.digits)) for m in m_list]
+        alphas = bounds.alpha_asymptotics(m_list, args.digits)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_BAD_PARAMS)
 
@@ -356,6 +331,11 @@ def cmd_bounds(args, argline) -> int:
     return EXIT_OK if all_ok else EXIT_FALSE
 
 
+def int_list(text: str) -> list:
+    """'64,128' -> [64, 128]."""
+    return [int(x) for x in text.split(",")]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dstgap",
@@ -368,15 +348,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--a", type=int)
-    p.add_argument("--thresh", type=int)
-    p.add_argument("--max-edges", dest="max_edges")
+    p.add_argument("--thresh", type=int, default=0)
+    p.add_argument("--max-edges", type=int, default=families.DEFAULT_EDGE_CAP)
     p.add_argument("--out")
     p.add_argument("--dot")
     p.add_argument("--config")
 
     p = sub.add_parser("verify", help="check the canonical LP solution")
     p.add_argument("instance")
-    p.add_argument("--json-out", dest="json_out")
+    p.add_argument("--json-out")
     p.add_argument("--config")
 
     p = sub.add_parser("certify", help="emit a density-lemma gap certificate")
@@ -390,27 +370,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--method", choices=["structured", "brute", "lp", "all"],
                    default="all")
-    p.add_argument("--brute-cap", dest="brute_cap")
-    p.add_argument("--lp-cap", dest="lp_cap")
+    p.add_argument("--brute-cap", type=int, default=integral.DEFAULT_BRUTE_CAP)
+    p.add_argument("--lp-cap", type=int, default=lp.DEFAULT_VAR_CAP)
     p.add_argument("--out")
     p.add_argument("--config")
 
     p = sub.add_parser("bounds", help="closed-form lemma sweep")
-    p.add_argument("--m-list", dest="m_list", required=True)
-    p.add_argument("--digits")
+    p.add_argument("--m-list", type=int_list, required=True)
+    p.add_argument("--digits", type=int, default=bounds.DEFAULT_DIGITS)
     p.add_argument("--csv")
-    p.add_argument("--json-out", dest="json_out")
+    p.add_argument("--json-out")
     p.add_argument("--config")
     return parser
 
 
+def parse_args(argv: list) -> argparse.Namespace:
+    """Flags win over --config lines, which win over the defaults: the
+    config tokens go in front of the flags and argparse parses them all."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        args = parser.parse_args(argv[:1] + read_config(args.config) + argv[1:])
+    return args
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_BAD_PARAMS if exc.code not in (0, None) else 0
     argline = "dstgap " + " ".join(argv)
     handlers = {
         "gen": cmd_generate,
@@ -420,8 +405,10 @@ def main(argv=None) -> int:
         "bounds": cmd_bounds,
     }
     try:
-        apply_config(args)
+        args = parse_args(argv)
         return handlers[args.cmd](args, argline)
+    except SystemExit as exc:  # argparse: --help, --version or a usage error
+        return EXIT_BAD_PARAMS if exc.code not in (0, None) else EXIT_OK
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

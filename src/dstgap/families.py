@@ -140,7 +140,6 @@ class JSetFamily:
     """Per-A-vertex terminal sets J_u (as frozensets of color indices)."""
 
     j_sets: tuple
-    description: str = ""
 
 
 def default_j_sets(objects: GapObjects, thresh: int | None = None) -> JSetFamily:
@@ -155,7 +154,7 @@ def default_j_sets(objects: GapObjects, thresh: int | None = None) -> JSetFamily
             frozenset(x - 1 for x in parse_set_label(lbl))
             for lbl in objects.a_labels
         )
-        return JSetFamily(j, "J_u = elements of u")
+        return JSetFamily(j)
     if objects.family == "subset":
         if thresh is None:
             thresh = objects.params["thresh"]
@@ -170,5 +169,5 @@ def default_j_sets(objects: GapObjects, thresh: int | None = None) -> JSetFamily
             )
             for lbl in objects.a_labels
         )
-        return JSetFamily(j, f"J_u = colors meeting u in > {thresh} elements")
+        return JSetFamily(j)
     raise ValueError(f"no default J-sets for family {objects.family!r}")

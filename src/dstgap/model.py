@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -271,6 +272,26 @@ def _require_valid(objects: GapObjects) -> None:
         raise ValueError(f"objects fail validation: {names}")
 
 
+def _check_meta(objects: GapObjects) -> None:
+    """A loaded file's d, d', s and k must be ints, and the parameters of
+    a known family must match them: zk params are {"k": k}; subset params
+    are ints a, m, thresh with C(m, a) = k, C(m-a, a) = d, 0 <= thresh < a."""
+    if not all(type(x) is int for x in
+               (objects.d, objects.d_prime, objects.s, objects.k)):
+        raise ValueError("meta d, d_prime, s and k must be integers")
+    params = objects.params
+    if objects.family == "zk" and params != {"k": objects.k}:
+        raise ValueError(f"zk params {params} do not match k={objects.k}")
+    if objects.family == "subset":
+        a, m, thresh = (params.get(key) for key in ("a", "m", "thresh"))
+        if not (all(type(x) is int for x in (a, m, thresh))
+                and 0 <= thresh < a <= m
+                and math.comb(m, a) == objects.k
+                and math.comb(m - a, a) == objects.d):
+            raise ValueError(f"subset params {params} do not match "
+                             f"k={objects.k}, d={objects.d}")
+
+
 def build_instance(objects: GapObjects) -> DstInstance:
     """Build the 5-level instance; deterministic for a given GapObjects."""
     _require_valid(objects)
@@ -399,8 +420,8 @@ def instance_from_dict(data: dict) -> DstInstance:
     corrupted file, e.g. with a level-3 edge deleted, loads into an instance
     whose feasibility check then fails with a named terminal.  A file that
     contradicts itself raises ValueError: its meta and level-2 edges must
-    pass validate_objects, no (tail, head) pair may repeat, and every edge
-    must cost its class cost.
+    pass validate_objects, the family parameters must match them, no
+    (tail, head) pair may repeat, and every edge must cost its class cost.
     """
     meta = data["meta"]
     levels = data["levels"]
@@ -452,6 +473,7 @@ def instance_from_dict(data: dict) -> DstInstance:
         family=meta.get("family", "generic"),
         family_params=tuple(sorted(meta.get("params", {}).items())),
     )
+    _check_meta(objects)
     _require_valid(objects)
     inst = DstInstance(
         labels=tuple(labels),

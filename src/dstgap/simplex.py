@@ -38,7 +38,6 @@ class LpSolution:
     value: Fraction | None
     x: list | None
     duals: list | None   # one per input row, sign convention below
-    senses: list | None
 
     def check_certificate(self, c, rows, senses, b) -> bool:
         """Exact primal feasibility, dual feasibility, equal objectives.
@@ -122,13 +121,13 @@ def solve_lp(c, rows, senses, b) -> LpSolution:
         if z1 is None:
             raise SimplexError("phase 1 unbounded: impossible")
         if z1[ncols] != 0:
-            return LpSolution(INFEASIBLE, None, None, None, None)
+            return LpSolution(INFEASIBLE, None, None, None)
         _evict_artificials(tableau, basis, art_set, ncols)
 
     cost2 = c + [_F0] * (ncols - n)
     z2 = _run(tableau, basis, cost2, ncols, banned=frozenset(art_set))
     if z2 is None:
-        return LpSolution(UNBOUNDED, None, None, None, None)
+        return LpSolution(UNBOUNDED, None, None, None)
 
     x = [_F0] * n
     for i, bj in enumerate(basis):
@@ -141,7 +140,7 @@ def solve_lp(c, rows, senses, b) -> LpSolution:
     # A row negated on input gets the dual of its negation, sign flipped.
     unit = {**slack_col, **art_col}
     y = [z2[unit[i]] if flipped[i] else -z2[unit[i]] for i in range(m)]
-    return LpSolution(OPTIMAL, -z2[ncols], x, y, senses)
+    return LpSolution(OPTIMAL, -z2[ncols], x, y)
 
 
 def _run(tableau, basis, cost, ncols, banned):

@@ -1,7 +1,25 @@
+import tempfile
+
 import pytest
+from hypothesis import configuration
 
 from dstgap import build_instance, subset_objects, zk_objects
 from dstgap.families import SubsetFamilyParams
+
+# Hypothesis caches the constants it reads from local modules in its home
+# directory, ./.hypothesis by default, while pytest collects the tests; a
+# temporary home keeps a test run from leaving files behind.
+_HYPOTHESIS_HOME = pytest.StashKey[tempfile.TemporaryDirectory]()
+
+
+def pytest_configure(config):
+    home = config.stash[_HYPOTHESIS_HOME] = tempfile.TemporaryDirectory()
+    configuration.set_hypothesis_home_dir(home.name)
+
+
+def pytest_unconfigure(config):
+    configuration.set_hypothesis_home_dir(None)
+    config.stash[_HYPOTHESIS_HOME].cleanup()
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dstgap
 from dstgap import cli, families, model
@@ -171,8 +175,31 @@ def _set_meta(key, value):
     return mutate
 
 
+def _set_param(key, value):
+    def mutate(data):
+        data["meta"]["params"][key] = value
+    return mutate
+
+
+def _del_param(key):
+    def mutate(data):
+        del data["meta"]["params"][key]
+    return mutate
+
+
 def _repeat_first_edge(data):
     data["edges"].insert(1, dict(data["edges"][0]))
+
+
+def _check_tampered(path, code):
+    for command in ("verify", "certify"):
+        for flags in ([], ["-O"]):
+            proc = _run_cli(flags, command, str(path))
+            assert proc.returncode == code, (command, flags, proc.stderr)
+            assert "Traceback" not in proc.stderr, (command, flags)
+            if code == EXIT_BAD_INPUT:
+                assert proc.stderr.startswith("error: cannot load instance")
+                assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
 @pytest.mark.parametrize("mutate, code", [
@@ -184,21 +211,38 @@ def _repeat_first_edge(data):
     (_set_meta("k", 5), EXIT_BAD_INPUT),
     (_set_meta("d_prime", 0), EXIT_BAD_INPUT),
     (_repeat_first_edge, EXIT_BAD_INPUT),
+    (_set_meta("family", "subset"), EXIT_BAD_INPUT),  # no a, m, thresh
+    (_set_meta("s", 3.0), EXIT_BAD_INPUT),  # passes the counting identity
+    (_set_param("k", 9), EXIT_BAD_INPUT),
     (_set_e1_costs("4/6"), EXIT_OK),  # the class cost 2/3, spelled otherwise
 ], ids=["e1-cost-5", "cost-negative", "cost-zero-den", "s-2", "s-0", "k-5",
-        "d-prime-0", "repeated-e1-edge", "e1-cost-4/6"])
+        "d-prime-0", "repeated-e1-edge", "family-subset", "s-float",
+        "params-k-9", "e1-cost-4/6"])
 def test_tampered_zk4_files(tmp_path, zk4_instance, mutate, code):
     data = model.instance_to_dict(zk4_instance)
     mutate(data)
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps(data))
-    for flags in ([], ["-O"]):
-        proc = _run_cli(flags, "verify", str(path))
-        assert proc.returncode == code, (flags, proc.stderr)
-        assert "Traceback" not in proc.stderr, flags
-        if code == EXIT_BAD_INPUT:
-            assert proc.stderr.startswith("error: cannot load instance")
-            assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    _check_tampered(path, code)
+
+
+@pytest.mark.parametrize("mutate, code", [
+    (_del_param("thresh"), EXIT_BAD_INPUT),
+    (_set_param("thresh", "1"), EXIT_BAD_INPUT),
+    (_set_param("thresh", None), EXIT_BAD_INPUT),
+    (_set_param("thresh", 2), EXIT_BAD_INPUT),  # need thresh < a
+    (_del_param("a"), EXIT_BAD_INPUT),
+    (_set_param("m", 7), EXIT_BAD_INPUT),  # C(7, 2) != k
+    (_set_meta("family", "zk"), EXIT_BAD_INPUT),
+    (_set_param("thresh", 0), EXIT_OK),
+], ids=["no-thresh", "thresh-str", "thresh-null", "thresh-2", "no-a", "m-7",
+        "family-zk", "thresh-0"])
+def test_tampered_m6_files(tmp_path, subset_m6_instance, mutate, code):
+    data = model.instance_to_dict(subset_m6_instance)
+    mutate(data)
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(data))
+    _check_tampered(path, code)
 
 
 def test_verify_bad_file(tmp_path):
@@ -270,6 +314,16 @@ def test_certify_sweep_rejected_for_zk(zk4_file):
     assert main(["certify", str(zk4_file), "--sweep"]) == EXIT_BAD_PARAMS
 
 
+def test_certify_thresh_rejected_for_zk(zk4_file, tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    rc = main(["certify", str(zk4_file), "--thresh", "3", "--out", str(out)])
+    assert rc == EXIT_BAD_PARAMS
+    captured = capsys.readouterr()
+    assert "--thresh only applies to the subset family" in captured.err
+    assert "thresh" not in captured.out
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # solve
 
@@ -336,6 +390,71 @@ def test_atomic_write(tmp_path):
     assert not (tmp_path / "out.txt.tmp").exists()
 
 
+# Each value is bad for its option; given as a flag or as a config line,
+# argparse rejects it with exit 2 and a usage message.
+BAD_VALUES = [
+    (["gen", "--family", "zk", "--k", "4"], "max-edges", "abc"),
+    (["solve", "{zk4}"], "brute-cap", "abc"),
+    (["solve", "{zk4}"], "lp-cap", "abc"),
+    (["bounds", "--m-list", "64"], "digits", "abc"),
+    (["gen", "--family", "zk"], "k", "x"),
+    (["solve", "{zk4}"], "method", "fastest"),
+]
+
+
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize("argv, key, value", BAD_VALUES,
+                         ids=[f"{a[0]}-{k}-{v}" for a, k, v in BAD_VALUES])
+def test_bad_values_exit_2(tmp_path, zk4_file, capsys, argv, key, value,
+                           via_config):
+    argv = [arg.format(zk4=zk4_file) for arg in argv]
+    if via_config:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key.replace('-', '_')} = {value}\n")
+        argv += ["--config", str(cfg)]
+    else:
+        argv += [f"--{key}", value]
+    assert main(argv) == EXIT_BAD_PARAMS
+    err = capsys.readouterr().err
+    assert f"argument --{key}: invalid" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("line", ["bogus = 1", "sweep = 1", "instance = x"])
+def test_config_unknown_or_on_off_key_exits_2(tmp_path, m6_file, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    assert main(["certify", str(m6_file), "--config", str(cfg)]) \
+        == EXIT_BAD_PARAMS
+
+
+def test_config_bad_value_exits_2_under_O(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("digits = abc\n")
+    for flags in ([], ["-O"]):
+        proc = _run_cli(flags, "bounds", "--m-list", "64", "--config", str(cfg))
+        assert proc.returncode == EXIT_BAD_PARAMS, flags
+        assert "Traceback" not in proc.stderr, flags
+        assert "argument --digits: invalid int value: 'abc'" in proc.stderr
+
+
+def test_config_beats_defaults(tmp_path, zk4_file, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("method = structured\n")
+    out = tmp_path / "solve.json"
+    rc = main(["solve", str(zk4_file), "--config", str(cfg), "--out", str(out)])
+    assert rc == EXIT_OK
+    text = capsys.readouterr().out
+    assert "structured OPT   8/3" in text
+    assert "brute" not in text and "LP value" not in text
+    payload = json.loads(out.read_text())
+    assert "structured" in payload
+    assert "brute" not in payload and "lp" not in payload
+    # the report header keeps the command line as typed
+    assert payload["header"]["command"] == (
+        f"dstgap solve {zk4_file} --config {cfg} --out {out}")
+
+
 def test_read_config_errors(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("no equals sign here\n")
@@ -343,3 +462,51 @@ def test_read_config_errors(tmp_path):
         cli.read_config(str(bad))
     with pytest.raises(cli.CliError):
         cli.read_config(str(tmp_path / "missing.cfg"))
+
+
+# ---------------------------------------------------------------------------
+# mutation test: one mutation of a valid file never crashes the CLI
+
+MUTATION_POOL = [0, -1, 5, "3", "x", None, [], {}, 1.5, "1/0"]
+MUTATED_COMMANDS = [["verify"], ["certify"],
+                    ["solve", "--method", "structured"]]
+
+
+@st.composite
+def mutations(draw, files):
+    """A valid file with one key (or list item) deleted or one value
+    replaced from MUTATION_POOL, at a node picked by a random descent."""
+    data = json.loads(files[draw(st.sampled_from(sorted(files)))])
+    node = data
+    while True:
+        key = draw(st.sampled_from(
+            sorted(node) if isinstance(node, dict) else range(len(node))))
+        child = node[key]
+        if not (isinstance(child, (dict, list)) and child) \
+                or draw(st.booleans()):
+            break
+        node = child
+    if draw(st.booleans()):
+        del node[key]
+    else:
+        node[key] = draw(st.sampled_from(MUTATION_POOL))
+    return data
+
+
+@pytest.fixture(scope="module")
+def valid_files(zk4_instance, subset_m6_instance):
+    return {"zk4": model.instance_to_json(zk4_instance),
+            "m6": model.instance_to_json(subset_m6_instance)}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_mutated_files_never_crash(tmp_path_factory, valid_files, data):
+    mutated = data.draw(mutations(valid_files))
+    command = data.draw(st.sampled_from(MUTATED_COMMANDS))
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(json.dumps(mutated))
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        rc = main(command[:1] + [str(path)] + command[1:])
+    assert type(rc) is int and 0 <= rc <= 4

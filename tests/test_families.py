@@ -162,5 +162,5 @@ def test_j_sets_errors(subset_m6_objects):
 
 
 def test_j_set_family_is_plain_data():
-    fam = JSetFamily((frozenset({0}),), "test")
+    fam = JSetFamily((frozenset({0}),))
     assert fam.j_sets[0] == frozenset({0})
