@@ -97,9 +97,6 @@ class DirectedBound:
             return str(Decimal(self.upper.numerator)
                        / Decimal(self.upper.denominator))
 
-    def __contains__(self, q: Fraction) -> bool:
-        return self.lower <= q <= self.upper
-
 
 def exp_bounds(x: Fraction, digits: int = DEFAULT_DIGITS) -> DirectedBound:
     """Certified enclosure of e^x by Taylor partial sums.

@@ -77,6 +77,11 @@ def load_instance(path: str) -> tuple[model.DstInstance, str]:
 
 
 def make_objects(args) -> model.GapObjects:
+    other = ("m", "a", "thresh") if args.family == "zk" else ("k",)
+    for name in other:
+        if getattr(args, name) is not None:
+            raise CliError(f"--{name} does not apply to the {args.family} "
+                           "family", EXIT_BAD_PARAMS)
     try:
         if args.family == "zk":
             if args.k is None:
@@ -84,7 +89,8 @@ def make_objects(args) -> model.GapObjects:
             return families.zk_objects(args.k, max_edges=args.max_edges)
         if args.m is None or args.a is None:
             raise ValueError("--m and --a are required for the subset family")
-        params = families.SubsetFamilyParams(args.m, args.a, args.thresh)
+        thresh = 0 if args.thresh is None else args.thresh
+        params = families.SubsetFamilyParams(args.m, args.a, thresh)
         return families.subset_objects(params, max_edges=args.max_edges)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_BAD_PARAMS)
@@ -290,7 +296,7 @@ def cmd_bounds(args, argline) -> int:
         raise CliError(str(exc), EXIT_BAD_PARAMS)
 
     def dec(q: Fraction) -> str:
-        return str(float(Fraction(q.numerator, q.denominator)))
+        return str(float(q))
 
     lines = ["m,exact_tail_JA,bound_JA,exact_tail_KB,bound_KB,"
              "k_over_d,bound_k_over_d,alpha,log_alpha_over_m"]
@@ -308,7 +314,7 @@ def cmd_bounds(args, argline) -> int:
             str(row.log_alpha_over_m)[:24],
         ]))
         status = "ok" if ok else "VIOLATED"
-        print(f"m={m:>5}  |J_A|/d {dec(Fraction(ja.extras['ja_over_d'][0]))} "
+        print(f"m={m:>5}  |J_A|/d {dec(ja.extras['ja_over_d'][0])} "
               f" |K_B\\J_A|/d' {dec(kb.exact)}  alpha {dec(row.alpha)}  {status}")
     csv_text = "\n".join(lines) + "\n"
     if args.csv:
@@ -348,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--a", type=int)
-    p.add_argument("--thresh", type=int, default=0)
+    p.add_argument("--thresh", type=int)
     p.add_argument("--max-edges", type=int, default=families.DEFAULT_EDGE_CAP)
     p.add_argument("--out")
     p.add_argument("--dot")
@@ -361,8 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="emit a density-lemma gap certificate")
     p.add_argument("instance")
-    p.add_argument("--thresh", type=int)
-    p.add_argument("--sweep", action="store_true")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--thresh", type=int)
+    group.add_argument("--sweep", action="store_true")
     p.add_argument("--out")
     p.add_argument("--config")
 
@@ -386,12 +393,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def parse_args(argv: list) -> argparse.Namespace:
     """Flags win over --config lines, which win over the defaults: the
-    config tokens go in front of the flags and argparse parses them all."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.config:
-        args = parser.parse_args(argv[:1] + read_config(args.config) + argv[1:])
-    return args
+    config tokens go in front of the flags and argparse parses them all
+    once, so a config file may supply required options too."""
+    find = argparse.ArgumentParser(prog="dstgap", add_help=False)
+    find.add_argument("--config")
+    config = find.parse_known_args(argv[1:])[0].config
+    if config:
+        argv = argv[:1] + read_config(config) + argv[1:]
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

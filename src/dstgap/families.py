@@ -135,26 +135,18 @@ def subset_objects(params: SubsetFamilyParams,
     )
 
 
-@dataclass(frozen=True)
-class JSetFamily:
-    """Per-A-vertex terminal sets J_u (as frozensets of color indices)."""
-
-    j_sets: tuple
-
-
-def default_j_sets(objects: GapObjects, thresh: int | None = None) -> JSetFamily:
-    """Canonical J-sets for the two families.
+def default_j_sets(objects: GapObjects, thresh: int | None = None) -> tuple:
+    """Canonical J-sets, one frozenset of color indices per A-vertex.
 
     Element-colored family: J_u is u itself, read as a set of colors.
     Subset-colored family: J_u = {C in K : |C intersect u| > thresh}, with
     thresh defaulting to the generator parameter.
     """
     if objects.family == "zk":
-        j = tuple(
+        return tuple(
             frozenset(x - 1 for x in parse_set_label(lbl))
             for lbl in objects.a_labels
         )
-        return JSetFamily(j)
     if objects.family == "subset":
         if thresh is None:
             thresh = objects.params["thresh"]
@@ -162,12 +154,9 @@ def default_j_sets(objects: GapObjects, thresh: int | None = None) -> JSetFamily
         if not 0 <= thresh < a:
             raise ValueError(f"need 0 <= thresh < a={a}, got {thresh}")
         color_sets = [parse_set_label(lbl) for lbl in objects.color_labels]
-        j = tuple(
-            frozenset(
-                ci for ci, c in enumerate(color_sets)
-                if len(c & parse_set_label(lbl)) > thresh
-            )
-            for lbl in objects.a_labels
+        return tuple(
+            frozenset(ci for ci, c in enumerate(color_sets)
+                      if len(c & u) > thresh)
+            for u in map(parse_set_label, objects.a_labels)
         )
-        return JSetFamily(j)
     raise ValueError(f"no default J-sets for family {objects.family!r}")

@@ -10,20 +10,19 @@ terminal's run; the flow is scaled back, so values are exact.  Dinic's
 levels are distances to the terminal, found by a BFS backward from it, so
 a run only works on the part of the network that can still reach its
 terminal.  Every terminal gets a min-cut witness of equal capacity, checked
-in integers: the vertices reachable from the root in the final residual
-network, found by a scan of the whole network.  That is the unique smallest
-min-cut source side, the same for every maximum flow, so the witness does
-not depend on which maximum flow Dinic finds.
+in integers.  It is read off the final backward BFS, the one that fails to
+reach the root: the vertices it labels still reach the terminal in the
+residual network, and the rest are the unique largest min-cut source side.
+That side is the same for every maximum flow (Picard and Queyranne 1980),
+so the witness does not depend on which maximum flow Dinic finds, and
+finding its edges walks only the sink side.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 
 from .model import DstInstance
 
@@ -59,7 +58,9 @@ class _Dinic:
     arc i out of v stands for arc i ^ 1 into v, whose capacity it tests.
     The BFS stops as soon as it labels the root.  The blocking flow then
     walks from the root only along arcs one level closer to t, so a phase
-    never enters a vertex that cannot reach t.
+    never enters a vertex that cannot reach t.  The last BFS misses the
+    root; the vertices it labels are the sink side of the min cut whose
+    source side is the largest.
     """
 
     def __init__(self, n, tails, heads, caps):
@@ -76,25 +77,25 @@ class _Dinic:
             self.head[v].append(2 * j + 1)
 
     def _levels(self, s, t):
-        """Residual distances to t; -1 for vertices not reached before s.
+        """Residual distances to t (-1 for vertices not reached before s),
+        and the labelled vertices in BFS order.
 
         BFS labels are exact, and every vertex closer to t than s is
         labelled before s is, so the search can stop at s."""
         head, to, cap = self.head, self.to, self.cap
         level = [-1] * self.n
         level[t] = 0
-        q = deque([t])
-        while q:
-            v = q.popleft()
+        order = [t]
+        for v in order:  # the list is the BFS queue
             lu = level[v] + 1
             for i in head[v]:
                 u = to[i]
                 if level[u] < 0 and cap[i ^ 1]:
                     level[u] = lu
                     if u == s:
-                        return level
-                    q.append(u)
-        return level
+                        return level, order
+                    order.append(u)
+        return level, order
 
     def _blocking_flow(self, s, t, level):
         """Augment along level-decreasing paths from s until none is left.
@@ -138,26 +139,15 @@ class _Dinic:
                 u = to[path.pop() ^ 1]
 
     def max_flow(self, s, t):
+        """The flow value.  The last phase's levels and labelled vertices
+        stay as self.level and self.sink_side: the vertices that still
+        reach t in the residual network."""
         flow = 0
         while True:
-            level = self._levels(s, t)
-            if level[s] < 0:
+            self.level, self.sink_side = self._levels(s, t)
+            if self.level[s] < 0:
                 return flow
-            flow += self._blocking_flow(s, t, level)
-
-    def residual_reachable(self, s):
-        head, to, cap = self.head, self.to, self.cap
-        seen = [False] * self.n
-        seen[s] = True
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for i in head[u]:
-                v = to[i]
-                if cap[i] and not seen[v]:
-                    seen[v] = True
-                    q.append(v)
-        return seen
+            flow += self._blocking_flow(s, t, self.level)
 
 
 @dataclass(frozen=True)
@@ -165,7 +155,7 @@ class MaxFlowResult:
     value: Fraction
     cut_edges: tuple       # edge indices crossing the min cut
     cut_capacity: Fraction
-    source_side: frozenset
+    source_side: frozenset  # the largest min-cut source side
 
 
 def max_flow_value(inst: DstInstance, sol: FractionalSolution,
@@ -210,16 +200,18 @@ def verify_feasibility(inst: DstInstance, sol: FractionalSolution,
     caps = [v.numerator * (scale // v.denominator) for v in sol.x]
     net = _Dinic(inst.n, tails, heads, caps)
     base = net.cap[:]
+    head, to = net.head, net.to
+    vertices = frozenset(range(inst.n))
 
     entries = []
     for t in terminals:
         net.cap[:] = base
         flow = net.max_flow(inst.root, t)
-        reach = net.residual_reachable(inst.root)
-        # edges from the reached side to the rest: reach[tail] > reach[head]
-        cut = tuple(compress(range(len(tails)), map(
-            operator.gt, map(reach.__getitem__, tails),
-            map(reach.__getitem__, heads))))
+        level, sink_side = net.level, net.sink_side
+        # edges into the sink side from outside it: edge j enters v as arc
+        # 2j + 1 of v
+        cut = tuple(sorted(i >> 1 for v in sink_side for i in head[v]
+                           if i & 1 and level[to[i]] < 0))
         cut_int = sum(map(caps.__getitem__, cut))
         value = Fraction(flow, scale)
         cut_cap = Fraction(cut_int, scale)
@@ -228,7 +220,7 @@ def verify_feasibility(inst: DstInstance, sol: FractionalSolution,
                 f"max-flow/min-cut mismatch at terminal {inst.labels[t]}: "
                 f"flow {value}, cut capacity {cut_cap}")
         res = MaxFlowResult(value, cut, cut_cap,
-                            frozenset(compress(range(inst.n), reach)))
+                            vertices.difference(sink_side))
         entries.append(TerminalFlow(t, inst.labels[t], value, value >= 1, res))
     return FeasibilityReport(tuple(entries))
 

@@ -24,7 +24,6 @@ from math import ceil
 from operator import itemgetter
 
 from .model import E1, E2, E3, DstInstance, GapObjects, SizeCapError
-from .families import JSetFamily
 
 
 # ---------------------------------------------------------------------------
@@ -38,14 +37,15 @@ class GapCertificate:
     gap_lower_bound: Fraction  # alpha / 2
 
 
-def certify_gap(objects: GapObjects, j: JSetFamily) -> GapCertificate:
+def certify_gap(objects: GapObjects, j: tuple) -> GapCertificate:
     """Largest alpha with |J_u| <= d/alpha and |K_v \\ J_u| <= d'/alpha.
 
-    Empty sets impose no constraint.  The result is recomputed from scratch
-    by a second, independently structured enumeration and the two values
-    are required to agree.
+    j holds one J-set per A-vertex, a frozenset of color indices, as
+    `families.default_j_sets` returns.  Empty sets impose no constraint.
+    The result is recomputed from scratch by a second, independently
+    structured enumeration and the two values are required to agree.
     """
-    if len(j.j_sets) != objects.num_a:
+    if len(j) != objects.num_a:
         raise ValueError("J-set family must assign a set to every A-vertex")
 
     d, dp = objects.d, objects.d_prime
@@ -55,11 +55,11 @@ def certify_gap(objects: GapObjects, j: JSetFamily) -> GapCertificate:
     per_u = []
     residual_max = [0] * objects.num_a
     for a, b, _ in objects.edges:
-        r = len(kv[b] - j.j_sets[a])
+        r = len(kv[b] - j[a])
         if r > residual_max[a]:
             residual_max[a] = r
     for a in range(objects.num_a):
-        ju = len(j.j_sets[a])
+        ju = len(j[a])
         for bound in (
             Fraction(d, ju) if ju else None,
             Fraction(dp, residual_max[a]) if residual_max[a] else None,
@@ -72,11 +72,11 @@ def certify_gap(objects: GapObjects, j: JSetFamily) -> GapCertificate:
 
     # independent re-enumeration: per-edge pass instead of per-vertex pass
     check = min(
-        [Fraction(d, len(js)) for js in j.j_sets if js]
+        [Fraction(d, len(js)) for js in j if js]
         + [
-            Fraction(dp, len(kv[b] - j.j_sets[a]))
+            Fraction(dp, len(kv[b] - j[a]))
             for a, b, _ in objects.edges
-            if kv[b] - j.j_sets[a]
+            if kv[b] - j[a]
         ]
     )
     if check != alpha:
@@ -91,7 +91,7 @@ def certify_gap(objects: GapObjects, j: JSetFamily) -> GapCertificate:
     )
 
 
-def density_bound(objects: GapObjects, j: JSetFamily, u: int, v_set):
+def density_bound(objects: GapObjects, j: tuple, u: int, v_set):
     """(bound, true_density) for the single-root-edge subtree on u and v_set.
 
     bound = (|J_u| + sum |K_v \\ J_u|) / (d/d' + |v_set|); true density is
@@ -104,7 +104,7 @@ def density_bound(objects: GapObjects, j: JSetFamily, u: int, v_set):
     if not set(v_set) <= neighbors:
         raise ValueError("v_set must be a subset of u's neighbors")
 
-    ju = j.j_sets[u]
+    ju = j[u]
     bound_num = len(ju) + sum(len(kv[v] - ju) for v in v_set)
     bound = Fraction(bound_num) / (Fraction(objects.d, objects.d_prime) + len(v_set))
 

@@ -100,6 +100,16 @@ def test_gen_config_file(tmp_path, capsys):
     assert "19" in capsys.readouterr().out
 
 
+def test_gen_required_options_from_config(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("family = zk\nk = 4\n")
+    out = tmp_path / "zk4.json"
+    rc = main(["gen", "--config", str(cfg), "--out", str(out)])
+    assert rc == EXIT_OK
+    assert "family           zk {'k': 4}" in capsys.readouterr().out
+    assert out.exists()
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -370,6 +380,14 @@ def test_bounds_sweep(tmp_path, capsys):
     assert "ok" in capsys.readouterr().out
 
 
+def test_bounds_m_list_from_config(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("m_list = 64,128\n")
+    assert main(["bounds", "--config", str(cfg)]) == EXIT_OK
+    text = capsys.readouterr().out
+    assert text.startswith("m=   64 ") and "m=  128 " in text
+
+
 def test_bounds_bad_params():
     assert main(["bounds", "--m-list", "65"]) == EXIT_BAD_PARAMS
     assert main(["bounds", "--m-list", "64", "--digits", "10"]) \
@@ -418,6 +436,40 @@ def test_bad_values_exit_2(tmp_path, zk4_file, capsys, argv, key, value,
     err = capsys.readouterr().err
     assert f"argument --{key}: invalid" in err
     assert "Traceback" not in err
+
+
+# Each option does not apply to the rest of its command line; given as a
+# flag or as a config line, it exits 2 with one error line, with or without
+# python -O, and writes nothing.
+INAPPLICABLE = [
+    (["certify", "{m6}", "--sweep"], "thresh", "0"),
+    (["gen", "--family", "zk", "--k", "4"], "m", "9"),
+    (["gen", "--family", "zk", "--k", "4"], "a", "2"),
+    (["gen", "--family", "zk", "--k", "4"], "thresh", "3"),
+    (["gen", "--family", "subset", "--m", "6", "--a", "2"], "k", "4"),
+]
+
+
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize("argv, key, value", INAPPLICABLE,
+                         ids=[f"{a[0]}-{k}" for a, k, _ in INAPPLICABLE])
+def test_inapplicable_options_exit_2(tmp_path, m6_file, argv, key, value,
+                                     via_config):
+    out = tmp_path / "out.json"
+    argv = [arg.format(m6=m6_file) for arg in argv] + ["--out", str(out)]
+    if via_config:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        argv += ["--config", str(cfg)]
+    else:
+        argv += [f"--{key}", value]
+    for flags in ([], ["-O"]):
+        proc = _run_cli(flags, *argv)
+        assert proc.returncode == EXIT_BAD_PARAMS, (flags, proc.stderr)
+        assert "Traceback" not in proc.stderr
+        errors = [ln for ln in proc.stderr.splitlines() if "error:" in ln]
+        assert len(errors) == 1 and f"--{key}" in errors[0], proc.stderr
+        assert proc.stdout == "" and not out.exists()
 
 
 @pytest.mark.parametrize("line", ["bogus = 1", "sweep = 1", "instance = x"])

@@ -3,7 +3,6 @@ from math import comb
 import pytest
 
 from dstgap.families import (
-    JSetFamily,
     SubsetFamilyParams,
     colex_subsets,
     default_j_sets,
@@ -133,8 +132,8 @@ def test_colex_subsets_order():
 def test_zk_j_sets(zk9_objects):
     j = default_j_sets(zk9_objects)
     u = zk9_objects.a_labels.index("{1,2,3}")
-    assert j.j_sets[u] == frozenset({0, 1, 2})
-    assert all(len(js) == 3 for js in j.j_sets)
+    assert j[u] == frozenset({0, 1, 2})
+    assert all(len(js) == 3 for js in j)
 
 
 def test_zk_residual_is_one(zk4_objects, zk9_objects):
@@ -142,16 +141,16 @@ def test_zk_residual_is_one(zk4_objects, zk9_objects):
     for obj in (zk4_objects, zk9_objects):
         j = default_j_sets(obj)
         kv = obj.color_sets_by_b()
-        assert all(len(kv[b] - j.j_sets[a]) == 1 for a, b, _ in obj.edges)
+        assert all(len(kv[b] - j[a]) == 1 for a, b, _ in obj.edges)
 
 
 def test_subset_j_sets(subset_m6_objects):
     obj = subset_m6_objects
     u = obj.a_labels.index("{1,2}")
     j1 = default_j_sets(obj, thresh=1)
-    assert j1.j_sets[u] == frozenset({obj.color_labels.index("{1,2}")})
+    assert j1[u] == frozenset({obj.color_labels.index("{1,2}")})
     j0 = default_j_sets(obj, thresh=0)
-    assert len(j0.j_sets[u]) == 15 - comb(4, 2) == 9
+    assert len(j0[u]) == 15 - comb(4, 2) == 9
 
 
 def test_j_sets_errors(subset_m6_objects):
@@ -159,8 +158,3 @@ def test_j_sets_errors(subset_m6_objects):
         default_j_sets(toy_objects())  # generic family has no default
     with pytest.raises(ValueError):
         default_j_sets(subset_m6_objects, thresh=2)
-
-
-def test_j_set_family_is_plain_data():
-    fam = JSetFamily((frozenset({0}),))
-    assert fam.j_sets[0] == frozenset({0})

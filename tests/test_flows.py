@@ -22,7 +22,7 @@ from dstgap.flows import (
     verify_feasibility,
 )
 from dstgap.lp import DEFAULT_VAR_CAP, solve_lp_exact
-from dstgap.model import E1, E3, build_instance
+from dstgap.model import E3, build_instance
 
 from _util import toy_instance
 
@@ -63,12 +63,17 @@ def test_solution_rejects_negative():
 # max-flow
 
 def test_max_flow_canonical_is_one(zk4_instance):
-    sol = canonical_solution(zk4_instance)
-    for t in zk4_instance.terminals:
-        res = max_flow_value(zk4_instance, sol, t)
+    inst = zk4_instance
+    sol = canonical_solution(inst)
+    for t in inst.terminals:
+        res = max_flow_value(inst, sol, t)
         assert res.value == 1
         assert res.cut_capacity == res.value
-        assert res.cut_edges
+        # x = 1/s saturates t's s in-edges, so the sink side is {t} alone
+        into_t = tuple(i for i, w in enumerate(inst.heads) if w == t)
+        assert len(into_t) == inst.provenance.s
+        assert res.cut_edges == into_t
+        assert res.source_side == frozenset(range(inst.n)) - {t}
 
 
 def test_max_flow_all_zero(zk4_instance):
@@ -76,10 +81,12 @@ def test_max_flow_all_zero(zk4_instance):
     t = next(iter(zk4_instance.terminals))
     res = max_flow_value(zk4_instance, zero, t)
     assert res.value == 0
-    # the min cut is exactly the edges out of the root
-    e1 = tuple(i for i, k in enumerate(zk4_instance.classes) if k == E1)
-    assert res.cut_edges == e1
-    assert res.source_side == frozenset({zk4_instance.root})
+    # nothing reaches t, so the largest source side is every other vertex
+    # and the cut is t's in-edges
+    into_t = tuple(i for i, w in enumerate(zk4_instance.heads) if w == t)
+    assert len(into_t) == 3
+    assert res.cut_edges == into_t
+    assert res.source_side == frozenset(range(zk4_instance.n)) - {t}
 
 
 def test_max_flow_scales_linearly(zk4_instance):
@@ -146,8 +153,9 @@ def test_shared_network_matches_fresh_max_flow(zk4_instance):
 
 def _oracle_max_flow(inst, x, t):
     """Shortest augmenting paths over Fraction capacities; independent of
-    flows._Dinic.  Returns the value, the edges leaving the residual-
-    reachable set of the root, and that set."""
+    flows._Dinic.  Returns the value, the edges into the set of vertices
+    that still reach t in the final residual network, and that set's
+    complement, the largest min-cut source side."""
     tails, heads = inst.tails, inst.heads
     out_edges = [[] for _ in range(inst.n)]
     in_edges = [[] for _ in range(inst.n)]
@@ -183,10 +191,24 @@ def _oracle_max_flow(inst, x, t):
         for j, sign in steps:
             flow[j] += sign * delta
         value += delta
+    # backward search from t: u reaches w in the residual network over an
+    # unsaturated edge u -> w or a flow-carrying edge w -> u
+    sink = {t}
+    stack = [t]
+    while stack:
+        w = stack.pop()
+        for j in in_edges[w]:
+            if tails[j] not in sink and flow[j] < x[j]:
+                sink.add(tails[j])
+                stack.append(tails[j])
+        for j in out_edges[w]:
+            if heads[j] not in sink and flow[j] > 0:
+                sink.add(heads[j])
+                stack.append(heads[j])
     cut = tuple(j for j, (u, w) in enumerate(zip(tails, heads))
-                if u in prev and w not in prev)
+                if u not in sink and w in sink)
     assert sum((x[j] for j in cut), Fraction(0)) == value
-    return value, cut, frozenset(prev)
+    return value, cut, frozenset(range(inst.n)) - sink
 
 
 def _oracle_solutions(inst):

@@ -9,7 +9,7 @@ import pytest
 
 import dstgap
 from dstgap import build_instance, subset_objects
-from dstgap.families import JSetFamily, SubsetFamilyParams, default_j_sets
+from dstgap.families import SubsetFamilyParams, default_j_sets
 from dstgap.integral import (
     brute_force_opt,
     certify_gap,
@@ -49,8 +49,8 @@ def test_certify_subset_m6(subset_m6_objects):
 
 def test_certify_vacuous_j_sets(zk4_objects):
     # J_u = K everywhere: residuals vanish, alpha degrades to d/k
-    full = JSetFamily(tuple(frozenset(range(zk4_objects.k))
-                            for _ in zk4_objects.a_labels))
+    full = tuple(frozenset(range(zk4_objects.k))
+                 for _ in zk4_objects.a_labels)
     cert = certify_gap(zk4_objects, full)
     assert cert.alpha == Fraction(zk4_objects.d, zk4_objects.k) == Fraction(1, 2)
     assert all(res == 0 for _, _, res in cert.per_u)
@@ -58,7 +58,7 @@ def test_certify_vacuous_j_sets(zk4_objects):
 
 def test_certify_rejects_wrong_length(zk4_objects):
     with pytest.raises(ValueError):
-        certify_gap(zk4_objects, JSetFamily((frozenset(),)))
+        certify_gap(zk4_objects, (frozenset(),))
 
 
 def test_certify_self_check_raises_under_optimize():
