@@ -2,14 +2,16 @@
 
 Subcommands: gen, verify, certify, solve, bounds.  Exit codes: 0 success /
 verified, 1 verified-false, 2 bad parameters, 3 bad input file, 4 resource
-cap exceeded.  Output files are written atomically and every JSON report
-carries a header with the tool version, the command line, and the SHA-256
-of the instance file's bytes.
+cap exceeded, 5 internal error.  Options are spelled in full (no parser
+takes an abbreviation).  Output files are written atomically and every
+JSON report carries a header with the tool version, the command line, and
+the SHA-256 of the instance file's bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -25,6 +27,7 @@ EXIT_FALSE = 1
 EXIT_BAD_PARAMS = 2
 EXIT_BAD_INPUT = 3
 EXIT_CAP = 4
+EXIT_INTERNAL = 5
 
 
 class CliError(Exception):
@@ -344,12 +347,13 @@ def int_list(text: str) -> list:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="dstgap",
+        prog="dstgap", allow_abbrev=False,
         description="Directed Steiner Tree flow-LP integrality-gap toolkit")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="cmd", required=True)
+    command = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("gen", help="generate a family instance")
+    p = command("gen", help="generate a family instance")
     p.add_argument("--family", choices=["zk", "subset"], required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--m", type=int)
@@ -360,12 +364,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot")
     p.add_argument("--config")
 
-    p = sub.add_parser("verify", help="check the canonical LP solution")
+    p = command("verify", help="check the canonical LP solution")
     p.add_argument("instance")
     p.add_argument("--json-out")
     p.add_argument("--config")
 
-    p = sub.add_parser("certify", help="emit a density-lemma gap certificate")
+    p = command("certify", help="emit a density-lemma gap certificate")
     p.add_argument("instance")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--thresh", type=int)
@@ -373,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--config")
 
-    p = sub.add_parser("solve", help="compute exact optima and bounds")
+    p = command("solve", help="compute exact optima and bounds")
     p.add_argument("instance")
     p.add_argument("--method", choices=["structured", "brute", "lp", "all"],
                    default="all")
@@ -382,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--config")
 
-    p = sub.add_parser("bounds", help="closed-form lemma sweep")
+    p = command("bounds", help="closed-form lemma sweep")
     p.add_argument("--m-list", type=int_list, required=True)
     p.add_argument("--digits", type=int, default=bounds.DEFAULT_DIGITS)
     p.add_argument("--csv")
@@ -395,7 +399,8 @@ def parse_args(argv: list) -> argparse.Namespace:
     """Flags win over --config lines, which win over the defaults: the
     config tokens go in front of the flags and argparse parses them all
     once, so a config file may supply required options too."""
-    find = argparse.ArgumentParser(prog="dstgap", add_help=False)
+    find = argparse.ArgumentParser(prog="dstgap", add_help=False,
+                                   allow_abbrev=False)
     find.add_argument("--config")
     config = find.parse_known_args(argv[1:])[0].config
     if config:
@@ -424,6 +429,10 @@ def main(argv=None) -> int:
     except SizeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

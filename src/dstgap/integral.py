@@ -333,7 +333,8 @@ def brute_force_opt(inst: DstInstance,
                                 tuple(inst.labels[t] for t in blocked))
 
     ra = Fraction(nb, na)
-    t_of_b = {v: {w for w, _ in out[inst.pi(v)]} for v in b_ids}
+    t_of_b = {v: {t for vp, klass in out[v] if klass == E3 for t, _ in out[vp]}
+              for v in b_ids}
     max_gain = max(len(t_of_b[v]) for v in b_ids)
     min_vp = ceil(len(terminals) / max_gain)
 
@@ -341,11 +342,11 @@ def brute_force_opt(inst: DstInstance,
     inc_s, inc_v = set(), set()
     covered = set()
     while covered != terminals:
-        v = max((v for v in b_ids if v not in inc_v),
+        v = max((v for v in b_ids if v not in inc_v and v in everything),
                 key=lambda v: (len(t_of_b[v] - covered), -v))
         inc_v.add(v)
         if not (b_in_a[v] & inc_s):
-            inc_s.add(min(b_in_a[v]))
+            inc_s.add(min(b_in_a[v] & everything))
         covered |= t_of_b[v]
     best_val = ra * len(inc_s) + len(inc_v)
     best_s, best_v = set(inc_s), set(inc_v)

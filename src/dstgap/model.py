@@ -13,12 +13,14 @@ graph built from it:
     level 4: terminals K          (pi(v)->t for each color t at v, cost 0)
 
 Costs are fixed by the edge class (the level of the head), as above: an
-instance keeps int edge columns and one cost per class, and the loader
-rejects a file whose edge costs differ from them.
+instance keeps int edge columns and one cost per class.
 
 Vertex ids are dense integers assigned level by level in the canonical
 label order of the objects; edges are sorted by (level, tail, head), so a
-given GapObjects value always builds the identical instance.
+given GapObjects value always builds the identical instance.  build_instance
+is the only builder: a file loads as the instance of its objects less the
+edges it leaves out, and a file edge that is not a built edge, or that
+costs other than its class cost, is rejected.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import hashlib
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .rationals import parse_rational, render_rational
@@ -265,13 +267,6 @@ class DstInstance:
         return dict(zip(zip(self.tails, self.heads), range(len(self.tails))))
 
 
-def _require_valid(objects: GapObjects) -> None:
-    report = validate_objects(objects)
-    if not report.ok:
-        names = ", ".join(c.name for c in report.failures() if c.required)
-        raise ValueError(f"objects fail validation: {names}")
-
-
 def _check_meta(objects: GapObjects) -> None:
     """A loaded file's d, d', s and k must be ints, and the parameters of
     a known family must match them: zk params are {"k": k}; subset params
@@ -293,8 +288,12 @@ def _check_meta(objects: GapObjects) -> None:
 
 
 def build_instance(objects: GapObjects) -> DstInstance:
-    """Build the 5-level instance; deterministic for a given GapObjects."""
-    _require_valid(objects)
+    """Build the 5-level instance; deterministic for a given GapObjects.
+    Raises ValueError if the objects fail validate_objects."""
+    report = validate_objects(objects)
+    if not report.ok:
+        names = ", ".join(c.name for c in report.failures() if c.required)
+        raise ValueError(f"objects fail validation: {names}")
 
     na, nb, k = objects.num_a, objects.num_b, objects.k
     labels = (
@@ -414,14 +413,15 @@ def instance_sha256(inst: DstInstance) -> str:
 
 
 def instance_from_dict(data: dict) -> DstInstance:
-    """Load an instance file.
+    """Load an instance file: the instance that build_instance makes from
+    the file's objects (its levels, meta and level-2 edges, the entries
+    with a color), less the built edges that the file leaves out.
 
-    The edges are taken verbatim (not re-built from the objects), so a
-    corrupted file, e.g. with a level-3 edge deleted, loads into an instance
-    whose feasibility check then fails with a named terminal.  A file that
-    contradicts itself raises ValueError: its meta and level-2 edges must
-    pass validate_objects, the family parameters must match them, no
-    (tail, head) pair may repeat, and every edge must cost its class cost.
+    So a corrupted file, e.g. with a level-3 edge deleted, loads into an
+    instance whose feasibility check then fails with a named terminal.  A
+    file that contradicts itself raises ValueError: its objects must pass
+    validate_objects, the family parameters must match them, and every edge
+    must be a built edge, listed once, costing its class cost.
     """
     meta = data["meta"]
     levels = data["levels"]
@@ -433,39 +433,15 @@ def instance_from_dict(data: dict) -> DstInstance:
         if vp != v + "'":
             raise ValueError(f"pi maps {v!r} to {vp!r}, expected {v + chr(39)!r}")
 
-    # per-level maps: the same label may appear on two levels (the subset
-    # family uses identical labels for A-vertices and terminals)
-    labels, level_ids = [], []
-    for lvl_labels in levels:
-        level_ids.append({lbl: len(labels) + i
-                          for i, lbl in enumerate(lvl_labels)})
-        labels.extend(lvl_labels)
-    na, nb = len(levels[1]), len(levels[2])
-    color_idx = {lbl: i for i, lbl in enumerate(levels[4])}
-
-    tails, heads, classes, colors, cost_texts = [], [], [], [], []
-    for entry in data["edges"]:
-        hits = [
-            klass for klass in (E1, E2, E3, E4)
-            if entry["tail"] in level_ids[klass - 1]
-            and entry["head"] in level_ids[klass]
-        ]
-        if len(hits) != 1:
-            raise ValueError(f"edge {entry} does not go down one level")
-        klass = hits[0]
-        tails.append(level_ids[klass - 1][entry["tail"]])
-        heads.append(level_ids[klass][entry["head"]])
-        classes.append(klass)
-        colors.append(color_idx[entry["color"]] if klass == E2 else None)
-        cost_texts.append(entry["cost"])
-    h_edges = sorted((u - 1, v - 1 - na, c)
-                     for u, v, c in zip(tails, heads, colors) if c is not None)
-
+    a_idx, b_idx, color_idx = (
+        {lbl: i for i, lbl in enumerate(levels[lvl])} for lvl in (1, 2, 4))
     objects = GapObjects(
         a_labels=tuple(levels[1]),
         b_labels=tuple(levels[2]),
         color_labels=tuple(levels[4]),
-        edges=tuple(h_edges),
+        edges=tuple(sorted((a_idx[e["tail"]], b_idx[e["head"]],
+                            color_idx[e["color"]])
+                           for e in data["edges"] if "color" in e)),
         d=meta["d"],
         d_prime=meta["d_prime"],
         s=meta["s"],
@@ -474,24 +450,36 @@ def instance_from_dict(data: dict) -> DstInstance:
         family_params=tuple(sorted(meta.get("params", {}).items())),
     )
     _check_meta(objects)
-    _require_valid(objects)
-    inst = DstInstance(
-        labels=tuple(labels),
-        level_sizes=(1, na, nb, nb, len(levels[4])),
-        tails=tuple(tails),
-        heads=tuple(heads),
-        classes=tuple(classes),
-        colors=tuple(colors),
-        provenance=objects,
-    )
-    if len(inst.edge_index) != len(tails):
-        raise ValueError("an edge (tail, head) appears more than once")
+    inst = build_instance(objects)
+
+    label = inst.labels.__getitem__
+    built = dict(zip(zip(map(label, inst.tails), map(label, inst.heads)),
+                     range(len(inst.tails))))
+    if len(built) != len(inst.tails):
+        raise ValueError("two edges of the instance have the same "
+                         "(tail, head) labels")
+    listed = {}  # built edge position -> the file's cost text
+    for entry in data["edges"]:
+        i = built.get((entry["tail"], entry["head"]))
+        if i is None:
+            raise ValueError(f"edge {entry['tail']} -> {entry['head']} is not "
+                             "an edge of the objects' instance")
+        if i in listed:
+            raise ValueError(f"edge {entry['tail']} -> {entry['head']} appears "
+                             "more than once")
+        listed[i] = entry["cost"]
     costs = inst.class_costs
-    for klass, text in dict.fromkeys(zip(classes, cost_texts)):
+    for klass, text in dict.fromkeys(zip(map(inst.classes.__getitem__, listed),
+                                         listed.values())):
         if parse_rational(text) != costs[klass]:
             raise ValueError(f"an E{klass} edge costs {text}, but every E{klass} "
                              f"edge costs {render_rational(costs[klass])}")
-    return inst
+    keep = sorted(listed)
+    tails, heads, classes, colors = (
+        tuple(map(column.__getitem__, keep))
+        for column in (inst.tails, inst.heads, inst.classes, inst.colors))
+    return replace(inst, tails=tails, heads=heads, classes=classes,
+                   colors=colors)
 
 
 def instance_from_json(text: str | bytes) -> DstInstance:

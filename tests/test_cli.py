@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -17,6 +18,7 @@ from dstgap.cli import (
     EXIT_BAD_PARAMS,
     EXIT_CAP,
     EXIT_FALSE,
+    EXIT_INTERNAL,
     EXIT_OK,
     main,
 )
@@ -201,6 +203,18 @@ def _repeat_first_edge(data):
     data["edges"].insert(1, dict(data["edges"][0]))
 
 
+def _missing_e4_edges(data):
+    """Every edge pi(v) -> t, cost 0, for a color t that is not at v."""
+    listed = {(e["tail"], e["head"]) for e in data["edges"]}
+    return [{"tail": vp, "head": t, "cost": "0/1"}
+            for vp in data["levels"][3] for t in data["levels"][4]
+            if (vp, t) not in listed]
+
+
+def _add_e4_edge(data):
+    data["edges"].append(_missing_e4_edges(data)[0])
+
+
 def _check_tampered(path, code):
     for command in ("verify", "certify"):
         for flags in ([], ["-O"]):
@@ -224,10 +238,11 @@ def _check_tampered(path, code):
     (_set_meta("family", "subset"), EXIT_BAD_INPUT),  # no a, m, thresh
     (_set_meta("s", 3.0), EXIT_BAD_INPUT),  # passes the counting identity
     (_set_param("k", 9), EXIT_BAD_INPUT),
+    (_add_e4_edge, EXIT_BAD_INPUT),  # not an edge of the objects' instance
     (_set_e1_costs("4/6"), EXIT_OK),  # the class cost 2/3, spelled otherwise
 ], ids=["e1-cost-5", "cost-negative", "cost-zero-den", "s-2", "s-0", "k-5",
         "d-prime-0", "repeated-e1-edge", "family-subset", "s-float",
-        "params-k-9", "e1-cost-4/6"])
+        "params-k-9", "extra-e4-edge", "e1-cost-4/6"])
 def test_tampered_zk4_files(tmp_path, zk4_instance, mutate, code):
     data = model.instance_to_dict(zk4_instance)
     mutate(data)
@@ -253,6 +268,50 @@ def test_tampered_m6_files(tmp_path, subset_m6_instance, mutate, code):
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps(data))
     _check_tampered(path, code)
+
+
+def test_edges_outside_objects_exit_3(tmp_path, subset_m6_instance):
+    # m6 with every missing pi(v) -> t edge; loaded as listed, it would give
+    # certify --sweep OPT >= 3, brute force OPT 2 and the structured solver 5
+    data = model.instance_to_dict(subset_m6_instance)
+    data["edges"] += _missing_e4_edges(data)
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps(data))
+    for argv in (["verify"], ["certify", "--sweep"],
+                 ["solve", "--method", "brute"],
+                 ["solve", "--method", "structured"]):
+        for flags in ([], ["-O"]):
+            proc = _run_cli(flags, argv[0], str(path), *argv[1:])
+            assert proc.returncode == EXIT_BAD_INPUT, (argv, flags)
+            assert proc.stderr.startswith("error: cannot load instance")
+            assert len(proc.stderr.splitlines()) == 1, proc.stderr
+            assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("name", ["zk9_instance", "subset_m6_instance"])
+def test_shuffled_edges_give_same_outputs(request, tmp_path, capsys, name):
+    # the loaded columns follow build order, so file order changes nothing
+    data = model.instance_to_dict(request.getfixturevalue(name))
+    original = tmp_path / "original.json"
+    original.write_text(json.dumps(data))
+    random.Random(1).shuffle(data["edges"])
+    shuffled = tmp_path / "shuffled.json"
+    shuffled.write_text(json.dumps(data))
+    sweep = ["--sweep"] if name.startswith("subset") else []
+    commands = (["verify", "--json-out"], ["certify", *sweep, "--out"],
+                ["solve", "--method", "structured", "--out"])
+    outputs = []
+    for path in (original, shuffled):
+        runs = []
+        for argv in commands:
+            report = tmp_path / "report.json"
+            assert main([argv[0], str(path), *argv[1:], str(report)]) \
+                == EXIT_OK
+            payload = json.loads(report.read_text())
+            del payload["header"]
+            runs.append((capsys.readouterr().out, payload))
+        outputs.append(runs)
+    assert outputs[0] == outputs[1]
 
 
 def test_verify_bad_file(tmp_path):
@@ -399,6 +458,30 @@ def test_bounds_bad_params():
 
 def test_unknown_subcommand():
     assert main(["frobnicate"]) == EXIT_BAD_PARAMS
+
+
+def test_abbreviated_options_exit_2(tmp_path, capsys):
+    # no parser takes an abbreviation, so "--c" is not read as "--config"
+    # (bounds has --csv too) and "--conf" is not "--config" either
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("k = 4\n")
+    out = tmp_path / "out.csv"
+    assert main(["bounds", "--m-list", "64", "--c", str(out)]) \
+        == EXIT_BAD_PARAMS
+    assert main(["gen", "--family", "zk", "--conf", str(cfg)]) \
+        == EXIT_BAD_PARAMS
+    assert "unrecognized arguments: --c " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_internal_error_exits_5(zk4_file, monkeypatch, capsys):
+    def fail(*args):
+        raise RuntimeError("flow layer failed")
+
+    monkeypatch.setattr(cli.flows, "verify_feasibility", fail)
+    assert main(["verify", str(zk4_file)]) == EXIT_INTERNAL
+    assert capsys.readouterr().err == \
+        "error: internal error: RuntimeError: flow layer failed\n"
 
 
 def test_atomic_write(tmp_path):

@@ -16,7 +16,12 @@ from dstgap.integral import (
     density_bound,
     solve_structured,
 )
-from dstgap.model import E4, SizeCapError
+from dstgap.model import (
+    E4,
+    SizeCapError,
+    instance_from_dict,
+    instance_to_dict,
+)
 
 from _util import toy_instance
 
@@ -235,6 +240,29 @@ def test_brute_agrees_with_structured(request, name, value):
     s = solve_structured(inst)
     assert b.feasible and s.optimal
     assert b.value == s.value == s.lower_bound == value
+
+
+@pytest.mark.parametrize("omit", ["one-copy-edge", "optimum-copy-edges",
+                                  "one-root-edge"])
+def test_brute_reads_only_the_graph(subset_m6_instance, omit):
+    # m6 less some cost-bearing edges: the greedy incumbent must credit a
+    # B-vertex only with the terminals its copy edge reaches, and open an
+    # A-vertex only if its root edge is there, or the search ends in a
+    # RuntimeError; the optimum stays 5 with each file
+    labels = subset_m6_instance.labels
+    first_a, first_b = (labels[subset_m6_instance.level_offset(lvl)]
+                        for lvl in (1, 2))
+    opened_b = solve_structured(subset_m6_instance).solution.opened_b
+    data = instance_to_dict(subset_m6_instance)
+    drop = {"one-copy-edge": {(first_b, first_b + "'")},
+            "optimum-copy-edges": {(v, v + "'") for v in opened_b},
+            "one-root-edge": {("r", first_a)}}[omit]
+    data["edges"] = [e for e in data["edges"]
+                     if (e["tail"], e["head"]) not in drop]
+    inst = instance_from_dict(data)
+    assert len(inst.tails) == len(subset_m6_instance.tails) - len(drop)
+    res = brute_force_opt(inst)
+    assert res.feasible and res.value == 5
 
 
 def test_brute_size_cap(zk9_instance):

@@ -15,6 +15,7 @@ import dstgap
 from dstgap.families import SubsetFamilyParams, subset_objects
 from dstgap.model import (
     E1, E2, E3, E4,
+    GapObjects,
     SizeCapError,
     build_instance,
     edge_class_counts,
@@ -257,6 +258,41 @@ def test_loader_rejects_level_skipping_edge(zk4_instance):
     data["edges"][0] = {"tail": "r", "head": data["levels"][2][0], "cost": "1/1"}
     with pytest.raises(ValueError):
         instance_from_dict(data)
+
+
+@pytest.mark.parametrize("extra", ["e4-outside-kv", "cross-copy"])
+def test_loader_rejects_edge_outside_objects(zk4_instance, extra):
+    # each edge goes down one level and costs its class cost, but the
+    # objects' instance has no such edge
+    data = json.loads(instance_to_json(zk4_instance))
+    levels = data["levels"]
+    listed = {(e["tail"], e["head"]) for e in data["edges"]}
+    if extra == "e4-outside-kv":
+        vp = levels[3][0]
+        t = next(t for t in levels[4] if (vp, t) not in listed)
+        data["edges"].append({"tail": vp, "head": t, "cost": "0/1"})
+    else:
+        data["edges"].append(
+            {"tail": levels[2][0], "head": levels[3][1], "cost": "1/1"})
+    with pytest.raises(ValueError, match="is not an edge of the objects'"):
+        instance_from_dict(data)
+
+
+def test_loader_rejects_labels_that_merge_two_edges():
+    # A-vertex "v'" and terminal "v" make the E2 edge v' -> v and the E4
+    # edge pi(v) -> v the same (tail, head) label pair
+    objects = GapObjects(a_labels=("v'",), b_labels=("v",),
+                         color_labels=("v",), edges=((0, 0, 0),),
+                         d=1, d_prime=1, s=1, k=1)
+    data = json.loads(instance_to_json(build_instance(objects)))
+    with pytest.raises(ValueError, match="same \\(tail, head\\) labels"):
+        instance_from_dict(data)
+
+
+def test_loader_builds_no_edge_index(zk4_instance, subset_m6_instance):
+    for inst in (zk4_instance, subset_m6_instance):
+        loaded = instance_from_json(instance_to_json(inst))
+        assert "edge_index" not in loaded.__dict__
 
 
 def test_dot_export(zk4_instance):
