@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__, bounds, families, flows, integral, lp, model
-from .model import SizeCapError
+from .model import InfeasibleError, SizeCapError
 from .rationals import render_rational
 
 EXIT_OK = 0
@@ -266,6 +266,9 @@ def cmd_solve(args, argline) -> int:
             capped = True
             payload[method] = {"capped": str(exc)}
             print(f"{method}: {exc}")
+        except InfeasibleError:
+            payload[method] = {"feasible": False}
+            print(f"{method}: INFEASIBLE")
 
     try:
         j = families.default_j_sets(inst.provenance)

@@ -23,7 +23,8 @@ from itertools import combinations
 from math import ceil
 from operator import itemgetter
 
-from .model import E1, E2, E3, DstInstance, GapObjects, SizeCapError
+from .model import (E1, E2, E3, DstInstance, GapObjects, InfeasibleError,
+                    SizeCapError)
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +183,33 @@ def solve_structured(inst: DstInstance,
     bitmasks.  Bit i of a color mask is the i-th color in (number of
     candidate B-vertices, index) order, so the branching color (the
     uncovered one with the fewest candidates) is the lowest zero bit.
+    Raises InfeasibleError if the instance's edges do not reach every
+    terminal.
     """
     obj = inst.provenance
     na, nb, k = obj.num_a, obj.num_b, obj.k
-    kv_sets = obj.color_sets_by_b()
+    # Read the instance's edges, not its objects, since a file may leave
+    # edges out: B-vertex v may be opened from A-vertex u if r->u and
+    # u->v are present, and then covers the colors of the edges v'->t if
+    # its copy edge v->v' is present.  On a complete instance nbr[v] is
+    # v's neighbourhood in H and kv_sets[v] is K_v.
+    a_off, b_off, bp_off, t_off = map(inst.level_offset, (1, 2, 3, 4))
+    rooted = 0
+    nbr = [0] * nb
+    copied = [False] * nb
+    kv_sets = [set() for _ in range(nb)]
+    for tail, head, klass in zip(inst.tails, inst.heads, inst.classes):
+        if klass == E1:
+            rooted |= 1 << (head - a_off)
+        elif klass == E2:
+            nbr[head - b_off] |= 1 << (tail - a_off)
+        elif klass == E3:
+            copied[tail - b_off] = True
+        else:
+            kv_sets[tail - bp_off].add(head - t_off)
+    nbr = [m & rooted for m in nbr]
+    kv_sets = [colors if nbr[v] and copied[v] else set()
+               for v, colors in enumerate(kv_sets)]
     by_color = [[] for _ in range(k)]
     for v, colors in enumerate(kv_sets):
         for c in colors:
@@ -196,15 +220,13 @@ def solve_structured(inst: DstInstance,
         pos[c] = i
     by_pos = [by_color[c] for c in order]
     kv = [sum(1 << pos[c] for c in colors) for colors in kv_sets]
-    nbr = [0] * nb
-    for a, b, _ in obj.edges:
-        nbr[b] |= 1 << a
     nbr_bits = [[1 << u for u in _bit_indices(m)] for m in nbr]
     full = (1 << k) - 1
 
     greedy = _greedy_cover(kv, nbr, na, nb, full)
     if greedy is None:
-        raise ValueError("colors are not coverable; instance is infeasible")
+        raise InfeasibleError("the colors are not coverable: a terminal "
+                              "cannot be reached from the root")
     best = greedy
     best_cost = nb * greedy[0].bit_count() + na * greedy[1].bit_count()
 

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import simplex
-from .model import DstInstance, SizeCapError
+from .model import DstInstance, InfeasibleError, SizeCapError
 from .flows import FractionalSolution
 
-# a dense exact tableau is practical up to a few hundred variables; the cap
-# is configurable for callers willing to wait
+# the exact tableau solves zk4's 118 variables in well under a second, but
+# its rows fill in as it pivots: subset m5's 415 variables take about 17 s.
+# The cap is configurable for callers willing to wait
 DEFAULT_VAR_CAP = 200
 
 
@@ -28,6 +29,7 @@ class LpResult:
     x_opt: FractionalSolution
     duals: tuple
     certified: bool  # exact primal/dual feasibility + equal objectives
+    stats: simplex.SimplexStats
 
 
 def _edges_toward(inst: DstInstance, t: int):
@@ -42,6 +44,8 @@ def _edges_toward(inst: DstInstance, t: int):
 
 
 def solve_lp_exact(inst: DstInstance, var_cap: int = DEFAULT_VAR_CAP) -> LpResult:
+    """The exact flow LP optimum with its duality certificate.  Raises
+    InfeasibleError if some terminal cannot be reached from the root."""
     ne = len(inst.tails)
     terminals = list(inst.terminals)
     rel = {t: _edges_toward(inst, t) for t in terminals}
@@ -88,11 +92,14 @@ def solve_lp_exact(inst: DstInstance, var_cap: int = DEFAULT_VAR_CAP) -> LpResul
             kinds.append(("capacity", inst.labels[t], i))
 
     sol = simplex.solve_lp(c, rows, senses, b)
+    if sol.status == simplex.INFEASIBLE:
+        raise InfeasibleError("the flow LP is infeasible: a terminal cannot "
+                              "be reached from the root")
     if sol.status != simplex.OPTIMAL:
         raise simplex.SimplexError(
-            f"flow LP reported {sol.status}; valid instances are always "
-            "feasible and bounded")
+            f"flow LP reported {sol.status}; its costs are nonnegative, so "
+            "it is bounded")
     certified = sol.check_certificate(c, rows, senses, b)
     x = FractionalSolution(tuple(sol.x[:ne]))
     duals = tuple(zip(kinds, sol.duals))
-    return LpResult(sol.value, x, duals, certified)
+    return LpResult(sol.value, x, duals, certified, sol.stats)

@@ -45,6 +45,11 @@ class SizeCapError(Exception):
     """A configured resource cap would be exceeded."""
 
 
+class InfeasibleError(Exception):
+    """The instance has no Steiner tree: some terminal cannot be reached
+    from the root, as when a file leaves out every edge into it."""
+
+
 @dataclass(frozen=True)
 class Check:
     name: str

@@ -1,4 +1,4 @@
-"""Exact two-phase simplex over rationals.
+"""Exact two-phase simplex over rationals, in sparse integer rows.
 
 Minimizes c.x subject to rows[i].x (<=, >=, =) b[i] and x >= 0, with every
 coefficient a Fraction.  No tolerances exist anywhere.  Pivoting is
@@ -6,14 +6,36 @@ steepest-coefficient (Dantzig) for speed but switches to Bland's rule
 whenever a run of degenerate pivots is detected and stays there until the
 objective strictly improves, which preserves Bland's termination guarantee.
 
+Each tableau row is a dict {column: int} of its nonzero numerators over one
+positive int denominator, the row kept in lowest terms; the reduced-cost
+row has the same form.  A pivot in column jc first scales the pivot row
+prow to p = prow[jc] > 0 with gcd 1, so that prow/p is the new row; every
+other row with f = row[jc] != 0 becomes (row*p - f*prow) / (den*p), in
+ints over the nonzeros, and one gcd puts it in lowest terms.  The ratio
+test cross-multiplies numerators, because a row's denominator cancels from
+its own ratio, and pricing compares numerators over the reduced-cost row's
+one denominator.  No Fraction is built inside the pivot loop: values are
+Fractions only where a phase sets up its rows and costs, and where x, the
+duals and the value are returned.
+
+The rows hold exactly the rationals of a dense Fraction tableau, every
+comparison is exact, and ties are broken by fixed rules: pricing takes the
+lowest column among equal minima, the ratio test the smallest basic index
+among equal ratios.  So the pivot sequence, the final basis, x and the
+duals are a function of the input alone: the representation of the rows
+cannot change them.
+
 The solver also returns exact duals, read off the final phase-2 reduced
-costs, so callers can assemble a strong-duality certificate.
+costs, so callers can assemble a strong-duality certificate, and counts
+its pivots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from typing import NamedTuple
 
 LE, GE, EQ = "<=", ">=", "="
 
@@ -22,7 +44,6 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 # consecutive degenerate pivots tolerated before switching to Bland
 _STALL_LIMIT = 12
@@ -32,12 +53,24 @@ class SimplexError(Exception):
     pass
 
 
+class SimplexStats(NamedTuple):
+    phase1_pivots: int = 0   # includes pivots that evict basic artificials
+    phase2_pivots: int = 0
+    degenerate_pivots: int = 0  # ratio-test pivots with step length 0
+    bland_switches: int = 0
+
+    @property
+    def pivots(self) -> int:
+        return self.phase1_pivots + self.phase2_pivots
+
+
 @dataclass
 class LpSolution:
     status: str
     value: Fraction | None
     x: list | None
     duals: list | None   # one per input row, sign convention below
+    stats: SimplexStats = SimplexStats()
 
     def check_certificate(self, c, rows, senses, b) -> bool:
         """Exact primal feasibility, dual feasibility, equal objectives.
@@ -71,20 +104,21 @@ class LpSolution:
         return primal == dual == self.value
 
 
+def _int_row(values: dict):
+    """A dict of Fractions as (nonzero int numerators, common denominator)."""
+    den = lcm(*(v.denominator for v in values.values()))
+    return {j: v.numerator * (den // v.denominator)
+            for j, v in values.items() if v}, den
+
+
 def solve_lp(c, rows, senses, b) -> LpSolution:
     """rows are sparse dicts {var_index: Fraction}."""
     m, n = len(rows), len(c)
     c = [Fraction(v) for v in c]
-    rows = [{j: Fraction(v) for j, v in r.items() if v} for r in rows]
     b = [Fraction(v) for v in b]
-    senses = list(senses)
-    flipped = [False] * m
-    for i in range(m):
-        if b[i] < 0:
-            rows[i] = {j: -v for j, v in rows[i].items()}
-            b[i] = -b[i]
-            flipped[i] = True
-            senses[i] = {LE: GE, GE: LE, EQ: EQ}[senses[i]]
+    flipped = [bi < 0 for bi in b]
+    senses = [{LE: GE, GE: LE, EQ: EQ}[s] if f else s
+              for s, f in zip(senses, flipped)]
 
     slack_col, art_col = {}, {}
     ncols = n
@@ -96,146 +130,164 @@ def solve_lp(c, rows, senses, b) -> LpSolution:
         if senses[i] != LE:
             art_col[i] = ncols
             ncols += 1
-    art_set = set(art_col.values())
+    art_set = frozenset(art_col.values())
 
-    tableau = [[_F0] * (ncols + 1) for _ in range(m)]
-    basis = [-1] * m
+    # the rhs is column ncols of each row
+    tab, den, basis = [], [], []
     for i in range(m):
-        row = tableau[i]
-        for j, v in rows[i].items():
-            row[j] = v
+        sign = -1 if flipped[i] else 1
+        row = {j: sign * Fraction(v) for j, v in rows[i].items()}
+        row[ncols] = sign * b[i]
         if i in slack_col:
-            row[slack_col[i]] = _F1 if senses[i] == LE else -_F1
+            row[slack_col[i]] = Fraction(1 if senses[i] == LE else -1)
         if i in art_col:
-            row[art_col[i]] = _F1
-            basis[i] = art_col[i]
-        else:
-            basis[i] = slack_col[i]
-        row[ncols] = b[i]
+            row[art_col[i]] = Fraction(1)
+        num, d = _int_row(row)
+        tab.append(num)
+        den.append(d)
+        basis.append(art_col[i] if i in art_col else slack_col[i])
 
+    counts = [0, 0, 0, 0]  # the SimplexStats fields, in order
     if art_col:
-        cost1 = [_F0] * ncols
-        for j in art_set:
-            cost1[j] = _F1
-        z1 = _run(tableau, basis, cost1, ncols, banned=frozenset())
-        if z1 is None:
+        bounded, z1, _ = _run(tab, den, basis,
+                              dict.fromkeys(art_set, Fraction(1)), ncols,
+                              frozenset(), counts, 0)
+        if not bounded:
             raise SimplexError("phase 1 unbounded: impossible")
-        if z1[ncols] != 0:
-            return LpSolution(INFEASIBLE, None, None, None)
-        _evict_artificials(tableau, basis, art_set, ncols)
+        if z1.get(ncols):
+            return LpSolution(INFEASIBLE, None, None, None,
+                              SimplexStats(*counts))
+        counts[0] += _evict_artificials(tab, den, basis, art_set, ncols)
 
-    cost2 = c + [_F0] * (ncols - n)
-    z2 = _run(tableau, basis, cost2, ncols, banned=frozenset(art_set))
-    if z2 is None:
-        return LpSolution(UNBOUNDED, None, None, None)
+    cost2 = {j: cj for j, cj in enumerate(c) if cj}
+    bounded, z2, zden = _run(tab, den, basis, cost2, ncols, art_set, counts, 1)
+    stats = SimplexStats(*counts)
+    if not bounded:
+        return LpSolution(UNBOUNDED, None, None, None, stats)
 
     x = [_F0] * n
     for i, bj in enumerate(basis):
         if bj < n:
-            x[bj] = tableau[i][ncols]
+            x[bj] = Fraction(tab[i].get(ncols, 0), den[i])
 
     # The reduced cost of a column is c_j - y^T A_j with y^T = c_B^T B^-1.
     # Row i's unit column (its slack on '<=' rows, its artificial otherwise)
     # has cost 0 and A_j = e_i, so y_i is minus its reduced cost.
     # A row negated on input gets the dual of its negation, sign flipped.
     unit = {**slack_col, **art_col}
-    y = [z2[unit[i]] if flipped[i] else -z2[unit[i]] for i in range(m)]
-    return LpSolution(OPTIMAL, -z2[ncols], x, y)
+    y = [Fraction(z2.get(unit[i], 0) if flipped[i] else -z2.get(unit[i], 0),
+                  zden) for i in range(m)]
+    return LpSolution(OPTIMAL, Fraction(-z2.get(ncols, 0), zden), x, y, stats)
 
 
-def _run(tableau, basis, cost, ncols, banned):
-    """Primal simplex iterations.
+def _run(tab, den, basis, cost, ncols, banned, counts, phase):
+    """Primal simplex iterations on the rows of tab.
 
-    Returns the final reduced-cost row (its last entry is minus the optimal
-    value), or None if the problem is unbounded.
+    cost is a dict {column: Fraction} of the nonzero costs.  Returns
+    (bounded, z, zden): whether the problem is bounded, and the final
+    reduced-cost row, numerators z over zden, whose rhs entry is minus the
+    objective value.  Adds the pivots to counts[phase] and the degenerate
+    pivots and Bland switches to counts[2] and counts[3].
     """
-    m = len(tableau)
-    z = [_F0] * (ncols + 1)
-    for j in range(ncols):
-        z[j] = cost[j]
-    for i in range(m):
-        cb = cost[basis[i]]
+    m = len(tab)
+    z = dict(cost)
+    for row, d, bj in zip(tab, den, basis):
+        cb = cost.get(bj)
         if cb:
-            row = tableau[i]
-            for j in range(ncols + 1):
-                if row[j]:
-                    z[j] -= cb * row[j]
+            for j, v in row.items():
+                z[j] = z.get(j, _F0) - cb * Fraction(v, d)
+    # the reduced-cost row rides along as row m, so that pivots update it
+    z, d = _int_row(z)
+    tab.append(z)
+    den.append(d)
 
     stall = 0
     bland = False
+    bounded = True
     while True:
-        enter = -1
-        if bland:
-            for j in range(ncols):
-                if j not in banned and z[j] < 0:
-                    enter = j
-                    break
-        else:
-            best = _F0
-            for j in range(ncols):
-                if j not in banned and z[j] < best:
-                    best = z[j]
-                    enter = j
-        if enter < 0:
-            return z
+        priced = [(v, j) for j, v in z.items()
+                  if v < 0 and j < ncols and j not in banned]
+        if not priced:
+            break
+        # Bland: the lowest improving column; Dantzig: the most negative
+        # reduced cost, lowest column among ties (all share one denominator)
+        enter = min(j for _, j in priced) if bland else min(priced)[1]
 
+        # min rhs/a over a > 0, ties to the smallest basic index; a row's
+        # denominator cancels from its ratio, and a > 0 keeps the
+        # cross-multiplied comparison exact
         leave = -1
-        best_ratio = None
-        for i in range(m):
-            a = tableau[i][enter]
-            if a > 0:
-                ratio = tableau[i][ncols] / a
-                if (best_ratio is None or ratio < best_ratio
-                        or (ratio == best_ratio and basis[i] < basis[leave])):
-                    best_ratio = ratio
-                    leave = i
+        for i in [i for i, row in enumerate(tab[:m]) if row.get(enter, 0) > 0]:
+            a, rhs = tab[i][enter], tab[i].get(ncols, 0)
+            if leave < 0 or rhs * best_a < best_rhs * a or (
+                    rhs * best_a == best_rhs * a and basis[i] < basis[leave]):
+                leave, best_rhs, best_a = i, rhs, a
         if leave < 0:
-            return None
+            bounded = False
+            break
 
-        if best_ratio == 0:
+        if best_rhs == 0:
+            counts[2] += 1
             stall += 1
-            if stall >= _STALL_LIMIT:
+            if stall >= _STALL_LIMIT and not bland:
                 bland = True
+                counts[3] += 1
         else:
             stall = 0
             bland = False
 
-        _pivot(tableau, z, basis, leave, enter, ncols)
+        _pivot(tab, den, leave, enter)
+        basis[leave] = enter
+        counts[phase] += 1
+        z = tab[m]
+    zden = den.pop()
+    return bounded, tab.pop(), zden
 
 
-def _pivot(tableau, z, basis, r, jc, ncols):
-    prow = tableau[r]
-    inv = _F1 / prow[jc]
-    if inv != 1:
-        for j in range(ncols + 1):
-            if prow[j]:
-                prow[j] *= inv
-    nz = [j for j in range(ncols + 1) if prow[j]]
-    for i, row in enumerate(tableau):
-        if i == r:
-            continue
+def _pivot(tab, den, r, jc):
+    """Make column jc basic in row r: every row of tab with a nonzero in jc,
+    the reduced-cost row included if present, loses it."""
+    prow = tab[r]
+    p = prow[jc]
+    if p < 0:
+        prow = {j: -v for j, v in prow.items()}
+    # the old den cancels from prow / prow[jc]
+    g = gcd(*prow.values())
+    if g > 1:
+        prow = {j: v // g for j, v in prow.items()}
+    p = prow[jc]
+    tab[r], den[r] = prow, p
+    pitems = prow.items()
+    for i in [i for i, row in enumerate(tab) if jc in row and i != r]:
+        row = tab[i]
         f = row[jc]
-        if f:
-            for j in nz:
-                row[j] -= f * prow[j]
-    f = z[jc]
-    if f:
-        for j in nz:
-            z[j] -= f * prow[j]
-    basis[r] = jc
+        new = {j: v * p for j, v in row.items()} if p != 1 else row
+        for j, v in pitems:
+            w = new.get(j, 0) - f * v
+            if w:
+                new[j] = w
+            else:
+                del new[j]
+        d = den[i] * p
+        g = gcd(d, *new.values())
+        if g > 1:
+            new = {j: v // g for j, v in new.items()}
+            d //= g
+        tab[i], den[i] = new, d
 
 
-def _evict_artificials(tableau, basis, art_set, ncols):
-    """Pivot basic artificials out where possible; leftover rows are redundant."""
-    m = len(tableau)
-    z = [_F0] * (ncols + 1)  # dummy cost row for _pivot
-    for i in range(m):
+def _evict_artificials(tab, den, basis, art_set, ncols) -> int:
+    """Pivot basic artificials out where possible; leftover rows are
+    redundant.  Returns the number of pivots."""
+    pivots = 0
+    for i, row in enumerate(tab):
         if basis[i] in art_set:
-            row = tableau[i]
-            enter = next(
-                (j for j in range(ncols) if j not in art_set and row[j]), -1)
+            enter = min((j for j in row if j < ncols and j not in art_set),
+                        default=-1)
             if enter >= 0:
-                _pivot(tableau, z, basis, i, enter, ncols)
-            elif row[ncols] != 0:
+                _pivot(tab, den, i, enter)
+                basis[i] = enter
+                pivots += 1
+            elif row.get(ncols):
                 raise SimplexError("inconsistent redundant row")
-
+    return pivots

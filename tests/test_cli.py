@@ -414,6 +414,27 @@ def test_solve_zk4_all(zk4_file, tmp_path, capsys):
     assert payload["certificate"]["alpha"] == "1/1"
 
 
+def test_solve_terminal_cut_off_exits_0(tmp_path, zk4_instance):
+    # zk4 with every edge into terminal 1 left out: all three methods report
+    # the instance infeasible, exit 0, under python and python -O
+    data = model.instance_to_dict(zk4_instance)
+    data["edges"] = [e for e in data["edges"] if e["head"] != "1"]
+    path = tmp_path / "cut-off.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "solve.json"
+    for flags in ([], ["-O"]):
+        proc = _run_cli(flags, "solve", str(path), "--out", str(out))
+        assert proc.returncode == EXIT_OK, (flags, proc.stderr)
+        assert proc.stderr == "", flags
+        assert proc.stdout.splitlines()[:3] == [
+            "structured: INFEASIBLE",
+            "brute: INFEASIBLE, unreachable ('1',)",
+            "lp: INFEASIBLE"], flags
+        payload = json.loads(out.read_text())
+        assert payload["structured"] == payload["lp"] == {"feasible": False}
+        assert payload["brute"] == {"feasible": False, "unreachable": ["1"]}
+
+
 def test_solve_brute_cap(tmp_path, zk9_instance):
     path = tmp_path / "zk9.json"
     path.write_text(model.instance_to_json(zk9_instance))

@@ -16,6 +16,7 @@ from dstgap.integral import (
     density_bound,
     solve_structured,
 )
+from dstgap.lp import solve_lp_exact
 from dstgap.model import (
     E4,
     SizeCapError,
@@ -263,6 +264,24 @@ def test_brute_reads_only_the_graph(subset_m6_instance, omit):
     assert len(inst.tails) == len(subset_m6_instance.tails) - len(drop)
     res = brute_force_opt(inst)
     assert res.feasible and res.value == 5
+    assert solve_structured(inst).value == 5
+
+
+def test_structured_reads_omitted_edges(zk4_instance):
+    # zk4 less two root edges, two copy edges and one terminal edge: no
+    # 8/3 solution of the full instance survives, and the structured
+    # search, built from the edges, agrees with brute force on 10/3
+    drop = {("r", "{1,3}"), ("r", "{1,4}"), ("{1,2,4}", "{1,2,4}'"),
+            ("{2,3,4}", "{2,3,4}'"), ("{1,2,4}'", "1")}
+    data = instance_to_dict(zk4_instance)
+    data["edges"] = [e for e in data["edges"]
+                     if (e["tail"], e["head"]) not in drop]
+    inst = instance_from_dict(data)
+    s, b = solve_structured(inst), brute_force_opt(inst)
+    assert s.optimal and b.feasible
+    assert s.value == b.value == s.lower_bound == Fraction(10, 3)
+    lp = solve_lp_exact(inst)
+    assert lp.certified and lp.optimal_value <= s.value
 
 
 def test_brute_size_cap(zk9_instance):

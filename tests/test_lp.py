@@ -7,6 +7,7 @@ from dstgap.families import SubsetFamilyParams, subset_objects
 from dstgap.flows import canonical_solution, solution_cost, verify_feasibility
 from dstgap.lp import solve_lp_exact
 from dstgap.model import SizeCapError, build_instance
+from dstgap.simplex import SimplexStats
 
 from _util import permuted_subset_objects, toy_instance
 
@@ -66,3 +67,15 @@ def test_lp_var_cap(zk4_instance):
 def test_lp_duals_shape(zk4_lp):
     kinds = {kind for (kind, _, _), _ in zk4_lp.duals}
     assert kinds == {"conservation", "demand", "capacity"}
+
+
+def test_lp_pivot_counts(zk4_lp, m4_lp):
+    # 164 pivots on zk4 and 158 on m4, artificial evictions included, as
+    # the pivot rule and its tie-breaks fix them; a change to either, or a
+    # row update that is not exact, moves these
+    assert zk4_lp.stats == SimplexStats(phase1_pivots=139, phase2_pivots=25,
+                                        degenerate_pivots=157, bland_switches=4)
+    assert m4_lp.stats == SimplexStats(phase1_pivots=158, phase2_pivots=0,
+                                       degenerate_pivots=152, bland_switches=7)
+    assert (zk4_lp.stats.pivots, m4_lp.stats.pivots) == (164, 158)
+

@@ -1,11 +1,12 @@
+import random
+from collections import Counter
 from fractions import Fraction
-
-import pytest
+from itertools import combinations
 
 from dstgap.simplex import (
     EQ, GE, LE,
     INFEASIBLE, OPTIMAL, UNBOUNDED,
-    SimplexError,
+    SimplexStats,
     solve_lp,
 )
 
@@ -120,3 +121,100 @@ def test_duals_with_basic_artificial_and_flipped_row():
     assert sol.duals[2] == 0 and sol.duals[3] == F(-1, 2)
     assert sol.duals[0] + 2 * sol.duals[1] == F(3, 2)
     assert sol.check_certificate(c, rows, senses, b)
+
+
+def test_beale_switches_to_bland():
+    # Dantzig's rule stalls on Beale's example; after _STALL_LIMIT
+    # degenerate pivots the solver switches to Bland's rule once
+    c = [F(-3, 4), F(150), F(-1, 50), F(6)]
+    rows = [
+        {0: F(1, 4), 1: F(-60), 2: F(-1, 25), 3: F(9)},
+        {0: F(1, 2), 1: F(-90), 2: F(-1, 50), 3: F(3)},
+        {2: F(1)},
+    ]
+    sol = solve_lp(c, rows, [LE, LE, LE], [F(0), F(0), F(1)])
+    assert sol.stats == SimplexStats(phase1_pivots=0, phase2_pivots=18,
+                                     degenerate_pivots=16, bland_switches=1)
+    assert sol.stats.pivots == 18
+
+
+# ---------------------------------------------------------------------------
+# independent oracle: vertex enumeration
+
+def _solve_square(a, b):
+    """The unique solution of a x = b by Fraction Gaussian elimination, or
+    None if a is singular."""
+    n = len(a)
+    m = [list(row) + [rhs] for row, rhs in zip(a, b)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col]), None)
+        if piv is None:
+            return None
+        m[col], m[piv] = m[piv], m[col]
+        for r in range(n):
+            if r != col and m[r][col]:
+                f = m[r][col] / m[col][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return [m[i][n] / m[i][i] for i in range(n)]
+
+
+def _vertex_optimum(c, rows, senses, b):
+    """min c.x over the vertices of {x >= 0, rows (senses) b}, or None if
+    there is no feasible vertex: every choice of n active constraints,
+    x >= 0 included, solved exactly and kept if it satisfies them all."""
+    n = len(c)
+    cons = [([row.get(j, F(0)) for j in range(n)], s, rhs)
+            for row, s, rhs in zip(rows, senses, b)]
+    cons += [([F(int(i == j)) for i in range(n)], GE, F(0)) for j in range(n)]
+
+    def holds(coef, sense, rhs, x):
+        lhs = sum(a * xi for a, xi in zip(coef, x))
+        return {LE: lhs <= rhs, GE: lhs >= rhs, EQ: lhs == rhs}[sense]
+
+    best = None
+    for active in combinations(cons, n):
+        x = _solve_square([a for a, _, _ in active], [r for _, _, r in active])
+        if x is not None and all(holds(*con, x) for con in cons):
+            value = sum(ci * xi for ci, xi in zip(c, x))
+            if best is None or value < best:
+                best = value
+    return best
+
+
+def _random_box_lp(rng):
+    """2 or 3 variables, each boxed by x_j <= U_j, and 1 to 4 rows with
+    fractional and negative coefficients, any sense and any sign of rhs."""
+    n = rng.randint(2, 3)
+    c = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+    rows, senses, b = [], [], []
+    for _ in range(rng.randint(1, 4)):
+        rows.append({j: F(rng.randint(-6, 6), rng.randint(1, 3))
+                     for j in range(n) if rng.random() < 0.8})
+        senses.append(rng.choice([LE, GE, EQ]))
+        b.append(F(rng.randint(-8, 8), rng.randint(1, 3)))
+    for j in range(n):
+        rows.append({j: F(1)})
+        senses.append(LE)
+        b.append(F(rng.randint(1, 9), rng.randint(1, 2)))
+    return c, rows, senses, b
+
+
+def test_random_box_lps_match_vertex_enumeration():
+    rng = random.Random(2021)
+    seen = Counter()
+    for _ in range(400):
+        c, rows, senses, b = _random_box_lp(rng)
+        sol = solve_lp(c, rows, senses, b)
+        best = _vertex_optimum(c, rows, senses, b)
+        if best is None:
+            assert sol.status == INFEASIBLE
+        else:
+            assert sol.status == OPTIMAL
+            assert sol.value == best
+            assert sol.check_certificate(c, rows, senses, b)
+        seen[sol.status] += 1
+        seen.update(senses)
+        seen["negative rhs"] += any(bi < 0 for bi in b)
+    # the sample reaches every case it is meant to cover
+    assert all(seen[key] >= 50 for key in
+               (OPTIMAL, INFEASIBLE, LE, GE, EQ, "negative rhs")), seen
