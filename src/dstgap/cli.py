@@ -123,8 +123,10 @@ def cmd_verify(args, argline) -> int:
     inst, sha256 = load_instance(args.instance)
     sol = flows.canonical_solution(inst)
     report = flows.verify_feasibility(inst, sol)
+    # an automorphism that keeps x maps a representative's witness onto a
+    # witness for each terminal of its orbit
     witnesses_ok = True
-    for t in inst.terminals:
+    for t in report.representatives:
         try:
             w = flows.path_witness(inst, t)
             if not flows.check_path_witness(inst, w, sol):
@@ -152,6 +154,13 @@ def cmd_verify(args, argline) -> int:
                 {"terminal": e.label,
                  "cut_capacity": render_rational(e.cut.cut_capacity)}
                 for e in report.failing()
+            ],
+            "automorphisms": [
+                "(" + " ".join(map(str, g.cycle)) + ")"
+                for g in report.automorphisms
+            ],
+            "orbit_representatives": [
+                inst.labels[t] for t in report.representatives
             ],
         }
         atomic_write(args.json_out, json.dumps(payload, indent=1) + "\n")
@@ -184,6 +193,10 @@ def certificate_payload(cert, thresh=None):
 def cmd_certify(args, argline) -> int:
     inst, sha256 = load_instance(args.instance)
     objects = inst.provenance
+    if objects.family not in ("zk", "subset"):
+        raise CliError(f"instance {args.instance} has family "
+                       f"{objects.family!r}: certify needs the J-sets of "
+                       "the zk or subset family", EXIT_BAD_INPUT)
     if objects.family != "subset" and (args.sweep or args.thresh is not None):
         flag = "--sweep" if args.sweep else "--thresh"
         raise CliError(f"{flag} only applies to the subset family",
@@ -423,7 +436,17 @@ def main(argv=None) -> int:
     }
     try:
         args = parse_args(argv)
-        return handlers[args.cmd](args, argline)
+        code = handlers[args.cmd](args, argline)
+        sys.stdout.flush()  # so that a closed stdout shows up here
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (as `| head -1` does), which ends the
+        # command normally; stdout goes to the null device so that the
+        # interpreter's final flush does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except SystemExit as exc:  # argparse: --help, --version or a usage error
         return EXIT_BAD_PARAMS if exc.code not in (0, None) else EXIT_OK
     except CliError as exc:

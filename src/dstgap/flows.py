@@ -16,26 +16,46 @@ residual network, and the rest are the unique largest min-cut source side.
 That side is the same for every maximum flow (Picard and Queyranne 1980),
 so the witness does not depend on which maximum flow Dinic finds, and
 finding its edges walks only the sink side.
+
+A max-flow runs once per terminal orbit.  Both families label vertices with
+subsets of a ground set (zk colors with its bare elements), so a permutation
+of the ground set proposes a vertex map, level by level.  Two are tried: the
+full cycle of the ground set and the transposition of its two smallest
+elements.  A permutation is kept only when it is checked exactly on the
+instance: every edge maps to an edge, and x is kept.  It is then an
+automorphism of the network, and carries a terminal's largest min-cut
+source side onto that of the terminal's image, so a terminal's cut is its
+orbit representative's, mapped; so is a path witness.  Nothing is read
+from the family name; with no permutation kept, every terminal is its own
+orbit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .model import DstInstance
+from .model import DstInstance, parse_set_label
 
 
 @dataclass(frozen=True)
 class FractionalSolution:
-    """Edge capacities, aligned with the instance's edge columns."""
+    """Edge capacities, aligned with the instance's edge columns.  Its
+    integer form, used by every exact check: scale is the least common
+    denominator of x, and caps[i] = x[i] * scale."""
 
     x: tuple
+    scale: int = field(init=False, repr=False, compare=False)
+    caps: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if any(v < 0 for v in self.x):
+        scale = math.lcm(*{v.denominator for v in self.x})
+        caps = tuple([v.numerator * (scale // v.denominator) for v in self.x])
+        if caps and min(caps) < 0:
             raise ValueError("capacities must be non-negative")
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "caps", caps)
 
 
 def canonical_solution(inst: DstInstance) -> FractionalSolution:
@@ -176,6 +196,8 @@ class TerminalFlow:
 @dataclass(frozen=True)
 class FeasibilityReport:
     entries: tuple
+    automorphisms: tuple = ()    # the kept label automorphisms
+    representatives: tuple = ()  # the terminals whose max-flow was run
 
     @property
     def feasible(self) -> bool:
@@ -185,44 +207,163 @@ class FeasibilityReport:
         return [e for e in self.entries if not e.ok]
 
 
+@dataclass(frozen=True)
+class Automorphism:
+    """A ground-set permutation checked on an instance and a solution: its
+    vertex map fixes the root and each level, sends every edge to an edge
+    (edge_map) and keeps x.  So it maps a terminal's max-flows, min cuts
+    and path witnesses onto its image's."""
+
+    cycle: tuple       # ground-set elements, each mapped to the next
+    vertex_map: list   # vertex id -> vertex id
+    edge_map: list     # edge position -> edge position
+
+
+def _label_key(label: str):
+    """A set label as a frozenset, a bare integer (a zk color) as an int;
+    ValueError for anything else."""
+    try:
+        return parse_set_label(label)
+    except ValueError:
+        return int(label)
+
+
+def label_automorphisms(inst: DstInstance, sol: FractionalSolution) -> tuple:
+    """The full cycle of the labels' ground set and the transposition of its
+    two smallest elements, each kept if it passes every check.
+
+    The labels of levels 1, 2 and 4 are read once; level 3 is level 2
+    primed, so it follows level 2.  A label that reads as neither a set nor
+    an integer, or two labels of one level that read the same, keep none.
+    """
+    levels = []  # (vertex ids, label keys, key -> vertex id) per level
+    for lvl in (1, 2, 4):
+        ids = inst.level_ids(lvl)
+        try:
+            keys = [_label_key(inst.labels[v]) for v in ids]
+        except ValueError:
+            return ()
+        index = dict(zip(keys, ids))
+        if len(index) != len(keys):
+            return ()
+        levels.append((ids, keys, index))
+    ground = sorted(set().union(*(
+        key if isinstance(key, frozenset) else (key,)
+        for _, keys, _ in levels for key in keys)))
+    if len(ground) < 2:
+        return ()
+    found = []
+    for cycle in dict.fromkeys((tuple(ground), tuple(ground[:2]))):
+        sigma = dict(zip(ground, ground))
+        sigma.update(zip(cycle, cycle[1:] + cycle[:1]))
+        g = _check_automorphism(inst, sol, cycle, sigma.__getitem__, levels)
+        if g is not None:
+            found.append(g)
+    return tuple(found)
+
+
+def _check_automorphism(inst, sol, cycle, move, levels):
+    """The Automorphism the ground-set map `move` induces, or None if an
+    image label is missing or an edge or a capacity is not kept."""
+    vmap = [0] * inst.n  # the root is fixed
+    for ids, keys, index in levels:
+        images = [index.get(frozenset(map(move, key))
+                            if isinstance(key, frozenset) else move(key))
+                  for key in keys]
+        if None in images:
+            return None
+        vmap[ids.start:ids.stop] = images
+        if ids.start == inst.level_offset(2):  # level 3 is level 2 primed
+            nb = len(ids)
+            vmap[ids.stop:ids.stop + nb] = [w + nb for w in images]
+    ends = map(vmap.__getitem__, inst.tails), map(vmap.__getitem__, inst.heads)
+    emap = list(map(inst.edge_index.get, zip(*ends)))
+    if None in emap:
+        return None
+    caps = sol.caps
+    if tuple(map(caps.__getitem__, emap)) != caps:
+        return None
+    return Automorphism(cycle, vmap, emap)
+
+
+def _orbit_tree(terminals, automorphisms) -> dict:
+    """terminal -> None for the first terminal of each orbit, else the
+    (terminal, automorphism) that carries an earlier terminal of the orbit
+    to it.  Breadth-first, so each terminal comes after the one it is
+    carried from."""
+    tree = {}
+    for rep in terminals:
+        if rep in tree:
+            continue
+        tree[rep] = None
+        queue = [rep]
+        for t in queue:
+            for g in automorphisms:
+                u = g.vertex_map[t]
+                if u not in tree:
+                    tree[u] = (t, g)
+                    queue.append(u)
+    return tree
+
+
 def verify_feasibility(inst: DstInstance, sol: FractionalSolution,
                        terminals=None) -> FeasibilityReport:
     """Max-flow >= 1 for every terminal; empty terminal set is vacuous.
 
-    One integer network carries x * scale on every edge; each terminal's
-    run starts from those base capacities and ends with its min cut, whose
-    integer capacity must equal the integer flow.
+    With terminals=None, one max-flow runs per orbit of the terminals under
+    label_automorphisms(inst, sol); every other terminal's min cut is its
+    representative's, mapped through the automorphisms that carry the
+    representative to it.  An explicit list runs each listed terminal.
+    One integer network carries the integer capacities; each run starts
+    from them and ends with its min cut, whose integer capacity must equal
+    the integer flow.
     """
     if terminals is None:
+        automorphisms = label_automorphisms(inst, sol)
         terminals = inst.terminals
-    scale = math.lcm(*{v.denominator for v in sol.x})
-    tails, heads = inst.tails, inst.heads
-    caps = [v.numerator * (scale // v.denominator) for v in sol.x]
-    net = _Dinic(inst.n, tails, heads, caps)
+    else:
+        automorphisms = ()
+    tree = _orbit_tree(terminals, automorphisms)
+    caps = sol.caps
+    net = _Dinic(inst.n, inst.tails, inst.heads, caps)
     base = net.cap[:]
     head, to = net.head, net.to
-    vertices = frozenset(range(inst.n))
 
-    entries = []
-    for t in terminals:
+    found = {}  # terminal -> (integer flow, cut edges, sink side)
+    for t, step in tree.items():
+        if step is not None:
+            # an automorphism keeps x, so the mapped cut has the same
+            # capacity and is the image's largest-source-side min cut
+            p, g = step
+            flow, cut, sink = found[p]
+            found[t] = (flow, sorted(map(g.edge_map.__getitem__, cut)),
+                        list(map(g.vertex_map.__getitem__, sink)))
+            continue
         net.cap[:] = base
         flow = net.max_flow(inst.root, t)
-        level, sink_side = net.level, net.sink_side
+        level, sink = net.level, net.sink_side
         # edges into the sink side from outside it: edge j enters v as arc
         # 2j + 1 of v
-        cut = tuple(sorted(i >> 1 for v in sink_side for i in head[v]
-                           if i & 1 and level[to[i]] < 0))
+        cut = sorted(i >> 1 for v in sink for i in head[v]
+                     if i & 1 and level[to[i]] < 0)
         cut_int = sum(map(caps.__getitem__, cut))
-        value = Fraction(flow, scale)
-        cut_cap = Fraction(cut_int, scale)
         if cut_int != flow:
             raise RuntimeError(
                 f"max-flow/min-cut mismatch at terminal {inst.labels[t]}: "
-                f"flow {value}, cut capacity {cut_cap}")
-        res = MaxFlowResult(value, cut, cut_cap,
-                            vertices.difference(sink_side))
+                f"flow {Fraction(flow, sol.scale)}, cut capacity "
+                f"{Fraction(cut_int, sol.scale)}")
+        found[t] = (flow, cut, sink)
+
+    vertices = frozenset(range(inst.n))
+    entries = []
+    for t in terminals:
+        flow, cut, sink = found[t]
+        value = Fraction(flow, sol.scale)
+        res = MaxFlowResult(value, tuple(cut), value,
+                            vertices.difference(sink))
         entries.append(TerminalFlow(t, inst.labels[t], value, value >= 1, res))
-    return FeasibilityReport(tuple(entries))
+    representatives = tuple(t for t, step in tree.items() if step is None)
+    return FeasibilityReport(tuple(entries), automorphisms, representatives)
 
 
 @dataclass(frozen=True)
@@ -274,15 +415,18 @@ def check_path_witness(inst: DstInstance, witness: PathWitness,
     share no edge, so that weight is the edge's whole load)."""
     if sum(witness.weights, Fraction(0)) != 1:
         return False
+    caps, scale = sol.caps, sol.scale
     used_edges = set()
     for path, w in zip(witness.paths, witness.weights):
         if w < 0 or used_edges.intersection(path):
             return False
         used_edges.update(path)
+        # w <= x[i] exactly when ceil(w * scale) <= caps[i]
+        need = -(-w.numerator * scale // w.denominator)
         at = inst.root
         seen = {at}
         for i in path:
-            if inst.tails[i] != at or inst.heads[i] in seen or w > sol.x[i]:
+            if inst.tails[i] != at or inst.heads[i] in seen or need > caps[i]:
                 return False
             at = inst.heads[i]
             seen.add(at)

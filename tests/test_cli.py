@@ -125,6 +125,9 @@ def test_verify_ok(zk4_file, tmp_path, capsys):
     assert payload["path_witnesses_ok"]
     assert payload["header"]["tool"] == "dstgap"
     assert len(payload["header"]["instance_sha256"]) == 64
+    # S_4 is transitive on the terminals: one max-flow and one witness
+    assert payload["automorphisms"] == ["(1 2 3 4)", "(1 2)"]
+    assert payload["orbit_representatives"] == ["1"]
 
 
 def test_verify_corrupted_instance(tmp_path, zk4_instance, capsys):
@@ -135,11 +138,17 @@ def test_verify_corrupted_instance(tmp_path, zk4_instance, capsys):
     del data["edges"][idx]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
-    rc = main(["verify", str(path)])
+    report = tmp_path / "verify.json"
+    rc = main(["verify", str(path), "--json-out", str(report)])
     out = capsys.readouterr().out
     assert rc == EXIT_FALSE
     assert "FAIL terminal" in out
     assert "2/3" in out
+    # the copy edge of B-vertex {1,2,3} is gone: only (1 2) still maps
+    # every edge to an edge, and it swaps terminals 1 and 2
+    payload = json.loads(report.read_text())
+    assert payload["automorphisms"] == ["(1 2)"]
+    assert payload["orbit_representatives"] == ["1", "3", "4"]
 
 
 def _run_cli(flags, *argv):
@@ -379,6 +388,19 @@ def test_certify_sweep(m6_file, capsys):
     assert "thresh           1" in text
 
 
+def test_certify_family_less_file_exits_3(tmp_path, zk4_instance, capsys):
+    # without meta.family the file loads as "generic", which has no default
+    # J-sets: the file is at fault, whatever the flags
+    data = model.instance_to_dict(zk4_instance)
+    del data["meta"]["family"]
+    path = tmp_path / "nofamily.json"
+    path.write_text(json.dumps(data))
+    for flags in ([], ["--sweep"], ["--thresh", "0"]):
+        assert main(["certify", str(path), *flags]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'generic'" in err, flags
+
+
 def test_certify_sweep_rejected_for_zk(zk4_file):
     assert main(["certify", str(zk4_file), "--sweep"]) == EXIT_BAD_PARAMS
 
@@ -503,6 +525,27 @@ def test_internal_error_exits_5(zk4_file, monkeypatch, capsys):
     assert main(["verify", str(zk4_file)]) == EXIT_INTERNAL
     assert capsys.readouterr().err == \
         "error: internal error: RuntimeError: flow layer failed\n"
+
+
+@pytest.mark.parametrize("buffered", [False, True],
+                         ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_closed_stdout_is_a_normal_end(zk4_file, flags, buffered):
+    # the reader closes the pipe before dstgap writes, as `| head -0` does:
+    # no error line and exit 0, whether the write that fails is a print
+    # (unbuffered) or the final flush (buffered)
+    src = os.path.dirname(os.path.dirname(dstgap.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, *flags, "-m", "dstgap.cli", "verify", str(zk4_file)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == EXIT_OK
+    assert err == ""
 
 
 def test_atomic_write(tmp_path):

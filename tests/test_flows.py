@@ -11,7 +11,7 @@ import pytest
 
 import dstgap
 
-from dstgap.families import SubsetFamilyParams, subset_objects
+from dstgap.families import SubsetFamilyParams, subset_objects, zk_objects
 from dstgap.flows import (
     FractionalSolution,
     canonical_solution,
@@ -22,9 +22,15 @@ from dstgap.flows import (
     verify_feasibility,
 )
 from dstgap.lp import DEFAULT_VAR_CAP, solve_lp_exact
-from dstgap.model import E3, build_instance
+from dstgap.model import (
+    E3,
+    build_instance,
+    instance_from_dict,
+    instance_to_dict,
+    parse_set_label,
+)
 
-from _util import toy_instance
+from _util import permuted_subset_objects, toy_instance
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +44,7 @@ def subset_m8_instance():
 def test_canonical_zk9(zk9_instance):
     sol = canonical_solution(zk9_instance)
     assert set(sol.x) == {Fraction(1, 56)}
+    assert sol.scale == 56 and set(sol.caps) == {1}
     assert solution_cost(zk9_instance, sol) == Fraction(9, 2)
 
 
@@ -280,6 +287,111 @@ def test_cut_mismatch_raises_under_optimize():
     assert "max-flow/min-cut mismatch" in proc.stdout
 
 
+# ---------------------------------------------------------------------------
+# terminal orbits
+
+def _e3_edge_left_out(inst, holds_1_and_2):
+    """The instance that inst's file loads as with the E3 edge of one
+    B-vertex left out: the first B-vertex whose set holds both 1 and 2, or
+    the first that holds exactly one of them."""
+    data = instance_to_dict(inst)
+    want = 2 if holds_1_and_2 else 1
+    i = next(i for i, e in enumerate(data["edges"])
+             if e["cost"] == "1/1" and e["head"].endswith("'")
+             and len(parse_set_label(e["tail"]) & {1, 2}) == want)
+    del data["edges"][i]
+    return instance_from_dict(data)
+
+
+def _family_deleted(inst):
+    data = instance_to_dict(inst)
+    del data["meta"]["family"]
+    return instance_from_dict(data)
+
+
+def _subset(m, a):
+    return build_instance(subset_objects(SubsetFamilyParams(m, a, 0)))
+
+
+def _relabeled_m5():
+    obj = subset_objects(SubsetFamilyParams(5, 2, 0))
+    perm = [1, 2, 3, 4, 5]
+    random.Random(5).shuffle(perm)
+    return build_instance(permuted_subset_objects(obj, dict(zip(range(1, 6),
+                                                                perm))))
+
+
+FULL = ["cycle", "(1 2)"]
+
+# name -> (instance, the generators kept under the canonical solution)
+ORBIT_CASES = {
+    "zk4": (lambda: build_instance(zk_objects(4)), FULL),
+    "zk9": (lambda: build_instance(zk_objects(9)), FULL),
+    "m4": (lambda: _subset(4, 2), FULL),
+    "m6": (lambda: _subset(6, 2), FULL),
+    "m8": (lambda: _subset(8, 2), FULL),
+    "m10a3": (lambda: _subset(10, 3), FULL),
+    "toy": (toy_instance, []),
+    "m5-relabeled": (_relabeled_m5, FULL),
+    "zk9-e3-at-12": (lambda: _e3_edge_left_out(build_instance(zk_objects(9)),
+                                               True), ["(1 2)"]),
+    "zk9-e3-at-1": (lambda: _e3_edge_left_out(build_instance(zk_objects(9)),
+                                              False), []),
+    "m6-e3-at-12": (lambda: _e3_edge_left_out(_subset(6, 2), True),
+                    ["(1 2)"]),
+    "m6-e3-at-1": (lambda: _e3_edge_left_out(_subset(6, 2), False), []),
+    "zk4-no-family": (lambda: _family_deleted(build_instance(zk_objects(4))),
+                      FULL),
+}
+
+
+def _orbit_solutions(inst):
+    """The canonical solution; the same with the first E3 edge at 0, which
+    only the transposition keeps on a full family instance with more than
+    one B-vertex; and sparse random capacities."""
+    canon = canonical_solution(inst)
+    zeroed = list(canon.x)
+    zeroed[inst.classes.index(E3)] = Fraction(0)
+    rng = random.Random(3)
+    noisy = tuple(Fraction(rng.choice((0, 1, 2, 3)), rng.randint(1, 4))
+                  for _ in inst.tails)
+    return [canon, FractionalSolution(tuple(zeroed)),
+            FractionalSolution(noisy)]
+
+
+@pytest.mark.parametrize("name", list(ORBIT_CASES))
+def test_orbit_path_matches_per_terminal_oracle(name):
+    make, kept = ORBIT_CASES[name]
+    inst = make()
+    for n, sol in enumerate(_orbit_solutions(inst)):
+        rep = verify_feasibility(inst, sol)
+        oracle = [max_flow_value(inst, sol, t) for t in inst.terminals]
+        assert [e.terminal for e in rep.entries] == list(inst.terminals)
+        for e, direct in zip(rep.entries, oracle):
+            assert e.value == direct.value
+            assert e.cut.cut_edges == direct.cut_edges
+            assert e.cut.cut_capacity == direct.cut_capacity
+            assert e.cut.source_side == direct.source_side
+        cycles = ["cycle" if len(g.cycle) > 2 else
+                  "(" + " ".join(map(str, g.cycle)) + ")"
+                  for g in rep.automorphisms]
+        if n == 0:
+            assert cycles == kept
+            if kept == FULL:
+                assert rep.representatives == (inst.terminals[0],)
+            if not kept:
+                assert rep.representatives == tuple(inst.terminals)
+        elif n == 1 and kept == FULL and inst.level_sizes[2] > 1:
+            assert cycles == ["(1 2)"]
+
+
+def test_explicit_terminals_run_directly(zk4_instance):
+    rep = verify_feasibility(zk4_instance, canonical_solution(zk4_instance),
+                             terminals=list(zk4_instance.terminals))
+    assert rep.automorphisms == ()
+    assert rep.representatives == tuple(zk4_instance.terminals)
+
+
 def test_empty_terminal_set_vacuous(zk4_instance):
     rep = verify_feasibility(zk4_instance, canonical_solution(zk4_instance),
                              terminals=[])
@@ -348,6 +460,14 @@ def test_check_witness_rejects_tampering(zk4_instance):
     # a path that does not start at the root
     bad = type(w)(w.terminal, (w.paths[0][1:],) + w.paths[1:], w.weights)
     assert not check_path_witness(zk4_instance, bad, sol)
+
+    # each path carries 1/3: over x = 3/10 on every edge, within x = 7/20
+    # (in integers, ceil(10/3) = 4 > 3 and ceil(20/3) = 7 <= 7)
+    m = len(zk4_instance.tails)
+    assert not check_path_witness(
+        zk4_instance, w, FractionalSolution((Fraction(3, 10),) * m))
+    assert check_path_witness(
+        zk4_instance, w, FractionalSolution((Fraction(7, 20),) * m))
 
 
 def test_toy_witness():
