@@ -276,8 +276,11 @@ def _check_automorphism(inst, sol, cycle, move, levels):
         if ids.start == inst.level_offset(2):  # level 3 is level 2 primed
             nb = len(ids)
             vmap[ids.stop:ids.stop + nb] = [w + nb for w in images]
-    ends = map(vmap.__getitem__, inst.tails), map(vmap.__getitem__, inst.heads)
-    emap = list(map(inst.edge_index.get, zip(*ends)))
+    # the image of edge (u, v) has code vmap[u] * n + vmap[v]
+    edge_at, n = inst.edge_index.get, inst.n
+    scaled = [w * n for w in vmap]
+    emap = [edge_at(scaled[u] + vmap[v])
+            for u, v in zip(inst.tails, inst.heads)]
     if None in emap:
         return None
     caps = sol.caps
@@ -386,7 +389,7 @@ def path_witness(inst: DstInstance, terminal: int) -> PathWitness:
     color = terminal - t_off
     if not 0 <= color < obj.k:
         raise ValueError(f"vertex {terminal} is not a terminal")
-    eidx = inst.edge_index
+    eidx, n = inst.edge_index, inst.n
     a_off, b_off = 1, 1 + obj.num_a
 
     paths = []
@@ -396,10 +399,10 @@ def path_witness(inst: DstInstance, terminal: int) -> PathWitness:
         u, v = a_off + a, b_off + b
         vp = inst.pi(v)
         paths.append((
-            eidx[(inst.root, u)],
-            eidx[(u, v)],
-            eidx[(v, vp)],
-            eidx[(vp, terminal)],
+            eidx[inst.root * n + u],
+            eidx[u * n + v],
+            eidx[v * n + vp],
+            eidx[vp * n + terminal],
         ))
     if len(paths) != obj.s:
         raise ValueError(f"terminal {inst.labels[terminal]} has {len(paths)} "

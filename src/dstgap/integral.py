@@ -50,7 +50,7 @@ def certify_gap(objects: GapObjects, j: tuple) -> GapCertificate:
         raise ValueError("J-set family must assign a set to every A-vertex")
 
     d, dp = objects.d, objects.d_prime
-    kv = objects.color_sets_by_b()
+    kv = objects.color_sets_by_b
 
     alpha = None
     per_u = []
@@ -99,7 +99,7 @@ def density_bound(objects: GapObjects, j: tuple, u: int, v_set):
     the covered-color count over the exact cost |B|/|A| + |v_set|.  The
     bound always dominates.
     """
-    kv = objects.color_sets_by_b()
+    kv = objects.color_sets_by_b
     neighbors = {b for a, b, _ in objects.edges if a == u}
     v_set = sorted(set(v_set))
     if not set(v_set) <= neighbors:

@@ -32,6 +32,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .rationals import parse_rational, render_rational
 
@@ -111,12 +112,15 @@ class GapObjects:
     def num_b(self) -> int:
         return len(self.b_labels)
 
-    def color_sets_by_b(self):
-        """K_v for every B-vertex: the set of color indices incident to v."""
+    @functools.cached_property
+    def color_sets_by_b(self) -> tuple:
+        """K_v for every B-vertex: the set of color indices incident to v.
+        Computed once per objects value: validate_objects, build_instance
+        and certify_gap all read it."""
         kv = [set() for _ in self.b_labels]
         for _, b, c in self.edges:
             kv[b].add(c)
-        return [frozenset(x) for x in kv]
+        return tuple(map(frozenset, kv))
 
 
 def parse_set_label(label: str):
@@ -204,7 +208,7 @@ def validate_objects(objects: GapObjects) -> ValidationReport:
         s * k == d * na == dp * nb == len(objects.edges),
         f"sk={s * k}, d|A|={d * na}, d'|B|={dp * nb}, |E|={len(objects.edges)}")
 
-    kv_sizes = [len(x) for x in objects.color_sets_by_b()]
+    kv_sizes = [len(x) for x in objects.color_sets_by_b]
     bad_kv = [objects.b_labels[i] for i, x in enumerate(kv_sizes) if x != dp]
     add("kv-size", not bad_kv,
         f"B-vertices with |K_v| != d'={dp}: {bad_kv[:5]}" if bad_kv else "")
@@ -268,8 +272,11 @@ class DstInstance:
 
     @functools.cached_property
     def edge_index(self) -> dict:
-        """(tail, head) -> edge position; built once per instance."""
-        return dict(zip(zip(self.tails, self.heads), range(len(self.tails))))
+        """Edge code tail * n + head -> edge position; built once per
+        instance.  An int code costs no tuple per edge."""
+        n = self.n
+        return {t * n + h: i
+                for i, (t, h) in enumerate(zip(self.tails, self.heads))}
 
 
 def _check_meta(objects: GapObjects) -> None:
@@ -311,7 +318,7 @@ def build_instance(objects: GapObjects) -> DstInstance:
     a_off, b_off = 1, 1 + na
     bp_off, t_off = 1 + na + nb, 1 + na + 2 * nb
 
-    kv = objects.color_sets_by_b()
+    kv = objects.color_sets_by_b
     rows = [(0, a_off + i, E1, None) for i in range(na)]
     rows += [(a_off + a, b_off + b, E2, c) for a, b, c in sorted(objects.edges)]
     rows += [(b_off + i, bp_off + i, E3, None) for i in range(nb)]
@@ -377,10 +384,31 @@ def instance_stats(inst: DstInstance) -> Stats:
 # ---------------------------------------------------------------------------
 # serialization
 
-def instance_to_dict(inst: DstInstance) -> dict:
+def _document(inst: DstInstance, edges: list) -> dict:
+    """The file's top-level object around the given edge entries."""
     obj = inst.provenance
     labels = inst.labels
-    levels = [[labels[i] for i in inst.level_ids(lvl)] for lvl in range(5)]
+    return {
+        "meta": {
+            "family": obj.family,
+            "params": obj.params,
+            "d": obj.d,
+            "d_prime": obj.d_prime,
+            "s": obj.s,
+            "k": obj.k,
+        },
+        "levels": [[labels[i] for i in inst.level_ids(lvl)]
+                   for lvl in range(5)],
+        "edges": edges,
+        "pi": {labels[i]: labels[inst.pi(i)] for i in inst.level_ids(2)},
+    }
+
+
+def instance_to_dict(inst: DstInstance) -> dict:
+    """The file as a dict tree, one dict per edge: the reference encoding,
+    whose json.dumps(indent=1) instance_to_json writes."""
+    labels = inst.labels
+    color_labels = inst.provenance.color_labels
     cost_text = {c: render_rational(q) for c, q in inst.class_costs.items()}
     edges = []
     for tail, head, klass, color in zip(inst.tails, inst.heads, inst.classes,
@@ -391,26 +419,52 @@ def instance_to_dict(inst: DstInstance) -> dict:
             "cost": cost_text[klass],
         }
         if color is not None:
-            entry["color"] = obj.color_labels[color]
+            entry["color"] = color_labels[color]
         edges.append(entry)
-    pi = {labels[i]: labels[inst.pi(i)] for i in inst.level_ids(2)}
-    return {
-        "meta": {
-            "family": obj.family,
-            "params": obj.params,
-            "d": obj.d,
-            "d_prime": obj.d_prime,
-            "s": obj.s,
-            "k": obj.k,
-        },
-        "levels": levels,
-        "edges": edges,
-        "pi": pi,
-    }
+    return _document(inst, edges)
+
+
+def _nested(value, depth: int) -> str:
+    """value as json.dumps(indent=1) writes it `depth` levels deep: a
+    newline in that text is always layout (strings escape theirs), so
+    `depth` more spaces after each nest it."""
+    return json.dumps(value, indent=1).replace("\n", "\n" + " " * depth)
+
+
+def _quote(label) -> str:
+    """A label as an edge entry's value in the file; the labels of a loaded
+    file need not be strings."""
+    if type(label) is str:
+        return encode_basestring_ascii(label)
+    return _nested(label, 3)
 
 
 def instance_to_json(inst: DstInstance) -> str:
-    return json.dumps(instance_to_dict(inst), indent=1) + "\n"
+    """The file text: json.dumps(instance_to_dict(inst), indent=1) + "\\n",
+    byte for byte.  The edges, the bulk of it, are written from one
+    template per shape with each label and cost quoted once, in place of
+    the per-edge dicts and the pure-Python indent encoder."""
+    d = _document(inst, [])
+    label = list(map(_quote, inst.labels))
+    color = list(map(_quote, inst.provenance.color_labels))
+    cost = {c: encode_basestring_ascii(render_rational(q))
+            for c, q in inst.class_costs.items()}
+    edges = [
+        f',\n  {{\n   "tail": {label[t]},\n   "head": {label[h]},'
+        f'\n   "cost": {cost[k]}\n  }}' if c is None else
+        f',\n  {{\n   "tail": {label[t]},\n   "head": {label[h]},'
+        f'\n   "cost": {cost[k]},\n   "color": {color[c]}\n  }}'
+        for t, h, k, c in zip(inst.tails, inst.heads, inst.classes,
+                              inst.colors)]
+    if edges:
+        edges[0] = edges[0][1:]  # no comma before the first edge
+        edges.append("\n ")
+    # one join, so the text is copied once
+    return "".join([
+        '{\n "meta": ', _nested(d["meta"], 1),
+        ',\n "levels": ', _nested(d["levels"], 1),
+        ',\n "edges": [', *edges,
+        '],\n "pi": ', _nested(d["pi"], 1), "\n}\n"])
 
 
 def instance_sha256(inst: DstInstance) -> str:

@@ -183,7 +183,7 @@ def test_j_set_sizes_match_hypergeometric_counts(m, a, thresh):
     j = default_j_sets(obj)
     expected_j = hypergeom_count(m, a, a, thresh, "above")
     assert all(len(js) == expected_j for js in j)
-    kv = obj.color_sets_by_b()
+    kv = obj.color_sets_by_b
     expected_res = hypergeom_count(2 * a, a, a, thresh, "at_most")
     assert all(len(kv[b] - j[u]) == expected_res
                for u, b, _ in obj.edges)

@@ -709,3 +709,10 @@ def test_mutated_files_never_crash(tmp_path_factory, valid_files, data):
             contextlib.redirect_stderr(io.StringIO()):
         rc = main(command[:1] + [str(path)] + command[1:])
     assert type(rc) is int and 0 <= rc <= 4
+    # a file that loads writes back as its dict tree's json.dumps
+    try:
+        inst = model.instance_from_json(path.read_bytes())
+    except (ValueError, KeyError, TypeError, AttributeError):
+        return
+    assert model.instance_to_json(inst) == json.dumps(
+        model.instance_to_dict(inst), indent=1) + "\n"

@@ -140,7 +140,7 @@ def test_zk_residual_is_one(zk4_objects, zk9_objects):
     # |K_B \ J_A| = 1 for every edge (A, B)
     for obj in (zk4_objects, zk9_objects):
         j = default_j_sets(obj)
-        kv = obj.color_sets_by_b()
+        kv = obj.color_sets_by_b
         assert all(len(kv[b] - j[a]) == 1 for a, b, _ in obj.edges)
 
 

@@ -105,7 +105,7 @@ def test_density_bound_zk9(zk9_objects):
 
 def test_density_bound_full_neighborhood(zk9_objects):
     j = default_j_sets(zk9_objects)
-    kv = zk9_objects.color_sets_by_b()
+    kv = zk9_objects.color_sets_by_b
     neighbors = sorted({b for a, b, _ in zk9_objects.edges if a == 0})
     bound, true = density_bound(zk9_objects, j, 0, neighbors)
     covered = frozenset().union(*(kv[v] for v in neighbors))

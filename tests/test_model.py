@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import os
 import random
@@ -12,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 import dstgap
-from dstgap.families import SubsetFamilyParams, subset_objects
+from dstgap.families import SubsetFamilyParams, subset_objects, zk_objects
 from dstgap.model import (
     E1, E2, E3, E4,
     GapObjects,
@@ -23,6 +24,7 @@ from dstgap.model import (
     instance_from_json,
     instance_sha256,
     instance_stats,
+    instance_to_dict,
     instance_to_dot,
     instance_to_json,
     parse_set_label,
@@ -60,7 +62,7 @@ def test_validate_subset_m6(subset_m6_objects):
 def test_validate_recolored_edge_fails(zk4_objects):
     edges = list(zk4_objects.edges)
     a, b, c = edges[0]
-    kv = zk4_objects.color_sets_by_b()
+    kv = zk4_objects.color_sets_by_b
     c2 = next(x for x in sorted(kv[b]) if x != c)
     edges[0] = (a, b, c2)
     rep = validate_objects(replace(zk4_objects, edges=tuple(edges)))
@@ -107,7 +109,7 @@ def test_build_subset_m6_counts(subset_m6_instance):
 def test_pi_out_neighbors_are_color_sets(zk4_instance, subset_m6_instance):
     for inst in (zk4_instance, subset_m6_instance):
         obj = inst.provenance
-        kv = obj.color_sets_by_b()
+        kv = obj.color_sets_by_b
         t_off = inst.level_offset(4)
         for i, v in enumerate(inst.level_ids(2)):
             nbrs = {w - t_off for u, w in zip(inst.tails, inst.heads)
@@ -293,6 +295,96 @@ def test_loader_builds_no_edge_index(zk4_instance, subset_m6_instance):
     for inst in (zk4_instance, subset_m6_instance):
         loaded = instance_from_json(instance_to_json(inst))
         assert "edge_index" not in loaded.__dict__
+
+
+# SHA-256 of the files `gen` writes; a writer change must keep every byte
+PINNED_SHA256 = {
+    "zk4": "aaf4c8725136cd4aaf785adba38af7ee8f33f7ef6a12217d4b7b2ec7e9372ca3",
+    "zk9": "9e984ae61237b24e8ffdb0879df7ed2c4e9305bf928a56ebf98a8554d3971082",
+    "zk16": "9d941671d3702da60446928d6ee15ab41035ab23093a47c64afc0bca8f7f6f37",
+    "m4": "beff2e76641ee73f2b8b8fbf2b42fad44e9c8489ddfeb1332dd93bce0e44f640",
+    "m6": "536cb97b406f25e40ffbe0ca3d643d9951a500a849f4ba3ae94296918f1b9423",
+    "m7a3": "ffda0df24496d4ad82fb5ac9849b5e7dfaf8c407ae3d862765051a51efe6874f",
+    "m10a3": "1c33cf57b39b87ad90c820affc681af16f5aab429c0effa3a7040b00e598570c",
+}
+FAMILY_OBJECTS = {
+    "zk4": lambda: zk_objects(4),
+    "zk9": lambda: zk_objects(9),
+    "zk16": lambda: zk_objects(16),
+    "m4": lambda: subset_objects(SubsetFamilyParams(4, 2, 0)),
+    "m6": lambda: subset_objects(SubsetFamilyParams(6, 2, 1)),
+    "m7a3": lambda: subset_objects(SubsetFamilyParams(7, 3, 1)),
+    "m10a3": lambda: subset_objects(SubsetFamilyParams(10, 3, 1)),
+}
+
+
+def _oracle(inst):
+    return json.dumps(instance_to_dict(inst), indent=1) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SHA256))
+def test_family_files_are_pinned(name):
+    inst = build_instance(FAMILY_OBJECTS[name]())
+    text = instance_to_json(inst)
+    assert text == _oracle(inst)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SHA256[name]
+    assert instance_sha256(inst) == PINNED_SHA256[name]
+
+
+def test_writer_matches_oracle_on_relabelled_objects(subset_m6_objects):
+    sigma = dict(zip(range(1, 7), (3, 6, 1, 5, 2, 4)))
+    inst = build_instance(permuted_subset_objects(subset_m6_objects, sigma))
+    assert instance_to_json(inst) == _oracle(inst)
+
+
+def test_writer_matches_oracle_on_loaded_files(zk4_instance):
+    data = instance_to_dict(zk4_instance)
+    classes = [("color" in e, e["cost"]) for e in data["edges"]]
+    # leave out the first E1 edge, an E3 edge and the last E4 edge
+    drop = {0, classes.index((False, "1/1")), len(classes) - 1}
+    data["edges"] = [e for i, e in enumerate(data["edges"]) if i not in drop]
+    loaded = instance_from_dict(data)
+    assert len(loaded.tails) == len(zk4_instance.tails) - 3
+    assert instance_to_json(loaded) == _oracle(loaded)
+    assert instance_to_dict(loaded) == data
+
+    generic = instance_to_dict(zk4_instance)
+    generic["meta"]["family"] = "generic"
+    generic["meta"]["params"] = {"note": {"b": [1, [2.5, None]], "a": {}},
+                                 "tags": [], "x": "\u00e9\""}
+    loaded = instance_from_dict(generic)
+    assert instance_to_json(loaded) == _oracle(loaded)
+    assert json.loads(instance_to_json(loaded)) == generic
+
+    # a file's labels need not be strings: integer terminals
+    numbered = instance_to_dict(zk4_instance)
+    terminals = set(numbered["levels"][4])
+    numbered["levels"][4] = [int(t) for t in numbered["levels"][4]]
+    for e in numbered["edges"]:
+        e.update((key, int(e[key])) for key in ("head", "color")
+                 if e.get(key) in terminals)
+    loaded = instance_from_dict(numbered)
+    assert instance_to_json(loaded) == _oracle(loaded)
+    assert json.loads(instance_to_json(loaded)) == numbered
+
+
+def test_writer_matches_oracle_on_awkward_labels(zk4_objects):
+    obj = zk4_objects
+    quoted = replace(
+        obj,
+        a_labels=tuple(f'A"{x}\\' for x in obj.a_labels),
+        b_labels=tuple(f"B\x01{x}\t\u00e9" for x in obj.b_labels),
+        color_labels=tuple(f"\u2603{x}\U0001f600\x7f" for x in obj.color_labels))
+    # labels built in code need not be strings
+    typed = replace(obj, a_labels=(("u", 1), 2, 2.5, None, "v", ("w", (3, "x"))),
+                    color_labels=(1, "2", ("t", 3), -4))
+    for objects in (quoted, typed):
+        inst = build_instance(objects)
+        assert instance_to_json(inst) == _oracle(inst)
+        assert instance_to_json(inst).isascii()
+    no_edges = replace(build_instance(quoted), tails=(), heads=(), classes=(),
+                       colors=())
+    assert instance_to_json(no_edges) == _oracle(no_edges)
 
 
 def test_dot_export(zk4_instance):
