@@ -18,9 +18,9 @@ from .model import (
     instance_stats,
 )
 from .families import zk_objects, subset_objects, default_j_sets, SubsetFamilyParams
-from .flows import canonical_solution, max_flow_value, verify_feasibility, path_witness
+from .flows import canonical_solution, verify_feasibility, path_witness
 from .lp import solve_lp_exact
-from .integral import certify_gap, density_bound, solve_structured, brute_force_opt
+from .integral import certify_gap, solve_structured, brute_force_opt
 
 __all__ = [
     "GapObjects",
@@ -34,12 +34,10 @@ __all__ = [
     "default_j_sets",
     "SubsetFamilyParams",
     "canonical_solution",
-    "max_flow_value",
     "verify_feasibility",
     "path_witness",
     "solve_lp_exact",
     "certify_gap",
-    "density_bound",
     "solve_structured",
     "brute_force_opt",
 ]

@@ -35,32 +35,10 @@ DEFAULT_DIGITS = 50
 # ---------------------------------------------------------------------------
 # exact hypergeometric machinery
 
-@dataclass(frozen=True)
-class TailQuery:
-    population: int
-    successes: int
-    draws: int
-    threshold: int
-
-    def __post_init__(self):
-        if not 0 <= self.successes <= self.population:
-            raise ValueError("need 0 <= successes <= population")
-        if not 0 <= self.draws <= self.population:
-            raise ValueError("need 0 <= draws <= population")
-
-
-def hypergeom_pmf(population: int, successes: int, draws: int):
-    """Exact pmf of the overlap count, indices 0..draws; sums to 1."""
-    total = comb(population, draws)
-    return [
-        Fraction(comb(successes, j) * comb(population - successes, draws - j),
-                 total)
-        for j in range(draws + 1)
-    ]
-
-
 def hypergeom_count(population, successes, draws, threshold, direction):
     """Number of draw-subsets whose overlap is > / <= the threshold."""
+    if not (0 <= successes <= population and 0 <= draws <= population):
+        raise ValueError("need 0 <= successes, draws <= population")
     if direction == "above":
         js = range(max(threshold + 1, 0), draws + 1)
     elif direction == "at_most":
@@ -71,13 +49,6 @@ def hypergeom_count(population, successes, draws, threshold, direction):
         comb(successes, j) * comb(population - successes, draws - j)
         for j in js
     )
-
-
-def hypergeom_tail(q: TailQuery, direction: str) -> Fraction:
-    """Exact Pr[X > threshold] ('above') or Pr[X <= threshold] ('at_most')."""
-    count = hypergeom_count(q.population, q.successes, q.draws,
-                            q.threshold, direction)
-    return Fraction(count, comb(q.population, q.draws))
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +208,6 @@ class AlphaRow:
     d_over_ja: Fraction
     dp_over_kb: Fraction
     log_alpha_over_m: Decimal
-    log_n_over_m: Decimal
 
 
 def alpha_asymptotics(m_list, digits: int = DEFAULT_DIGITS):
@@ -245,7 +215,7 @@ def alpha_asymptotics(m_list, digits: int = DEFAULT_DIGITS):
 
     By symmetry |J_A| is the same for every A and |K_B \\ J_A| the same for
     every incident pair, so alpha = min(d/|J_A|, d'/|K_B \\ J_A|).  Also
-    reports log(alpha)/m and log(n)/m, n being the would-be vertex count.
+    reports log(alpha)/m.
     """
     rows = []
     for m in sorted(m_list):
@@ -258,15 +228,12 @@ def alpha_asymptotics(m_list, digits: int = DEFAULT_DIGITS):
         d_over_ja = Fraction(d, ja)
         dp_over_kb = Fraction(dp, kb)
         alpha = min(d_over_ja, dp_over_kb)
-        k = comb(m, rm)
-        n = 1 + k + 2 * comb(m, 2 * rm) + k  # |A| = k for this family
         rows.append(AlphaRow(
             m=m,
             alpha=alpha,
             d_over_ja=d_over_ja,
             dp_over_kb=dp_over_kb,
             log_alpha_over_m=frac_log(alpha) / m,
-            log_n_over_m=frac_log(Fraction(n)) / m,
         ))
     return rows
 

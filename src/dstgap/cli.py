@@ -11,6 +11,7 @@ the SHA-256 of the instance file's bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -37,10 +38,19 @@ class CliError(Exception):
 
 
 def atomic_write(path: str, text: str) -> None:
+    """Write through path + ".tmp", so that path is never half written.  A
+    path that cannot be written is a bad parameter: CliError, exit 2, and
+    no .tmp file is left behind."""
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}",
+                       EXIT_BAD_PARAMS)
 
 
 def read_config(path: str) -> list:
@@ -104,10 +114,12 @@ def cmd_generate(args, argline) -> int:
     inst = model.build_instance(objects)
     stats = model.instance_stats(inst)
     text = model.instance_to_json(inst)
+    # the DOT text can exceed its cap, so it is rendered before any write
+    dot = model.instance_to_dot(inst) if args.dot else None
     if args.out:
         atomic_write(args.out, text)
     if args.dot:
-        atomic_write(args.dot, model.instance_to_dot(inst))
+        atomic_write(args.dot, dot)
     print(f"family           {objects.family} {objects.params}")
     print(f"n                {stats.n}")
     print(f"levels           {list(stats.level_sizes)}")
@@ -135,9 +147,11 @@ def cmd_verify(args, argline) -> int:
             witnesses_ok = False
 
     print(f"{'terminal':>12} {'flow':>8} status")
+    labels = inst.labels
     for e in report.entries:
         status = "ok" if e.ok else "LOW"
-        print(f"{e.label:>12} {render_rational(e.value):>8} {status}")
+        print(f"{labels[e.terminal]:>12} {render_rational(e.value):>8} "
+              f"{status}")
     all_unit = all(e.value == 1 for e in report.entries)
     if args.json_out:
         payload = {
@@ -146,13 +160,14 @@ def cmd_verify(args, argline) -> int:
             "all_flows_unit": all_unit,
             "path_witnesses_ok": witnesses_ok,
             "terminals": [
-                {"terminal": e.label, "flow": render_rational(e.value),
-                 "ok": e.ok}
+                {"terminal": labels[e.terminal],
+                 "flow": render_rational(e.value), "ok": e.ok}
                 for e in report.entries
             ],
+            # a min cut's capacity is its terminal's max-flow value
             "failing_cuts": [
-                {"terminal": e.label,
-                 "cut_capacity": render_rational(e.cut.cut_capacity)}
+                {"terminal": labels[e.terminal],
+                 "cut_capacity": render_rational(e.value)}
                 for e in report.failing()
             ],
             "automorphisms": [
@@ -160,7 +175,7 @@ def cmd_verify(args, argline) -> int:
                 for g in report.automorphisms
             ],
             "orbit_representatives": [
-                inst.labels[t] for t in report.representatives
+                labels[t] for t in report.representatives
             ],
         }
         atomic_write(args.json_out, json.dumps(payload, indent=1) + "\n")
@@ -168,8 +183,9 @@ def cmd_verify(args, argline) -> int:
         print("verified: feasible, all flows exactly 1")
         return EXIT_OK
     for e in report.failing():
-        print(f"FAIL terminal {e.label}: flow {render_rational(e.value)} < 1, "
-              f"cut capacity {render_rational(e.cut.cut_capacity)}")
+        value = render_rational(e.value)
+        print(f"FAIL terminal {labels[e.terminal]}: flow {value} < 1, "
+              f"cut capacity {value}")
     if not witnesses_ok:
         print("FAIL path witness invalid")
     return EXIT_FALSE
@@ -356,6 +372,13 @@ def cmd_bounds(args, argline) -> int:
     return EXIT_OK if all_ok else EXIT_FALSE
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"negative: {value}")
+    return value
+
+
 def int_list(text: str) -> list:
     """'64,128' -> [64, 128]."""
     return [int(x) for x in text.split(",")]
@@ -375,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int)
     p.add_argument("--a", type=int)
     p.add_argument("--thresh", type=int)
-    p.add_argument("--max-edges", type=int, default=families.DEFAULT_EDGE_CAP)
+    p.add_argument("--max-edges", type=non_negative_int,
+                   default=families.DEFAULT_EDGE_CAP)
     p.add_argument("--out")
     p.add_argument("--dot")
     p.add_argument("--config")
@@ -397,8 +421,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--method", choices=["structured", "brute", "lp", "all"],
                    default="all")
-    p.add_argument("--brute-cap", type=int, default=integral.DEFAULT_BRUTE_CAP)
-    p.add_argument("--lp-cap", type=int, default=lp.DEFAULT_VAR_CAP)
+    p.add_argument("--brute-cap", type=non_negative_int,
+                   default=integral.DEFAULT_BRUTE_CAP)
+    p.add_argument("--lp-cap", type=non_negative_int,
+                   default=lp.DEFAULT_VAR_CAP)
     p.add_argument("--out")
     p.add_argument("--config")
 

@@ -15,7 +15,8 @@ reach the root: the vertices it labels still reach the terminal in the
 residual network, and the rest are the unique largest min-cut source side.
 That side is the same for every maximum flow (Picard and Queyranne 1980),
 so the witness does not depend on which maximum flow Dinic finds, and
-finding its edges walks only the sink side.
+finding its edges walks only the sink side.  A terminal's record keeps the
+cut edges and the sink side, which the canonical solution makes {t}.
 
 A max-flow runs once per terminal orbit.  Both families label vertices with
 subsets of a ground set (zk colors with its bare elements), so a permutation
@@ -171,26 +172,25 @@ class _Dinic:
 
 
 @dataclass(frozen=True)
-class MaxFlowResult:
+class TerminalFlow:
+    """One terminal's exact max-flow value and its min cut: the edges, in
+    ascending order, into the sink side (the vertices that still reach the
+    terminal in the residual network) from outside it."""
+
+    terminal: int
     value: Fraction
-    cut_edges: tuple       # edge indices crossing the min cut
-    cut_capacity: Fraction
-    source_side: frozenset  # the largest min-cut source side
+    cut_edges: tuple
+    sink_side: frozenset
+
+    @property
+    def ok(self) -> bool:
+        return self.value >= 1
 
 
 def max_flow_value(inst: DstInstance, sol: FractionalSolution,
-                   terminal: int) -> MaxFlowResult:
+                   terminal: int) -> TerminalFlow:
     """Exact max-flow from the root to `terminal` under capacities sol.x."""
-    return verify_feasibility(inst, sol, [terminal]).entries[0].cut
-
-
-@dataclass(frozen=True)
-class TerminalFlow:
-    terminal: int
-    label: str
-    value: Fraction
-    ok: bool  # value >= 1
-    cut: MaxFlowResult
+    return verify_feasibility(inst, sol, [terminal]).entries[0]
 
 
 @dataclass(frozen=True)
@@ -332,41 +332,37 @@ def verify_feasibility(inst: DstInstance, sol: FractionalSolution,
     base = net.cap[:]
     head, to = net.head, net.to
 
-    found = {}  # terminal -> (integer flow, cut edges, sink side)
+    found = {}  # terminal -> TerminalFlow
     for t, step in tree.items():
         if step is not None:
             # an automorphism keeps x, so the mapped cut has the same
             # capacity and is the image's largest-source-side min cut
             p, g = step
-            flow, cut, sink = found[p]
-            found[t] = (flow, sorted(map(g.edge_map.__getitem__, cut)),
-                        list(map(g.vertex_map.__getitem__, sink)))
+            e = found[p]
+            found[t] = TerminalFlow(
+                t, e.value, tuple(sorted(map(g.edge_map.__getitem__,
+                                             e.cut_edges))),
+                frozenset(map(g.vertex_map.__getitem__, e.sink_side)))
             continue
         net.cap[:] = base
         flow = net.max_flow(inst.root, t)
         level, sink = net.level, net.sink_side
         # edges into the sink side from outside it: edge j enters v as arc
         # 2j + 1 of v
-        cut = sorted(i >> 1 for v in sink for i in head[v]
-                     if i & 1 and level[to[i]] < 0)
+        cut = tuple(sorted(i >> 1 for v in sink for i in head[v]
+                           if i & 1 and level[to[i]] < 0))
         cut_int = sum(map(caps.__getitem__, cut))
         if cut_int != flow:
             raise RuntimeError(
                 f"max-flow/min-cut mismatch at terminal {inst.labels[t]}: "
                 f"flow {Fraction(flow, sol.scale)}, cut capacity "
                 f"{Fraction(cut_int, sol.scale)}")
-        found[t] = (flow, cut, sink)
+        found[t] = TerminalFlow(t, Fraction(flow, sol.scale), cut,
+                                frozenset(sink))
 
-    vertices = frozenset(range(inst.n))
-    entries = []
-    for t in terminals:
-        flow, cut, sink = found[t]
-        value = Fraction(flow, sol.scale)
-        res = MaxFlowResult(value, tuple(cut), value,
-                            vertices.difference(sink))
-        entries.append(TerminalFlow(t, inst.labels[t], value, value >= 1, res))
+    entries = tuple(map(found.__getitem__, terminals))
     representatives = tuple(t for t, step in tree.items() if step is None)
-    return FeasibilityReport(tuple(entries), automorphisms, representatives)
+    return FeasibilityReport(entries, automorphisms, representatives)
 
 
 @dataclass(frozen=True)

@@ -92,31 +92,6 @@ def certify_gap(objects: GapObjects, j: tuple) -> GapCertificate:
     )
 
 
-def density_bound(objects: GapObjects, j: tuple, u: int, v_set):
-    """(bound, true_density) for the single-root-edge subtree on u and v_set.
-
-    bound = (|J_u| + sum |K_v \\ J_u|) / (d/d' + |v_set|); true density is
-    the covered-color count over the exact cost |B|/|A| + |v_set|.  The
-    bound always dominates.
-    """
-    kv = objects.color_sets_by_b
-    neighbors = {b for a, b, _ in objects.edges if a == u}
-    v_set = sorted(set(v_set))
-    if not set(v_set) <= neighbors:
-        raise ValueError("v_set must be a subset of u's neighbors")
-
-    ju = j[u]
-    bound_num = len(ju) + sum(len(kv[v] - ju) for v in v_set)
-    bound = Fraction(bound_num) / (Fraction(objects.d, objects.d_prime) + len(v_set))
-
-    covered = frozenset().union(*(kv[v] for v in v_set)) if v_set else frozenset()
-    true = Fraction(len(covered)) / (
-        Fraction(objects.num_b, objects.num_a) + len(v_set))
-    if bound < true:
-        raise RuntimeError(f"density bound {bound} below true density {true}")
-    return bound, true
-
-
 # ---------------------------------------------------------------------------
 # structured branch-and-bound solver
 

@@ -70,11 +70,6 @@ class ValidationReport:
         """All required structural invariants hold."""
         return all(c.passed for c in self.checks if c.required)
 
-    @property
-    def strict_ok(self) -> bool:
-        """All invariants hold, including the asymptotic shape inequalities."""
-        return all(c.passed for c in self.checks)
-
     def failures(self):
         return [c for c in self.checks if not c.passed]
 

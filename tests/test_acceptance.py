@@ -15,9 +15,7 @@ from dstgap.bounds import (
     alpha_asymptotics,
     chernoff_lower,
     chernoff_upper,
-    hypergeom_pmf,
-    hypergeom_tail,
-    TailQuery,
+    hypergeom_count,
     verify_ja_bound,
     verify_kb_bound,
 )
@@ -195,17 +193,22 @@ def test_criterion_8_hypergeometric_oracle():
     checks = []
     for m in SWEEP:
         rm, tm = m // 16, m // 64
+        # the pmf sums to 1: every overlap 0..rho m counts all draw-subsets
         checks.append((f"m={m} pmf(m, rho m, rho m) sums to 1",
-                       sum(hypergeom_pmf(m, rm, rm)) == 1))
+                       hypergeom_count(m, rm, rm, rm, "at_most")
+                       == comb(m, rm)))
         checks.append((f"m={m} pmf(2rho m, rho m, rho m) sums to 1",
-                       sum(hypergeom_pmf(2 * rm, rm, rm)) == 1))
+                       hypergeom_count(2 * rm, rm, rm, rm, "at_most")
+                       == comb(2 * rm, rm)))
         # first-lemma Chernoff instantiation: mu = rho^2 m, delta = 3
         mu = Fraction(rm * rm, m)
         upper = chernoff_upper(mu, Fraction(3))
-        tail = hypergeom_tail(TailQuery(m, rm, rm, tm), "above")
+        tail = Fraction(hypergeom_count(m, rm, rm, tm, "above"),
+                        comb(m, rm))
         checks.append((f"m={m} upper tail <= Chernoff", tail <= upper.lower))
         # second-lemma instantiation: mu = rho m / 2, delta = 1/2
         lower = chernoff_lower(Fraction(rm, 2), Fraction(1, 2))
-        tail = hypergeom_tail(TailQuery(2 * rm, rm, rm, tm), "at_most")
+        tail = Fraction(hypergeom_count(2 * rm, rm, rm, tm, "at_most"),
+                        comb(2 * rm, rm))
         checks.append((f"m={m} lower tail <= Chernoff", tail <= lower.lower))
     _report(8, "hypergeometric oracle vs Chernoff bounds", checks)

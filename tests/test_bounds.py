@@ -6,7 +6,6 @@ import pytest
 from dstgap.bounds import (
     RHO, THETA,
     DirectedBound,
-    TailQuery,
     alpha_asymptotics,
     chernoff_lower,
     chernoff_upper,
@@ -14,8 +13,6 @@ from dstgap.bounds import (
     exp_bounds,
     frac_log,
     hypergeom_count,
-    hypergeom_pmf,
-    hypergeom_tail,
     ja_count,
     kb_residual_count,
     verify_ja_bound,
@@ -27,31 +24,36 @@ from dstgap.families import SubsetFamilyParams, default_j_sets, subset_objects
 # ---------------------------------------------------------------------------
 # hypergeometric oracle
 
+def _tail(population, successes, draws, threshold, direction):
+    """Exact Pr[X > threshold] ('above') or Pr[X <= threshold] ('at_most')."""
+    return Fraction(hypergeom_count(population, successes, draws, threshold,
+                                    direction), comb(population, draws))
+
+
 def test_pmf_sums_to_one():
+    # every overlap 0..draws counted: all comb(pop, draws) draw-subsets
     for pop, succ, draws in ((64, 4, 4), (8, 4, 4), (10, 3, 7), (5, 0, 2)):
-        assert sum(hypergeom_pmf(pop, succ, draws)) == 1
+        assert _tail(pop, succ, draws, draws, "at_most") == 1
 
 
 def test_tail_closed_form_64():
-    q = TailQuery(64, 4, 4, 1)
     expected = 1 - Fraction(comb(60, 4), comb(64, 4)) \
         - 4 * Fraction(comb(60, 3), comb(64, 4))
-    assert hypergeom_tail(q, "above") == expected
+    assert _tail(64, 4, 4, 1, "above") == expected
 
 
 def test_tail_17_70():
-    assert hypergeom_tail(TailQuery(8, 4, 4, 1), "at_most") == Fraction(17, 70)
+    assert _tail(8, 4, 4, 1, "at_most") == Fraction(17, 70)
 
 
 def test_tail_above_threshold_ge_draws():
-    assert hypergeom_tail(TailQuery(10, 5, 3, 3), "above") == 0
-    assert hypergeom_tail(TailQuery(10, 5, 3, 7), "above") == 0
+    assert _tail(10, 5, 3, 3, "above") == 0
+    assert _tail(10, 5, 3, 7, "above") == 0
 
 
 def test_tail_complement():
-    q = TailQuery(12, 5, 6, 2)
-    above = hypergeom_tail(q, "above")
-    at_most = hypergeom_tail(q, "at_most")
+    above = _tail(12, 5, 6, 2, "above")
+    at_most = _tail(12, 5, 6, 2, "at_most")
     assert above + at_most == 1
 
 
@@ -62,9 +64,9 @@ def test_count_direction_error():
 
 def test_query_validation():
     with pytest.raises(ValueError):
-        TailQuery(4, 5, 2, 0)
+        hypergeom_count(4, 5, 2, 0, "above")
     with pytest.raises(ValueError):
-        TailQuery(4, 2, 5, 0)
+        hypergeom_count(4, 2, 5, 0, "above")
 
 
 # ---------------------------------------------------------------------------

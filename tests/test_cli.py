@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import hashlib
 import io
@@ -151,12 +152,35 @@ def test_verify_corrupted_instance(tmp_path, zk4_instance, capsys):
     assert payload["orbit_representatives"] == ["1", "3", "4"]
 
 
-def _run_cli(flags, *argv):
+# Reads a JSON list of argument lists on stdin, calls cli.main once per list
+# and writes a JSON list of [exit code, stdout, stderr], one per call.
+_BATCH = """
+import contextlib, io, json, sys
+from dstgap.cli import main
+runs = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    runs.append([code, out.getvalue(), err.getvalue()])
+json.dump(runs, sys.stdout)
+"""
+
+Run = collections.namedtuple("Run", "returncode stdout stderr")
+
+
+def _run_cli(flags, *argvs):
+    """The Run of each argument list, in order, all from one
+    `python [flags]` child that calls cli.main once per list."""
     src = os.path.dirname(os.path.dirname(dstgap.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run(
-        [sys.executable, *flags, "-m", "dstgap.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=60)
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _BATCH], input=json.dumps(argvs),
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    runs = [Run(*run) for run in json.loads(proc.stdout)]
+    assert len(runs) == len(argvs)
+    return runs
 
 
 def test_verify_wrong_s_is_invalid_witness(tmp_path, zk4_instance):
@@ -168,7 +192,7 @@ def test_verify_wrong_s_is_invalid_witness(tmp_path, zk4_instance):
     path.write_text(json.dumps(data))
     stdouts = []
     for flags in ([], ["-O"]):
-        proc = _run_cli(flags, "verify", str(path))
+        (proc,) = _run_cli(flags, ["verify", str(path)])
         assert proc.returncode == EXIT_BAD_INPUT, flags
         assert "Traceback" not in proc.stderr, flags
         assert "color-classes-are-matchings-of-size-s" in proc.stderr, flags
@@ -224,59 +248,81 @@ def _add_e4_edge(data):
     data["edges"].append(_missing_e4_edges(data)[0])
 
 
-def _check_tampered(path, code):
-    for command in ("verify", "certify"):
-        for flags in ([], ["-O"]):
-            proc = _run_cli(flags, command, str(path))
-            assert proc.returncode == code, (command, flags, proc.stderr)
-            assert "Traceback" not in proc.stderr, (command, flags)
-            if code == EXIT_BAD_INPUT:
-                assert proc.stderr.startswith("error: cannot load instance")
-                assert len(proc.stderr.splitlines()) == 1, proc.stderr
+def _check_tampered(runs, code):
+    for (command, flags), proc in runs:
+        assert proc.returncode == code, (command, flags, proc.stderr)
+        assert "Traceback" not in proc.stderr, (command, flags)
+        if code == EXIT_BAD_INPUT:
+            assert proc.stderr.startswith("error: cannot load instance")
+            assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
-@pytest.mark.parametrize("mutate, code", [
-    (_set_e1_costs("5/1"), EXIT_BAD_INPUT),  # would give OPT < LP
-    (_set_first_cost("-2/3"), EXIT_BAD_INPUT),
-    (_set_first_cost("1/0"), EXIT_BAD_INPUT),
-    (_set_meta("s", 2), EXIT_BAD_INPUT),
-    (_set_meta("s", 0), EXIT_BAD_INPUT),
-    (_set_meta("k", 5), EXIT_BAD_INPUT),
-    (_set_meta("d_prime", 0), EXIT_BAD_INPUT),
-    (_repeat_first_edge, EXIT_BAD_INPUT),
-    (_set_meta("family", "subset"), EXIT_BAD_INPUT),  # no a, m, thresh
-    (_set_meta("s", 3.0), EXIT_BAD_INPUT),  # passes the counting identity
-    (_set_param("k", 9), EXIT_BAD_INPUT),
-    (_add_e4_edge, EXIT_BAD_INPUT),  # not an edge of the objects' instance
-    (_set_e1_costs("4/6"), EXIT_OK),  # the class cost 2/3, spelled otherwise
-], ids=["e1-cost-5", "cost-negative", "cost-zero-den", "s-2", "s-0", "k-5",
-        "d-prime-0", "repeated-e1-edge", "family-subset", "s-float",
-        "params-k-9", "extra-e4-edge", "e1-cost-4/6"])
-def test_tampered_zk4_files(tmp_path, zk4_instance, mutate, code):
-    data = model.instance_to_dict(zk4_instance)
-    mutate(data)
-    path = tmp_path / "tampered.json"
-    path.write_text(json.dumps(data))
-    _check_tampered(path, code)
+# case id -> (mutation of the file's dict tree, the exit code of verify and
+# certify on the mutated file)
+ZK4_TAMPERED = {
+    "e1-cost-5": (_set_e1_costs("5/1"), EXIT_BAD_INPUT),  # would give OPT < LP
+    "cost-negative": (_set_first_cost("-2/3"), EXIT_BAD_INPUT),
+    "cost-zero-den": (_set_first_cost("1/0"), EXIT_BAD_INPUT),
+    "s-2": (_set_meta("s", 2), EXIT_BAD_INPUT),
+    "s-0": (_set_meta("s", 0), EXIT_BAD_INPUT),
+    "k-5": (_set_meta("k", 5), EXIT_BAD_INPUT),
+    "d-prime-0": (_set_meta("d_prime", 0), EXIT_BAD_INPUT),
+    "repeated-e1-edge": (_repeat_first_edge, EXIT_BAD_INPUT),
+    # no a, m, thresh
+    "family-subset": (_set_meta("family", "subset"), EXIT_BAD_INPUT),
+    # passes the counting identity
+    "s-float": (_set_meta("s", 3.0), EXIT_BAD_INPUT),
+    "params-k-9": (_set_param("k", 9), EXIT_BAD_INPUT),
+    # not an edge of the objects' instance
+    "extra-e4-edge": (_add_e4_edge, EXIT_BAD_INPUT),
+    # the class cost 2/3, spelled otherwise
+    "e1-cost-4/6": (_set_e1_costs("4/6"), EXIT_OK),
+}
+
+M6_TAMPERED = {
+    "no-thresh": (_del_param("thresh"), EXIT_BAD_INPUT),
+    "thresh-str": (_set_param("thresh", "1"), EXIT_BAD_INPUT),
+    "thresh-null": (_set_param("thresh", None), EXIT_BAD_INPUT),
+    "thresh-2": (_set_param("thresh", 2), EXIT_BAD_INPUT),  # need thresh < a
+    "no-a": (_del_param("a"), EXIT_BAD_INPUT),
+    "m-7": (_set_param("m", 7), EXIT_BAD_INPUT),  # C(7, 2) != k
+    "family-zk": (_set_meta("family", "zk"), EXIT_BAD_INPUT),
+    "thresh-0": (_set_param("thresh", 0), EXIT_OK),
+}
 
 
-@pytest.mark.parametrize("mutate, code", [
-    (_del_param("thresh"), EXIT_BAD_INPUT),
-    (_set_param("thresh", "1"), EXIT_BAD_INPUT),
-    (_set_param("thresh", None), EXIT_BAD_INPUT),
-    (_set_param("thresh", 2), EXIT_BAD_INPUT),  # need thresh < a
-    (_del_param("a"), EXIT_BAD_INPUT),
-    (_set_param("m", 7), EXIT_BAD_INPUT),  # C(7, 2) != k
-    (_set_meta("family", "zk"), EXIT_BAD_INPUT),
-    (_set_param("thresh", 0), EXIT_OK),
-], ids=["no-thresh", "thresh-str", "thresh-null", "thresh-2", "no-a", "m-7",
-        "family-zk", "thresh-0"])
-def test_tampered_m6_files(tmp_path, subset_m6_instance, mutate, code):
-    data = model.instance_to_dict(subset_m6_instance)
-    mutate(data)
-    path = tmp_path / "tampered.json"
-    path.write_text(json.dumps(data))
-    _check_tampered(path, code)
+@pytest.fixture(scope="module")
+def tampered_runs(tmp_path_factory, zk4_instance, subset_m6_instance):
+    """(instance name, case id) -> ((command, flags), Run) for verify and
+    certify on that tampered file, under python and python -O.  One child
+    per interpreter runs every case."""
+    tmp = tmp_path_factory.mktemp("tampered")
+    keys, argvs = [], []
+    for name, inst, cases in (("zk4", zk4_instance, ZK4_TAMPERED),
+                              ("m6", subset_m6_instance, M6_TAMPERED)):
+        for case, (mutate, _) in cases.items():
+            data = model.instance_to_dict(inst)
+            mutate(data)
+            path = tmp / f"tampered{len(argvs)}.json"
+            path.write_text(json.dumps(data))
+            for command in ("verify", "certify"):
+                keys.append((name, case, command))
+                argvs.append([command, str(path)])
+    runs = collections.defaultdict(list)
+    for flags in ([], ["-O"]):
+        for (name, case, command), run in zip(keys, _run_cli(flags, *argvs)):
+            runs[name, case].append(((command, flags), run))
+    return runs
+
+
+@pytest.mark.parametrize("case", list(ZK4_TAMPERED))
+def test_tampered_zk4_files(tampered_runs, case):
+    _check_tampered(tampered_runs["zk4", case], ZK4_TAMPERED[case][1])
+
+
+@pytest.mark.parametrize("case", list(M6_TAMPERED))
+def test_tampered_m6_files(tampered_runs, case):
+    _check_tampered(tampered_runs["m6", case], M6_TAMPERED[case][1])
 
 
 def test_edges_outside_objects_exit_3(tmp_path, subset_m6_instance):
@@ -286,11 +332,12 @@ def test_edges_outside_objects_exit_3(tmp_path, subset_m6_instance):
     data["edges"] += _missing_e4_edges(data)
     path = tmp_path / "extra.json"
     path.write_text(json.dumps(data))
-    for argv in (["verify"], ["certify", "--sweep"],
-                 ["solve", "--method", "brute"],
-                 ["solve", "--method", "structured"]):
-        for flags in ([], ["-O"]):
-            proc = _run_cli(flags, argv[0], str(path), *argv[1:])
+    argvs = [[argv[0], str(path), *argv[1:]]
+             for argv in (["verify"], ["certify", "--sweep"],
+                          ["solve", "--method", "brute"],
+                          ["solve", "--method", "structured"])]
+    for flags in ([], ["-O"]):
+        for argv, proc in zip(argvs, _run_cli(flags, *argvs)):
             assert proc.returncode == EXIT_BAD_INPUT, (argv, flags)
             assert proc.stderr.startswith("error: cannot load instance")
             assert len(proc.stderr.splitlines()) == 1, proc.stderr
@@ -445,7 +492,7 @@ def test_solve_terminal_cut_off_exits_0(tmp_path, zk4_instance):
     path.write_text(json.dumps(data))
     out = tmp_path / "solve.json"
     for flags in ([], ["-O"]):
-        proc = _run_cli(flags, "solve", str(path), "--out", str(out))
+        (proc,) = _run_cli(flags, ["solve", str(path), "--out", str(out)])
         assert proc.returncode == EXIT_OK, (flags, proc.stderr)
         assert proc.stderr == "", flags
         assert proc.stdout.splitlines()[:3] == [
@@ -555,6 +602,45 @@ def test_atomic_write(tmp_path):
     assert not (tmp_path / "out.txt.tmp").exists()
 
 
+def test_unwritable_output_exits_2(tmp_path, zk4_file):
+    # every output flag, to a missing directory or over a directory: one
+    # error line, exit 2 and no .tmp file left, under python and python -O
+    missing = tmp_path / "missing"
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    argvs = [
+        ["gen", "--family", "zk", "--k", "4", "--out", f"{missing}/f.json"],
+        ["gen", "--family", "zk", "--k", "4", "--out", str(taken)],
+        ["gen", "--family", "zk", "--k", "4", "--dot", f"{missing}/g.dot"],
+        ["verify", str(zk4_file), "--json-out", f"{missing}/r.json"],
+        ["certify", str(zk4_file), "--out", f"{missing}/c.json"],
+        ["solve", str(zk4_file), "--method", "structured",
+         "--out", f"{missing}/s.json"],
+        ["bounds", "--m-list", "64", "--csv", f"{missing}/b.csv"],
+        ["bounds", "--m-list", "64", "--json-out", str(taken)],
+    ]
+    for flags in ([], ["-O"]):
+        for argv, proc in zip(argvs, _run_cli(flags, *argvs)):
+            assert proc.returncode == EXIT_BAD_PARAMS, (argv, flags)
+            assert proc.stderr.startswith(f"error: cannot write {argv[-1]}: ")
+            assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert sorted(os.listdir(tmp_path)) == ["taken", "zk4.json"]
+    assert not any(taken.iterdir())
+
+
+def test_gen_writes_nothing_when_dot_is_capped(tmp_path, monkeypatch,
+                                               capsys):
+    # the DOT cap is hit after the instance is built: neither file appears
+    to_dot = model.instance_to_dot
+    monkeypatch.setattr(model, "instance_to_dot",
+                        lambda inst: to_dot(inst, max_vertices=10))
+    out, dot = tmp_path / "f.json", tmp_path / "g.dot"
+    assert main(["gen", "--family", "zk", "--k", "4", "--out", str(out),
+                 "--dot", str(dot)]) == EXIT_CAP
+    assert "DOT export capped at 10" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == []
+
+
 # Each value is bad for its option; given as a flag or as a config line,
 # argparse rejects it with exit 2 and a usage message.
 BAD_VALUES = [
@@ -564,6 +650,9 @@ BAD_VALUES = [
     (["bounds", "--m-list", "64"], "digits", "abc"),
     (["gen", "--family", "zk"], "k", "x"),
     (["solve", "{zk4}"], "method", "fastest"),
+    (["gen", "--family", "zk", "--k", "4"], "max-edges", "-1"),
+    (["solve", "{zk4}"], "brute-cap", "-1"),
+    (["solve", "{zk4}"], "lp-cap", "-5"),
 ]
 
 
@@ -597,21 +686,39 @@ INAPPLICABLE = [
 ]
 
 
+@pytest.fixture(scope="module")
+def inapplicable_runs(tmp_path_factory, subset_m6_instance):
+    """(case index, via_config) -> (out path, [Run under python, Run under
+    python -O]).  One child per interpreter runs every case."""
+    tmp = tmp_path_factory.mktemp("inapplicable")
+    m6_file = tmp / "m6.json"
+    m6_file.write_text(model.instance_to_json(subset_m6_instance))
+    cases, argvs = [], []
+    for i, (argv, key, value) in enumerate(INAPPLICABLE):
+        for via_config in (False, True):
+            out = tmp / f"out{len(argvs)}.json"
+            argv_i = [arg.format(m6=m6_file) for arg in argv] \
+                + ["--out", str(out)]
+            if via_config:
+                cfg = tmp / f"run{len(argvs)}.cfg"
+                cfg.write_text(f"{key} = {value}\n")
+                argv_i += ["--config", str(cfg)]
+            else:
+                argv_i += [f"--{key}", value]
+            cases.append(((i, via_config), out))
+            argvs.append(argv_i)
+    children = [_run_cli(flags, *argvs) for flags in ([], ["-O"])]
+    return {key: (out, [runs[j] for runs in children])
+            for j, (key, out) in enumerate(cases)}
+
+
 @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
-@pytest.mark.parametrize("argv, key, value", INAPPLICABLE,
+@pytest.mark.parametrize("case", range(len(INAPPLICABLE)),
                          ids=[f"{a[0]}-{k}" for a, k, _ in INAPPLICABLE])
-def test_inapplicable_options_exit_2(tmp_path, m6_file, argv, key, value,
-                                     via_config):
-    out = tmp_path / "out.json"
-    argv = [arg.format(m6=m6_file) for arg in argv] + ["--out", str(out)]
-    if via_config:
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{key} = {value}\n")
-        argv += ["--config", str(cfg)]
-    else:
-        argv += [f"--{key}", value]
-    for flags in ([], ["-O"]):
-        proc = _run_cli(flags, *argv)
+def test_inapplicable_options_exit_2(inapplicable_runs, case, via_config):
+    key = INAPPLICABLE[case][1]
+    out, runs = inapplicable_runs[case, via_config]
+    for flags, proc in zip(([], ["-O"]), runs):
         assert proc.returncode == EXIT_BAD_PARAMS, (flags, proc.stderr)
         assert "Traceback" not in proc.stderr
         errors = [ln for ln in proc.stderr.splitlines() if "error:" in ln]
@@ -631,7 +738,8 @@ def test_config_bad_value_exits_2_under_O(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("digits = abc\n")
     for flags in ([], ["-O"]):
-        proc = _run_cli(flags, "bounds", "--m-list", "64", "--config", str(cfg))
+        (proc,) = _run_cli(flags,
+                           ["bounds", "--m-list", "64", "--config", str(cfg)])
         assert proc.returncode == EXIT_BAD_PARAMS, flags
         assert "Traceback" not in proc.stderr, flags
         assert "argument --digits: invalid int value: 'abc'" in proc.stderr

@@ -69,18 +69,22 @@ def test_solution_rejects_negative():
 # ---------------------------------------------------------------------------
 # max-flow
 
+def _cut_capacity(sol, flow):
+    return sum((sol.x[i] for i in flow.cut_edges), Fraction(0))
+
+
 def test_max_flow_canonical_is_one(zk4_instance):
     inst = zk4_instance
     sol = canonical_solution(inst)
     for t in inst.terminals:
         res = max_flow_value(inst, sol, t)
         assert res.value == 1
-        assert res.cut_capacity == res.value
+        assert _cut_capacity(sol, res) == res.value
         # x = 1/s saturates t's s in-edges, so the sink side is {t} alone
         into_t = tuple(i for i, w in enumerate(inst.heads) if w == t)
         assert len(into_t) == inst.provenance.s
         assert res.cut_edges == into_t
-        assert res.source_side == frozenset(range(inst.n)) - {t}
+        assert res.sink_side == {t}
 
 
 def test_max_flow_all_zero(zk4_instance):
@@ -88,12 +92,12 @@ def test_max_flow_all_zero(zk4_instance):
     t = next(iter(zk4_instance.terminals))
     res = max_flow_value(zk4_instance, zero, t)
     assert res.value == 0
-    # nothing reaches t, so the largest source side is every other vertex
-    # and the cut is t's in-edges
+    # nothing reaches t, so the sink side is {t} alone and the cut is t's
+    # in-edges
     into_t = tuple(i for i, w in enumerate(zk4_instance.heads) if w == t)
     assert len(into_t) == 3
     assert res.cut_edges == into_t
-    assert res.source_side == frozenset(range(zk4_instance.n)) - {t}
+    assert res.sink_side == {t}
 
 
 def test_max_flow_scales_linearly(zk4_instance):
@@ -121,12 +125,13 @@ def test_zeroed_e3_edge_breaks_feasibility(zk4_instance):
     idx = inst.classes.index(E3)
     x = list(sol.x)
     x[idx] = Fraction(0)
-    rep = verify_feasibility(inst, FractionalSolution(tuple(x)))
+    sol = FractionalSolution(tuple(x))
+    rep = verify_feasibility(inst, sol)
     assert not rep.feasible
     failing = rep.failing()
     # the terminals colored at that B-vertex each lose one of their 3 paths
     assert failing and all(e.value == 1 - Fraction(1, 3) for e in failing)
-    assert all(e.cut.cut_capacity == e.value for e in failing)
+    assert all(_cut_capacity(sol, e) == e.value for e in failing)
 
 
 def _mixed_denominator_solutions(inst):
@@ -153,16 +158,16 @@ def test_shared_network_matches_fresh_max_flow(zk4_instance):
             assert [e.terminal for e in rep.entries] == order
             for e in rep.entries:
                 f = fresh[e.terminal]
-                assert e.value == f.value == e.cut.cut_capacity
-                assert e.cut.cut_edges == f.cut_edges
-                assert e.cut.source_side == f.source_side
+                assert e.value == f.value == _cut_capacity(sol, e)
+                assert e.cut_edges == f.cut_edges
+                assert e.sink_side == f.sink_side
 
 
 def _oracle_max_flow(inst, x, t):
     """Shortest augmenting paths over Fraction capacities; independent of
     flows._Dinic.  Returns the value, the edges into the set of vertices
-    that still reach t in the final residual network, and that set's
-    complement, the largest min-cut source side."""
+    that still reach t in the final residual network, and that set: the
+    sink side of the min cut whose source side is the largest."""
     tails, heads = inst.tails, inst.heads
     out_edges = [[] for _ in range(inst.n)]
     in_edges = [[] for _ in range(inst.n)]
@@ -215,7 +220,7 @@ def _oracle_max_flow(inst, x, t):
     cut = tuple(j for j, (u, w) in enumerate(zip(tails, heads))
                 if u not in sink and w in sink)
     assert sum((x[j] for j in cut), Fraction(0)) == value
-    return value, cut, frozenset(range(inst.n)) - sink
+    return value, cut, frozenset(sink)
 
 
 def _oracle_solutions(inst):
@@ -251,14 +256,14 @@ def test_max_flow_matches_oracle(name, request):
         assert [e.terminal for e in rep.entries] == list(inst.terminals)
         for e in rep.entries:
             value, cut, side = _oracle_max_flow(inst, sol.x, e.terminal)
-            assert e.value == e.cut.cut_capacity == value
-            assert e.cut.cut_edges == cut
-            assert e.cut.source_side == side
+            assert e.value == _cut_capacity(sol, e) == value
+            assert e.cut_edges == cut
+            assert e.sink_side == side
     # the last solution cuts the first terminal off, and only it: the root
     # still reaches every other terminal
     first, *rest = rep.entries
     assert first.value == 0 and all(e.value == 1 for e in rest)
-    assert first.cut.source_side >= set(inst.terminals[1:])
+    assert first.sink_side.isdisjoint(inst.terminals[1:])
 
 
 def test_cut_mismatch_raises_under_optimize():
@@ -368,10 +373,9 @@ def test_orbit_path_matches_per_terminal_oracle(name):
         oracle = [max_flow_value(inst, sol, t) for t in inst.terminals]
         assert [e.terminal for e in rep.entries] == list(inst.terminals)
         for e, direct in zip(rep.entries, oracle):
-            assert e.value == direct.value
-            assert e.cut.cut_edges == direct.cut_edges
-            assert e.cut.cut_capacity == direct.cut_capacity
-            assert e.cut.source_side == direct.source_side
+            assert e.value == direct.value == _cut_capacity(sol, e)
+            assert e.cut_edges == direct.cut_edges
+            assert e.sink_side == direct.sink_side
         cycles = ["cycle" if len(g.cycle) > 2 else
                   "(" + " ".join(map(str, g.cycle)) + ")"
                   for g in rep.automorphisms]

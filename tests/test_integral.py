@@ -13,7 +13,6 @@ from dstgap.families import SubsetFamilyParams, default_j_sets
 from dstgap.integral import (
     brute_force_opt,
     certify_gap,
-    density_bound,
     solve_structured,
 )
 from dstgap.lp import solve_lp_exact
@@ -90,42 +89,6 @@ def test_certify_self_check_raises_under_optimize():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "self-check failed: alpha mismatch" in proc.stdout
-
-
-# ---------------------------------------------------------------------------
-# density bound
-
-def test_density_bound_zk9(zk9_objects):
-    j = default_j_sets(zk9_objects)
-    neighbors = sorted({b for a, b, _ in zk9_objects.edges if a == 0})
-    bound, true = density_bound(zk9_objects, j, 0, neighbors[:1])
-    # lemma ceiling: d'/alpha = 4/2 = 2
-    assert true <= bound <= 2
-
-
-def test_density_bound_full_neighborhood(zk9_objects):
-    j = default_j_sets(zk9_objects)
-    kv = zk9_objects.color_sets_by_b
-    neighbors = sorted({b for a, b, _ in zk9_objects.edges if a == 0})
-    bound, true = density_bound(zk9_objects, j, 0, neighbors)
-    covered = frozenset().union(*(kv[v] for v in neighbors))
-    expected = Fraction(len(covered)) / (Fraction(126, 84) + len(neighbors))
-    assert true == expected
-    assert bound >= true
-
-
-def test_density_bound_empty_vset(zk9_objects):
-    j = default_j_sets(zk9_objects)
-    _, true = density_bound(zk9_objects, j, 0, [])
-    assert true == 0
-
-
-def test_density_bound_rejects_non_neighbors(zk9_objects):
-    j = default_j_sets(zk9_objects)
-    non_nbr = next(b for b in range(zk9_objects.num_b)
-                   if (0, b) not in {(a, bb) for a, bb, _ in zk9_objects.edges})
-    with pytest.raises(ValueError):
-        density_bound(zk9_objects, j, 0, [non_nbr])
 
 
 # ---------------------------------------------------------------------------
