@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
 import hashlib
 import json
@@ -37,18 +38,30 @@ class CliError(Exception):
         self.code = code
 
 
-def atomic_write(path: str, text: str) -> None:
-    """Write through path + ".tmp", so that path is never half written.  A
-    path that cannot be written is a bad parameter: CliError, exit 2, and
-    no .tmp file is left behind."""
-    tmp = path + ".tmp"
+def atomic_write(*paths_and_texts: str) -> None:
+    """Write each text to its path (the arguments alternate path, text)
+    through path + ".tmp", and replace the paths only once every .tmp file
+    is written: no path is half written, and a path that cannot be written
+    leaves every path as it was.  That is a bad parameter: CliError, exit
+    2, and no .tmp file is left behind.  Of two texts for one path, the
+    last is written."""
+    files = dict(zip(paths_and_texts[::2], paths_and_texts[1::2]))
+    started = []
     try:
-        with open(tmp, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for path, text in files.items():
+            # os.replace onto a directory fails: find that before any replace
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR,
+                                        os.strerror(errno.EISDIR))
+            started.append(path)
+            with open(path + ".tmp", "w") as fh:
+                fh.write(text)
+        for path in files:
+            os.replace(path + ".tmp", path)
     except OSError as exc:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
+        for done in started:
+            with contextlib.suppress(OSError):
+                os.remove(done + ".tmp")
         raise CliError(f"cannot write {path}: {exc.strerror or exc}",
                        EXIT_BAD_PARAMS)
 
@@ -115,11 +128,10 @@ def cmd_generate(args, argline) -> int:
     stats = model.instance_stats(inst)
     text = model.instance_to_json(inst)
     # the DOT text can exceed its cap, so it is rendered before any write
-    dot = model.instance_to_dot(inst) if args.dot else None
-    if args.out:
-        atomic_write(args.out, text)
+    files = [args.out, text] if args.out else []
     if args.dot:
-        atomic_write(args.dot, dot)
+        files += [args.dot, model.instance_to_dot(inst)]
+    atomic_write(*files)
     print(f"family           {objects.family} {objects.params}")
     print(f"n                {stats.n}")
     print(f"levels           {list(stats.level_sizes)}")
@@ -351,9 +363,7 @@ def cmd_bounds(args, argline) -> int:
         status = "ok" if ok else "VIOLATED"
         print(f"m={m:>5}  |J_A|/d {dec(ja.extras['ja_over_d'][0])} "
               f" |K_B\\J_A|/d' {dec(kb.exact)}  alpha {dec(row.alpha)}  {status}")
-    csv_text = "\n".join(lines) + "\n"
-    if args.csv:
-        atomic_write(args.csv, csv_text)
+    files = [args.csv, "\n".join(lines) + "\n"] if args.csv else []
     if args.json_out:
         payload = {
             "header": report_header(argline),
@@ -368,7 +378,8 @@ def cmd_bounds(args, argline) -> int:
                 for (m, ja, kb), row in zip(reports, alphas)
             ],
         }
-        atomic_write(args.json_out, json.dumps(payload, indent=1) + "\n")
+        files += [args.json_out, json.dumps(payload, indent=1) + "\n"]
+    atomic_write(*files)
     return EXIT_OK if all_ok else EXIT_FALSE
 
 

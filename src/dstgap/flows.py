@@ -18,12 +18,12 @@ so the witness does not depend on which maximum flow Dinic finds, and
 finding its edges walks only the sink side.  A terminal's record keeps the
 cut edges and the sink side, which the canonical solution makes {t}.
 
-A max-flow runs once per terminal orbit.  Both families label vertices with
-subsets of a ground set (zk colors with its bare elements), so a permutation
-of the ground set proposes a vertex map, level by level.  Two are tried: the
-full cycle of the ground set and the transposition of its two smallest
-elements.  A permutation is kept only when it is checked exactly on the
-instance: every edge maps to an edge, and x is kept.  It is then an
+A max-flow runs once per terminal orbit.  Every label names a subset of a
+ground set (model.label_set reads a bare integer x, a zk color, as {x}), so
+a permutation of the ground set proposes a vertex map, level by level.  Two
+are tried: the full cycle of the ground set and the transposition of its two
+smallest elements.  A permutation is kept only when it is checked exactly
+on the instance: every edge maps to an edge, and x is kept.  It is then an
 automorphism of the network, and carries a terminal's largest min-cut
 source side onto that of the terminal's image, so a terminal's cut is its
 orbit representative's, mapped; so is a path witness.  Nothing is read
@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .model import DstInstance, parse_set_label
+from .model import DstInstance, label_set
 
 
 @dataclass(frozen=True)
@@ -219,37 +219,27 @@ class Automorphism:
     edge_map: list     # edge position -> edge position
 
 
-def _label_key(label: str):
-    """A set label as a frozenset, a bare integer (a zk color) as an int;
-    ValueError for anything else."""
-    try:
-        return parse_set_label(label)
-    except ValueError:
-        return int(label)
-
-
 def label_automorphisms(inst: DstInstance, sol: FractionalSolution) -> tuple:
     """The full cycle of the labels' ground set and the transposition of its
     two smallest elements, each kept if it passes every check.
 
     The labels of levels 1, 2 and 4 are read once; level 3 is level 2
-    primed, so it follows level 2.  A label that reads as neither a set nor
-    an integer, or two labels of one level that read the same, keep none.
+    primed, so it follows level 2.  A label that label_set cannot read, or
+    two labels of one level that name the same set, keep none.
     """
     levels = []  # (vertex ids, label keys, key -> vertex id) per level
     for lvl in (1, 2, 4):
         ids = inst.level_ids(lvl)
         try:
-            keys = [_label_key(inst.labels[v]) for v in ids]
+            keys = [label_set(inst.labels[v]) for v in ids]
         except ValueError:
             return ()
         index = dict(zip(keys, ids))
         if len(index) != len(keys):
             return ()
         levels.append((ids, keys, index))
-    ground = sorted(set().union(*(
-        key if isinstance(key, frozenset) else (key,)
-        for _, keys, _ in levels for key in keys)))
+    ground = sorted(set().union(*(key for _, keys, _ in levels
+                                  for key in keys)))
     if len(ground) < 2:
         return ()
     found = []
@@ -267,9 +257,7 @@ def _check_automorphism(inst, sol, cycle, move, levels):
     image label is missing or an edge or a capacity is not kept."""
     vmap = [0] * inst.n  # the root is fixed
     for ids, keys, index in levels:
-        images = [index.get(frozenset(map(move, key))
-                            if isinstance(key, frozenset) else move(key))
-                  for key in keys]
+        images = [index.get(frozenset(map(move, key))) for key in keys]
         if None in images:
             return None
         vmap[ids.start:ids.stop] = images

@@ -42,9 +42,10 @@ def certify_gap(objects: GapObjects, j: tuple) -> GapCertificate:
     """Largest alpha with |J_u| <= d/alpha and |K_v \\ J_u| <= d'/alpha.
 
     j holds one J-set per A-vertex, a frozenset of color indices, as
-    `families.default_j_sets` returns.  Empty sets impose no constraint.
-    The result is recomputed from scratch by a second, independently
-    structured enumeration and the two values are required to agree.
+    `families.default_j_sets` returns.  Empty sets impose no constraint, so
+    alpha = min(d / max |J_u|, d' / max |K_v \\ J_u|), skipping a maximum
+    of 0.  The result is then checked edge by edge, in integers, by a
+    second and independent enumeration.
     """
     if len(j) != objects.num_a:
         raise ValueError("J-set family must assign a set to every A-vertex")
@@ -52,41 +53,33 @@ def certify_gap(objects: GapObjects, j: tuple) -> GapCertificate:
     d, dp = objects.d, objects.d_prime
     kv = objects.color_sets_by_b
 
-    alpha = None
-    per_u = []
     residual_max = [0] * objects.num_a
     for a, b, _ in objects.edges:
         r = len(kv[b] - j[a])
         if r > residual_max[a]:
             residual_max[a] = r
-    for a in range(objects.num_a):
-        ju = len(j[a])
-        for bound in (
-            Fraction(d, ju) if ju else None,
-            Fraction(dp, residual_max[a]) if residual_max[a] else None,
-        ):
-            if bound is not None and (alpha is None or bound < alpha):
-                alpha = bound
-        per_u.append((objects.a_labels[a], ju, residual_max[a]))
-    if alpha is None:
+    j_max = max(map(len, j), default=0)
+    r_max = max(residual_max, default=0)
+    bounds = [Fraction(n, size) for n, size in ((d, j_max), (dp, r_max))
+              if size]
+    if not bounds:
         raise ValueError("all constraints vacuous: empty color sets")
+    alpha = min(bounds)
 
-    # independent re-enumeration: per-edge pass instead of per-vertex pass
-    check = min(
-        [Fraction(d, len(js)) for js in j if js]
-        + [
-            Fraction(dp, len(kv[b] - j[a]))
-            for a, b, _ in objects.edges
-            if kv[b] - j[a]
-        ]
-    )
-    if check != alpha:
-        raise RuntimeError(
-            f"self-check failed: alpha mismatch ({alpha} vs {check})")
+    # independent check, from the sizes re-enumerated edge by edge: alpha =
+    # num/den meets every constraint, and one of them with equality, so no
+    # larger alpha does
+    num, den = alpha.numerator, alpha.denominator
+    residuals = {len(kv[b] - j[a]) for a, b, _ in objects.edges} - {0}
+    slack = [d * den - len(js) * num for js in j if js]
+    slack += [dp * den - r * num for r in residuals]
+    if 0 not in slack or any(x < 0 for x in slack):
+        raise RuntimeError(f"self-check failed: alpha mismatch ({alpha} is "
+                           "not the largest alpha meeting every constraint)")
 
     return GapCertificate(
         alpha=alpha,
-        per_u=tuple(per_u),
+        per_u=tuple(zip(objects.a_labels, map(len, j), residual_max)),
         opt_lower_bound=alpha * Fraction(objects.num_b, objects.s),
         gap_lower_bound=alpha / 2,
     )
@@ -99,8 +92,6 @@ def certify_gap(objects: GapObjects, j: tuple) -> GapCertificate:
 class StructuredSolution:
     opened_a: tuple     # labels
     opened_b: tuple     # labels
-    assignment: tuple   # (b_label, a_label) pairs, smallest-label a
-    cost: Fraction
 
 
 @dataclass(frozen=True)
@@ -251,18 +242,10 @@ def solve_structured(inst: DstInstance,
         stack.extend(children)
 
     s_mask, v_mask = best
-    assignment = tuple(
-        sorted(
-            (obj.b_labels[v], obj.a_labels[_bit_indices(nbr[v] & s_mask)[0]])
-            for v in _bit_indices(v_mask)
-        )
-    )
     value = Fraction(best_cost, na)
     solution = StructuredSolution(
         opened_a=tuple(sorted(obj.a_labels[u] for u in _bit_indices(s_mask))),
         opened_b=tuple(sorted(obj.b_labels[v] for v in _bit_indices(v_mask))),
-        assignment=assignment,
-        cost=value,
     )
     lower = value if exhausted else min(
         value, Fraction(k * na + nb * dp, na * dp))

@@ -133,6 +133,16 @@ def set_label(elements) -> str:
     return "{" + ",".join(str(x) for x in sorted(elements)) + "}"
 
 
+def label_set(label: str) -> frozenset:
+    """The set a label names: a set label "{1,2}" is read as its set, and a
+    bare integer "3" (an element-colored family's color) as {3}.  Anything
+    else is a ValueError."""
+    try:
+        return parse_set_label(label)
+    except ValueError:
+        return frozenset((int(label),))
+
+
 def _check_indices(objects: GapObjects) -> None:
     na, nb, nc = objects.num_a, objects.num_b, len(objects.color_labels)
     for a, b, c in objects.edges:

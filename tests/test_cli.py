@@ -612,12 +612,19 @@ def test_unwritable_output_exits_2(tmp_path, zk4_file):
         ["gen", "--family", "zk", "--k", "4", "--out", f"{missing}/f.json"],
         ["gen", "--family", "zk", "--k", "4", "--out", str(taken)],
         ["gen", "--family", "zk", "--k", "4", "--dot", f"{missing}/g.dot"],
+        # neither file is written, so f.json does not appear
+        ["gen", "--family", "zk", "--k", "4", "--out", f"{tmp_path}/f.json",
+         "--dot", f"{missing}/g.dot"],
+        ["gen", "--family", "zk", "--k", "4", "--out", f"{tmp_path}/f.json",
+         "--dot", str(taken)],
         ["verify", str(zk4_file), "--json-out", f"{missing}/r.json"],
         ["certify", str(zk4_file), "--out", f"{missing}/c.json"],
         ["solve", str(zk4_file), "--method", "structured",
          "--out", f"{missing}/s.json"],
         ["bounds", "--m-list", "64", "--csv", f"{missing}/b.csv"],
         ["bounds", "--m-list", "64", "--json-out", str(taken)],
+        ["bounds", "--m-list", "64", "--csv", f"{tmp_path}/b.csv",
+         "--json-out", str(taken)],
     ]
     for flags in ([], ["-O"]):
         for argv, proc in zip(argvs, _run_cli(flags, *argvs)):

@@ -110,7 +110,7 @@ def test_zk_size_cap_counts_edges():
 def test_generators_pass_validation_grid():
     for k in (4, 9):
         assert validate_objects(zk_objects(k)).ok
-    for m, a in ((4, 2), (5, 2), (6, 2), (6, 3), (8, 2)):
+    for m, a in ((2, 1), (5, 1), (4, 2), (5, 2), (6, 2), (6, 3), (8, 2)):
         for thresh in range(a):
             params = SubsetFamilyParams(m, a, thresh)
             assert validate_objects(subset_objects(params)).ok
@@ -129,11 +129,17 @@ def test_colex_subsets_order():
 # ---------------------------------------------------------------------------
 # J-sets
 
-def test_zk_j_sets(zk9_objects):
+def test_zk_j_sets(zk4_objects, zk9_objects):
     j = default_j_sets(zk9_objects)
     u = zk9_objects.a_labels.index("{1,2,3}")
     assert j[u] == frozenset({0, 1, 2})
-    assert all(len(js) == 3 for js in j)
+    # J_u is u itself, as color indices: color x - 1 is element x
+    for obj in (zk4_objects, zk9_objects, zk_objects(16)):
+        j = default_j_sets(obj)
+        assert j == tuple(frozenset(x - 1 for x in parse_set_label(lbl))
+                          for lbl in obj.a_labels)
+    with pytest.raises(ValueError):
+        default_j_sets(zk4_objects, thresh=1)  # a zk color has one element
 
 
 def test_zk_residual_is_one(zk4_objects, zk9_objects):

@@ -27,6 +27,7 @@ from dstgap.model import (
     instance_to_dict,
     instance_to_dot,
     instance_to_json,
+    label_set,
     parse_set_label,
     set_label,
     validate_objects,
@@ -305,6 +306,8 @@ PINNED_SHA256 = {
     "m6": "536cb97b406f25e40ffbe0ca3d643d9951a500a849f4ba3ae94296918f1b9423",
     "m7a3": "ffda0df24496d4ad82fb5ac9849b5e7dfaf8c407ae3d862765051a51efe6874f",
     "m10a3": "1c33cf57b39b87ad90c820affc681af16f5aab429c0effa3a7040b00e598570c",
+    # the one file whose colors are 1-sets, written "{x}" and not "x"
+    "m5a1": "658004539a34062b524cbc8bca4d430776a6f2a793b1a534d1f499632433ee35",
 }
 FAMILY_OBJECTS = {
     "zk4": lambda: zk_objects(4),
@@ -314,6 +317,7 @@ FAMILY_OBJECTS = {
     "m6": lambda: subset_objects(SubsetFamilyParams(6, 2, 1)),
     "m7a3": lambda: subset_objects(SubsetFamilyParams(7, 3, 1)),
     "m10a3": lambda: subset_objects(SubsetFamilyParams(10, 3, 1)),
+    "m5a1": lambda: subset_objects(SubsetFamilyParams(5, 1, 0)),
 }
 
 
@@ -407,6 +411,13 @@ def test_set_label_round_trip():
     assert set_label(parse_set_label("{1,2,5}")) == "{1,2,5}"
     with pytest.raises(ValueError):
         parse_set_label("1,2")
+
+
+def test_label_set_reads_sets_and_bare_integers():
+    assert label_set("{1,2}") == frozenset({1, 2})
+    assert label_set("3") == label_set("{3}") == frozenset({3})
+    with pytest.raises(ValueError):
+        label_set("x")
 
 
 def test_random_relabelings_build_valid_instances():
