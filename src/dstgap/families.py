@@ -21,6 +21,7 @@ order) so generated objects are reproducible byte for byte.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -146,9 +147,17 @@ def default_j_sets(objects: GapObjects, thresh: int | None = None) -> tuple:
     if not 0 <= thresh < size:
         raise ValueError(
             f"need 0 <= thresh < {size} (the color size), got {thresh}")
-    colors = [label_set(lbl) for lbl in objects.color_labels]
-    return tuple(
-        frozenset(ci for ci, color in enumerate(colors)
-                  if len(color & u) > thresh)
-        for u in map(label_set, objects.a_labels)
-    )
+    # only a color that shares an element with u can meet it in more than
+    # thresh >= 0 elements, so each u visits the colors of its elements
+    by_element = defaultdict(list)
+    for ci, lbl in enumerate(objects.color_labels):
+        for x in label_set(lbl):
+            by_element[x].append(ci)
+    j = []
+    for u in map(label_set, objects.a_labels):
+        meets = {}  # color index -> |C intersect u|, for the colors met
+        for x in u:
+            for ci in by_element[x]:
+                meets[ci] = meets.get(ci, 0) + 1
+        j.append(frozenset([ci for ci, n in meets.items() if n > thresh]))
+    return tuple(j)

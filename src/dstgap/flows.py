@@ -277,13 +277,14 @@ def _check_automorphism(inst, sol, cycle, move, levels):
     return Automorphism(cycle, vmap, emap)
 
 
-def _orbit_tree(terminals, automorphisms) -> dict:
-    """terminal -> None for the first terminal of each orbit, else the
-    (terminal, automorphism) that carries an earlier terminal of the orbit
-    to it.  Breadth-first, so each terminal comes after the one it is
-    carried from."""
+def orbit_tree(vertices, automorphisms) -> dict:
+    """vertex -> None for the first listed vertex of each orbit, else the
+    (vertex, automorphism) that carries an earlier vertex of the orbit to
+    it.  Breadth-first, so each vertex comes after the one it is carried
+    from.  The orbits of the listed vertices are walked in full, so the
+    tree of one vertex is its whole orbit."""
     tree = {}
-    for rep in terminals:
+    for rep in vertices:
         if rep in tree:
             continue
         tree[rep] = None
@@ -314,7 +315,7 @@ def verify_feasibility(inst: DstInstance, sol: FractionalSolution,
         terminals = inst.terminals
     else:
         automorphisms = ()
-    tree = _orbit_tree(terminals, automorphisms)
+    tree = orbit_tree(terminals, automorphisms)
     caps = sol.caps
     net = _Dinic(inst.n, inst.tails, inst.heads, caps)
     base = net.cap[:]

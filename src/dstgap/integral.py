@@ -8,8 +8,13 @@ of opened A-vertices and a set V' of opened B-vertices, each adjacent to an
 opened A-vertex, whose color sets jointly cover all terminals, at cost
 |S| * |B|/|A| + |V'|.
 
-`solve_structured` searches that space with branch and bound;
-`brute_force_opt` is the independent oracle: it enumerates (S, V') subsets
+`solve_structured` searches that space with branch and bound.  When the
+label automorphisms checked on the file (flows.label_automorphisms) carry
+A-vertex 0 to every A-vertex, the search opens A-vertex 0 first: every
+feasible solution opens some A-vertex u, and an automorphism that carries
+u to A-vertex 0 keeps levels, edges and costs, so it carries an optimal
+solution to an optimal one that opens A-vertex 0.  `brute_force_opt` is the
+independent oracle and uses no symmetry: it enumerates (S, V') subsets
 directly and checks terminal reachability by graph search on the instance,
 trusting no structural argument.
 """
@@ -23,6 +28,7 @@ from itertools import combinations
 from math import ceil
 from operator import itemgetter
 
+from . import flows
 from .model import (E1, E2, E3, DstInstance, GapObjects, InfeasibleError,
                     SizeCapError)
 
@@ -100,7 +106,8 @@ class StructuredResult:
     value: Fraction
     optimal: bool
     lower_bound: Fraction
-    nodes: int
+    nodes: int             # popped search nodes
+    fixed_a: str | None    # label of the A-vertex opened first, if any
 
 
 def _bit_indices(mask: int):
@@ -140,8 +147,24 @@ def _greedy_cover(kv, nbr, na: int, nb: int, full: int):
     return s_mask, v_mask
 
 
+def _transitive_on_a(inst: DstInstance) -> bool:
+    """Whether the label automorphisms checked on the file's edges carry
+    A-vertex 0 to every A-vertex.  The canonical x is uniform, so the
+    automorphisms' check of x is vacuous."""
+    a_ids = inst.level_ids(1)
+    automorphisms = flows.label_automorphisms(
+        inst, flows.canonical_solution(inst))
+    return len(flows.orbit_tree(a_ids[:1], automorphisms)) == len(a_ids)
+
+
+# Candidate B-vertices the search may examine.  Subset m8 a=2 is proven
+# after about 14 million; zk16 examines 1,365 per node, so it stops after
+# about 15,000 nodes.
+DEFAULT_BUDGET = 20_000_000
+
+
 def solve_structured(inst: DstInstance,
-                     node_budget: int = 2_000_000) -> StructuredResult:
+                     budget: int = DEFAULT_BUDGET) -> StructuredResult:
     """Exact structured optimum by depth-first branch and bound.
 
     The search runs in integer units of 1/|A|: opening an A-vertex costs
@@ -149,6 +172,11 @@ def solve_structured(inst: DstInstance,
     bitmasks.  Bit i of a color mask is the i-th color in (number of
     candidate B-vertices, index) order, so the branching color (the
     uncovered one with the fewest candidates) is the lowest zero bit.
+    The search starts with A-vertex 0 open when the checked automorphisms
+    are transitive on A, and from nothing open otherwise.  Expanding a
+    node examines every candidate of its branching color; once more than
+    `budget` candidates have been examined the search stops, and the
+    result is the incumbent with the root lower bound.
     Raises InfeasibleError if the instance's edges do not reach every
     terminal.
     """
@@ -199,21 +227,20 @@ def solve_structured(inst: DstInstance,
     # Each further B-vertex covers at most dp colors.  dp is read off the
     # edges: the d' a loaded file claims is not trusted in a bound.
     dp = max(map(len, kv_sets))
-    nodes = 0
+    nodes = examined = 0
     exhausted = True
+    fixed = _transitive_on_a(inst)
 
     # A node (cost, uncovered colors u) is pruned when its lower bound
     # cost + u/dp, plus |B|/|A| while nothing is open, reaches the best
     # cost; in integer units that is cost*dp + u*|A| (+ |B|*dp) >= best*dp.
     # Children always have an open A-vertex, so their test drops the last
     # term: kept iff c*dp - covered*|A| < best*dp - k*|A|.
-    stack = [(0, 0, 0, 0, 0)]  # (covered count, cost, S, V', covered)
+    # (covered count, cost, S, V', covered); with fixed, S = {A-vertex 0}
+    stack = [(0, nb, 1, 0, 0) if fixed else (0, 0, 0, 0, 0)]
     while stack:
         npc, cost, s_mask, v_mask, covered = stack.pop()
         nodes += 1
-        if nodes > node_budget:
-            exhausted = False
-            break
         if npc == k:
             if cost < best_cost:
                 best_cost, best = cost, (s_mask, v_mask)
@@ -222,6 +249,10 @@ def solve_structured(inst: DstInstance,
                 >= best_cost * dp):
             continue
         t = ((covered + 1) & ~covered).bit_length() - 1
+        examined += len(by_pos[t])
+        if examined > budget:
+            exhausted = False
+            break
         limit = best_cost * dp - k * na
         children = []
         for v in by_pos[t]:  # v covers t, so v is not open yet
@@ -249,7 +280,8 @@ def solve_structured(inst: DstInstance,
     )
     lower = value if exhausted else min(
         value, Fraction(k * na + nb * dp, na * dp))
-    return StructuredResult(solution, value, exhausted, lower, nodes)
+    return StructuredResult(solution, value, exhausted, lower, nodes,
+                            obj.a_labels[0] if fixed else None)
 
 
 # ---------------------------------------------------------------------------

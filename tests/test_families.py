@@ -9,7 +9,8 @@ from dstgap.families import (
     subset_objects,
     zk_objects,
 )
-from dstgap.model import SizeCapError, parse_set_label, validate_objects
+from dstgap.model import (SizeCapError, label_set, parse_set_label,
+                          validate_objects)
 
 from _util import toy_objects
 
@@ -157,6 +158,24 @@ def test_subset_j_sets(subset_m6_objects):
     assert j1[u] == frozenset({obj.color_labels.index("{1,2}")})
     j0 = default_j_sets(obj, thresh=0)
     assert len(j0[u]) == 15 - comb(4, 2) == 9
+
+
+@pytest.mark.parametrize("build", [
+    lambda: zk_objects(4), lambda: zk_objects(9), lambda: zk_objects(16),
+    lambda: subset_objects(SubsetFamilyParams(6, 2, 1)),
+    lambda: subset_objects(SubsetFamilyParams(7, 3, 1)),
+    lambda: subset_objects(SubsetFamilyParams(10, 3, 1)),
+], ids=["zk4", "zk9", "zk16", "m6", "m7a3", "m10a3"])
+def test_j_sets_match_definition(build):
+    obj = build()
+    # J_u = {C : |C intersect u| > thresh}, by intersecting every color
+    # with every A-set, for each thresh the color size allows
+    colors = [label_set(lbl) for lbl in obj.color_labels]
+    for thresh in range(len(colors[0])):
+        assert default_j_sets(obj, thresh) == tuple(
+            frozenset(ci for ci, color in enumerate(colors)
+                      if len(color & u) > thresh)
+            for u in map(label_set, obj.a_labels))
 
 
 def test_j_sets_errors(subset_m6_objects):

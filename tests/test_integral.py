@@ -97,20 +97,22 @@ def test_certify_self_check_raises_under_optimize():
 def test_structured_zk4(zk4_instance):
     res = solve_structured(zk4_instance)
     assert res.optimal
+    assert res.fixed_a == "{1,2}"
     assert res.value == Fraction(2, 3) + 2  # one root edge, two copy edges
     sol = res.solution
     assert len(sol.opened_a) == 1 and len(sol.opened_b) == 2
 
 
 # The node counts and opened sets below pin the search order (branching
-# color, child order, child filter, greedy incumbent): a change to any of
-# them moves these figures.
+# color, child order, child filter, greedy incumbent, the fixed A-vertex):
+# a change to any of them moves these figures.
 
 def test_structured_zk9(zk9_instance):
     res = solve_structured(zk9_instance)
     assert res.optimal
     assert res.value == res.lower_bound == 6
-    assert res.nodes == 47_265
+    assert res.nodes == 2_427
+    assert res.fixed_a == "{1,2,3}"
     assert res.solution.opened_a == ("{1,2,3}", "{5,6,7}")
     assert res.solution.opened_b == ("{1,2,3,4}", "{1,2,3,9}", "{5,6,7,8}")
 
@@ -119,7 +121,8 @@ def test_structured_subset_m6(subset_m6_instance):
     res = solve_structured(subset_m6_instance)
     assert res.optimal
     assert res.value == 5
-    assert res.nodes == 737
+    assert res.nodes == 123
+    assert res.fixed_a == "{1,2}"
     assert res.solution.opened_a == ("{1,2}", "{3,4}")
     assert res.solution.opened_b == ("{1,2,3,4}", "{1,2,5,6}", "{3,4,5,6}")
 
@@ -129,7 +132,8 @@ def test_structured_subset_m7a3():
     res = solve_structured(inst)
     assert res.optimal
     assert res.value == Fraction(21, 5)
-    assert res.nodes == 72_817
+    assert res.nodes == 1_681
+    assert res.fixed_a == "{1,2,3}"
     assert res.solution.opened_a == ("{1,2,3}",)
     assert res.solution.opened_b == ("{1,2,3,4,5,6}", "{1,2,3,4,5,7}",
                                      "{1,2,3,4,6,7}", "{1,2,3,5,6,7}")
@@ -142,8 +146,8 @@ def test_structured_ignores_claimed_d_prime(zk9_instance):
     lying = replace(zk9_instance, provenance=replace(obj, d_prime=1))
     res = solve_structured(lying)
     assert res.optimal and res.value == 6
-    assert res.nodes == 47_265
-    short = solve_structured(lying, node_budget=5)
+    assert res.nodes == 2_427
+    short = solve_structured(lying, budget=5)
     assert short.lower_bound == Fraction(15, 4)
 
 
@@ -153,12 +157,16 @@ def test_structured_toy():
 
 
 def test_structured_budget_exhaustion(zk9_instance):
-    res = solve_structured(zk9_instance, node_budget=5)
+    # the budget counts candidate B-vertices examined: the first node's
+    # branching color has 56 candidates, more than 5, so the search stops
+    # before it expands that node
+    res = solve_structured(zk9_instance, budget=5)
     assert not res.optimal
-    assert res.nodes == 6
+    assert res.nodes == 1
     assert res.value == 6
     # k/d' + |B|/|A| = 9/4 + 3/2
     assert res.lower_bound == Fraction(15, 4)
+    assert solve_structured(zk9_instance, budget=56).nodes == 2
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +225,11 @@ def test_brute_reads_only_the_graph(subset_m6_instance, omit):
     assert len(inst.tails) == len(subset_m6_instance.tails) - len(drop)
     res = brute_force_opt(inst)
     assert res.feasible and res.value == 5
-    assert solve_structured(inst).value == 5
+    s = solve_structured(inst)
+    # the omitted edges break the full cycle; the transposition (1 2), if
+    # kept, fixes A-vertex {1,2}, so its orbit is not all of A
+    assert s.fixed_a is None
+    assert s.optimal and s.value == 5
 
 
 def test_structured_reads_omitted_edges(zk4_instance):
@@ -232,9 +244,26 @@ def test_structured_reads_omitted_edges(zk4_instance):
     inst = instance_from_dict(data)
     s, b = solve_structured(inst), brute_force_opt(inst)
     assert s.optimal and b.feasible
+    assert s.fixed_a is None
     assert s.value == b.value == s.lower_bound == Fraction(10, 3)
     lp = solve_lp_exact(inst)
     assert lp.certified and lp.optimal_value <= s.value
+
+
+def test_structured_fixes_a_only_when_transitive(zk4_instance):
+    # zk4 less one copy edge: with {1,2,3}' or {1,2,4}' cut off, every
+    # solution that opens A-vertex {1,2} costs 10/3, but the optimum is
+    # still 8/3 through another A-vertex.  The search may open {1,2} first
+    # only when the automorphisms checked on the file are transitive on A.
+    data = instance_to_dict(zk4_instance)
+    for v in map(zk4_instance.labels.__getitem__,
+                 zk4_instance.level_ids(2)):
+        cut = dict(data, edges=[e for e in data["edges"]
+                                if (e["tail"], e["head"]) != (v, v + "'")])
+        inst = instance_from_dict(cut)
+        s, b = solve_structured(inst), brute_force_opt(inst)
+        assert s.fixed_a is None
+        assert s.optimal and s.value == b.value == Fraction(8, 3), v
 
 
 def test_brute_size_cap(zk9_instance):
