@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .model import (
     GapObjects,
     DstInstance,
-    ValidationReport,
     validate_objects,
     build_instance,
     instance_stats,
@@ -25,7 +24,6 @@ from .integral import certify_gap, solve_structured, brute_force_opt
 __all__ = [
     "GapObjects",
     "DstInstance",
-    "ValidationReport",
     "validate_objects",
     "build_instance",
     "instance_stats",

@@ -163,8 +163,8 @@ class TailReport:
 
 def verify_ja_bound(m: int, digits: int = DEFAULT_DIGITS) -> TailReport:
     """Exact |J_A|/d against e^(-23 rho^2 m / 35), with both intermediate
-    inequalities: the tail against e^(-9 rho^2 m / 5) and k/d against
-    e^(8 rho^2 m / 7)."""
+    inequalities: the tail against chernoff_upper at mean rho^2 m and
+    delta = 3, e^(-9 rho^2 m / 5), and k/d against e^(8 rho^2 m / 7)."""
     _require_regime(m)
     rm = m // 16
     k = comb(m, rm)
@@ -172,7 +172,7 @@ def verify_ja_bound(m: int, digits: int = DEFAULT_DIGITS) -> TailReport:
     ja = ja_count(m)
 
     tail = Fraction(ja, k)
-    tail_bound = exp_bounds(-Fraction(9, 5) * RHO * RHO * m, digits)
+    tail_bound = chernoff_upper(RHO * RHO * m, Fraction(3), digits)
 
     kd = Fraction(k, d)
     kd_bound = exp_bounds(Fraction(8, 7) * RHO * RHO * m, digits)
@@ -192,12 +192,13 @@ def verify_ja_bound(m: int, digits: int = DEFAULT_DIGITS) -> TailReport:
 
 
 def verify_kb_bound(m: int, digits: int = DEFAULT_DIGITS) -> TailReport:
-    """Exact |K_B \\ J_A| / d' against e^(-m/256)."""
+    """Exact |K_B \\ J_A| / d' against chernoff_lower at mean rho m / 2 and
+    delta = 1/2, e^(-m/256)."""
     _require_regime(m)
     rm = m // 16
     dp = comb(2 * rm, rm)
     exact = Fraction(kb_residual_count(m), dp)
-    bound = exp_bounds(-Fraction(m, 256), digits)
+    bound = chernoff_lower(RHO * m / 2, Fraction(1, 2), digits)
     return TailReport(m=m, exact=exact, chernoff=bound, extras={})
 
 

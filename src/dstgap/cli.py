@@ -162,7 +162,7 @@ def cmd_verify(args, argline) -> int:
     labels = inst.labels
     for e in report.entries:
         status = "ok" if e.ok else "LOW"
-        print(f"{labels[e.terminal]:>12} {render_rational(e.value):>8} "
+        print(f"{labels[e.terminal]!s:>12} {render_rational(e.value):>8} "
               f"{status}")
     all_unit = all(e.value == 1 for e in report.entries)
     if args.json_out:
@@ -242,7 +242,12 @@ def cmd_certify(args, argline) -> int:
             if best is None or cert.alpha > best[0].alpha:
                 best = (cert, thresh)
     except ValueError as exc:
-        raise CliError(str(exc), EXIT_BAD_PARAMS)
+        # the loader checked the file's thresh, so the error is --thresh's
+        # or the file's (a label that names no set)
+        bad_flag = (args.thresh is not None
+                    and not 0 <= args.thresh < objects.params["a"])
+        raise CliError(f"cannot certify {args.instance}: {exc}",
+                       EXIT_BAD_PARAMS if bad_flag else EXIT_BAD_INPUT)
     cert, thresh = best
     payload = {"header": report_header(argline, sha256)}
     payload.update(certificate_payload(cert, thresh))
@@ -264,15 +269,22 @@ def cmd_solve(args, argline) -> int:
     stats = model.instance_stats(inst)
     capped = False
     opt_values = {}
+    try:  # it bounds OPT on every file of the objects
+        cert = integral.certify_gap(
+            inst.provenance, families.default_j_sets(inst.provenance))
+    except ValueError:  # no J-sets, or a label that names no set
+        cert = None
 
     for method in methods:
         try:
             if method == "structured":
                 res = integral.solve_structured(inst)
+                bound = res.lower_bound if cert is None else max(
+                    res.lower_bound, cert.opt_lower_bound)
                 payload["structured"] = {
                     "value": render_rational(res.value),
                     "optimal": res.optimal,
-                    "lower_bound": render_rational(res.lower_bound),
+                    "lower_bound": render_rational(bound),
                     "opened_a": list(res.solution.opened_a),
                     "opened_b": list(res.solution.opened_b),
                 }
@@ -311,14 +323,10 @@ def cmd_solve(args, argline) -> int:
             payload[method] = {"feasible": False}
             print(f"{method}: INFEASIBLE")
 
-    try:
-        j = families.default_j_sets(inst.provenance)
-        cert = integral.certify_gap(inst.provenance, j)
+    if cert is not None:
         payload["certificate"] = certificate_payload(cert)
         print(f"certified alpha  {render_rational(cert.alpha)}, "
               f"OPT >= {render_rational(cert.opt_lower_bound)}")
-    except ValueError:
-        cert = None
     print(f"canonical cost   {render_rational(stats.canonical_cost)}")
     if "lp" in opt_values:
         for key in ("structured", "brute"):

@@ -25,6 +25,7 @@ costs other than its class cost, is rejected.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -49,29 +50,6 @@ class SizeCapError(Exception):
 class InfeasibleError(Exception):
     """The instance has no Steiner tree: some terminal cannot be reached
     from the root, as when a file leaves out every edge into it."""
-
-
-@dataclass(frozen=True)
-class Check:
-    name: str
-    passed: bool
-    detail: str = ""
-    required: bool = True
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Per-invariant pass/fail results, with witnesses for every failure."""
-
-    checks: tuple
-
-    @property
-    def ok(self) -> bool:
-        """All required structural invariants hold."""
-        return all(c.passed for c in self.checks if c.required)
-
-    def failures(self):
-        return [c for c in self.checks if not c.passed]
 
 
 @dataclass(frozen=True)
@@ -133,18 +111,34 @@ def set_label(elements) -> str:
     return "{" + ",".join(str(x) for x in sorted(elements)) + "}"
 
 
-def label_set(label: str) -> frozenset:
+def label_set(label) -> frozenset:
     """The set a label names: a set label "{1,2}" is read as its set, and a
-    bare integer "3" (an element-colored family's color) as {3}.  Anything
-    else is a ValueError."""
-    try:
-        return parse_set_label(label)
-    except ValueError:
-        return frozenset((int(label),))
+    bare integer, "3" or 3 (an element-colored family's color), as {3}.
+    Any other label is a ValueError that quotes it."""
+    if type(label) is int:
+        return frozenset((label,))
+    if type(label) is str:
+        with contextlib.suppress(ValueError):
+            return parse_set_label(label)
+        with contextlib.suppress(ValueError):
+            return frozenset((int(label),))
+    raise ValueError(f"label {label!r} names no set")
 
 
-def _check_indices(objects: GapObjects) -> None:
+def validate_objects(objects: GapObjects) -> None:
+    """None if every GapObjects invariant holds; else one ValueError whose
+    one-line message names each failing invariant with its witness.
+
+    Int d, d', s and k, in-range edge indices and distinct labels are
+    checked first, and raise at once.  Then regularity, the matching
+    partition, the counting identity, |K_v| = d', and the parameters of a
+    known family: zk params are {"k": k}; subset params are ints a, m,
+    thresh with 0 <= thresh < a <= m, C(m, a) = k and C(m-a, a) = d.
+    """
     na, nb, nc = objects.num_a, objects.num_b, len(objects.color_labels)
+    d, dp, s, k = objects.d, objects.d_prime, objects.s, objects.k
+    if not all(type(x) is int for x in (d, dp, s, k)):
+        raise ValueError("d, d_prime, s and k must be integers")
     for a, b, c in objects.edges:
         if not (0 <= a < na and 0 <= b < nb and 0 <= c < nc):
             raise ValueError(f"edge ({a},{b},{c}) has an out-of-range index")
@@ -155,77 +149,67 @@ def _check_indices(objects: GapObjects) -> None:
     ):
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate {name} labels")
+    failures = []
 
+    def check(name, passed, detail):
+        if not passed:
+            failures.append(f"{name} ({detail})")
 
-def validate_objects(objects: GapObjects) -> ValidationReport:
-    """Check every GapObjects invariant; enumerate all failures.
-
-    Structural requirements (regularity, matching partition, the counting
-    identity, |K_v| = d') are hard: build_instance refuses objects that
-    fail them.  The shape inequalities |A| <= |B| and d >= d' hold for the
-    families at asymptotic scale but not at desk scale (e.g. the k=4
-    element-colored family has |A|=6 > |B|=4), so they are reported as
-    advisory checks and do not block building.
-    """
-    _check_indices(objects)
-    checks = []
-
-    def add(name, passed, detail="", required=True):
-        checks.append(Check(name, passed, detail, required))
-
-    na, nb = objects.num_a, objects.num_b
-    d, dp, s, k = objects.d, objects.d_prime, objects.s, objects.k
-
-    add("color-count", k == len(objects.color_labels),
-        f"k={k} but {len(objects.color_labels)} color labels")
+    check("color-count", k == nc, f"k={k} but {nc} color labels")
 
     seen = set()
     dupes = [(a, b) for a, b, _ in objects.edges
              if (a, b) in seen or seen.add((a, b))]
-    add("no-parallel-edges", not dupes,
-        f"duplicate (A,B) pairs: {sorted(set(dupes))[:5]}" if dupes else "")
+    check("no-parallel-edges", not dupes,
+          f"duplicate (A,B) pairs: {sorted(set(dupes))[:5]}")
 
-    deg_a = [0] * na
-    deg_b = [0] * nb
-    for a, b, _ in objects.edges:
+    deg_a, deg_b = [0] * na, [0] * nb
+    by_color = [[] for _ in objects.color_labels]
+    for a, b, c in objects.edges:
         deg_a[a] += 1
         deg_b[b] += 1
-    bad_a = [objects.a_labels[i] for i, x in enumerate(deg_a) if x != d]
-    add("a-regular", not bad_a,
-        f"A-vertices with degree != d={d}: {bad_a[:5]}" if bad_a else "")
-    bad_b = [objects.b_labels[i] for i, x in enumerate(deg_b) if x != dp]
-    add("b-regular", not bad_b,
-        f"B-vertices with degree != d'={dp}: {bad_b[:5]}" if bad_b else "")
-
-    by_color = [[] for _ in range(len(objects.color_labels))]
-    for a, b, c in objects.edges:
         by_color[c].append((a, b))
-    bad_matchings = []
-    for c, es in enumerate(by_color):
-        a_side = {a for a, _ in es}
-        b_side = {b for _, b in es}
-        if len(es) != s or len(a_side) != len(es) or len(b_side) != len(es):
-            bad_matchings.append(objects.color_labels[c])
-    add("color-classes-are-matchings-of-size-s", not bad_matchings,
-        f"colors failing: {bad_matchings[:5]}" if bad_matchings else "")
+    bad_a = [objects.a_labels[i] for i, x in enumerate(deg_a) if x != d]
+    check("a-regular", not bad_a,
+          f"A-vertices with degree != d={d}: {bad_a[:5]}")
+    bad_b = [objects.b_labels[i] for i, x in enumerate(deg_b) if x != dp]
+    check("b-regular", not bad_b,
+          f"B-vertices with degree != d'={dp}: {bad_b[:5]}")
 
-    add("counting-identity",
-        s * k == d * na == dp * nb == len(objects.edges),
-        f"sk={s * k}, d|A|={d * na}, d'|B|={dp * nb}, |E|={len(objects.edges)}")
+    bad_matchings = [objects.color_labels[c] for c, es in enumerate(by_color)
+                     if len(es) != s or len({a for a, _ in es}) != s
+                     or len({b for _, b in es}) != s]
+    check("color-classes-are-matchings-of-size-s", not bad_matchings,
+          f"colors failing: {bad_matchings[:5]}")
 
-    kv_sizes = [len(x) for x in objects.color_sets_by_b]
-    bad_kv = [objects.b_labels[i] for i, x in enumerate(kv_sizes) if x != dp]
-    add("kv-size", not bad_kv,
-        f"B-vertices with |K_v| != d'={dp}: {bad_kv[:5]}" if bad_kv else "")
+    check("counting-identity",
+          s * k == d * na == dp * nb == len(objects.edges),
+          f"sk={s * k}, d|A|={d * na}, d'|B|={dp * nb}, "
+          f"|E|={len(objects.edges)}")
 
-    add("s-positive", s >= 1, f"s={s}: a terminal needs an in-edge")
-    add("s-at-most-A", s <= na, f"s={s} > |A|={na}")
-    add("k-at-least-d", k >= d, f"k={k} < d={d}")
+    bad_kv = [objects.b_labels[i]
+              for i, kv in enumerate(objects.color_sets_by_b) if len(kv) != dp]
+    check("kv-size", not bad_kv,
+          f"B-vertices with |K_v| != d'={dp}: {bad_kv[:5]}")
 
-    add("A-at-most-B", na <= nb, f"|A|={na} > |B|={nb}", required=False)
-    add("d-at-least-d-prime", d >= dp, f"d={d} < d'={dp}", required=False)
+    check("s-positive", s >= 1, f"s={s}: a terminal needs an in-edge")
+    check("s-at-most-A", s <= na, f"s={s} > |A|={na}")
+    check("k-at-least-d", k >= d, f"k={k} < d={d}")
 
-    return ValidationReport(tuple(checks))
+    params = objects.params
+    if objects.family == "zk":
+        check("zk-params", params == {"k": k} and type(params["k"]) is int,
+              f"params {params} do not match k={k}")
+    elif objects.family == "subset":
+        a, m, thresh = (params.get(key) for key in ("a", "m", "thresh"))
+        check("subset-params",
+              all(type(x) is int for x in (a, m, thresh))
+              and 0 <= thresh < a <= m
+              and math.comb(m, a) == k and math.comb(m - a, a) == d,
+              f"params {params} do not match k={k}, d={d}")
+
+    if failures:
+        raise ValueError("objects fail validation: " + "; ".join(failures))
 
 
 @dataclass(frozen=True)
@@ -284,33 +268,10 @@ class DstInstance:
                 for i, (t, h) in enumerate(zip(self.tails, self.heads))}
 
 
-def _check_meta(objects: GapObjects) -> None:
-    """A loaded file's d, d', s and k must be ints, and the parameters of
-    a known family must match them: zk params are {"k": k}; subset params
-    are ints a, m, thresh with C(m, a) = k, C(m-a, a) = d, 0 <= thresh < a."""
-    if not all(type(x) is int for x in
-               (objects.d, objects.d_prime, objects.s, objects.k)):
-        raise ValueError("meta d, d_prime, s and k must be integers")
-    params = objects.params
-    if objects.family == "zk" and params != {"k": objects.k}:
-        raise ValueError(f"zk params {params} do not match k={objects.k}")
-    if objects.family == "subset":
-        a, m, thresh = (params.get(key) for key in ("a", "m", "thresh"))
-        if not (all(type(x) is int for x in (a, m, thresh))
-                and 0 <= thresh < a <= m
-                and math.comb(m, a) == objects.k
-                and math.comb(m - a, a) == objects.d):
-            raise ValueError(f"subset params {params} do not match "
-                             f"k={objects.k}, d={objects.d}")
-
-
 def build_instance(objects: GapObjects) -> DstInstance:
     """Build the 5-level instance; deterministic for a given GapObjects.
     Raises ValueError if the objects fail validate_objects."""
-    report = validate_objects(objects)
-    if not report.ok:
-        names = ", ".join(c.name for c in report.failures() if c.required)
-        raise ValueError(f"objects fail validation: {names}")
+    validate_objects(objects)
 
     na, nb, k = objects.num_a, objects.num_b, objects.k
     labels = (
@@ -484,8 +445,8 @@ def instance_from_dict(data: dict) -> DstInstance:
     So a corrupted file, e.g. with a level-3 edge deleted, loads into an
     instance whose feasibility check then fails with a named terminal.  A
     file that contradicts itself raises ValueError: its objects must pass
-    validate_objects, the family parameters must match them, and every edge
-    must be a built edge, listed once, costing its class cost.
+    validate_objects, and every edge must be a built edge, listed once,
+    costing its class cost.
     """
     meta = data["meta"]
     levels = data["levels"]
@@ -513,7 +474,6 @@ def instance_from_dict(data: dict) -> DstInstance:
         family=meta.get("family", "generic"),
         family_params=tuple(sorted(meta.get("params", {}).items())),
     )
-    _check_meta(objects)
     inst = build_instance(objects)
 
     label = inst.labels.__getitem__
@@ -526,17 +486,17 @@ def instance_from_dict(data: dict) -> DstInstance:
     for entry in data["edges"]:
         i = built.get((entry["tail"], entry["head"]))
         if i is None:
-            raise ValueError(f"edge {entry['tail']} -> {entry['head']} is not "
+            raise ValueError(f"edge {entry['tail']!r} -> {entry['head']!r} is not "
                              "an edge of the objects' instance")
         if i in listed:
-            raise ValueError(f"edge {entry['tail']} -> {entry['head']} appears "
+            raise ValueError(f"edge {entry['tail']!r} -> {entry['head']!r} appears "
                              "more than once")
         listed[i] = entry["cost"]
     costs = inst.class_costs
     for klass, text in dict.fromkeys(zip(map(inst.classes.__getitem__, listed),
                                          listed.values())):
         if parse_rational(text) != costs[klass]:
-            raise ValueError(f"an E{klass} edge costs {text}, but every E{klass} "
+            raise ValueError(f"an E{klass} edge costs {text!r}, but every E{klass} "
                              f"edge costs {render_rational(costs[klass])}")
     keep = sorted(listed)
     tails, heads, classes, colors = (

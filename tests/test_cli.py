@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -273,6 +274,7 @@ ZK4_TAMPERED = {
     # passes the counting identity
     "s-float": (_set_meta("s", 3.0), EXIT_BAD_INPUT),
     "params-k-9": (_set_param("k", 9), EXIT_BAD_INPUT),
+    "params-k-float": (_set_param("k", 4.0), EXIT_BAD_INPUT),
     # not an edge of the objects' instance
     "extra-e4-edge": (_add_e4_edge, EXIT_BAD_INPUT),
     # the class cost 2/3, spelled otherwise
@@ -342,6 +344,99 @@ def test_edges_outside_objects_exit_3(tmp_path, subset_m6_instance):
             assert proc.stderr.startswith("error: cannot load instance")
             assert len(proc.stderr.splitlines()) == 1, proc.stderr
             assert proc.stdout == ""
+
+
+def _relabel(data, level, old, new):
+    """The file with vertex `old` of `level` renamed `new`."""
+    levels = data["levels"][level]
+    levels[levels.index(old)] = new
+    for entry in data["edges"]:
+        for key in ("tail", "head", "color"):
+            if entry.get(key) == old:
+                entry[key] = new
+
+
+def test_invalid_objects_exit_3_naming_invariants(tmp_path, zk4_instance):
+    # one level-2 edge left out: the error is one line that names each
+    # failing invariant with its witness, also for a label holding "\n"
+    argvs, witnesses = [], []
+    for label in ("{1,2}", "{1,\n2}"):
+        data = model.instance_to_dict(zk4_instance)
+        _relabel(data, 1, data["levels"][1][0], label)
+        edge = next(e for e in data["edges"] if e["tail"] == label)
+        data["edges"].remove(edge)
+        path = tmp_path / f"invalid{len(argvs)}.json"
+        path.write_text(json.dumps(data))
+        argvs.append(["verify", str(path)])
+        witnesses.append((label, edge["head"]))
+    for flags in ([], ["-O"]):
+        for (a, b), proc in zip(witnesses, _run_cli(flags, *argvs)):
+            assert proc.returncode == EXIT_BAD_INPUT, (flags, proc.stderr)
+            assert proc.stderr.count("\n") == 1, proc.stderr
+            assert proc.stderr.startswith("error: cannot load instance")
+            assert f"a-regular (A-vertices with degree != d=2: {[a]})" \
+                in proc.stderr
+            assert f"b-regular (B-vertices with degree != d'=3: {[b]})" \
+                in proc.stderr
+
+
+def test_loader_messages_quote_labels(tmp_path, zk4_instance, capsys):
+    # a file edge the objects do not define, to a label holding "\n"
+    data = model.instance_to_dict(zk4_instance)
+    data["edges"].append({"tail": "r", "head": "{1,\n9}", "cost": "2/3"})
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", str(path)]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1, err
+    assert "edge 'r' -> '{1,\\n9}' is not an edge" in err
+
+
+def test_integer_labels_run_as_zk4(tmp_path, zk4_instance, zk4_file):
+    # a file's labels need not be strings: with integer terminals zk4
+    # verifies, certifies and solves as its file of string labels does
+    data = model.instance_to_dict(zk4_instance)
+    for t in list(data["levels"][4]):
+        _relabel(data, 4, t, int(t))
+    numbered = tmp_path / "numbered.json"
+    numbered.write_text(json.dumps(data))
+    commands = (["verify"], ["certify"], ["solve"])
+    argvs = [[c[0], str(path)] for path in (zk4_file, numbered)
+             for c in commands]
+    for flags in ([], ["-O"]):
+        runs = _run_cli(flags, *argvs)
+        assert all(run.returncode == EXIT_OK for run in runs), runs
+        assert runs[:3] == runs[3:], flags
+        assert "alpha            1/1" in runs[1].stdout
+        assert "structured OPT   8/3" in runs[2].stdout
+
+
+@pytest.mark.parametrize("level, label", [(1, "x0"), (1, 1.5), (1, True),
+                                          (1, "{1,\n2"), (4, None)])
+def test_label_naming_no_set(tmp_path, zk4_instance, level, label):
+    # a label that names no set: verify and solve run without label
+    # automorphisms, and certify, which needs J-sets, exits 3 naming it
+    data = model.instance_to_dict(zk4_instance)
+    _relabel(data, level, data["levels"][level][0], label)
+    path = tmp_path / "labelled.json"
+    path.write_text(json.dumps(data))
+    argvs = [["verify", str(path)], ["solve", str(path)],
+             ["certify", str(path)]]
+    for flags in ([], ["-O"]):
+        verify, solve, certify = _run_cli(flags, *argvs)
+        assert verify.returncode == solve.returncode == EXIT_OK, flags
+        assert "verified: feasible" in verify.stdout
+        assert "structured OPT   8/3" in solve.stdout
+        assert "certified alpha" not in solve.stdout
+        assert certify.returncode == EXIT_BAD_INPUT, (flags, certify)
+        assert certify.stderr.count("\n") == 1, certify.stderr
+        assert f"label {label!r} names no set" in certify.stderr
+        assert certify.stdout == ""
+
+
+def test_certify_thresh_out_of_range_exits_2(m6_file, capsys):
+    assert main(["certify", str(m6_file), "--thresh", "2"]) == EXIT_BAD_PARAMS
+    assert "need 0 <= thresh < 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["zk9_instance", "subset_m6_instance"])
@@ -502,6 +597,25 @@ def test_solve_terminal_cut_off_exits_0(tmp_path, zk4_instance):
         payload = json.loads(out.read_text())
         assert payload["structured"] == payload["lp"] == {"feasible": False}
         assert payload["brute"] == {"feasible": False, "unreachable": ["1"]}
+
+
+def test_solve_budget_stop_reports_certified_bound(tmp_path, zk9_instance,
+                                                  monkeypatch, capsys):
+    # stopped after one candidate, the search's own bound is the root's
+    # 15/4; the certificate of the same run proves OPT >= 9/2
+    path = tmp_path / "zk9.json"
+    path.write_text(model.instance_to_json(zk9_instance))
+    solve = cli.integral.solve_structured
+    assert solve(zk9_instance, budget=1).lower_bound == Fraction(15, 4)
+    monkeypatch.setattr(cli.integral, "solve_structured",
+                        lambda inst: solve(inst, budget=1))
+    out = tmp_path / "solve.json"
+    assert main(["solve", str(path), "--method", "structured",
+                 "--out", str(out)]) == EXIT_OK
+    assert "OPT >= 9/2" in capsys.readouterr().out
+    payload = json.loads(out.read_text())
+    assert payload["structured"]["optimal"] is False
+    assert payload["structured"]["lower_bound"] == "9/2"
 
 
 def test_solve_brute_cap(tmp_path, zk9_instance):

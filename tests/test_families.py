@@ -69,14 +69,14 @@ def test_subset_m8_shape():
     obj = subset_objects(SubsetFamilyParams(8, 2))
     assert (obj.num_a, obj.num_b) == (28, 70)
     assert (obj.d, obj.d_prime, obj.s, obj.k) == (15, 6, 15, 28)
-    assert validate_objects(obj).ok
+    assert validate_objects(obj) is None
 
 
 def test_subset_m4_degenerate():
     obj = subset_objects(SubsetFamilyParams(4, 2, 0))
     assert len(obj.edges) == comb(4, 2) * 1 == 6
     assert obj.d == comb(2, 2) == 1
-    assert validate_objects(obj).ok
+    assert validate_objects(obj) is None
 
 
 def test_subset_edge_count_identity():
@@ -110,11 +110,11 @@ def test_zk_size_cap_counts_edges():
 
 def test_generators_pass_validation_grid():
     for k in (4, 9):
-        assert validate_objects(zk_objects(k)).ok
+        assert validate_objects(zk_objects(k)) is None
     for m, a in ((2, 1), (5, 1), (4, 2), (5, 2), (6, 2), (6, 3), (8, 2)):
         for thresh in range(a):
             params = SubsetFamilyParams(m, a, thresh)
-            assert validate_objects(subset_objects(params)).ok
+            assert validate_objects(subset_objects(params)) is None
 
 
 # ---------------------------------------------------------------------------
