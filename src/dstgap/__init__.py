@@ -14,9 +14,8 @@ from .model import (
     DstInstance,
     validate_objects,
     build_instance,
-    instance_stats,
 )
-from .families import zk_objects, subset_objects, default_j_sets, SubsetFamilyParams
+from .families import zk_objects, subset_objects, default_j_sets
 from .flows import canonical_solution, verify_feasibility, path_witness
 from .lp import solve_lp_exact
 from .integral import certify_gap, solve_structured, brute_force_opt
@@ -26,11 +25,9 @@ __all__ = [
     "DstInstance",
     "validate_objects",
     "build_instance",
-    "instance_stats",
     "zk_objects",
     "subset_objects",
     "default_j_sets",
-    "SubsetFamilyParams",
     "canonical_solution",
     "verify_feasibility",
     "path_witness",

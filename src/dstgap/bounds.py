@@ -162,23 +162,29 @@ class TailReport:
 
 
 def verify_ja_bound(m: int, digits: int = DEFAULT_DIGITS) -> TailReport:
-    """Exact |J_A|/d against e^(-23 rho^2 m / 35), with both intermediate
-    inequalities: the tail against chernoff_upper at mean rho^2 m and
-    delta = 3, e^(-9 rho^2 m / 5), and k/d against e^(8 rho^2 m / 7)."""
+    """Exact |J_A|/d against e^(mu/(1 - 2 rho) - delta^2 mu/(2 + delta)),
+    with both intermediate inequalities: the tail against chernoff_upper
+    at mean mu = rho^2 m and delta = theta/rho^2 - 1 (theta m = (1 + delta)
+    mu), and k/d against e^(mu/(1 - 2 rho)).  At rho = 1/16 and theta =
+    1/64 these are e^(-23 mu/35), delta = 3, e^(-9 mu/5) and e^(8 mu/7)."""
     _require_regime(m)
     rm = m // 16
     k = comb(m, rm)
     d = comb(m - rm, rm)
     ja = ja_count(m)
+    mu = RHO * RHO * m
+    delta = THETA / (RHO * RHO) - 1
 
     tail = Fraction(ja, k)
-    tail_bound = chernoff_upper(RHO * RHO * m, Fraction(3), digits)
+    tail_bound = chernoff_upper(mu, delta, digits)
 
     kd = Fraction(k, d)
-    kd_bound = exp_bounds(Fraction(8, 7) * RHO * RHO * m, digits)
+    kd_exponent = mu / (1 - 2 * RHO)
+    kd_bound = exp_bounds(kd_exponent, digits)
 
     jad = Fraction(ja, d)
-    jad_bound = exp_bounds(-Fraction(23, 35) * RHO * RHO * m, digits)
+    jad_bound = exp_bounds(
+        kd_exponent - delta * delta * mu / (2 + delta), digits)
 
     return TailReport(
         m=m,
@@ -238,24 +244,3 @@ def alpha_asymptotics(m_list, digits: int = DEFAULT_DIGITS):
         ))
     return rows
 
-
-def constant_identities():
-    """The fixed-constant arithmetic identities behind the two lemmas."""
-    mu_coeff = RHO * RHO           # E|C cap A| = rho^2 m in the first lemma
-    return {
-        "theta = 4 rho^2": (THETA, 4 * RHO * RHO),
-        "theta = rho / 4": (THETA, RHO / 4),
-        "upper exponent": (
-            (THETA - mu_coeff) / (THETA + mu_coeff) * (THETA - mu_coeff),
-            Fraction(9, 5) * RHO * RHO,
-        ),
-        "k/d exponent": (
-            RHO * RHO / (1 - 2 * RHO),
-            Fraction(8, 7) * RHO * RHO,
-        ),
-        "combined exponent": (
-            Fraction(9, 5) - Fraction(8, 7),
-            Fraction(23, 35),
-        ),
-        "lower-tail mean": (RHO / 2, 2 * THETA),
-    }

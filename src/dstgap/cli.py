@@ -116,16 +116,24 @@ def make_objects(args) -> model.GapObjects:
         if args.m is None or args.a is None:
             raise ValueError("--m and --a are required for the subset family")
         thresh = 0 if args.thresh is None else args.thresh
-        params = families.SubsetFamilyParams(args.m, args.a, thresh)
-        return families.subset_objects(params, max_edges=args.max_edges)
+        return families.subset_objects(args.m, args.a, thresh,
+                                       max_edges=args.max_edges)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_BAD_PARAMS)
+
+
+def print_canonical_cost(objects: model.GapObjects) -> None:
+    """Print the cost 2|B|/s of the canonical solution x = 1/s."""
+    cost = Fraction(2 * objects.num_b, objects.s)
+    print(f"canonical cost   {render_rational(cost)}")
 
 
 def cmd_generate(args, argline) -> int:
     objects = make_objects(args)
     inst = model.build_instance(objects)
-    stats = model.instance_stats(inst)
+    counts = model.edge_class_counts(inst)
+    total = sum((inst.class_costs[c] * n for c, n in counts.items()),
+                Fraction(0))
     text = model.instance_to_json(inst)
     # the DOT text can exceed its cap, so it is rendered before any write
     files = [args.out, text] if args.out else []
@@ -133,12 +141,13 @@ def cmd_generate(args, argline) -> int:
         files += [args.dot, model.instance_to_dot(inst)]
     atomic_write(*files)
     print(f"family           {objects.family} {objects.params}")
-    print(f"n                {stats.n}")
-    print(f"levels           {list(stats.level_sizes)}")
-    print(f"edges            {stats.edge_class_counts}")
-    print(f"d, d', s, k      {stats.d} {stats.d_prime} {stats.s} {stats.k}")
-    print(f"total cost       {render_rational(stats.total_cost)}")
-    print(f"canonical cost   {render_rational(stats.canonical_cost)}")
+    print(f"n                {inst.n}")
+    print(f"levels           {list(inst.level_sizes)}")
+    print(f"edges            {counts}")
+    print(f"d, d', s, k      {objects.d} {objects.d_prime} {objects.s} "
+          f"{objects.k}")
+    print(f"total cost       {render_rational(total)}")
+    print_canonical_cost(objects)
     print(f"sha256           {hashlib.sha256(text.encode()).hexdigest()}")
     return EXIT_OK
 
@@ -266,7 +275,6 @@ def cmd_solve(args, argline) -> int:
     methods = (["structured", "brute", "lp"] if args.method == "all"
                else [args.method])
     payload = {"header": report_header(argline, sha256)}
-    stats = model.instance_stats(inst)
     capped = False
     opt_values = {}
     try:  # it bounds OPT on every file of the objects
@@ -285,8 +293,8 @@ def cmd_solve(args, argline) -> int:
                     "value": render_rational(res.value),
                     "optimal": res.optimal,
                     "lower_bound": render_rational(bound),
-                    "opened_a": list(res.solution.opened_a),
-                    "opened_b": list(res.solution.opened_b),
+                    "opened_a": list(res.opened_a),
+                    "opened_b": list(res.opened_b),
                 }
                 print(f"structured OPT   {render_rational(res.value)}"
                       f"{'' if res.optimal else ' (not proven optimal)'}")
@@ -327,7 +335,7 @@ def cmd_solve(args, argline) -> int:
         payload["certificate"] = certificate_payload(cert)
         print(f"certified alpha  {render_rational(cert.alpha)}, "
               f"OPT >= {render_rational(cert.opt_lower_bound)}")
-    print(f"canonical cost   {render_rational(stats.canonical_cost)}")
+    print_canonical_cost(inst.provenance)
     if "lp" in opt_values:
         for key in ("structured", "brute"):
             if key in opt_values:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import combinations
 
 from .model import GapObjects, SizeCapError, label_set, set_label
@@ -96,35 +95,20 @@ def zk_objects(k: int, max_edges: int = DEFAULT_EDGE_CAP) -> GapObjects:
         max_edges=max_edges)
 
 
-@dataclass(frozen=True)
-class SubsetFamilyParams:
-    """Parameters of the subset-colored family.
-
-    a is the common size of A-sets and colors; B-sets have size 2a.  thresh
-    is used only when deriving the default J-sets: a color C belongs to J_u
-    iff |C intersect u| > thresh.
-    """
-
-    m: int
-    a: int
-    thresh: int = 0
-
-    def __post_init__(self):
-        if self.m < 1 or self.a < 1:
-            raise ValueError("m and a must be positive")
-        if 2 * self.a > self.m:
-            raise ValueError(f"need 2a <= m, got a={self.a}, m={self.m}")
-        if not 0 <= self.thresh < self.a:
-            raise ValueError(f"need 0 <= thresh < a, got thresh={self.thresh}")
-
-
-def subset_objects(params: SubsetFamilyParams,
+def subset_objects(m: int, a: int, thresh: int = 0,
                    max_edges: int = DEFAULT_EDGE_CAP) -> GapObjects:
-    """The subset-colored family for the given parameters."""
-    m, a = params.m, params.a
+    """The subset-colored family on {1..m}: A-sets and colors are a-sets
+    and B-sets 2a-sets.  thresh is used only when deriving the default
+    J-sets: a color C belongs to J_u iff |C intersect u| > thresh."""
+    if m < 1 or a < 1:
+        raise ValueError("m and a must be positive")
+    if 2 * a > m:
+        raise ValueError(f"need 2a <= m, got a={a}, m={m}")
+    if not 0 <= thresh < a:
+        raise ValueError(f"need 0 <= thresh < a, got thresh={thresh}")
     return _containment_objects(
         m, a, a, name=f"subset family m={m}, a={a}", family="subset",
-        family_params=(("a", a), ("m", m), ("thresh", params.thresh)),
+        family_params=(("a", a), ("m", m), ("thresh", thresh)),
         color_label=set_label, max_edges=max_edges)
 
 

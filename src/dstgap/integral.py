@@ -95,14 +95,9 @@ def certify_gap(objects: GapObjects, j: tuple) -> GapCertificate:
 # structured branch-and-bound solver
 
 @dataclass(frozen=True)
-class StructuredSolution:
-    opened_a: tuple     # labels
-    opened_b: tuple     # labels
-
-
-@dataclass(frozen=True)
 class StructuredResult:
-    solution: StructuredSolution
+    opened_a: tuple        # labels
+    opened_b: tuple        # labels
     value: Fraction
     optimal: bool
     lower_bound: Fraction
@@ -274,14 +269,12 @@ def solve_structured(inst: DstInstance,
 
     s_mask, v_mask = best
     value = Fraction(best_cost, na)
-    solution = StructuredSolution(
-        opened_a=tuple(sorted(obj.a_labels[u] for u in _bit_indices(s_mask))),
-        opened_b=tuple(sorted(obj.b_labels[v] for v in _bit_indices(v_mask))),
-    )
     lower = value if exhausted else min(
         value, Fraction(k * na + nb * dp, na * dp))
-    return StructuredResult(solution, value, exhausted, lower, nodes,
-                            obj.a_labels[0] if fixed else None)
+    return StructuredResult(
+        tuple(sorted(obj.a_labels[u] for u in _bit_indices(s_mask))),
+        tuple(sorted(obj.b_labels[v] for v in _bit_indices(v_mask))),
+        value, exhausted, lower, nodes, obj.a_labels[0] if fixed else None)
 
 
 # ---------------------------------------------------------------------------

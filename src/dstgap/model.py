@@ -96,31 +96,23 @@ class GapObjects:
         return tuple(map(frozenset, kv))
 
 
-def parse_set_label(label: str):
-    """Inverse of set_label: "{1,2,5}" -> frozenset({1, 2, 5})."""
-    body = label.strip()
-    if not (body.startswith("{") and body.endswith("}")):
-        raise ValueError(f"not a set label: {label!r}")
-    body = body[1:-1].strip()
-    if not body:
-        return frozenset()
-    return frozenset(int(x) for x in body.split(","))
-
-
 def set_label(elements) -> str:
     return "{" + ",".join(str(x) for x in sorted(elements)) + "}"
 
 
 def label_set(label) -> frozenset:
-    """The set a label names: a set label "{1,2}" is read as its set, and a
-    bare integer, "3" or 3 (an element-colored family's color), as {3}.
-    Any other label is a ValueError that quotes it."""
+    """The set a label names, the inverse of set_label: a set label
+    "{1,2}" is read as its set, and a bare integer, "3" or 3 (an
+    element-colored family's color), as {3}.  Any other label is a
+    ValueError that quotes it."""
     if type(label) is int:
         return frozenset((label,))
     if type(label) is str:
+        body = label.strip()
         with contextlib.suppress(ValueError):
-            return parse_set_label(label)
-        with contextlib.suppress(ValueError):
+            if body[:1] == "{" and body[-1:] == "}":
+                body = body[1:-1].strip()
+                return frozenset(map(int, body.split(",")) if body else ())
             return frozenset((int(label),))
     raise ValueError(f"label {label!r} names no set")
 
@@ -316,37 +308,6 @@ def edge_class_counts(inst: DstInstance) -> dict:
     return {c: inst.classes.count(c) for c in (E1, E2, E3, E4)}
 
 
-@dataclass(frozen=True)
-class Stats:
-    n: int
-    level_sizes: tuple
-    edge_class_counts: dict
-    d: int
-    d_prime: int
-    s: int
-    k: int
-    total_cost: Fraction
-    canonical_cost: Fraction  # 2|B|/s, the cost of x = 1/s
-
-
-def instance_stats(inst: DstInstance) -> Stats:
-    obj = inst.provenance
-    counts = edge_class_counts(inst)
-    total = sum((inst.class_costs[c] * n for c, n in counts.items()),
-                Fraction(0))
-    return Stats(
-        n=inst.n,
-        level_sizes=inst.level_sizes,
-        edge_class_counts=counts,
-        d=obj.d,
-        d_prime=obj.d_prime,
-        s=obj.s,
-        k=obj.k,
-        total_cost=total,
-        canonical_cost=Fraction(2 * obj.num_b, obj.s),
-    )
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -452,27 +413,42 @@ def instance_from_dict(data: dict) -> DstInstance:
     levels = data["levels"]
     if len(levels) != 5 or levels[0] != [ROOT_LABEL]:
         raise ValueError("instance must have 5 levels with root 'r'")
+    for lbl in levels[2]:
+        if type(lbl) is not str:
+            raise ValueError(f"level-2 label {lbl!r} is not a string")
     if levels[3] != [lbl + "'" for lbl in levels[2]]:
         raise ValueError("level 3 is not the primed copy of level 2")
     for v, vp in data.get("pi", {}).items():
         if vp != v + "'":
             raise ValueError(f"pi maps {v!r} to {vp!r}, expected {v + chr(39)!r}")
 
+    params = meta.get("params", {})
+    if type(params) is not dict:
+        raise ValueError(f"meta.params is {params!r}, not an object")
     a_idx, b_idx, color_idx = (
         {lbl: i for i, lbl in enumerate(levels[lvl])} for lvl in (1, 2, 4))
+    h_edges = []  # the level-2 edges: the entries with a color
+    for e in data["edges"]:
+        if "color" in e:
+            tail, head, color = e["tail"], e["head"], e["color"]
+            abc = (a_idx.get(tail), b_idx.get(head), color_idx.get(color))
+            if None in abc:
+                raise ValueError(
+                    f"edge {tail!r} -> {head!r} has color {color!r}, but a "
+                    "color belongs only on a level-1 -> level-2 edge and "
+                    "names a level-4 vertex")
+            h_edges.append(abc)
     objects = GapObjects(
         a_labels=tuple(levels[1]),
         b_labels=tuple(levels[2]),
         color_labels=tuple(levels[4]),
-        edges=tuple(sorted((a_idx[e["tail"]], b_idx[e["head"]],
-                            color_idx[e["color"]])
-                           for e in data["edges"] if "color" in e)),
+        edges=tuple(sorted(h_edges)),
         d=meta["d"],
         d_prime=meta["d_prime"],
         s=meta["s"],
         k=meta["k"],
         family=meta.get("family", "generic"),
-        family_params=tuple(sorted(meta.get("params", {}).items())),
+        family_params=tuple(sorted(params.items())),
     )
     inst = build_instance(objects)
 
@@ -491,7 +467,10 @@ def instance_from_dict(data: dict) -> DstInstance:
         if i in listed:
             raise ValueError(f"edge {entry['tail']!r} -> {entry['head']!r} appears "
                              "more than once")
-        listed[i] = entry["cost"]
+        cost = listed[i] = entry["cost"]
+        if type(cost) is not str:
+            raise ValueError(f"edge {entry['tail']!r} -> {entry['head']!r} "
+                             f"has cost {cost!r}, not a \"num/den\" string")
     costs = inst.class_costs
     for klass, text in dict.fromkeys(zip(map(inst.classes.__getitem__, listed),
                                          listed.values())):

@@ -2,7 +2,7 @@
 
 from dataclasses import replace
 
-from dstgap.model import GapObjects, build_instance, parse_set_label, set_label
+from dstgap.model import GapObjects, build_instance, label_set, set_label
 
 
 def permuted_subset_objects(obj, sigma):
@@ -16,11 +16,11 @@ def permuted_subset_objects(obj, sigma):
     b_pos = {lbl: i for i, lbl in enumerate(obj.b_labels)}
 
     def amap(i):
-        moved = set_label(sigma[x] for x in parse_set_label(obj.a_labels[i]))
+        moved = set_label(sigma[x] for x in label_set(obj.a_labels[i]))
         return a_pos[moved]
 
     def bmap(i):
-        moved = set_label(sigma[x] for x in parse_set_label(obj.b_labels[i]))
+        moved = set_label(sigma[x] for x in label_set(obj.b_labels[i]))
         return b_pos[moved]
 
     edges = tuple(sorted((amap(a), bmap(b), amap(c)) for a, b, c in obj.edges))

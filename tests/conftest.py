@@ -4,7 +4,6 @@ import pytest
 from hypothesis import configuration
 
 from dstgap import build_instance, subset_objects, zk_objects
-from dstgap.families import SubsetFamilyParams
 
 # Hypothesis caches the constants it reads from local modules in its home
 # directory, ./.hypothesis by default, while pytest collects the tests; a
@@ -44,7 +43,7 @@ def zk9_instance(zk9_objects):
 
 @pytest.fixture(scope="session")
 def subset_m6_objects():
-    return subset_objects(SubsetFamilyParams(6, 2, 1))
+    return subset_objects(6, 2, 1)
 
 
 @pytest.fixture(scope="session")
@@ -54,9 +53,9 @@ def subset_m6_instance(subset_m6_objects):
 
 @pytest.fixture(scope="session")
 def subset_m4_instance():
-    return build_instance(subset_objects(SubsetFamilyParams(4, 2, 0)))
+    return build_instance(subset_objects(4, 2, 0))
 
 
 @pytest.fixture(scope="session")
 def subset_m5_instance():
-    return build_instance(subset_objects(SubsetFamilyParams(5, 2, 0)))
+    return build_instance(subset_objects(5, 2, 0))

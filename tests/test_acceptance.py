@@ -19,7 +19,7 @@ from dstgap.bounds import (
     verify_ja_bound,
     verify_kb_bound,
 )
-from dstgap.families import SubsetFamilyParams, default_j_sets, subset_objects, zk_objects
+from dstgap.families import default_j_sets, subset_objects, zk_objects
 from dstgap.flows import canonical_solution, solution_cost, verify_feasibility
 from dstgap.integral import brute_force_opt, certify_gap, solve_structured
 from dstgap.lp import solve_lp_exact
@@ -40,7 +40,7 @@ def _report(num, name, checks, elapsed=None, limit=None):
 
 @lru_cache(maxsize=None)
 def _subset_instance(m):
-    return build_instance(subset_objects(SubsetFamilyParams(m, 2, 0)))
+    return build_instance(subset_objects(m, 2, 0))
 
 
 @lru_cache(maxsize=None)

@@ -9,7 +9,6 @@ from dstgap.bounds import (
     alpha_asymptotics,
     chernoff_lower,
     chernoff_upper,
-    constant_identities,
     exp_bounds,
     frac_log,
     hypergeom_count,
@@ -18,7 +17,7 @@ from dstgap.bounds import (
     verify_ja_bound,
     verify_kb_bound,
 )
-from dstgap.families import SubsetFamilyParams, default_j_sets, subset_objects
+from dstgap.families import default_j_sets, subset_objects
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +146,15 @@ def test_ja_bound_m64():
     assert ok and kd == Fraction(comb(64, 4), comb(60, 4))
     jad, _, ok = rep.extras["ja_over_d"]
     assert ok and jad == Fraction(10861, comb(60, 4))
+    # the exponents derived from rho and theta, at the paper constants:
+    # delta = 3, so the tail bound is e^(-9/5 mu) at mu = rho^2 m = 1/4,
+    # k/d <= e^(8/7 mu) and |J_A|/d <= e^((8/7 - 9/5) mu) = e^(-23/35 mu)
+    assert THETA == 4 * RHO * RHO == RHO / 4
+    for bound, exponent in ((rep.chernoff, Fraction(-9, 20)),
+                            (rep.extras["k_over_d"][1], Fraction(2, 7)),
+                            (rep.extras["ja_over_d"][1], Fraction(-23, 140))):
+        ref = exp_bounds(exponent)
+        assert (bound.lower, bound.upper) == (ref.lower, ref.upper)
 
 
 def test_kb_bound_m64():
@@ -170,18 +178,12 @@ def test_alpha_m64():
     assert row.log_alpha_over_m > 0
 
 
-def test_constant_identities():
-    for name, (lhs, rhs) in constant_identities().items():
-        assert lhs == rhs, name
-    assert THETA == 4 * RHO * RHO == RHO / 4
-
-
 # ---------------------------------------------------------------------------
 # symmetry cross-check against the materialized family
 
 @pytest.mark.parametrize("m,a,thresh", [(6, 2, 0), (6, 2, 1), (8, 2, 1)])
 def test_j_set_sizes_match_hypergeometric_counts(m, a, thresh):
-    obj = subset_objects(SubsetFamilyParams(m, a, thresh))
+    obj = subset_objects(m, a, thresh)
     j = default_j_sets(obj)
     expected_j = hypergeom_count(m, a, a, thresh, "above")
     assert all(len(js) == expected_j for js in j)

@@ -281,6 +281,20 @@ ZK4_TAMPERED = {
     "e1-cost-4/6": (_set_e1_costs("4/6"), EXIT_OK),
 }
 
+# case id -> (mutation of zk4's dict tree, the text of the one error line
+# that verify and certify print, exit 3)
+ZK4_MALFORMED = {
+    "level-2-label-null": (
+        lambda data: data["levels"][2].__setitem__(0, None),
+        "level-2 label None is not a string"),
+    "cost-number": (_set_first_cost(0), "edge 'r' -> '{1,2}' has cost 0,"),
+    "color-on-e1-edge": (
+        lambda data: data["edges"][0].__setitem__("color", "1"),
+        "edge 'r' -> '{1,2}' has color '1', but a color"),
+    "params-list": (_set_meta("params", [["k", 4]]),
+                    "meta.params is [['k', 4]], not an object"),
+}
+
 M6_TAMPERED = {
     "no-thresh": (_del_param("thresh"), EXIT_BAD_INPUT),
     "thresh-str": (_set_param("thresh", "1"), EXIT_BAD_INPUT),
@@ -301,6 +315,7 @@ def tampered_runs(tmp_path_factory, zk4_instance, subset_m6_instance):
     tmp = tmp_path_factory.mktemp("tampered")
     keys, argvs = [], []
     for name, inst, cases in (("zk4", zk4_instance, ZK4_TAMPERED),
+                              ("zk4", zk4_instance, ZK4_MALFORMED),
                               ("m6", subset_m6_instance, M6_TAMPERED)):
         for case, (mutate, _) in cases.items():
             data = model.instance_to_dict(inst)
@@ -325,6 +340,14 @@ def test_tampered_zk4_files(tampered_runs, case):
 @pytest.mark.parametrize("case", list(M6_TAMPERED))
 def test_tampered_m6_files(tampered_runs, case):
     _check_tampered(tampered_runs["m6", case], M6_TAMPERED[case][1])
+
+
+@pytest.mark.parametrize("case", list(ZK4_MALFORMED))
+def test_malformed_zk4_files_name_the_fault(tampered_runs, case):
+    runs = tampered_runs["zk4", case]
+    _check_tampered(runs, EXIT_BAD_INPUT)
+    for (command, flags), proc in runs:
+        assert ZK4_MALFORMED[case][1] in proc.stderr, (command, flags)
 
 
 def test_edges_outside_objects_exit_3(tmp_path, subset_m6_instance):
@@ -810,7 +833,8 @@ INAPPLICABLE = [
 @pytest.fixture(scope="module")
 def inapplicable_runs(tmp_path_factory, subset_m6_instance):
     """(case index, via_config) -> (out path, [Run under python, Run under
-    python -O]).  One child per interpreter runs every case."""
+    python -O]), and ("gen", k) -> (None, the same Runs) for a valid
+    `gen --family zk --k k`.  One child per interpreter runs every case."""
     tmp = tmp_path_factory.mktemp("inapplicable")
     m6_file = tmp / "m6.json"
     m6_file.write_text(model.instance_to_json(subset_m6_instance))
@@ -828,6 +852,9 @@ def inapplicable_runs(tmp_path_factory, subset_m6_instance):
                 argv_i += [f"--{key}", value]
             cases.append(((i, via_config), out))
             argvs.append(argv_i)
+    for k in (4, 9):
+        cases.append((("gen", k), None))
+        argvs.append(["gen", "--family", "zk", "--k", str(k)])
     children = [_run_cli(flags, *argvs) for flags in ([], ["-O"])]
     return {key: (out, [runs[j] for runs in children])
             for j, (key, out) in enumerate(cases)}
@@ -845,6 +872,19 @@ def test_inapplicable_options_exit_2(inapplicable_runs, case, via_config):
         errors = [ln for ln in proc.stderr.splitlines() if "error:" in ln]
         assert len(errors) == 1 and f"--{key}" in errors[0], proc.stderr
         assert proc.stdout == "" and not out.exists()
+
+
+def test_gen_stdout(inapplicable_runs):
+    # zk4: 6 root edges at 2/3 and 4 unit copy edges; canonical cost 2|B|/s
+    expected = {4: ["n                19", "total cost       8/1",
+                    "canonical cost   8/3"],
+                9: ["n                346", "canonical cost   9/2"]}
+    for k, lines in expected.items():
+        _, runs = inapplicable_runs["gen", k]
+        assert runs[0] == runs[1], k  # python and python -O
+        assert runs[0].returncode == EXIT_OK and runs[0].stderr == ""
+        out = runs[0].stdout.splitlines()
+        assert all(line in out for line in lines), (k, out)
 
 
 @pytest.mark.parametrize("line", ["bogus = 1", "sweep = 1", "instance = x"])

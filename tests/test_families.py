@@ -2,15 +2,14 @@ from math import comb
 
 import pytest
 
+from dstgap import families
 from dstgap.families import (
-    SubsetFamilyParams,
     colex_subsets,
     default_j_sets,
     subset_objects,
     zk_objects,
 )
-from dstgap.model import (SizeCapError, label_set, parse_set_label,
-                          validate_objects)
+from dstgap.model import SizeCapError, label_set, validate_objects
 
 from _util import toy_objects
 
@@ -41,8 +40,8 @@ def test_zk_edge_colors(zk4_objects):
     # color of (A, B) is the unique element of B \ A
     obj = zk4_objects
     for a, b, c in obj.edges:
-        a_set = parse_set_label(obj.a_labels[a])
-        b_set = parse_set_label(obj.b_labels[b])
+        a_set = label_set(obj.a_labels[a])
+        b_set = label_set(obj.b_labels[b])
         assert b_set - a_set == {c + 1}
 
 
@@ -66,14 +65,14 @@ def test_subset_m6_shape(subset_m6_objects):
 
 
 def test_subset_m8_shape():
-    obj = subset_objects(SubsetFamilyParams(8, 2))
+    obj = subset_objects(8, 2)
     assert (obj.num_a, obj.num_b) == (28, 70)
     assert (obj.d, obj.d_prime, obj.s, obj.k) == (15, 6, 15, 28)
     assert validate_objects(obj) is None
 
 
 def test_subset_m4_degenerate():
-    obj = subset_objects(SubsetFamilyParams(4, 2, 0))
+    obj = subset_objects(4, 2, 0)
     assert len(obj.edges) == comb(4, 2) * 1 == 6
     assert obj.d == comb(2, 2) == 1
     assert validate_objects(obj) is None
@@ -82,23 +81,28 @@ def test_subset_m4_degenerate():
 def test_subset_edge_count_identity():
     # (A, B) <-> (A, B \ A) is a bijection with pairs of disjoint a-sets
     for m in (6, 8):
-        obj = subset_objects(SubsetFamilyParams(m, 2))
+        obj = subset_objects(m, 2)
         assert len(obj.edges) == comb(m, 2) * comb(m - 2, 2)
         assert len(set(obj.edges)) == len(obj.edges)
 
 
-def test_subset_params_validation():
-    with pytest.raises(ValueError):
-        SubsetFamilyParams(3, 2)  # 2a > m
-    with pytest.raises(ValueError):
-        SubsetFamilyParams(6, 2, 2)  # thresh >= a
-    with pytest.raises(ValueError):
-        SubsetFamilyParams(6, 0)
+def test_subset_params_validation(monkeypatch):
+    # the parameters are checked before any subset is listed
+    def refuse(*args):
+        raise AssertionError("subsets were listed")
+    monkeypatch.setattr(families, "colex_subsets", refuse)
+    with pytest.raises(ValueError, match=r"^need 2a <= m, got a=2, m=3$"):
+        subset_objects(3, 2)
+    with pytest.raises(ValueError,
+                       match=r"^need 0 <= thresh < a, got thresh=2$"):
+        subset_objects(6, 2, 2)
+    with pytest.raises(ValueError, match=r"^m and a must be positive$"):
+        subset_objects(6, 0)
 
 
 def test_subset_size_cap():
     with pytest.raises(SizeCapError):
-        subset_objects(SubsetFamilyParams(8, 2), max_edges=100)
+        subset_objects(8, 2, max_edges=100)
 
 
 def test_zk_size_cap_counts_edges():
@@ -113,8 +117,7 @@ def test_generators_pass_validation_grid():
         assert validate_objects(zk_objects(k)) is None
     for m, a in ((2, 1), (5, 1), (4, 2), (5, 2), (6, 2), (6, 3), (8, 2)):
         for thresh in range(a):
-            params = SubsetFamilyParams(m, a, thresh)
-            assert validate_objects(subset_objects(params)) is None
+            assert validate_objects(subset_objects(m, a, thresh)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +140,7 @@ def test_zk_j_sets(zk4_objects, zk9_objects):
     # J_u is u itself, as color indices: color x - 1 is element x
     for obj in (zk4_objects, zk9_objects, zk_objects(16)):
         j = default_j_sets(obj)
-        assert j == tuple(frozenset(x - 1 for x in parse_set_label(lbl))
+        assert j == tuple(frozenset(x - 1 for x in label_set(lbl))
                           for lbl in obj.a_labels)
     with pytest.raises(ValueError):
         default_j_sets(zk4_objects, thresh=1)  # a zk color has one element
@@ -162,9 +165,9 @@ def test_subset_j_sets(subset_m6_objects):
 
 @pytest.mark.parametrize("build", [
     lambda: zk_objects(4), lambda: zk_objects(9), lambda: zk_objects(16),
-    lambda: subset_objects(SubsetFamilyParams(6, 2, 1)),
-    lambda: subset_objects(SubsetFamilyParams(7, 3, 1)),
-    lambda: subset_objects(SubsetFamilyParams(10, 3, 1)),
+    lambda: subset_objects(6, 2, 1),
+    lambda: subset_objects(7, 3, 1),
+    lambda: subset_objects(10, 3, 1),
 ], ids=["zk4", "zk9", "zk16", "m6", "m7a3", "m10a3"])
 def test_j_sets_match_definition(build):
     obj = build()

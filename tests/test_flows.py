@@ -11,7 +11,7 @@ import pytest
 
 import dstgap
 
-from dstgap.families import SubsetFamilyParams, subset_objects, zk_objects
+from dstgap.families import subset_objects, zk_objects
 from dstgap.flows import (
     FractionalSolution,
     canonical_solution,
@@ -27,7 +27,7 @@ from dstgap.model import (
     build_instance,
     instance_from_dict,
     instance_to_dict,
-    parse_set_label,
+    label_set,
 )
 
 from _util import permuted_subset_objects, toy_instance
@@ -35,7 +35,7 @@ from _util import permuted_subset_objects, toy_instance
 
 @pytest.fixture(scope="module")
 def subset_m8_instance():
-    return build_instance(subset_objects(SubsetFamilyParams(8, 2, 1)))
+    return build_instance(subset_objects(8, 2, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +303,7 @@ def _e3_edge_left_out(inst, holds_1_and_2):
     want = 2 if holds_1_and_2 else 1
     i = next(i for i, e in enumerate(data["edges"])
              if e["cost"] == "1/1" and e["head"].endswith("'")
-             and len(parse_set_label(e["tail"]) & {1, 2}) == want)
+             and len(label_set(e["tail"]) & {1, 2}) == want)
     del data["edges"][i]
     return instance_from_dict(data)
 
@@ -315,11 +315,11 @@ def _family_deleted(inst):
 
 
 def _subset(m, a):
-    return build_instance(subset_objects(SubsetFamilyParams(m, a, 0)))
+    return build_instance(subset_objects(m, a, 0))
 
 
 def _relabeled_m5():
-    obj = subset_objects(SubsetFamilyParams(5, 2, 0))
+    obj = subset_objects(5, 2, 0)
     perm = [1, 2, 3, 4, 5]
     random.Random(5).shuffle(perm)
     return build_instance(permuted_subset_objects(obj, dict(zip(range(1, 6),

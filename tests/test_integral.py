@@ -9,7 +9,7 @@ import pytest
 
 import dstgap
 from dstgap import build_instance, subset_objects
-from dstgap.families import SubsetFamilyParams, default_j_sets
+from dstgap.families import default_j_sets
 from dstgap.integral import (
     brute_force_opt,
     certify_gap,
@@ -99,8 +99,7 @@ def test_structured_zk4(zk4_instance):
     assert res.optimal
     assert res.fixed_a == "{1,2}"
     assert res.value == Fraction(2, 3) + 2  # one root edge, two copy edges
-    sol = res.solution
-    assert len(sol.opened_a) == 1 and len(sol.opened_b) == 2
+    assert len(res.opened_a) == 1 and len(res.opened_b) == 2
 
 
 # The node counts and opened sets below pin the search order (branching
@@ -113,8 +112,8 @@ def test_structured_zk9(zk9_instance):
     assert res.value == res.lower_bound == 6
     assert res.nodes == 2_427
     assert res.fixed_a == "{1,2,3}"
-    assert res.solution.opened_a == ("{1,2,3}", "{5,6,7}")
-    assert res.solution.opened_b == ("{1,2,3,4}", "{1,2,3,9}", "{5,6,7,8}")
+    assert res.opened_a == ("{1,2,3}", "{5,6,7}")
+    assert res.opened_b == ("{1,2,3,4}", "{1,2,3,9}", "{5,6,7,8}")
 
 
 def test_structured_subset_m6(subset_m6_instance):
@@ -123,19 +122,19 @@ def test_structured_subset_m6(subset_m6_instance):
     assert res.value == 5
     assert res.nodes == 123
     assert res.fixed_a == "{1,2}"
-    assert res.solution.opened_a == ("{1,2}", "{3,4}")
-    assert res.solution.opened_b == ("{1,2,3,4}", "{1,2,5,6}", "{3,4,5,6}")
+    assert res.opened_a == ("{1,2}", "{3,4}")
+    assert res.opened_b == ("{1,2,3,4}", "{1,2,5,6}", "{3,4,5,6}")
 
 
 def test_structured_subset_m7a3():
-    inst = build_instance(subset_objects(SubsetFamilyParams(7, 3, 1)))
+    inst = build_instance(subset_objects(7, 3, 1))
     res = solve_structured(inst)
     assert res.optimal
     assert res.value == Fraction(21, 5)
     assert res.nodes == 1_681
     assert res.fixed_a == "{1,2,3}"
-    assert res.solution.opened_a == ("{1,2,3}",)
-    assert res.solution.opened_b == ("{1,2,3,4,5,6}", "{1,2,3,4,5,7}",
+    assert res.opened_a == ("{1,2,3}",)
+    assert res.opened_b == ("{1,2,3,4,5,6}", "{1,2,3,4,5,7}",
                                      "{1,2,3,4,6,7}", "{1,2,3,5,6,7}")
 
 
@@ -214,7 +213,7 @@ def test_brute_reads_only_the_graph(subset_m6_instance, omit):
     labels = subset_m6_instance.labels
     first_a, first_b = (labels[subset_m6_instance.level_offset(lvl)]
                         for lvl in (1, 2))
-    opened_b = solve_structured(subset_m6_instance).solution.opened_b
+    opened_b = solve_structured(subset_m6_instance).opened_b
     data = instance_to_dict(subset_m6_instance)
     drop = {"one-copy-edge": {(first_b, first_b + "'")},
             "optimum-copy-edges": {(v, v + "'") for v in opened_b},

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from dstgap.families import SubsetFamilyParams, subset_objects
+from dstgap.families import subset_objects
 from dstgap.flows import canonical_solution, solution_cost, verify_feasibility
 from dstgap.lp import solve_lp_exact
 from dstgap.model import SizeCapError, build_instance
@@ -50,7 +50,7 @@ def test_subset_m4_lp(m4_lp):
 
 
 def test_lp_symmetry_under_relabeling(m4_lp):
-    obj = subset_objects(SubsetFamilyParams(4, 2, 0))
+    obj = subset_objects(4, 2, 0)
     rng = random.Random(11)
     perm = [2, 3, 4, 1]
     rng.shuffle(perm)

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 import dstgap
-from dstgap.families import SubsetFamilyParams, subset_objects, zk_objects
+from dstgap.families import subset_objects, zk_objects
 from dstgap.model import (
     E1, E2, E3, E4,
     GapObjects,
@@ -23,12 +23,10 @@ from dstgap.model import (
     instance_from_dict,
     instance_from_json,
     instance_sha256,
-    instance_stats,
     instance_to_dict,
     instance_to_dot,
     instance_to_json,
     label_set,
-    parse_set_label,
     set_label,
     validate_objects,
 )
@@ -208,22 +206,6 @@ def test_terminal_in_degree_is_s(zk9_instance):
 
 
 # ---------------------------------------------------------------------------
-# stats
-
-def test_stats_canonical_costs(zk4_instance, zk9_instance):
-    assert instance_stats(zk4_instance).canonical_cost == Fraction(8, 3)
-    s9 = instance_stats(zk9_instance)
-    assert s9.canonical_cost == Fraction(2 * 126, 56) == Fraction(9, 2)
-    assert s9.n == 1 + 84 + 252 + 9 == 346
-    assert instance_stats(zk9_instance) == s9  # determinism
-
-
-def test_stats_total_cost(zk4_instance):
-    # 6 root edges at 2/3 plus 4 unit copy edges
-    assert instance_stats(zk4_instance).total_cost == 6 * Fraction(2, 3) + 4
-
-
-# ---------------------------------------------------------------------------
 # serialization
 
 def test_json_round_trip_byte_identical(zk4_instance, subset_m6_instance):
@@ -316,11 +298,11 @@ FAMILY_OBJECTS = {
     "zk4": lambda: zk_objects(4),
     "zk9": lambda: zk_objects(9),
     "zk16": lambda: zk_objects(16),
-    "m4": lambda: subset_objects(SubsetFamilyParams(4, 2, 0)),
-    "m6": lambda: subset_objects(SubsetFamilyParams(6, 2, 1)),
-    "m7a3": lambda: subset_objects(SubsetFamilyParams(7, 3, 1)),
-    "m10a3": lambda: subset_objects(SubsetFamilyParams(10, 3, 1)),
-    "m5a1": lambda: subset_objects(SubsetFamilyParams(5, 1, 0)),
+    "m4": lambda: subset_objects(4, 2, 0),
+    "m6": lambda: subset_objects(6, 2, 1),
+    "m7a3": lambda: subset_objects(7, 3, 1),
+    "m10a3": lambda: subset_objects(10, 3, 1),
+    "m5a1": lambda: subset_objects(5, 1, 0),
 }
 
 
@@ -410,10 +392,10 @@ def test_dot_export_cap(zk9_instance):
 # properties
 
 def test_set_label_round_trip():
-    assert parse_set_label(set_label({3, 1, 2})) == frozenset({1, 2, 3})
-    assert set_label(parse_set_label("{1,2,5}")) == "{1,2,5}"
+    assert label_set(set_label({3, 1, 2})) == frozenset({1, 2, 3})
+    assert set_label(label_set("{1,2,5}")) == "{1,2,5}"
     with pytest.raises(ValueError):
-        parse_set_label("1,2")
+        label_set("1,2")
 
 
 def test_label_set_reads_sets_and_bare_integers():
@@ -430,7 +412,7 @@ def test_random_relabelings_build_valid_instances():
     rng = random.Random(7)
     for _ in range(8):
         m = rng.choice([4, 5])
-        obj = subset_objects(SubsetFamilyParams(m, 2, 0))
+        obj = subset_objects(m, 2, 0)
         perm = list(range(1, m + 1))
         rng.shuffle(perm)
         sigma = dict(zip(range(1, m + 1), perm))
