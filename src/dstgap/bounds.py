@@ -129,22 +129,23 @@ def frac_log(q: Fraction, digits: int = 30) -> Decimal:
 # ---------------------------------------------------------------------------
 # the two family lemmas at the paper constants
 
-def _require_regime(m: int) -> None:
-    if m <= 0 or m % 64:
-        raise ValueError(f"m must be a positive multiple of 64, got {m}")
+def _regime(m: int) -> tuple[int, int]:
+    """(rho m, theta m), for an m that makes both positive integers."""
+    unit = math.lcm(RHO.denominator, THETA.denominator)
+    if m <= 0 or m % unit:
+        raise ValueError(f"m must be a positive multiple of {unit}, got {m}")
+    return int(RHO * m), int(THETA * m)
 
 
 def ja_count(m: int) -> int:
     """|J_A|: colors meeting a fixed rho*m-set in more than theta*m elements."""
-    _require_regime(m)
-    rm, tm = m // 16, m // 64
+    rm, tm = _regime(m)
     return hypergeom_count(m, rm, rm, tm, "above")
 
 
 def kb_residual_count(m: int) -> int:
     """|K_B \\ J_A| for A inside B: colors within B missing J_A."""
-    _require_regime(m)
-    rm, tm = m // 16, m // 64
+    rm, tm = _regime(m)
     return hypergeom_count(2 * rm, rm, rm, tm, "at_most")
 
 
@@ -167,8 +168,7 @@ def verify_ja_bound(m: int, digits: int = DEFAULT_DIGITS) -> TailReport:
     at mean mu = rho^2 m and delta = theta/rho^2 - 1 (theta m = (1 + delta)
     mu), and k/d against e^(mu/(1 - 2 rho)).  At rho = 1/16 and theta =
     1/64 these are e^(-23 mu/35), delta = 3, e^(-9 mu/5) and e^(8 mu/7)."""
-    _require_regime(m)
-    rm = m // 16
+    rm, _ = _regime(m)
     k = comb(m, rm)
     d = comb(m - rm, rm)
     ja = ja_count(m)
@@ -200,8 +200,7 @@ def verify_ja_bound(m: int, digits: int = DEFAULT_DIGITS) -> TailReport:
 def verify_kb_bound(m: int, digits: int = DEFAULT_DIGITS) -> TailReport:
     """Exact |K_B \\ J_A| / d' against chernoff_lower at mean rho m / 2 and
     delta = 1/2, e^(-m/256)."""
-    _require_regime(m)
-    rm = m // 16
+    rm, _ = _regime(m)
     dp = comb(2 * rm, rm)
     exact = Fraction(kb_residual_count(m), dp)
     bound = chernoff_lower(RHO * m / 2, Fraction(1, 2), digits)
@@ -226,8 +225,7 @@ def alpha_asymptotics(m_list, digits: int = DEFAULT_DIGITS):
     """
     rows = []
     for m in sorted(m_list):
-        _require_regime(m)
-        rm = m // 16
+        rm, _ = _regime(m)
         d = comb(m - rm, rm)
         dp = comb(2 * rm, rm)
         ja = ja_count(m)

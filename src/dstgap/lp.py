@@ -18,7 +18,7 @@ from .model import DstInstance, InfeasibleError, SizeCapError
 from .flows import FractionalSolution
 
 # the exact tableau solves zk4's 118 variables in well under a second, but
-# its rows fill in as it pivots: subset m5's 415 variables take about 17 s.
+# its rows fill in as it pivots: subset m5's 415 variables take about 12 s.
 # The cap is configurable for callers willing to wait
 DEFAULT_VAR_CAP = 200
 

@@ -30,6 +30,7 @@ import functools
 import hashlib
 import json
 import math
+import reprlib
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -398,6 +399,30 @@ def instance_sha256(inst: DstInstance) -> str:
     return hashlib.sha256(instance_to_json(inst).encode()).hexdigest()
 
 
+def _json_node(value, kind, name: str):
+    """value, if it is a JSON node of type kind (dict or list); else a
+    ValueError that names it."""
+    if type(value) is not kind:
+        raise ValueError(f"{name} is {reprlib.repr(value)}, not "
+                         f"{'an object' if kind is dict else 'a list'}")
+    return value
+
+
+def _member(obj: dict, key: str, name: str):
+    """obj[key]; a ValueError that names obj and key if key is missing."""
+    if key not in obj:
+        raise ValueError(f"{name} has no {key!r}")
+    return obj[key]
+
+
+def _edge_entry_error(entry: dict, exc: Exception) -> ValueError:
+    """The fault behind a KeyError or TypeError that reading the labels and
+    cost of an edge entry raised."""
+    fault = (f"no {exc}" if isinstance(exc, KeyError)
+             else "a list or an object as a label")
+    return ValueError(f"edge entry {reprlib.repr(entry)} has {fault}")
+
+
 def instance_from_dict(data: dict) -> DstInstance:
     """Load an instance file: the instance that build_instance makes from
     the file's objects (its levels, meta and level-2 edges, the entries
@@ -409,29 +434,44 @@ def instance_from_dict(data: dict) -> DstInstance:
     validate_objects, and every edge must be a built edge, listed once,
     costing its class cost.
     """
-    meta = data["meta"]
-    levels = data["levels"]
-    if len(levels) != 5 or levels[0] != [ROOT_LABEL]:
+    _json_node(data, dict, "the file")
+    meta = _json_node(_member(data, "meta", "the file"), dict, "meta")
+    levels = _member(data, "levels", "the file")
+    if type(levels) is not list or len(levels) != 5 \
+            or levels[0] != [ROOT_LABEL]:
         raise ValueError("instance must have 5 levels with root 'r'")
-    for lbl in levels[2]:
+    for lvl in (1, 4):
+        for lbl in _json_node(levels[lvl], list, f"levels[{lvl}]"):
+            if type(lbl) in (list, dict):  # labels are dict keys below
+                raise ValueError(f"level-{lvl} label {reprlib.repr(lbl)} "
+                                 "is a list or an object")
+    for lbl in _json_node(levels[2], list, "levels[2]"):
         if type(lbl) is not str:
             raise ValueError(f"level-2 label {lbl!r} is not a string")
     if levels[3] != [lbl + "'" for lbl in levels[2]]:
         raise ValueError("level 3 is not the primed copy of level 2")
-    for v, vp in data.get("pi", {}).items():
+    for v, vp in _json_node(data.get("pi", {}), dict, "pi").items():
         if vp != v + "'":
             raise ValueError(f"pi maps {v!r} to {vp!r}, expected {v + chr(39)!r}")
 
-    params = meta.get("params", {})
-    if type(params) is not dict:
-        raise ValueError(f"meta.params is {params!r}, not an object")
+    params = _json_node(meta.get("params", {}), dict, "meta.params")
+    family = meta.get("family", "generic")
+    if type(family) is not str:
+        raise ValueError(f"meta.family is {reprlib.repr(family)}, "
+                         "not a string")
     a_idx, b_idx, color_idx = (
         {lbl: i for i, lbl in enumerate(levels[lvl])} for lvl in (1, 2, 4))
+    edges = _json_node(_member(data, "edges", "the file"), list, "edges")
     h_edges = []  # the level-2 edges: the entries with a color
-    for e in data["edges"]:
+    for e in edges:
+        if type(e) is not dict:
+            raise ValueError(f"edge entry {reprlib.repr(e)} is not an object")
         if "color" in e:
-            tail, head, color = e["tail"], e["head"], e["color"]
-            abc = (a_idx.get(tail), b_idx.get(head), color_idx.get(color))
+            try:
+                tail, head, color = e["tail"], e["head"], e["color"]
+                abc = (a_idx.get(tail), b_idx.get(head), color_idx.get(color))
+            except (KeyError, TypeError) as exc:
+                raise _edge_entry_error(e, exc) from None
             if None in abc:
                 raise ValueError(
                     f"edge {tail!r} -> {head!r} has color {color!r}, but a "
@@ -443,11 +483,11 @@ def instance_from_dict(data: dict) -> DstInstance:
         b_labels=tuple(levels[2]),
         color_labels=tuple(levels[4]),
         edges=tuple(sorted(h_edges)),
-        d=meta["d"],
-        d_prime=meta["d_prime"],
-        s=meta["s"],
-        k=meta["k"],
-        family=meta.get("family", "generic"),
+        d=_member(meta, "d", "meta"),
+        d_prime=_member(meta, "d_prime", "meta"),
+        s=_member(meta, "s", "meta"),
+        k=_member(meta, "k", "meta"),
+        family=family,
         family_params=tuple(sorted(params.items())),
     )
     inst = build_instance(objects)
@@ -459,15 +499,19 @@ def instance_from_dict(data: dict) -> DstInstance:
         raise ValueError("two edges of the instance have the same "
                          "(tail, head) labels")
     listed = {}  # built edge position -> the file's cost text
-    for entry in data["edges"]:
-        i = built.get((entry["tail"], entry["head"]))
+    for entry in edges:
+        try:
+            i = built.get((entry["tail"], entry["head"]))
+            cost = entry["cost"]
+        except (KeyError, TypeError) as exc:
+            raise _edge_entry_error(entry, exc) from None
         if i is None:
             raise ValueError(f"edge {entry['tail']!r} -> {entry['head']!r} is not "
                              "an edge of the objects' instance")
         if i in listed:
             raise ValueError(f"edge {entry['tail']!r} -> {entry['head']!r} appears "
                              "more than once")
-        cost = listed[i] = entry["cost"]
+        listed[i] = cost
         if type(cost) is not str:
             raise ValueError(f"edge {entry['tail']!r} -> {entry['head']!r} "
                              f"has cost {cost!r}, not a \"num/den\" string")

@@ -1,10 +1,10 @@
 """Exact two-phase simplex over rationals, in sparse integer rows.
 
 Minimizes c.x subject to rows[i].x (<=, >=, =) b[i] and x >= 0, with every
-coefficient a Fraction.  No tolerances exist anywhere.  Pivoting is
-steepest-coefficient (Dantzig) for speed but switches to Bland's rule
-whenever a run of degenerate pivots is detected and stays there until the
-objective strictly improves, which preserves Bland's termination guarantee.
+coefficient a Fraction.  No tolerances exist anywhere.  Pivoting follows
+Bland's rule: the lowest improving column enters, and the ratio test breaks
+ties by the smallest basic index.  Bland's rule guarantees termination,
+also on LPs as degenerate as the flow LPs.
 
 Each tableau row is a dict {column: int} of its nonzero numerators over one
 positive int denominator, the row kept in lowest terms; the reduced-cost
@@ -13,15 +13,13 @@ prow to p = prow[jc] > 0 with gcd 1, so that prow/p is the new row; every
 other row with f = row[jc] != 0 becomes (row*p - f*prow) / (den*p), in
 ints over the nonzeros, and one gcd puts it in lowest terms.  The ratio
 test cross-multiplies numerators, because a row's denominator cancels from
-its own ratio, and pricing compares numerators over the reduced-cost row's
-one denominator.  No Fraction is built inside the pivot loop: values are
+its own ratio, and pricing reads the signs of the reduced-cost row's
+numerators.  No Fraction is built inside the pivot loop: values are
 Fractions only where a phase sets up its rows and costs, and where x, the
 duals and the value are returned.
 
-The rows hold exactly the rationals of a dense Fraction tableau, every
-comparison is exact, and ties are broken by fixed rules: pricing takes the
-lowest column among equal minima, the ratio test the smallest basic index
-among equal ratios.  So the pivot sequence, the final basis, x and the
+The rows hold exactly the rationals of a dense Fraction tableau and every
+comparison is exact.  So the pivot sequence, the final basis, x and the
 duals are a function of the input alone: the representation of the rows
 cannot change them.
 
@@ -45,9 +43,6 @@ UNBOUNDED = "unbounded"
 
 _F0 = Fraction(0)
 
-# consecutive degenerate pivots tolerated before switching to Bland
-_STALL_LIMIT = 12
-
 
 class SimplexError(Exception):
     pass
@@ -57,7 +52,6 @@ class SimplexStats(NamedTuple):
     phase1_pivots: int = 0   # includes pivots that evict basic artificials
     phase2_pivots: int = 0
     degenerate_pivots: int = 0  # ratio-test pivots with step length 0
-    bland_switches: int = 0
 
     @property
     def pivots(self) -> int:
@@ -147,7 +141,7 @@ def solve_lp(c, rows, senses, b) -> LpSolution:
         den.append(d)
         basis.append(art_col[i] if i in art_col else slack_col[i])
 
-    counts = [0, 0, 0, 0]  # the SimplexStats fields, in order
+    counts = [0, 0, 0]  # the SimplexStats fields, in order
     if art_col:
         bounded, z1, _ = _run(tab, den, basis,
                               dict.fromkeys(art_set, Fraction(1)), ncols,
@@ -187,7 +181,7 @@ def _run(tab, den, basis, cost, ncols, banned, counts, phase):
     (bounded, z, zden): whether the problem is bounded, and the final
     reduced-cost row, numerators z over zden, whose rhs entry is minus the
     objective value.  Adds the pivots to counts[phase] and the degenerate
-    pivots and Bland switches to counts[2] and counts[3].
+    pivots to counts[2].
     """
     m = len(tab)
     z = dict(cost)
@@ -201,17 +195,12 @@ def _run(tab, den, basis, cost, ncols, banned, counts, phase):
     tab.append(z)
     den.append(d)
 
-    stall = 0
-    bland = False
     bounded = True
     while True:
-        priced = [(v, j) for j, v in z.items()
-                  if v < 0 and j < ncols and j not in banned]
-        if not priced:
+        enter = min((j for j, v in z.items()
+                     if v < 0 and j < ncols and j not in banned), default=-1)
+        if enter < 0:
             break
-        # Bland: the lowest improving column; Dantzig: the most negative
-        # reduced cost, lowest column among ties (all share one denominator)
-        enter = min(j for _, j in priced) if bland else min(priced)[1]
 
         # min rhs/a over a > 0, ties to the smallest basic index; a row's
         # denominator cancels from its ratio, and a > 0 keeps the
@@ -228,14 +217,6 @@ def _run(tab, den, basis, cost, ncols, banned, counts, phase):
 
         if best_rhs == 0:
             counts[2] += 1
-            stall += 1
-            if stall >= _STALL_LIMIT and not bland:
-                bland = True
-                counts[3] += 1
-        else:
-            stall = 0
-            bland = False
-
         _pivot(tab, den, leave, enter)
         basis[leave] = enter
         counts[phase] += 1

@@ -281,8 +281,9 @@ ZK4_TAMPERED = {
     "e1-cost-4/6": (_set_e1_costs("4/6"), EXIT_OK),
 }
 
-# case id -> (mutation of zk4's dict tree, the text of the one error line
-# that verify and certify print, exit 3)
+# case id -> (mutation of zk4's dict tree, in place or returning a new
+# tree, and the text of the one error line that verify and certify print,
+# exit 3)
 ZK4_MALFORMED = {
     "level-2-label-null": (
         lambda data: data["levels"][2].__setitem__(0, None),
@@ -293,6 +294,38 @@ ZK4_MALFORMED = {
         "edge 'r' -> '{1,2}' has color '1', but a color"),
     "params-list": (_set_meta("params", [["k", 4]]),
                     "meta.params is [['k', 4]], not an object"),
+    "family-list": (_set_meta("family", []), "meta.family is [], not a string"),
+    "top-level-list": (lambda data: [data], "the file is [{"),
+    "meta-list": (lambda data: data.__setitem__("meta", ["zk"]),
+                  "meta is ['zk'], not an object"),
+    "no-meta-d": (lambda data: data["meta"].__delitem__("d"),
+                  "meta has no 'd'"),
+    "level-2-number": (lambda data: data["levels"].__setitem__(2, 5),
+                       "levels[2] is 5, not a list"),
+    "level-1-list-label": (
+        lambda data: data["levels"][1].__setitem__(0, ["1", "2"]),
+        "level-1 label ['1', '2'] is a list or an object"),
+    "pi-list": (lambda data: data.__setitem__("pi", []),
+                "pi is [], not an object"),
+    "edge-number": (lambda data: data["edges"].__setitem__(0, 7),
+                    "edge entry 7 is not an object"),
+    "no-edge-cost": (lambda data: data["edges"][0].__delitem__("cost"),
+                     "edge entry {'head': '{1,2}', 'tail': 'r'} has no 'cost'"),
+    "no-edge-tail": (lambda data: data["edges"][0].__delitem__("tail"),
+                     "edge entry {'cost': '2/3', 'head': '{1,2}'} has no 'tail'"),
+    "no-color-edge-tail": (
+        lambda data: next(e for e in data["edges"]
+                          if "color" in e).__delitem__("tail"),
+        "edge entry {'color': '3', 'cost': '0/1', 'head': '{1,2,3}'} has no "
+        "'tail'"),
+    "edge-list-tail": (lambda data: data["edges"][0].__setitem__("tail", ["r"]),
+                       "edge entry {'cost': '2/3', 'head': '{1,2}', "
+                       "'tail': ['r']} has a list or an object as a label"),
+    "edge-object-color": (
+        lambda data: next(e for e in data["edges"]
+                          if "color" in e).__setitem__("color", {}),
+        "edge entry {'color': {}, 'cost': '0/1', 'head': '{1,2,3}', "
+        "'tail': '{1,2}'} has a list or an object as a label"),
 }
 
 M6_TAMPERED = {
@@ -319,9 +352,9 @@ def tampered_runs(tmp_path_factory, zk4_instance, subset_m6_instance):
                               ("m6", subset_m6_instance, M6_TAMPERED)):
         for case, (mutate, _) in cases.items():
             data = model.instance_to_dict(inst)
-            mutate(data)
+            replaced = mutate(data)
             path = tmp / f"tampered{len(argvs)}.json"
-            path.write_text(json.dumps(data))
+            path.write_text(json.dumps(data if replaced is None else replaced))
             for command in ("verify", "certify"):
                 keys.append((name, case, command))
                 argvs.append([command, str(path)])

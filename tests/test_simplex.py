@@ -3,6 +3,9 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from dstgap.simplex import (
     EQ, GE, LE,
     INFEASIBLE, OPTIMAL, UNBOUNDED,
@@ -68,7 +71,8 @@ def test_unbounded():
 
 
 def test_beale_degenerate_cycling_example():
-    # Beale's classic example; Dantzig's rule cycles without anti-cycling.
+    # Beale's classic example: the most-negative-reduced-cost rule cycles on
+    # it, Bland's rule reaches the optimum in 6 pivots, 4 of them degenerate
     c = [F(-3, 4), F(150), F(-1, 50), F(6)]
     rows = [
         {0: F(1, 4), 1: F(-60), 2: F(-1, 25), 3: F(9)},
@@ -81,6 +85,9 @@ def test_beale_degenerate_cycling_example():
     assert sol.status == OPTIMAL
     assert sol.value == F(-1, 20)
     assert sol.check_certificate(c, rows, senses, b)
+    assert sol.stats == SimplexStats(phase1_pivots=0, phase2_pivots=6,
+                                     degenerate_pivots=4)
+    assert sol.stats.pivots == 6
 
 
 def test_duals_signs():
@@ -121,21 +128,6 @@ def test_duals_with_basic_artificial_and_flipped_row():
     assert sol.duals[2] == 0 and sol.duals[3] == F(-1, 2)
     assert sol.duals[0] + 2 * sol.duals[1] == F(3, 2)
     assert sol.check_certificate(c, rows, senses, b)
-
-
-def test_beale_switches_to_bland():
-    # Dantzig's rule stalls on Beale's example; after _STALL_LIMIT
-    # degenerate pivots the solver switches to Bland's rule once
-    c = [F(-3, 4), F(150), F(-1, 50), F(6)]
-    rows = [
-        {0: F(1, 4), 1: F(-60), 2: F(-1, 25), 3: F(9)},
-        {0: F(1, 2), 1: F(-90), 2: F(-1, 50), 3: F(3)},
-        {2: F(1)},
-    ]
-    sol = solve_lp(c, rows, [LE, LE, LE], [F(0), F(0), F(1)])
-    assert sol.stats == SimplexStats(phase1_pivots=0, phase2_pivots=18,
-                                     degenerate_pivots=16, bland_switches=1)
-    assert sol.stats.pivots == 18
 
 
 # ---------------------------------------------------------------------------
@@ -218,3 +210,35 @@ def test_random_box_lps_match_vertex_enumeration():
     # the sample reaches every case it is meant to cover
     assert all(seen[key] >= 50 for key in
                (OPTIMAL, INFEASIBLE, LE, GE, EQ, "negative rhs")), seen
+
+
+@st.composite
+def degenerate_lps(draw):
+    """1 to 3 variables and 1 to 3 rows of any sense, coefficients in -2..2,
+    right-hand sides mostly 0 so that many vertices are degenerate, and a
+    row sum(x) <= 4 that keeps every LP bounded."""
+    n = draw(st.integers(1, 3))
+    coef = st.integers(-2, 2)
+    c = [F(draw(coef)) for _ in range(n)]
+    rows, senses, b = [], [], []
+    for _ in range(draw(st.integers(1, 3))):
+        rows.append({j: F(a) for j in range(n) if (a := draw(coef))})
+        senses.append(draw(st.sampled_from([LE, GE, EQ])))
+        b.append(F(draw(st.sampled_from([0, 0, 0, 0, -2, -1, 1, 2]))))
+    rows.append(dict.fromkeys(range(n), F(1)))
+    senses.append(LE)
+    b.append(F(4))
+    return c, rows, senses, b
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(degenerate_lps())
+def test_degenerate_lps_match_vertex_enumeration(lp):
+    sol = solve_lp(*lp)
+    best = _vertex_optimum(*lp)
+    if best is None:
+        assert sol.status == INFEASIBLE
+    else:
+        assert sol.status == OPTIMAL
+        assert sol.value == best
+        assert sol.check_certificate(*lp)
