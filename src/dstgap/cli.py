@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import errno
 import functools
+import gc
 import hashlib
 import json
 import os
@@ -40,24 +40,27 @@ class CliError(Exception):
 
 def atomic_write(*paths_and_texts: str) -> None:
     """Write each text to its path (the arguments alternate path, text)
-    through path + ".tmp", and replace the paths only once every .tmp file
-    is written: no path is half written, and a path that cannot be written
-    leaves every path as it was.  That is a bad parameter: CliError, exit
-    2, and no .tmp file is left behind.  Of two texts for one path, the
-    last is written."""
-    files = dict(zip(paths_and_texts[::2], paths_and_texts[1::2]))
+    through a .tmp file beside it, and replace the paths only once every
+    .tmp file is written: no path is half written, and a path that cannot
+    be written leaves every path as it was.  A symbolic link is followed,
+    so its target is written, and any other path that exists but is no
+    regular file, such as a directory or a FIFO, is not written.  Either
+    is a bad parameter: CliError, exit 2, and no .tmp file is left behind.
+    Of two texts for one file, the last is written."""
+    files = {}  # the file written -> (the path given, its text)
+    for path, text in zip(paths_and_texts[::2], paths_and_texts[1::2]):
+        files[os.path.realpath(path)] = (path, text)
     started = []
     try:
-        for path, text in files.items():
-            # os.replace onto a directory fails: find that before any replace
-            if os.path.isdir(path):
-                raise IsADirectoryError(errno.EISDIR,
-                                        os.strerror(errno.EISDIR))
-            started.append(path)
-            with open(path + ".tmp", "w") as fh:
+        for real, (path, text) in files.items():
+            # os.replace would replace the directory entry, whatever it is
+            if os.path.exists(real) and not os.path.isfile(real):
+                raise OSError("not a regular file")
+            started.append(real)
+            with open(real + ".tmp", "w") as fh:
                 fh.write(text)
-        for path in files:
-            os.replace(path + ".tmp", path)
+        for real, (path, _) in files.items():
+            os.replace(real + ".tmp", real)
     except OSError as exc:
         for done in started:
             with contextlib.suppress(OSError):
@@ -98,6 +101,9 @@ def load_instance(path: str) -> tuple[model.DstInstance, str]:
         with open(path, "rb") as fh:
             data = fh.read()
         return model.instance_from_json(data), hashlib.sha256(data).hexdigest()
+    except RecursionError:  # JSON nested deeper than the parser recurses
+        raise CliError(f"cannot load instance {path}: nested too deeply "
+                       "to parse", EXIT_BAD_INPUT) from None
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise CliError(f"cannot load instance {path}: {exc}", EXIT_BAD_INPUT)
 
@@ -478,6 +484,21 @@ def parse_args(argv: list) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
+    """Run one command; its exit code.  The cyclic garbage collector is off
+    while it runs: dstgap's data makes no reference cycles, so a collection
+    would only walk the instance's millions of objects to free nothing.
+    The collector's state is restored on return, for a caller that runs
+    main in-process."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     argline = "dstgap " + " ".join(argv)
     handlers = {

@@ -39,6 +39,19 @@ def colex_subsets(m: int, size: int):
             reversed(list(combinations(range(m, 0, -1), size)))]
 
 
+def _comb_at_most(n: int, r: int, cap: int):
+    """comb(n, r) if it is at most cap, else None.  C(n, i) grows with i up
+    to n/2 and is at least 2**i there, so a comb past the cap is found in
+    about log2(cap) steps, where math.comb of a large n and r would run for
+    minutes."""
+    value = 1 if 0 <= r <= n else 0
+    for i in range(min(r, n - r)):
+        if value > cap:
+            return None
+        value = value * (n - i) // (i + 1)  # C(n, i + 1), exactly
+    return value if value <= cap else None
+
+
 def _containment_objects(m: int, a: int, c: int, *, name: str, family: str,
                          family_params: tuple, color_label,
                          max_edges: int) -> GapObjects:
@@ -46,9 +59,12 @@ def _containment_objects(m: int, a: int, c: int, *, name: str, family: str,
     and c-subset colors.  name starts the error messages, and
     color_label(C) renders color C."""
     # one edge per (B-set, c-subset of it), counted before enumerating
-    n_edges = comb(m, a + c) * comb(a + c, a)
-    if n_edges > max_edges:
-        raise SizeCapError(f"{name} has {n_edges} edges > cap {max_edges}")
+    n_b = _comb_at_most(m, a + c, max_edges)
+    per_b = _comb_at_most(a + c, a, max_edges)
+    n_edges = None if None in (n_b, per_b) else n_b * per_b
+    if n_edges is None or n_edges > max_edges:
+        count = n_edges or f"more than {max_edges}"
+        raise SizeCapError(f"{name} has {count} edges > cap {max_edges}")
 
     a_sets = colex_subsets(m, a)
     b_sets = colex_subsets(m, a + c)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import hashlib
+import itertools
 import json
 import math
 import reprlib
@@ -367,9 +368,9 @@ def _quote(label) -> str:
     return _nested(label, 3)
 
 
-def instance_to_json(inst: DstInstance) -> str:
-    """The file text: json.dumps(instance_to_dict(inst), indent=1) + "\\n",
-    byte for byte.  The edges, the bulk of it, are written from one
+def _json_pieces(inst: DstInstance):
+    """instance_to_json's text, piece by piece: the header, one piece per
+    edge, then the tail.  The edges, the bulk of it, are written from one
     template per shape with each label and cost quoted once, in place of
     the per-edge dicts and the pure-Python indent encoder."""
     d = _document(inst, [])
@@ -377,22 +378,27 @@ def instance_to_json(inst: DstInstance) -> str:
     color = list(map(_quote, inst.provenance.color_labels))
     cost = {c: encode_basestring_ascii(render_rational(q))
             for c, q in inst.class_costs.items()}
-    edges = [
+    yield ('{\n "meta": ' + _nested(d["meta"], 1)
+           + ',\n "levels": ' + _nested(d["levels"], 1) + ',\n "edges": [')
+    edges = (
         f',\n  {{\n   "tail": {label[t]},\n   "head": {label[h]},'
         f'\n   "cost": {cost[k]}\n  }}' if c is None else
         f',\n  {{\n   "tail": {label[t]},\n   "head": {label[h]},'
         f'\n   "cost": {cost[k]},\n   "color": {color[c]}\n  }}'
         for t, h, k, c in zip(inst.tails, inst.heads, inst.classes,
-                              inst.colors)]
-    if edges:
-        edges[0] = edges[0][1:]  # no comma before the first edge
-        edges.append("\n ")
-    # one join, so the text is copied once
-    return "".join([
-        '{\n "meta": ', _nested(d["meta"], 1),
-        ',\n "levels": ', _nested(d["levels"], 1),
-        ',\n "edges": [', *edges,
-        '],\n "pi": ', _nested(d["pi"], 1), "\n}\n"])
+                              inst.colors))
+    first = next(edges, None)
+    if first is not None:
+        yield first[1:]  # no comma before the first edge
+        yield from edges
+        yield "\n "
+    yield '],\n "pi": ' + _nested(d["pi"], 1) + "\n}\n"
+
+
+def instance_to_json(inst: DstInstance) -> str:
+    """The file text: json.dumps(instance_to_dict(inst), indent=1) + "\\n",
+    byte for byte, joined once from _json_pieces."""
+    return "".join(_json_pieces(inst))
 
 
 def instance_sha256(inst: DstInstance) -> str:
@@ -529,8 +535,67 @@ def instance_from_dict(data: dict) -> DstInstance:
                    colors=colors)
 
 
+_HEAD = '{\n "meta": '
+# the fewest characters an E2 edge entry takes in the text instance_to_json
+# writes, which has one such entry per edge of the objects
+_E2_ENTRY_CHARS = len(',\n  {\n   "tail": "",\n   "head": "",\n   "cost": "",'
+                      '\n   "color": ""\n  }')
+
+
+def _same_text(pieces, text) -> bool:
+    """Whether the iterator pieces, joined, is text (a str, or its ASCII
+    bytes).  It is compared a batch at a time, so the joined text is never
+    held."""
+    pos = 0
+    while batch := "".join(itertools.islice(pieces, 4096)):
+        if isinstance(text, bytes):
+            batch = batch.encode()
+        if not text.startswith(batch, pos):
+            return False
+        pos += len(batch)
+    return pos == len(text)
+
+
+def _rendered_family_instance(text) -> DstInstance | None:
+    """The instance of the zk or subset family that the file's meta names,
+    if instance_to_json writes text from it byte for byte; else None.
+
+    Only the meta is parsed.  The family is generated with an edge cap
+    that the text's length sets, so a small file whose meta claims a large
+    family builds nothing."""
+    from . import families  # families imports this module
+
+    head = _HEAD.encode() if isinstance(text, bytes) else _HEAD
+    if not text.startswith(head):
+        return None
+    start = text[len(head):len(head) + 4096]
+    if isinstance(start, bytes):
+        start = start.decode("utf-8", "replace")
+    cap = len(text) // _E2_ENTRY_CHARS
+    try:
+        meta = json.JSONDecoder().raw_decode(start)[0]
+        params = meta["params"]
+        if meta["family"] == "zk":
+            objects = families.zk_objects(params["k"], max_edges=cap)
+        elif meta["family"] == "subset":
+            objects = families.subset_objects(
+                params["m"], params["a"], params["thresh"], max_edges=cap)
+        else:
+            return None
+        inst = build_instance(objects)
+    except (ValueError, KeyError, TypeError, SizeCapError):
+        return None
+    return inst if _same_text(_json_pieces(inst), text) else None
+
+
 def instance_from_json(text: str | bytes) -> DstInstance:
-    return instance_from_dict(json.loads(text))
+    """Load an instance file's text.  A zk or subset file as `gen` writes
+    it is the built instance of its meta's family: it is generated,
+    rendered and compared with the text, and no dict tree is made.  Any
+    other text, a family file with one byte changed among them, loads
+    through instance_from_dict(json.loads(text))."""
+    inst = _rendered_family_instance(text)
+    return instance_from_dict(json.loads(text)) if inst is None else inst
 
 
 def instance_to_dot(inst: DstInstance, max_vertices: int = 500) -> str:

@@ -1,10 +1,12 @@
 import collections
 import contextlib
+import gc
 import hashlib
 import io
 import json
 import os
 import random
+import stat
 import subprocess
 import sys
 from fractions import Fraction
@@ -326,6 +328,10 @@ ZK4_MALFORMED = {
                           if "color" in e).__setitem__("color", {}),
         "edge entry {'color': {}, 'cost': '0/1', 'head': '{1,2,3}', "
         "'tail': '{1,2}'} has a list or an object as a label"),
+    # the file's text in place of its tree: deeper than json.loads recurses
+    "deeply-nested": (lambda data: "[" * 200_000, "nested too deeply"),
+    "deeply-nested-meta": (lambda data: '{\n "meta": ' + "[" * 200_000,
+                           "nested too deeply"),
 }
 
 M6_TAMPERED = {
@@ -354,7 +360,8 @@ def tampered_runs(tmp_path_factory, zk4_instance, subset_m6_instance):
             data = model.instance_to_dict(inst)
             replaced = mutate(data)
             path = tmp / f"tampered{len(argvs)}.json"
-            path.write_text(json.dumps(data if replaced is None else replaced))
+            path.write_text(replaced if type(replaced) is str else
+                            json.dumps(data if replaced is None else replaced))
             for command in ("verify", "certify"):
                 keys.append((name, case, command))
                 argvs.append([command, str(path)])
@@ -381,6 +388,52 @@ def test_malformed_zk4_files_name_the_fault(tampered_runs, case):
     _check_tampered(runs, EXIT_BAD_INPUT)
     for (command, flags), proc in runs:
         assert ZK4_MALFORMED[case][1] in proc.stderr, (command, flags)
+
+
+def _drop_e3_edge(data):
+    data["edges"].remove(next(e for e in data["edges"] if e["cost"] == "1/1"))
+
+
+# case id -> (instance, edit of its file's dict tree, the exit codes of
+# verify and certify on the edited file)
+EDITED_FAMILY_FILES = {
+    "zk4-edge-dropped": ("zk4", _drop_e3_edge, EXIT_FALSE, EXIT_OK),
+    "zk4-cost-4/6": ("zk4", _set_first_cost("4/6"), EXIT_OK, EXIT_OK),
+    "zk4-cost-5/1": ("zk4", _set_first_cost("5/1"), EXIT_BAD_INPUT,
+                     EXIT_BAD_INPUT),
+    "zk4-meta-s-2": ("zk4", _set_meta("s", 2), EXIT_BAD_INPUT, EXIT_BAD_INPUT),
+    "m6-thresh-0": ("m6", _set_param("thresh", 0), EXIT_OK, EXIT_OK),
+    "m6-meta-d-prime-7": ("m6", _set_meta("d_prime", 7), EXIT_BAD_INPUT,
+                          EXIT_BAD_INPUT),
+}
+
+
+@pytest.mark.parametrize("case", list(EDITED_FAMILY_FILES))
+def test_edited_family_files_keep_their_exit_codes(request, tmp_path, capsys,
+                                                   case):
+    # written as gen writes them, so the loader renders the family first
+    name, edit, *codes = EDITED_FAMILY_FILES[case]
+    data = json.loads(request.getfixturevalue(f"{name}_file").read_text())
+    edit(data)
+    text = json.dumps(data, indent=1) + "\n"
+    path = tmp_path / "edited.json"
+    path.write_text(text)
+
+    def outcome(load):  # the instance, or the ValueError's message
+        try:
+            return load(text.encode())
+        except ValueError as exc:
+            return str(exc)
+
+    assert outcome(model.instance_from_json) == outcome(
+        lambda data: model.instance_from_dict(json.loads(data)))
+    for command, code in zip(("verify", "certify"), codes):
+        assert main([command, str(path)]) == code, command
+        err = capsys.readouterr().err
+        if code == EXIT_BAD_INPUT:
+            assert err.startswith("error: cannot load instance"), command
+        else:
+            assert err == "", command
 
 
 def test_edges_outside_objects_exit_3(tmp_path, subset_m6_instance):
@@ -772,6 +825,31 @@ def test_atomic_write(tmp_path):
     assert not (tmp_path / "out.txt.tmp").exists()
 
 
+def test_output_through_symlink_writes_its_target(tmp_path, zk4_file):
+    target = tmp_path / "target.json"
+    target.write_text("old\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    argv = ["gen", "--family", "zk", "--k", "4", "--out", str(link)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == EXIT_OK
+    assert link.is_symlink() and link.resolve() == target
+    assert target.read_text() == zk4_file.read_text()
+    assert sorted(os.listdir(tmp_path)) == ["link.json", "target.json",
+                                            "zk4.json"]
+
+
+def test_output_to_fifo_exits_2(tmp_path, zk4_file, capsys):
+    fifo = tmp_path / "pipe.json"
+    os.mkfifo(fifo)
+    rc = main(["verify", str(zk4_file), "--json-out", str(fifo)])
+    assert rc == EXIT_BAD_PARAMS
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {fifo}: not a regular file\n"
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["pipe.json", "zk4.json"]
+
+
 def test_unwritable_output_exits_2(tmp_path, zk4_file):
     # every output flag, to a missing directory or over a directory: one
     # error line, exit 2 and no .tmp file left, under python and python -O
@@ -1018,3 +1096,63 @@ def test_mutated_files_never_crash(tmp_path_factory, valid_files, data):
         return
     assert model.instance_to_json(inst) == json.dumps(
         model.instance_to_dict(inst), indent=1) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the cyclic garbage collector
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_runs_without_the_cyclic_collector(monkeypatch, zk4_file,
+                                                enabled):
+    seen = []
+    verify = cli.cmd_verify
+
+    def spy(*args):
+        seen.append(gc.isenabled())
+        return verify(*args)
+
+    monkeypatch.setattr(cli, "cmd_verify", spy)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["verify", str(zk4_file)]) == EXIT_OK
+        assert seen == [False]
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
+
+
+def _cyclic_garbage(argv):
+    """The count of unreachable objects that gc.collect() finds after
+    main(argv) ran with the collector off."""
+    gc.collect()
+    gc.disable()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            main(argv)
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--family", "zk", "--k", "{k}", "--out", "{out}"],
+    ["verify", "{file}", "--json-out", "{out}"],
+    ["certify", "{file}", "--out", "{out}"],
+    ["solve", "{file}", "--out", "{out}"],
+    ["bounds", "--m-list", "{m_list}", "--json-out", "{out}"],
+], ids=lambda argv: argv[0])
+def test_cyclic_garbage_does_not_grow_with_the_instance(tmp_path, argv):
+    # a command run with the collector off leaves cyclic garbage, such as
+    # argparse's, that does not depend on the instance; a cycle made per
+    # node, edge or flow would grow with it
+    counts = []
+    for k, m_list in ((4, "64"), (9, "64,128,256")):
+        path = tmp_path / f"zk{k}.json"
+        path.write_text(model.instance_to_json(
+            model.build_instance(families.zk_objects(k))))
+        counts.append(_cyclic_garbage([
+            arg.format(k=k, file=path, out=tmp_path / "out", m_list=m_list)
+            for arg in argv]))
+    assert counts[0] == counts[1]

@@ -103,6 +103,9 @@ def test_subset_params_validation(monkeypatch):
 def test_subset_size_cap():
     with pytest.raises(SizeCapError):
         subset_objects(8, 2, max_edges=100)
+    # refused in a few steps: math.comb(4_000_000, 2_000_000) takes minutes
+    with pytest.raises(SizeCapError, match="more than 10000000 edges"):
+        subset_objects(4_000_000, 1_000_000)
 
 
 def test_zk_size_cap_counts_edges():

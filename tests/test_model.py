@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 import dstgap
+from dstgap import families, model
 from dstgap.families import subset_objects, zk_objects
 from dstgap.model import (
     E1, E2, E3, E4,
@@ -317,6 +318,45 @@ def test_family_files_are_pinned(name):
     assert text == _oracle(inst)
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SHA256[name]
     assert instance_sha256(inst) == PINNED_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SHA256))
+def test_family_files_load_by_rendering(name, monkeypatch):
+    # a file as gen writes it loads with no dict tree, into the instance
+    # the dict tree gives
+    text = instance_to_json(build_instance(FAMILY_OBJECTS[name]()))
+    expected = instance_from_dict(json.loads(text))
+
+    def refuse(data):
+        raise AssertionError("the file was loaded through its dict tree")
+
+    monkeypatch.setattr(model, "instance_from_dict", refuse)
+    for data in (text, text.encode()):
+        loaded = instance_from_json(data)
+        assert loaded == expected
+        assert loaded.provenance == expected.provenance
+
+
+def test_small_file_claiming_a_large_family_builds_nothing(monkeypatch):
+    # zk4's file with meta k = 10000: the generator is capped by the file's
+    # length, so it refuses zk10000 without enumerating it
+    data = instance_to_dict(build_instance(zk_objects(4)))
+    data["meta"]["k"] = data["meta"]["params"]["k"] = 10000
+    text = json.dumps(data, indent=1) + "\n"
+    caps = []
+    generate = families.zk_objects
+
+    def spy(k, max_edges):
+        caps.append(max_edges)
+        with pytest.raises(SizeCapError):
+            generate(k, max_edges=max_edges)
+        raise SizeCapError("refused")
+
+    monkeypatch.setattr(families, "zk_objects", spy)
+    with pytest.raises(ValueError, match="color-count"):
+        instance_from_json(text)
+    # every edge of the objects is an entry of 50 or more characters
+    assert len(caps) == 1 and 0 < caps[0] <= len(text) // 50
 
 
 def test_writer_matches_oracle_on_relabelled_objects(subset_m6_objects):
