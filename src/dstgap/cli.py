@@ -109,21 +109,20 @@ def load_instance(path: str) -> tuple[model.DstInstance, str]:
 
 
 def make_objects(args) -> model.GapObjects:
-    other = ("m", "a", "thresh") if args.family == "zk" else ("k",)
-    for name in other:
-        if getattr(args, name) is not None:
+    defaults = families.FAMILY_PARAMS[args.family]
+    for name in ("k", "m", "a", "thresh"):
+        if name not in defaults and getattr(args, name) is not None:
             raise CliError(f"--{name} does not apply to the {args.family} "
                            "family", EXIT_BAD_PARAMS)
+    params = {name: default if getattr(args, name) is None
+              else getattr(args, name) for name, default in defaults.items()}
+    if None in params.values():
+        required = [f"--{name}" for name, v in defaults.items() if v is None]
+        raise CliError(f"{' and '.join(required)} "
+                       f"{'is' if len(required) == 1 else 'are'} required "
+                       f"for the {args.family} family", EXIT_BAD_PARAMS)
     try:
-        if args.family == "zk":
-            if args.k is None:
-                raise ValueError("--k is required for the zk family")
-            return families.zk_objects(args.k, max_edges=args.max_edges)
-        if args.m is None or args.a is None:
-            raise ValueError("--m and --a are required for the subset family")
-        thresh = 0 if args.thresh is None else args.thresh
-        return families.subset_objects(args.m, args.a, thresh,
-                                       max_edges=args.max_edges)
+        return families.family_objects(args.family, params, args.max_edges)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_BAD_PARAMS)
 
@@ -236,34 +235,34 @@ def certificate_payload(cert, thresh=None):
 def cmd_certify(args, argline) -> int:
     inst, sha256 = load_instance(args.instance)
     objects = inst.provenance
-    if objects.family not in ("zk", "subset"):
+    # the loader checked the params, so they raise no ValueError here
+    shape = families.containment_params(objects.family, objects.params)
+    if shape is None:
         raise CliError(f"instance {args.instance} has family "
                        f"{objects.family!r}: certify needs the J-sets of "
                        "the zk or subset family", EXIT_BAD_INPUT)
-    if objects.family != "subset" and (args.sweep or args.thresh is not None):
+    # a family whose params have no thresh has one J-set rule
+    file_thresh = objects.params.get("thresh")
+    if file_thresh is None and (args.sweep or args.thresh is not None):
         flag = "--sweep" if args.sweep else "--thresh"
         raise CliError(f"{flag} only applies to the subset family",
                        EXIT_BAD_PARAMS)
-    if args.sweep:
-        thresholds = range(objects.params["a"])
-    else:
-        thresholds = [objects.params.get("thresh") if args.thresh is None
-                      else args.thresh]
-    best = None
+    size = shape[2]  # the color size
+    if args.thresh is not None and not 0 <= args.thresh < size:
+        raise CliError(f"cannot certify {args.instance}: need 0 <= thresh < "
+                       f"{size} (the color size), got {args.thresh}",
+                       EXIT_BAD_PARAMS)
+    thresholds = range(size) if args.sweep else [
+        file_thresh if args.thresh is None else args.thresh]
     try:
-        for thresh in thresholds:
-            j = families.default_j_sets(objects, thresh=thresh)
-            cert = integral.certify_gap(objects, j)
-            if best is None or cert.alpha > best[0].alpha:
-                best = (cert, thresh)
-    except ValueError as exc:
-        # the loader checked the file's thresh, so the error is --thresh's
-        # or the file's (a label that names no set)
-        bad_flag = (args.thresh is not None
-                    and not 0 <= args.thresh < objects.params["a"])
+        certs = [(integral.certify_gap(
+            objects, families.default_j_sets(objects, t)), t)
+            for t in thresholds]
+    except ValueError as exc:  # a label that names no set
         raise CliError(f"cannot certify {args.instance}: {exc}",
-                       EXIT_BAD_PARAMS if bad_flag else EXIT_BAD_INPUT)
-    cert, thresh = best
+                       EXIT_BAD_INPUT)
+    # the first thresh of the largest alpha
+    cert, thresh = max(certs, key=lambda pair: pair[0].alpha)
     payload = {"header": report_header(argline, sha256)}
     payload.update(certificate_payload(cert, thresh))
     if args.out:
@@ -426,7 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     command = functools.partial(sub.add_parser, allow_abbrev=False)
 
     p = command("gen", help="generate a family instance")
-    p.add_argument("--family", choices=["zk", "subset"], required=True)
+    p.add_argument("--family", choices=list(families.FAMILY_PARAMS),
+                   required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--a", type=int)

@@ -6,13 +6,13 @@ B \\ A, a c-subset.  The colors are the terminals.  Each A-set lies in
 C(m-a, c) B-sets and each B-set holds C(a+c, a) A-sets, so d = C(m-a, c),
 d' = C(a+c, a), k = C(m, c) and s = d|A|/k.
 
-* element-colored family ("zk", Zosin and Khuller): m = k, a = sqrt(k) and
-  c = 1.  A color is one element and is labelled by it ("3").  Here
-  d = k - sqrt(k), d' = sqrt(k) + 1.
+`containment_params` is the one family map: it reads a family name and its
+params as (m, a, c, thresh), and no other module compares a family name.
 
-* subset-colored family ("subset"): c = a, so colors and terminals are
-  a-subsets, labelled as sets ("{3}" when a = 1).  Here d = C(m-a, a),
-  d' = C(2a, a), k = C(m, a), and s = d.
+* element-colored family ("zk", Zosin and Khuller), params {"k": k}: m = k,
+  a = sqrt(k) and c = 1.  A color is one element, labelled by it ("3").
+* subset-colored family ("subset"), params {"m", "a", "thresh"}: c = a,
+  and colors are labelled as sets ("{3}" when a = 1).
 
 Subsets are ordered colexicographically everywhere (labels, indices, edge
 order) so generated objects are reproducible byte for byte.
@@ -52,12 +52,13 @@ def _comb_at_most(n: int, r: int, cap: int):
     return value if value <= cap else None
 
 
-def _containment_objects(m: int, a: int, c: int, *, name: str, family: str,
-                         family_params: tuple, color_label,
+def _containment_objects(family: str, params: dict,
                          max_edges: int) -> GapObjects:
-    """The containment family on {1..m} with a-subsets A, (a+c)-subsets B
-    and c-subset colors.  name starts the error messages, and
-    color_label(C) renders color C."""
+    """The objects of the containment family that containment_params reads
+    from a family name and its params."""
+    m, a, c, _ = containment_params(family, params)
+    name = f"{family} family " + ", ".join(f"{key}={value}"
+                                           for key, value in params.items())
     # one edge per (B-set, c-subset of it), counted before enumerating
     n_b = _comb_at_most(m, a + c, max_edges)
     per_b = _comb_at_most(a + c, a, max_edges)
@@ -87,28 +88,66 @@ def _containment_objects(m: int, a: int, c: int, *, name: str, family: str,
     return GapObjects(
         a_labels=tuple(map(set_label, a_sets)),
         b_labels=tuple(map(set_label, b_sets)),
-        color_labels=tuple(map(color_label, c_sets)),
+        color_labels=tuple(str(*color) if family == "zk" else set_label(color)
+                           for color in c_sets),
         edges=tuple(edges),
         d=d,
         d_prime=comb(a + c, a),
         s=s,
         k=k,
         family=family,
-        family_params=family_params,
+        family_params=tuple(sorted(params.items())),
     )
+
+
+# family name -> its params, each with the value `gen` gives it when its
+# option is left out (None: the option is required)
+FAMILY_PARAMS = {"zk": {"k": None},
+                 "subset": {"m": None, "a": None, "thresh": 0}}
+
+
+def containment_params(family: str, params: dict):
+    """(m, a, c, thresh) that a family name and its params name; None for a
+    family this package does not know.  A ValueError if params are not
+    exactly that family's ints, or do not fit it."""
+    if family not in FAMILY_PARAMS:
+        return None
+    names = FAMILY_PARAMS[family]
+    if type(params) is not dict or params.keys() != names.keys() \
+            or any(type(x) is not int for x in params.values()):
+        raise ValueError(f"need the {family} params {', '.join(names)}, "
+                         "as ints")
+    if family == "zk":
+        k = params["k"]
+        rk = math.isqrt(k)
+        if rk * rk != k:
+            raise ValueError(f"k must be a perfect square, got {k}")
+        if k < 4:
+            raise ValueError(f"k must be at least 4, got {k}")
+        return k, rk, 1, 0
+    m, a, thresh = params["m"], params["a"], params["thresh"]
+    if m < 1 or a < 1:
+        raise ValueError("m and a must be positive")
+    if 2 * a > m:
+        raise ValueError(f"need 2a <= m, got a={a}, m={m}")
+    if not 0 <= thresh < a:
+        raise ValueError(f"need 0 <= thresh < a, got thresh={thresh}")
+    return m, a, a, thresh
+
+
+def family_objects(family: str, params: dict,
+                   max_edges: int = DEFAULT_EDGE_CAP) -> GapObjects:
+    """zk_objects or subset_objects of the params, as containment_params
+    reads a family name and its params; else a ValueError."""
+    if containment_params(family, params) is None:
+        raise ValueError(f"no family {family!r}")
+    generate = zk_objects if family == "zk" else subset_objects
+    return generate(**params, max_edges=max_edges)
 
 
 def zk_objects(k: int, max_edges: int = DEFAULT_EDGE_CAP) -> GapObjects:
     """The element-colored family on k terminals; k must be a perfect square >= 4."""
-    rk = math.isqrt(k)
-    if rk * rk != k:
-        raise ValueError(f"k must be a perfect square, got {k}")
-    if k < 4:
-        raise ValueError(f"k must be at least 4, got {k}")
-    return _containment_objects(
-        k, rk, 1, name=f"zk family k={k}", family="zk",
-        family_params=(("k", k),), color_label=lambda color: str(*color),
-        max_edges=max_edges)
+    return _containment_objects("zk", {"k": k}, max_edges)
 
 
 def subset_objects(m: int, a: int, thresh: int = 0,
@@ -116,32 +155,20 @@ def subset_objects(m: int, a: int, thresh: int = 0,
     """The subset-colored family on {1..m}: A-sets and colors are a-sets
     and B-sets 2a-sets.  thresh is used only when deriving the default
     J-sets: a color C belongs to J_u iff |C intersect u| > thresh."""
-    if m < 1 or a < 1:
-        raise ValueError("m and a must be positive")
-    if 2 * a > m:
-        raise ValueError(f"need 2a <= m, got a={a}, m={m}")
-    if not 0 <= thresh < a:
-        raise ValueError(f"need 0 <= thresh < a, got thresh={thresh}")
     return _containment_objects(
-        m, a, a, name=f"subset family m={m}, a={a}", family="subset",
-        family_params=(("a", a), ("m", m), ("thresh", thresh)),
-        color_label=set_label, max_edges=max_edges)
+        "subset", {"m": m, "a": a, "thresh": thresh}, max_edges)
 
 
 def default_j_sets(objects: GapObjects, thresh: int | None = None) -> tuple:
     """Canonical J-sets, one frozenset of color indices per A-vertex:
-    J_u = {C : |C intersect u| > thresh}, with 0 <= thresh < |C|.
-
-    Element-colored family: colors are single elements, so thresh is 0
-    and J_u is u itself, read as a set of colors.  Subset-colored family:
-    colors are a-sets, and thresh defaults to the generator parameter.
+    J_u = {C : |C intersect u| > thresh}, where 0 <= thresh < |C| = c and
+    thresh defaults to the family's, as containment_params reads them.  A
+    zk color is one element, so J_u is u itself, read as a set of colors.
     """
-    if objects.family == "zk":
-        size, default = 1, 0
-    elif objects.family == "subset":
-        size, default = objects.params["a"], objects.params["thresh"]
-    else:
+    shape = containment_params(objects.family, objects.params)
+    if shape is None:
         raise ValueError(f"no default J-sets for family {objects.family!r}")
+    _, _, size, default = shape
     if thresh is None:
         thresh = default
     if not 0 <= thresh < size:

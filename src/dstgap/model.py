@@ -30,7 +30,6 @@ import functools
 import hashlib
 import itertools
 import json
-import math
 import reprlib
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -125,10 +124,12 @@ def validate_objects(objects: GapObjects) -> None:
 
     Int d, d', s and k, in-range edge indices and distinct labels are
     checked first, and raise at once.  Then regularity, the matching
-    partition, the counting identity, |K_v| = d', and the parameters of a
-    known family: zk params are {"k": k}; subset params are ints a, m,
-    thresh with 0 <= thresh < a <= m, C(m, a) = k and C(m-a, a) = d.
+    partition, the counting identity, |K_v| = d', and for a family that
+    families.containment_params knows, k = C(m, c), d = C(m-a, c) and
+    d' = C(a+c, a), each computed no further than the value it must equal.
     """
+    from . import families  # families imports this module
+
     na, nb, nc = objects.num_a, objects.num_b, len(objects.color_labels)
     d, dp, s, k = objects.d, objects.d_prime, objects.s, objects.k
     if not all(type(x) is int for x in (d, dp, s, k)):
@@ -190,17 +191,21 @@ def validate_objects(objects: GapObjects) -> None:
     check("s-at-most-A", s <= na, f"s={s} > |A|={na}")
     check("k-at-least-d", k >= d, f"k={k} < d={d}")
 
-    params = objects.params
-    if objects.family == "zk":
-        check("zk-params", params == {"k": k} and type(params["k"]) is int,
-              f"params {params} do not match k={k}")
-    elif objects.family == "subset":
-        a, m, thresh = (params.get(key) for key in ("a", "m", "thresh"))
-        check("subset-params",
-              all(type(x) is int for x in (a, m, thresh))
-              and 0 <= thresh < a <= m
-              and math.comb(m, a) == k and math.comb(m - a, a) == d,
-              f"params {params} do not match k={k}, d={d}")
+    family, params = objects.family, objects.params
+    try:
+        shape = families.containment_params(family, params)
+    except ValueError as exc:
+        check("family-params", False, f"params {params}: {exc}")
+    else:
+        if shape is not None:
+            m, a, c, _ = shape
+            comb = families._comb_at_most
+            check("family-params",
+                  comb(m, c, k) == k and comb(m - a, c, d) == d
+                  and comb(a + c, a, dp) == dp,
+                  f"{family} params {params} give k=C({m},{c}), "
+                  f"d=C({m - a},{c}), d'=C({a + c},{a}), not k={k}, d={d}, "
+                  f"d'={dp}")
 
     if failures:
         raise ValueError("objects fail validation: " + "; ".join(failures))
@@ -368,6 +373,15 @@ def _quote(label) -> str:
     return _nested(label, 3)
 
 
+_HEAD = '{\n "meta": '
+
+
+def _e2_entry(tail: str, head: str, cost: str, color: str) -> str:
+    """An edge entry with a color, its values quoted, after a comma."""
+    return (f',\n  {{\n   "tail": {tail},\n   "head": {head},'
+            f'\n   "cost": {cost},\n   "color": {color}\n  }}')
+
+
 def _json_pieces(inst: DstInstance):
     """instance_to_json's text, piece by piece: the header, one piece per
     edge, then the tail.  The edges, the bulk of it, are written from one
@@ -378,13 +392,12 @@ def _json_pieces(inst: DstInstance):
     color = list(map(_quote, inst.provenance.color_labels))
     cost = {c: encode_basestring_ascii(render_rational(q))
             for c, q in inst.class_costs.items()}
-    yield ('{\n "meta": ' + _nested(d["meta"], 1)
+    yield (_HEAD + _nested(d["meta"], 1)
            + ',\n "levels": ' + _nested(d["levels"], 1) + ',\n "edges": [')
     edges = (
         f',\n  {{\n   "tail": {label[t]},\n   "head": {label[h]},'
         f'\n   "cost": {cost[k]}\n  }}' if c is None else
-        f',\n  {{\n   "tail": {label[t]},\n   "head": {label[h]},'
-        f'\n   "cost": {cost[k]},\n   "color": {color[c]}\n  }}'
+        _e2_entry(label[t], label[h], cost[k], color[c])
         for t, h, k, c in zip(inst.tails, inst.heads, inst.classes,
                               inst.colors))
     first = next(edges, None)
@@ -535,67 +548,45 @@ def instance_from_dict(data: dict) -> DstInstance:
                    colors=colors)
 
 
-_HEAD = '{\n "meta": '
 # the fewest characters an E2 edge entry takes in the text instance_to_json
 # writes, which has one such entry per edge of the objects
-_E2_ENTRY_CHARS = len(',\n  {\n   "tail": "",\n   "head": "",\n   "cost": "",'
-                      '\n   "color": ""\n  }')
+_E2_ENTRY_CHARS = len(_e2_entry('""', '""', '""', '""'))
 
 
-def _same_text(pieces, text) -> bool:
-    """Whether the iterator pieces, joined, is text (a str, or its ASCII
-    bytes).  It is compared a batch at a time, so the joined text is never
-    held."""
+def _same_text(pieces, data: bytes) -> bool:
+    """Whether the iterator of ASCII pieces, joined, is data.  It is
+    compared a batch at a time, so the joined text is never held."""
     pos = 0
-    while batch := "".join(itertools.islice(pieces, 4096)):
-        if isinstance(text, bytes):
-            batch = batch.encode()
-        if not text.startswith(batch, pos):
+    while batch := "".join(itertools.islice(pieces, 4096)).encode():
+        if not data.startswith(batch, pos):
             return False
         pos += len(batch)
-    return pos == len(text)
+    return pos == len(data)
 
 
-def _rendered_family_instance(text) -> DstInstance | None:
-    """The instance of the zk or subset family that the file's meta names,
-    if instance_to_json writes text from it byte for byte; else None.
-
-    Only the meta is parsed.  The family is generated with an edge cap
-    that the text's length sets, so a small file whose meta claims a large
-    family builds nothing."""
+def instance_from_json(data: bytes) -> DstInstance:
+    """Load an instance file's bytes.  A family file as `gen` writes it is
+    the built instance of its meta's family: only the meta is parsed, and
+    the family is generated, rendered and compared with the bytes, so no
+    dict tree is made.  The edge cap that the file's length sets keeps a
+    small file whose meta claims a large family from building anything.
+    Any other file, a family file with one byte changed among them, loads
+    through instance_from_dict(json.loads(data))."""
     from . import families  # families imports this module
 
-    head = _HEAD.encode() if isinstance(text, bytes) else _HEAD
-    if not text.startswith(head):
-        return None
-    start = text[len(head):len(head) + 4096]
-    if isinstance(start, bytes):
-        start = start.decode("utf-8", "replace")
-    cap = len(text) // _E2_ENTRY_CHARS
-    try:
-        meta = json.JSONDecoder().raw_decode(start)[0]
-        params = meta["params"]
-        if meta["family"] == "zk":
-            objects = families.zk_objects(params["k"], max_edges=cap)
-        elif meta["family"] == "subset":
-            objects = families.subset_objects(
-                params["m"], params["a"], params["thresh"], max_edges=cap)
+    if data.startswith(_HEAD.encode()):
+        start = data[len(_HEAD):len(_HEAD) + 4096].decode("utf-8", "replace")
+        try:
+            meta = json.JSONDecoder().raw_decode(start)[0]
+            inst = build_instance(families.family_objects(
+                meta["family"], meta["params"],
+                max_edges=len(data) // _E2_ENTRY_CHARS))
+        except (ValueError, KeyError, TypeError, SizeCapError):
+            pass
         else:
-            return None
-        inst = build_instance(objects)
-    except (ValueError, KeyError, TypeError, SizeCapError):
-        return None
-    return inst if _same_text(_json_pieces(inst), text) else None
-
-
-def instance_from_json(text: str | bytes) -> DstInstance:
-    """Load an instance file's text.  A zk or subset file as `gen` writes
-    it is the built instance of its meta's family: it is generated,
-    rendered and compared with the text, and no dict tree is made.  Any
-    other text, a family file with one byte changed among them, loads
-    through instance_from_dict(json.loads(text))."""
-    inst = _rendered_family_instance(text)
-    return instance_from_dict(json.loads(text)) if inst is None else inst
+            if _same_text(_json_pieces(inst), data):
+                return inst
+    return instance_from_dict(json.loads(data))
 
 
 def instance_to_dot(inst: DstInstance, max_vertices: int = 500) -> str:

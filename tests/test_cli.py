@@ -52,8 +52,9 @@ def test_gen_zk9(tmp_path, capsys):
     assert rc == EXIT_OK
     assert "346" in text
     # round trip: generate -> load -> re-serialize is byte-identical
-    data = out.read_text()
-    assert model.instance_to_json(model.instance_from_json(data)) == data
+    data = out.read_bytes()
+    assert model.instance_to_json(model.instance_from_json(data)).encode() \
+        == data
 
 
 def test_gen_subset_m8(capsys):
@@ -346,25 +347,51 @@ M6_TAMPERED = {
 }
 
 
+def _in_gen_layout(edit):
+    """The edit, then the tree's text as gen lays it out, so that the
+    loader generates the family that the edited meta names first."""
+    def mutate(data):
+        edit(data)
+        return json.dumps(data, indent=1) + "\n"
+    return mutate
+
+
+# case id -> (the family file, its edit); verify and certify exit 3 with
+# one error line that names the family-params check
+FAMILY_PARAMS_MISFITS = {
+    # C(4,000,000, 2,000,000) has about 1.2 million digits
+    "m6-huge-params": ("m6", _in_gen_layout(
+        lambda data: data["meta"]["params"].update(m=4_000_000, a=2_000_000))),
+    # d = 3 and d' = 2 where zk4 has 2 and 3
+    "m4a1-as-zk4": ("m4a1", _in_gen_layout(
+        lambda data: data["meta"].update(family="zk", params={"k": 4}))),
+}
+
+
 @pytest.fixture(scope="module")
 def tampered_runs(tmp_path_factory, zk4_instance, subset_m6_instance):
     """(instance name, case id) -> ((command, flags), Run) for verify and
     certify on that tampered file, under python and python -O.  One child
     per interpreter runs every case."""
     tmp = tmp_path_factory.mktemp("tampered")
+    instances = {"zk4": zk4_instance, "m6": subset_m6_instance,
+                 "m4a1": model.build_instance(families.subset_objects(4, 1))}
+    cases = [(name, case, mutate)
+             for name, table in (("zk4", ZK4_TAMPERED), ("zk4", ZK4_MALFORMED),
+                                 ("m6", M6_TAMPERED))
+             for case, (mutate, _) in table.items()]
+    cases += [(name, case, mutate)
+              for case, (name, mutate) in FAMILY_PARAMS_MISFITS.items()]
     keys, argvs = [], []
-    for name, inst, cases in (("zk4", zk4_instance, ZK4_TAMPERED),
-                              ("zk4", zk4_instance, ZK4_MALFORMED),
-                              ("m6", subset_m6_instance, M6_TAMPERED)):
-        for case, (mutate, _) in cases.items():
-            data = model.instance_to_dict(inst)
-            replaced = mutate(data)
-            path = tmp / f"tampered{len(argvs)}.json"
-            path.write_text(replaced if type(replaced) is str else
-                            json.dumps(data if replaced is None else replaced))
-            for command in ("verify", "certify"):
-                keys.append((name, case, command))
-                argvs.append([command, str(path)])
+    for name, case, mutate in cases:
+        data = model.instance_to_dict(instances[name])
+        replaced = mutate(data)
+        path = tmp / f"tampered{len(argvs)}.json"
+        path.write_text(replaced if type(replaced) is str else
+                        json.dumps(data if replaced is None else replaced))
+        for command in ("verify", "certify"):
+            keys.append((name, case, command))
+            argvs.append([command, str(path)])
     runs = collections.defaultdict(list)
     for flags in ([], ["-O"]):
         for (name, case, command), run in zip(keys, _run_cli(flags, *argvs)):
@@ -388,6 +415,14 @@ def test_malformed_zk4_files_name_the_fault(tampered_runs, case):
     _check_tampered(runs, EXIT_BAD_INPUT)
     for (command, flags), proc in runs:
         assert ZK4_MALFORMED[case][1] in proc.stderr, (command, flags)
+
+
+@pytest.mark.parametrize("case", list(FAMILY_PARAMS_MISFITS))
+def test_family_params_misfits_exit_3(tampered_runs, case):
+    runs = tampered_runs[FAMILY_PARAMS_MISFITS[case][0], case]
+    _check_tampered(runs, EXIT_BAD_INPUT)
+    for (command, flags), proc in runs:
+        assert "family-params" in proc.stderr, (command, flags)
 
 
 def _drop_e3_edge(data):

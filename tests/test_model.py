@@ -175,16 +175,32 @@ def test_build_invariants_raise_under_optimize():
     assert "built instance has edge classes {}" in second
 
 
-def test_no_assert_statements_in_package():
-    # checks on a decision path must still run under python -O
+def _package_nodes():
+    """(module file name, node) for every AST node of the package."""
     pkg = os.path.dirname(dstgap.__file__)
-    found = []
     for name in sorted(os.listdir(pkg)):
         if name.endswith(".py"):
             with open(os.path.join(pkg, name)) as fh:
                 tree = ast.parse(fh.read(), name)
-            found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
-                      if isinstance(node, ast.Assert)]
+            yield from ((name, node) for node in ast.walk(tree))
+
+
+def test_no_assert_statements_in_package():
+    # checks on a decision path must still run under python -O
+    found = [f"{name}:{node.lineno}" for name, node in _package_nodes()
+             if isinstance(node, ast.Assert)]
+    assert not found
+
+
+def test_only_families_compares_a_family_name():
+    # one family map: every other module asks families what a name means
+    found = [
+        f"{name}:{node.lineno}" for name, node in _package_nodes()
+        if name != "families.py"
+        and isinstance(node, (ast.Compare, ast.MatchValue))
+        and any(isinstance(sub, ast.Constant) and sub.value in ("zk", "subset")
+                for sub in ast.walk(node))
+    ]
     assert not found
 
 
@@ -212,7 +228,7 @@ def test_terminal_in_degree_is_s(zk9_instance):
 def test_json_round_trip_byte_identical(zk4_instance, subset_m6_instance):
     for inst in (zk4_instance, subset_m6_instance):
         text = instance_to_json(inst)
-        again = instance_from_json(text)
+        again = instance_from_json(text.encode())
         assert instance_to_json(again) == text
         assert again.level_sizes == inst.level_sizes
         assert again.provenance == inst.provenance
@@ -279,7 +295,7 @@ def test_loader_rejects_labels_that_merge_two_edges():
 
 def test_loader_builds_no_edge_index(zk4_instance, subset_m6_instance):
     for inst in (zk4_instance, subset_m6_instance):
-        loaded = instance_from_json(instance_to_json(inst))
+        loaded = instance_from_json(instance_to_json(inst).encode())
         assert "edge_index" not in loaded.__dict__
 
 
@@ -331,10 +347,9 @@ def test_family_files_load_by_rendering(name, monkeypatch):
         raise AssertionError("the file was loaded through its dict tree")
 
     monkeypatch.setattr(model, "instance_from_dict", refuse)
-    for data in (text, text.encode()):
-        loaded = instance_from_json(data)
-        assert loaded == expected
-        assert loaded.provenance == expected.provenance
+    loaded = instance_from_json(text.encode())
+    assert loaded == expected
+    assert loaded.provenance == expected.provenance
 
 
 def test_small_file_claiming_a_large_family_builds_nothing(monkeypatch):
@@ -354,7 +369,7 @@ def test_small_file_claiming_a_large_family_builds_nothing(monkeypatch):
 
     monkeypatch.setattr(families, "zk_objects", spy)
     with pytest.raises(ValueError, match="color-count"):
-        instance_from_json(text)
+        instance_from_json(text.encode())
     # every edge of the objects is an entry of 50 or more characters
     assert len(caps) == 1 and 0 < caps[0] <= len(text) // 50
 
