@@ -20,9 +20,9 @@ therefore sound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from typing import NamedTuple
 
 comb = math.comb
 
@@ -54,8 +54,7 @@ def hypergeom_count(population, successes, draws, threshold, direction):
 # ---------------------------------------------------------------------------
 # directed-rounded transcendental bounds
 
-@dataclass(frozen=True)
-class DirectedBound:
+class DirectedBound(NamedTuple):
     """A certified rational enclosure lower <= value <= upper."""
 
     lower: Fraction
@@ -149,8 +148,7 @@ def kb_residual_count(m: int) -> int:
     return hypergeom_count(2 * rm, rm, rm, tm, "at_most")
 
 
-@dataclass(frozen=True)
-class TailReport:
+class TailReport(NamedTuple):
     m: int
     exact: Fraction            # the probability being bounded
     chernoff: DirectedBound    # the Appendix-style bound it must respect
@@ -207,8 +205,7 @@ def verify_kb_bound(m: int, digits: int = DEFAULT_DIGITS) -> TailReport:
     return TailReport(m=m, exact=exact, chernoff=bound, extras={})
 
 
-@dataclass(frozen=True)
-class AlphaRow:
+class AlphaRow(NamedTuple):
     m: int
     alpha: Fraction
     d_over_ja: Fraction

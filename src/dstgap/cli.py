@@ -334,6 +334,8 @@ def cmd_solve(args, argline) -> int:
             print(f"{method}: {exc}")
         except InfeasibleError:
             payload[method] = {"feasible": False}
+            if method == "lp":  # raised only with a checked Farkas vector
+                payload[method]["farkas_certified"] = True
             print(f"{method}: INFEASIBLE")
 
     if cert is not None:

@@ -34,29 +34,35 @@ orbit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .model import DstInstance, label_set
 
 
-@dataclass(frozen=True)
-class FractionalSolution:
+class _SolutionFields(NamedTuple):
+    x: tuple
+
+
+class FractionalSolution(_SolutionFields):
     """Edge capacities, aligned with the instance's edge columns.  Its
     integer form, used by every exact check: scale is the least common
-    denominator of x, and caps[i] = x[i] * scale."""
+    denominator of x, and caps[i] = x[i] * scale.  Both are set when the
+    solution is made, by _replace too; they are not fields, so equality and
+    repr are by x."""
 
-    x: tuple
-    scale: int = field(init=False, repr=False, compare=False)
-    caps: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        scale = math.lcm(*{v.denominator for v in self.x})
-        caps = tuple([v.numerator * (scale // v.denominator) for v in self.x])
+    def __new__(cls, x):
+        self = super().__new__(cls, x)
+        scale = math.lcm(*{v.denominator for v in x})
+        caps = tuple([v.numerator * (scale // v.denominator) for v in x])
         if caps and min(caps) < 0:
             raise ValueError("capacities must be non-negative")
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "caps", caps)
+        self.scale, self.caps = scale, caps
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # NamedTuple's skips __new__
+        return cls(*iterable)
 
 
 def canonical_solution(inst: DstInstance) -> FractionalSolution:
@@ -171,8 +177,7 @@ class _Dinic:
             flow += self._blocking_flow(s, t, self.level)
 
 
-@dataclass(frozen=True)
-class TerminalFlow:
+class TerminalFlow(NamedTuple):
     """One terminal's exact max-flow value and its min cut: the edges, in
     ascending order, into the sink side (the vertices that still reach the
     terminal in the residual network) from outside it."""
@@ -193,8 +198,7 @@ def max_flow_value(inst: DstInstance, sol: FractionalSolution,
     return verify_feasibility(inst, sol, [terminal]).entries[0]
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(NamedTuple):
     entries: tuple
     automorphisms: tuple = ()    # the kept label automorphisms
     representatives: tuple = ()  # the terminals whose max-flow was run
@@ -207,8 +211,7 @@ class FeasibilityReport:
         return [e for e in self.entries if not e.ok]
 
 
-@dataclass(frozen=True)
-class Automorphism:
+class Automorphism(NamedTuple):
     """A ground-set permutation checked on an instance and a solution: its
     vertex map fixes the root and each level, sends every edge to an edge
     (edge_map) and keeps x.  So it maps a terminal's max-flows, min cuts
@@ -354,8 +357,7 @@ def verify_feasibility(inst: DstInstance, sol: FractionalSolution,
     return FeasibilityReport(entries, automorphisms, representatives)
 
 
-@dataclass(frozen=True)
-class PathWitness:
+class PathWitness(NamedTuple):
     terminal: int
     paths: tuple    # each a tuple of edge indices, r -> ... -> terminal
     weights: tuple  # Fractions, sum to 1

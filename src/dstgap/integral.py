@@ -22,11 +22,11 @@ trusting no structural argument.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import ceil
 from operator import itemgetter
+from typing import NamedTuple
 
 from . import flows
 from .model import (E1, E2, E3, DstInstance, GapObjects, InfeasibleError,
@@ -36,8 +36,7 @@ from .model import (E1, E2, E3, DstInstance, GapObjects, InfeasibleError,
 # ---------------------------------------------------------------------------
 # gap certificate
 
-@dataclass(frozen=True)
-class GapCertificate:
+class GapCertificate(NamedTuple):
     alpha: Fraction
     per_u: tuple              # (a_label, |J_u|, max |K_v \ J_u| over edges at u)
     opt_lower_bound: Fraction  # alpha * |B| / s
@@ -94,8 +93,7 @@ def certify_gap(objects: GapObjects, j: tuple) -> GapCertificate:
 # ---------------------------------------------------------------------------
 # structured branch-and-bound solver
 
-@dataclass(frozen=True)
-class StructuredResult:
+class StructuredResult(NamedTuple):
     opened_a: tuple        # labels
     opened_b: tuple        # labels
     value: Fraction
@@ -280,8 +278,7 @@ def solve_structured(inst: DstInstance,
 # ---------------------------------------------------------------------------
 # independent brute-force oracle
 
-@dataclass(frozen=True)
-class BruteForceResult:
+class BruteForceResult(NamedTuple):
     feasible: bool
     value: Fraction | None
     opened_a: tuple

@@ -10,8 +10,8 @@ formulation; the path view survives only as the witness checker in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import simplex
 from .model import DstInstance, InfeasibleError, SizeCapError
@@ -23,8 +23,7 @@ from .flows import FractionalSolution
 DEFAULT_VAR_CAP = 200
 
 
-@dataclass(frozen=True)
-class LpResult:
+class LpResult(NamedTuple):
     optimal_value: Fraction
     x_opt: FractionalSolution
     duals: tuple
@@ -45,7 +44,9 @@ def _edges_toward(inst: DstInstance, t: int):
 
 def solve_lp_exact(inst: DstInstance, var_cap: int = DEFAULT_VAR_CAP) -> LpResult:
     """The exact flow LP optimum with its duality certificate.  Raises
-    InfeasibleError if some terminal cannot be reached from the root."""
+    InfeasibleError if some terminal cannot be reached from the root, once
+    the simplex's Farkas vector has passed its exact check; RuntimeError if
+    it fails that check."""
     ne = len(inst.tails)
     terminals = list(inst.terminals)
     rel = {t: _edges_toward(inst, t) for t in terminals}
@@ -93,6 +94,9 @@ def solve_lp_exact(inst: DstInstance, var_cap: int = DEFAULT_VAR_CAP) -> LpResul
 
     sol = simplex.solve_lp(c, rows, senses, b)
     if sol.status == simplex.INFEASIBLE:
+        if not sol.check_farkas(rows, senses, b):
+            raise RuntimeError("the flow LP's Farkas certificate of "
+                               "infeasibility fails its exact check")
         raise InfeasibleError("the flow LP is infeasible: a terminal cannot "
                               "be reached from the root")
     if sol.status != simplex.OPTIMAL:

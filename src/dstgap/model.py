@@ -32,9 +32,9 @@ import itertools
 import json
 import reprlib
 from collections import Counter
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from .rationals import parse_rational, render_rational
 
@@ -53,16 +53,7 @@ class InfeasibleError(Exception):
     from the root, as when a file leaves out every edge into it."""
 
 
-@dataclass(frozen=True)
-class GapObjects:
-    """The abstract objects behind a gap instance.
-
-    edges are (a_index, b_index, color_index) triples; labels are canonical
-    strings (subset labels rendered as sorted element lists).  family /
-    family_params record provenance so that the per-vertex J-sets of the
-    known families can be rebuilt later.
-    """
-
+class _GapFields(NamedTuple):
     a_labels: tuple
     b_labels: tuple
     color_labels: tuple
@@ -73,6 +64,20 @@ class GapObjects:
     k: int
     family: str = "generic"
     family_params: tuple = ()
+
+
+class GapObjects(_GapFields):
+    """The abstract objects behind a gap instance.
+
+    edges are (a_index, b_index, color_index) triples; labels are canonical
+    strings (subset labels rendered as sorted element lists).  family /
+    family_params record provenance so that the per-vertex J-sets of the
+    known families can be rebuilt later.
+
+    The fields are a NamedTuple, compared by value; this subclass adds the
+    derived values, cached per object.  _replace makes a new object whose
+    cache is empty.
+    """
 
     @property
     def params(self) -> dict:
@@ -211,11 +216,7 @@ def validate_objects(objects: GapObjects) -> None:
         raise ValueError("objects fail validation: " + "; ".join(failures))
 
 
-@dataclass(frozen=True)
-class DstInstance:
-    """The built 5-level DST graph.  Vertex ids index into `labels`; edge i
-    runs tails[i] -> heads[i] and costs class_costs[classes[i]]."""
-
+class _InstanceFields(NamedTuple):
     labels: tuple          # all vertex labels, id order
     level_sizes: tuple     # (1, |A|, |B|, |B|, k)
     tails: tuple           # int vertex ids
@@ -223,6 +224,12 @@ class DstInstance:
     classes: tuple         # E1..E4: the level of the head
     colors: tuple          # color index on E2 edges, None elsewhere
     provenance: GapObjects
+
+
+class DstInstance(_InstanceFields):
+    """The built 5-level DST graph.  Vertex ids index into `labels`; edge i
+    runs tails[i] -> heads[i] and costs class_costs[classes[i]].  Like
+    GapObjects, a NamedTuple of the fields with cached derived values."""
 
     @property
     def n(self) -> int:
@@ -544,8 +551,8 @@ def instance_from_dict(data: dict) -> DstInstance:
     tails, heads, classes, colors = (
         tuple(map(column.__getitem__, keep))
         for column in (inst.tails, inst.heads, inst.classes, inst.colors))
-    return replace(inst, tails=tails, heads=heads, classes=classes,
-                   colors=colors)
+    return inst._replace(tails=tails, heads=heads, classes=classes,
+                         colors=colors)
 
 
 # the fewest characters an E2 edge entry takes in the text instance_to_json

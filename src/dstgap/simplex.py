@@ -25,12 +25,12 @@ cannot change them.
 
 The solver also returns exact duals, read off the final phase-2 reduced
 costs, so callers can assemble a strong-duality certificate, and counts
-its pivots.
+its pivots.  An infeasible LP returns phase 1's duals instead: a Farkas
+vector, which check_farkas verifies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
@@ -58,13 +58,32 @@ class SimplexStats(NamedTuple):
         return self.phase1_pivots + self.phase2_pivots
 
 
-@dataclass
-class LpSolution:
+class LpSolution(NamedTuple):
     status: str
     value: Fraction | None
     x: list | None
-    duals: list | None   # one per input row, sign convention below
+    duals: list | None   # one per input row, sign convention below;
+                         # a Farkas vector if infeasible
     stats: SimplexStats = SimplexStats()
+
+    def check_farkas(self, rows, senses, b) -> bool:
+        """Exact Farkas certificate of infeasibility, in the duals' sign
+        convention: y_i <= 0 on '<=' rows, y_i >= 0 on '>=' rows, y^T A_j
+        <= 0 for every column j and y.b > 0.  For any x >= 0 meeting the
+        rows, 0 >= y^T A x >= y.b would follow, so no such x exists."""
+        if self.status != INFEASIBLE:
+            return False
+        y = self.duals
+        for sense, yi in zip(senses, y):
+            if sense == LE and yi > 0 or sense == GE and yi < 0:
+                return False
+        ata = {}
+        for row, yi in zip(rows, y):
+            if yi:
+                for j, a in row.items():
+                    ata[j] = ata.get(j, _F0) + yi * a
+        return (all(v <= 0 for v in ata.values())
+                and sum((yi * bi for yi, bi in zip(y, b)), _F0) > 0)
 
     def check_certificate(self, c, rows, senses, b) -> bool:
         """Exact primal feasibility, dual feasibility, equal objectives.
@@ -142,14 +161,18 @@ def solve_lp(c, rows, senses, b) -> LpSolution:
         basis.append(art_col[i] if i in art_col else slack_col[i])
 
     counts = [0, 0, 0]  # the SimplexStats fields, in order
+    unit = {**slack_col, **art_col}  # row -> the column that is e_i in it
     if art_col:
-        bounded, z1, _ = _run(tab, den, basis,
-                              dict.fromkeys(art_set, Fraction(1)), ncols,
-                              frozenset(), counts, 0)
+        cost1 = dict.fromkeys(art_set, Fraction(1))
+        bounded, z1, zden = _run(tab, den, basis, cost1, ncols, frozenset(),
+                                 counts, 0)
         if not bounded:
             raise SimplexError("phase 1 unbounded: impossible")
         if z1.get(ncols):
-            return LpSolution(INFEASIBLE, None, None, None,
+            # phase 1 ends with every reduced cost >= 0 and objective
+            # y.b > 0, so its duals are a Farkas vector
+            return LpSolution(INFEASIBLE, None, None,
+                              _duals(z1, zden, cost1, unit, flipped),
                               SimplexStats(*counts))
         counts[0] += _evict_artificials(tab, den, basis, art_set, ncols)
 
@@ -164,14 +187,23 @@ def solve_lp(c, rows, senses, b) -> LpSolution:
         if bj < n:
             x[bj] = Fraction(tab[i].get(ncols, 0), den[i])
 
-    # The reduced cost of a column is c_j - y^T A_j with y^T = c_B^T B^-1.
-    # Row i's unit column (its slack on '<=' rows, its artificial otherwise)
-    # has cost 0 and A_j = e_i, so y_i is minus its reduced cost.
-    # A row negated on input gets the dual of its negation, sign flipped.
-    unit = {**slack_col, **art_col}
-    y = [Fraction(z2.get(unit[i], 0) if flipped[i] else -z2.get(unit[i], 0),
-                  zden) for i in range(m)]
-    return LpSolution(OPTIMAL, Fraction(-z2.get(ncols, 0), zden), x, y, stats)
+    return LpSolution(OPTIMAL, Fraction(-z2.get(ncols, 0), zden), x,
+                      _duals(z2, zden, cost2, unit, flipped), stats)
+
+
+def _duals(z, zden, cost, unit, flipped) -> list:
+    """The duals y^T = c_B^T B^-1 of a phase's final reduced costs z/zden.
+
+    The reduced cost of a column is c_j - y^T A_j.  Row i's unit column
+    (its slack on '<=' rows, its artificial otherwise) has A_j = e_i, so
+    y_i is its cost less its reduced cost.  A row negated on input gets the
+    dual of its negation, sign flipped.
+    """
+    y = []
+    for i, flip in enumerate(flipped):
+        yi = cost.get(unit[i], 0) - Fraction(z.get(unit[i], 0), zden)
+        y.append(-yi if flip else yi)
+    return y
 
 
 def _run(tab, den, basis, cost, ncols, banned, counts, phase):

@@ -1,7 +1,5 @@
 """Shared helpers for the test suite."""
 
-from dataclasses import replace
-
 from dstgap.model import GapObjects, build_instance, label_set, set_label
 
 
@@ -24,7 +22,7 @@ def permuted_subset_objects(obj, sigma):
         return b_pos[moved]
 
     edges = tuple(sorted((amap(a), bmap(b), amap(c)) for a, b, c in obj.edges))
-    return replace(obj, edges=edges)
+    return obj._replace(edges=edges)
 
 
 def toy_objects():

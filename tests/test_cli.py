@@ -187,6 +187,25 @@ def _run_cli(flags, *argvs):
     return runs
 
 
+def test_cli_imports_no_dataclasses_or_inspect():
+    # dataclasses, and the inspect it imports, cost a command about 20 ms
+    # of start-up; no module of the package may pull them in
+    src = os.path.dirname(os.path.dirname(dstgap.__file__))
+    names = sorted(name[:-3] for name in os.listdir(dstgap.__path__[0])
+                   if name.endswith(".py") and name != "__init__.py")
+    child = ("import importlib, sys\n"
+             "import dstgap.cli\n"
+             "for name in sys.argv[1:]:\n"
+             "    importlib.import_module('dstgap.' + name)\n"
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-c", child, *names],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, ""), flags
+        assert proc.stdout == "[]\n", flags
+
+
 def test_verify_wrong_s_is_invalid_witness(tmp_path, zk4_instance):
     # meta.s = 2 against 3 matching edges per color: the loader rejects the
     # file (exit 3, one error line), the same with or without python -O
@@ -724,7 +743,8 @@ def test_solve_zk4_all(zk4_file, tmp_path, capsys):
 
 def test_solve_terminal_cut_off_exits_0(tmp_path, zk4_instance):
     # zk4 with every edge into terminal 1 left out: all three methods report
-    # the instance infeasible, exit 0, under python and python -O
+    # the instance infeasible, exit 0, under python and python -O; the LP's
+    # report says that its Farkas vector passed the exact check
     data = model.instance_to_dict(zk4_instance)
     data["edges"] = [e for e in data["edges"] if e["head"] != "1"]
     path = tmp_path / "cut-off.json"
@@ -739,7 +759,8 @@ def test_solve_terminal_cut_off_exits_0(tmp_path, zk4_instance):
             "brute: INFEASIBLE, unreachable ('1',)",
             "lp: INFEASIBLE"], flags
         payload = json.loads(out.read_text())
-        assert payload["structured"] == payload["lp"] == {"feasible": False}
+        assert payload["structured"] == {"feasible": False}
+        assert payload["lp"] == {"feasible": False, "farkas_certified": True}
         assert payload["brute"] == {"feasible": False, "unreachable": ["1"]}
 
 

@@ -4,7 +4,6 @@ import subprocess
 import sys
 import textwrap
 from collections import deque
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -46,6 +45,9 @@ def test_canonical_zk9(zk9_instance):
     assert set(sol.x) == {Fraction(1, 56)}
     assert sol.scale == 56 and set(sol.caps) == {1}
     assert solution_cost(zk9_instance, sol) == Fraction(9, 2)
+    # _replace makes the integer form again
+    half = sol._replace(x=(Fraction(1, 2),) + sol.x[1:])
+    assert half.scale == 56 and half.caps[:2] == (28, 1)
 
 
 def test_canonical_subset_m8(subset_m8_instance):
@@ -64,6 +66,8 @@ def test_canonical_degenerate_s1(subset_m4_instance):
 def test_solution_rejects_negative():
     with pytest.raises(ValueError):
         FractionalSolution((Fraction(-1, 2),))
+    with pytest.raises(ValueError):
+        FractionalSolution((Fraction(1, 2),))._replace(x=(Fraction(-1),))
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +445,8 @@ def test_witness_rejects_non_terminal(zk4_instance):
 
 def test_witness_rejects_wrong_s(zk4_instance):
     # the loader refuses such a file; the witness checks s on its own
-    lying = replace(zk4_instance,
-                    provenance=replace(zk4_instance.provenance, s=2))
+    lying = zk4_instance._replace(
+        provenance=zk4_instance.provenance._replace(s=2))
     with pytest.raises(ValueError, match="3 matching edges, but s = 2"):
         path_witness(lying, lying.terminals[0])
 

@@ -2,7 +2,6 @@ import os
 import subprocess
 import sys
 import textwrap
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -142,7 +141,7 @@ def test_structured_ignores_claimed_d_prime(zk9_instance):
     # the bound divides by max |K_v| from the edges, not by meta.d_prime;
     # trusting a claimed d' = 1 would prune the whole tree at the root
     obj = zk9_instance.provenance
-    lying = replace(zk9_instance, provenance=replace(obj, d_prime=1))
+    lying = zk9_instance._replace(provenance=obj._replace(d_prime=1))
     res = solve_structured(lying)
     assert res.optimal and res.value == 6
     assert res.nodes == 2_427
@@ -275,7 +274,7 @@ def test_brute_reports_isolated_terminal(zk4_instance):
     keep = [i for i, (k, w) in enumerate(zip(zk4_instance.classes,
                                               zk4_instance.heads))
             if not (k == E4 and w == t)]
-    bad = replace(zk4_instance, **{
+    bad = zk4_instance._replace(**{
         col: tuple(getattr(zk4_instance, col)[i] for i in keep)
         for col in ("tails", "heads", "classes", "colors")})
     res = brute_force_opt(bad)

@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from dstgap import lp
 from dstgap.families import subset_objects
 from dstgap.flows import canonical_solution, solution_cost, verify_feasibility
 from dstgap.lp import solve_lp_exact
-from dstgap.model import SizeCapError, build_instance
-from dstgap.simplex import SimplexStats
+from dstgap.model import InfeasibleError, SizeCapError, build_instance
+from dstgap.simplex import EQ, INFEASIBLE, LE, SimplexStats
 
 from _util import permuted_subset_objects, toy_instance
 
@@ -79,3 +80,50 @@ def test_lp_pivot_counts(zk4_lp, m4_lp):
                                        degenerate_pivots=137)
     assert (zk4_lp.stats.pivots, m4_lp.stats.pivots) == (158, 143)
 
+
+
+def _cut_off(inst, label):
+    """inst less every edge into the terminal labelled label."""
+    t = inst.labels.index(label)
+    keep = [i for i, head in enumerate(inst.heads) if head != t]
+    return inst._replace(**{
+        col: tuple(map(getattr(inst, col).__getitem__, keep))
+        for col in ("tails", "heads", "classes", "colors")})
+
+
+def test_infeasible_lp_farkas_vector_is_checked(zk4_instance, monkeypatch):
+    # zk4 less every edge into terminal 1: the flow LP is infeasible, and
+    # phase 1's duals pass the exact Farkas check
+    inst = _cut_off(zk4_instance, "1")
+    solve, calls = lp.simplex.solve_lp, []
+
+    def spy(*lp_data):
+        calls.append((solve(*lp_data), *lp_data[1:]))
+        return calls[-1][0]
+
+    monkeypatch.setattr(lp.simplex, "solve_lp", spy)
+    with pytest.raises(InfeasibleError):
+        solve_lp_exact(inst)
+    ((sol, rows, senses, b),) = calls
+    assert sol.status == INFEASIBLE
+    assert sol.check_farkas(rows, senses, b)
+
+    # a perturbed y fails the check, one per condition: a positive entry on
+    # a '<=' row; y^T A_j > 0 on a column, by raising y on a conservation
+    # row (b = 0, +1 entries) past the sum of |y|; or y.b = 0
+    y = sol.duals
+    le = senses.index(LE)
+    eq = next(i for i, (sense, bi, row) in enumerate(zip(senses, b, rows))
+              if sense == EQ and bi == 0 and 1 in row.values())
+    big = 1 + sum(map(abs, y))
+    perturbed = [y[:le] + [big] + y[le + 1:],
+                 y[:eq] + [y[eq] + big] + y[eq + 1:],
+                 [0 * yi for yi in y]]
+    for bad in perturbed:
+        assert not sol._replace(duals=bad).check_farkas(rows, senses, b)
+
+    # and solve_lp_exact raises on a vector that fails the check
+    monkeypatch.setattr(lp.simplex, "solve_lp", lambda *lp_data: solve(
+        *lp_data)._replace(duals=perturbed[1]))
+    with pytest.raises(RuntimeError, match="Farkas"):
+        solve_lp_exact(inst)

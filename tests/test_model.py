@@ -7,7 +7,6 @@ import subprocess
 import sys
 import textwrap
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -62,7 +61,7 @@ def test_validate_recolored_edge_fails(zk4_objects):
     c2 = next(x for x in sorted(kv[b]) if x != c)
     edges[0] = (a, b, c2)
     with pytest.raises(ValueError) as info:
-        validate_objects(replace(zk4_objects, edges=tuple(edges)))
+        validate_objects(zk4_objects._replace(edges=tuple(edges)))
     # the failing check names its witness colors
     colors = sorted({zk4_objects.color_labels[x] for x in (c, c2)})
     assert (f"color-classes-are-matchings-of-size-s (colors failing: "
@@ -74,7 +73,7 @@ def test_validate_reports_all_failures(zk4_objects):
     # identity, all named in one line with their witnesses
     a, b, _ = zk4_objects.edges[0]
     with pytest.raises(ValueError) as info:
-        validate_objects(replace(zk4_objects, edges=zk4_objects.edges[1:]))
+        validate_objects(zk4_objects._replace(edges=zk4_objects.edges[1:]))
     message = str(info.value)
     assert "\n" not in message
     assert (f"a-regular (A-vertices with degree != d=2: "
@@ -85,7 +84,7 @@ def test_validate_reports_all_failures(zk4_objects):
 
 
 def test_validate_rejects_bad_indices(zk4_objects):
-    bad = replace(zk4_objects, edges=zk4_objects.edges + ((99, 0, 0),))
+    bad = zk4_objects._replace(edges=zk4_objects.edges + ((99, 0, 0),))
     with pytest.raises(ValueError):
         validate_objects(bad)
 
@@ -133,7 +132,7 @@ def test_edge_class_costs(zk4_instance, subset_m6_instance):
 
 
 def test_build_rejects_invalid_objects(zk4_objects):
-    bad = replace(zk4_objects, edges=zk4_objects.edges[1:])
+    bad = zk4_objects._replace(edges=zk4_objects.edges[1:])
     with pytest.raises(ValueError):
         build_instance(bad)
 
@@ -299,6 +298,32 @@ def test_loader_builds_no_edge_index(zk4_instance, subset_m6_instance):
         assert "edge_index" not in loaded.__dict__
 
 
+def test_replace_recomputes_cached_values(zk4_objects, zk4_instance):
+    # _replace makes a new object whose cache is empty: each derived value,
+    # read first on the original, is computed again from the new fields
+    kv, inst = zk4_objects.color_sets_by_b, zk4_instance
+    codes, costs = inst.edge_index, inst.class_costs
+    a, b, c = zk4_objects.edges[0]
+    fewer = zk4_objects._replace(edges=zk4_objects.edges[1:])
+    assert fewer.color_sets_by_b == kv[:b] + (kv[b] - {c},) + kv[b + 1:]
+    with pytest.raises(ValueError) as info:
+        validate_objects(fewer)
+    assert (f"kv-size (B-vertices with |K_v| != d'=3: "
+            f"{[zk4_objects.b_labels[b]]})") in str(info.value)
+    assert "b-regular" in str(info.value)
+
+    dropped = inst._replace(**{col: getattr(inst, col)[1:] for col in
+                               ("tails", "heads", "classes", "colors")})
+    assert dropped.edge_index == {code: i - 1 for code, i in codes.items()
+                                  if i}
+    resized = inst._replace(level_sizes=(1, 4, 6, 6, 4))
+    assert costs[E1] == Fraction(4, 6)
+    assert resized.class_costs[E1] == Fraction(6, 4)
+    # equality is by field values alone
+    again = inst._replace()
+    assert again == inst and "edge_index" not in again.__dict__
+
+
 # SHA-256 of the files `gen` writes; a writer change must keep every byte
 PINNED_SHA256 = {
     "zk4": "aaf4c8725136cd4aaf785adba38af7ee8f33f7ef6a12217d4b7b2ec7e9372ca3",
@@ -413,20 +438,20 @@ def test_writer_matches_oracle_on_loaded_files(zk4_instance):
 
 def test_writer_matches_oracle_on_awkward_labels(zk4_objects):
     obj = zk4_objects
-    quoted = replace(
-        obj,
+    quoted = obj._replace(
         a_labels=tuple(f'A"{x}\\' for x in obj.a_labels),
         b_labels=tuple(f"B\x01{x}\t\u00e9" for x in obj.b_labels),
         color_labels=tuple(f"\u2603{x}\U0001f600\x7f" for x in obj.color_labels))
     # labels built in code need not be strings
-    typed = replace(obj, a_labels=(("u", 1), 2, 2.5, None, "v", ("w", (3, "x"))),
-                    color_labels=(1, "2", ("t", 3), -4))
+    typed = obj._replace(
+        a_labels=(("u", 1), 2, 2.5, None, "v", ("w", (3, "x"))),
+        color_labels=(1, "2", ("t", 3), -4))
     for objects in (quoted, typed):
         inst = build_instance(objects)
         assert instance_to_json(inst) == _oracle(inst)
         assert instance_to_json(inst).isascii()
-    no_edges = replace(build_instance(quoted), tails=(), heads=(), classes=(),
-                       colors=())
+    no_edges = build_instance(quoted)._replace(tails=(), heads=(),
+                                               classes=(), colors=())
     assert instance_to_json(no_edges) == _oracle(no_edges)
 
 

@@ -62,6 +62,9 @@ def test_infeasible():
     sol = solve_lp([F(1)], [{0: F(1)}], [LE], [F(-1)])
     assert sol.status == INFEASIBLE
     assert not sol.check_certificate([F(1)], [{0: F(1)}], [LE], [F(-1)])
+    # y = -1 on the row: y <= 0 on '<=', y A = -1 <= 0 and y b = 1 > 0
+    assert sol.duals == [-1]
+    assert sol.check_farkas([{0: F(1)}], [LE], [F(-1)])
 
 
 def test_unbounded():
@@ -200,6 +203,7 @@ def test_random_box_lps_match_vertex_enumeration():
         best = _vertex_optimum(c, rows, senses, b)
         if best is None:
             assert sol.status == INFEASIBLE
+            assert sol.check_farkas(rows, senses, b)
         else:
             assert sol.status == OPTIMAL
             assert sol.value == best
@@ -238,6 +242,7 @@ def test_degenerate_lps_match_vertex_enumeration(lp):
     best = _vertex_optimum(*lp)
     if best is None:
         assert sol.status == INFEASIBLE
+        assert sol.check_farkas(*lp[1:])
     else:
         assert sol.status == OPTIMAL
         assert sol.value == best
