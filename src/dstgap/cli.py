@@ -320,10 +320,15 @@ def cmd_solve(args, argline) -> int:
                     print(f"brute OPT        {render_rational(res.value)}")
                     opt_values[method] = res.value
             elif method == "lp":
-                res = lp.solve_lp_exact(inst, var_cap=args.lp_cap)
+                res = lp.closed_form_lp(inst)
+                certificate = "cut-packing"
+                if res is None:
+                    res = lp.solve_lp_exact(inst, var_cap=args.lp_cap)
+                    certificate = "simplex"
                 payload["lp"] = {
                     "value": render_rational(res.optimal_value),
                     "duality_certified": res.certified,
+                    "certificate": certificate,
                 }
                 print(f"LP value         {render_rational(res.optimal_value)}"
                       f" (duality {'certified' if res.certified else 'FAILED'})")

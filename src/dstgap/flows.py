@@ -71,9 +71,13 @@ def canonical_solution(inst: DstInstance) -> FractionalSolution:
 
 
 def solution_cost(inst: DstInstance, sol: FractionalSolution) -> Fraction:
-    costs = inst.class_costs
-    return sum((costs[c] * v for c, v in zip(inst.classes, sol.x)),
-               Fraction(0))
+    """Sum of cost times x: the integer capacities are summed per class,
+    so one Fraction is made per class, not per edge."""
+    caps = dict.fromkeys(inst.class_costs, 0)
+    for c, v in zip(inst.classes, sol.caps):
+        caps[c] += v
+    return sum((q * caps[c] for c, q in inst.class_costs.items()),
+               Fraction(0)) / sol.scale
 
 
 class _Dinic:

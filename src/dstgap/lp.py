@@ -1,25 +1,37 @@
-"""Exact solve of the flow LP on the compact per-terminal formulation.
+"""The flow LP's exact optimum, in closed form where it certifies.
 
-Variables are the edge capacities x_e plus, for every terminal t, a flow
-f^t_e on each edge that lies on some root-to-t path.  Constraints: flow
-conservation at internal vertices, one unit delivered to t, and
-f^t_e <= x_e.  This is the polynomial-sized equivalent of the path
-formulation; the path view survives only as the witness checker in
-`flows.path_witness`.
+closed_form_lp tries the LP point of the containment gap instances:
+x = 1/|A| on E1 edges, 1/s on E3 edges and 1 elsewhere, of cost
+|B|/|A| + |B|/s.  Its exact max-flow check (flows.verify_feasibility) is
+the primal certificate.  The dual is a two-cut packing: weight 1/d' on
+each terminal's cut of copy edges, and |B|/|A| on one terminal's cut of
+root edges, of value k/d' + |B|/|A|, which is |B|/s + |B|/|A| as sk = d'|B|.
+Both are checked exactly on the instance's own edge columns, with no
+family name read; where either check fails it returns None.
+
+solve_lp_exact solves the compact per-terminal formulation by the exact
+simplex, on any instance within its variable cap.  Variables are the edge
+capacities x_e plus, for every terminal t, a flow f^t_e on each edge that
+lies on some root-to-t path.  Constraints: flow conservation at internal
+vertices, one unit delivered to t, and f^t_e <= x_e.  This is the
+polynomial-sized equivalent of the path formulation; the path view
+survives only as the witness checker in `flows.path_witness`.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import simplex
-from .model import DstInstance, InfeasibleError, SizeCapError
+from . import flows, simplex
+from .model import E1, E3, DstInstance, InfeasibleError, SizeCapError
 from .flows import FractionalSolution
 
-# the exact tableau solves zk4's 118 variables in well under a second, but
-# its rows fill in as it pivots: subset m5's 415 variables take about 12 s.
-# The cap is configurable for callers willing to wait
+# the cap bounds only the simplex, which solve runs where closed_form_lp
+# returns None.  The exact tableau solves zk4's 118 variables in well under
+# a second, but its rows fill in as it pivots: subset m5's 415 variables
+# take about 12 s.  The cap is configurable for callers willing to wait
 DEFAULT_VAR_CAP = 200
 
 
@@ -29,6 +41,89 @@ class LpResult(NamedTuple):
     duals: tuple
     certified: bool  # exact primal/dual feasibility + equal objectives
     stats: simplex.SimplexStats
+
+
+def _in_edges(inst: DstInstance) -> list:
+    """Per vertex, the positions of the edges into it."""
+    into = [[] for _ in range(inst.n)]
+    for i, head in enumerate(inst.heads):
+        into[head].append(i)
+    return into
+
+
+def _two_cut_packing(inst: DstInstance, into: list) -> tuple:
+    """(name, terminal, weight, cut edges) for each cut of the packing:
+    weight 1/d' on each terminal t's "E3" cut, the edges into the tails of
+    t's in-edges (the copy edges v -> v' with v' -> t), and |B|/|A| on the
+    first terminal's "E1" cut, the E1 edges."""
+    tails = inst.tails
+    w = Fraction(1, inst.provenance.d_prime)
+    packing = [("E3", t, w, tuple(i for j in into[t] for i in into[tails[j]]))
+               for t in inst.terminals]
+    e1 = tuple(i for i, klass in enumerate(inst.classes) if klass == E1)
+    packing.append(("E1", inst.terminals[0], inst.class_costs[E1], e1))
+    return tuple(packing)
+
+
+def _packing_value(inst: DstInstance, packing, into: list) -> Fraction | None:
+    """The packing's value, the sum of its weights, if it is a solution of
+    the flow LP's dual, else None.  Checked exactly, in integers: every
+    weight is non-negative; every cut separates its terminal from the root,
+    as a search backward from the terminal over the edges outside the cut
+    does not reach the root; and no edge carries more weight, summed over
+    the cuts that hold it, than its cost.  Then any x of the flow LP costs
+    at least the value, since each cut holds at least 1 of x."""
+    costs = inst.class_costs
+    scale = math.lcm(*(w.denominator for _, _, w, _ in packing),
+                     *(q.denominator for q in costs.values()))
+    cap = {k: q.numerator * (scale // q.denominator) for k, q in costs.items()}
+    tails, root = inst.tails, inst.root
+    load = [0] * len(tails)
+    for _, t, w, cut in packing:
+        if w < 0:
+            return None
+        inside = set(cut)
+        seen = {t}
+        queue = [t]
+        for v in queue:
+            for i in into[v]:
+                u = tails[i]
+                if i in inside or u in seen:
+                    continue
+                if u == root:
+                    return None
+                seen.add(u)
+                queue.append(u)
+        wi = w.numerator * (scale // w.denominator)
+        for i in inside:
+            load[i] += wi
+    if any(x > cap[k] for x, k in zip(load, inst.classes)):
+        return None
+    return sum((w for _, _, w, _ in packing), Fraction(0))
+
+
+def closed_form_lp(inst: DstInstance) -> LpResult | None:
+    """The flow LP optimum at the LP point, certified by its exact max-flow
+    check and the two-cut packing of equal value; None if the instance has
+    no terminal, or the point is infeasible, or the packing fails its check
+    or falls short of the point's cost.  Reads the edge columns, the level
+    sizes and the meta's s and d', never the family name."""
+    if not inst.terminals:
+        return None
+    point = dict.fromkeys(inst.class_costs, Fraction(1))
+    point[E1] = Fraction(1, inst.level_sizes[1])
+    point[E3] = Fraction(1, inst.provenance.s)
+    x = FractionalSolution(tuple(map(point.__getitem__, inst.classes)))
+    if not flows.verify_feasibility(inst, x).feasible:
+        return None
+    cost = flows.solution_cost(inst, x)
+    into = _in_edges(inst)
+    packing = _two_cut_packing(inst, into)
+    if _packing_value(inst, packing, into) != cost:
+        return None
+    duals = tuple((("cut", inst.labels[t], name), w)
+                  for name, t, w, _ in packing)
+    return LpResult(cost, x, duals, True, simplex.SimplexStats())
 
 
 def _edges_toward(inst: DstInstance, t: int):

@@ -789,6 +789,62 @@ def test_solve_brute_cap(tmp_path, zk9_instance):
     assert main(["solve", str(path), "--method", "brute"]) == EXIT_CAP
 
 
+def test_solve_lp_certifies_without_the_simplex(zk4_file, tmp_path,
+                                                monkeypatch, capsys):
+    def simplex_ran(*lp_data):
+        raise RuntimeError("the simplex ran")
+
+    monkeypatch.setattr(cli.lp.simplex, "solve_lp", simplex_ran)
+    out = tmp_path / "solve.json"
+    assert main(["solve", str(zk4_file), "--method", "lp",
+                 "--out", str(out)]) == EXIT_OK
+    assert "LP value         2/1 (duality certified)\n" \
+        in capsys.readouterr().out
+    assert json.loads(out.read_text())["lp"] == {
+        "value": "2/1", "duality_certified": True,
+        "certificate": "cut-packing"}
+
+
+def test_solve_lp_less_one_edge_falls_back_to_the_simplex(
+        tmp_path, zk4_instance, capsys):
+    # zk4 less its first E1, E3 or E4 edge: the LP point is infeasible,
+    # and solve reports the simplex's optimum
+    data = model.instance_to_dict(zk4_instance)
+    path, out = tmp_path / "less.json", tmp_path / "solve.json"
+    for klass, value in ((model.E1, "2/1"), (model.E3, "13/6"),
+                         (model.E4, "13/6")):
+        drop = zk4_instance.classes.index(klass)
+        path.write_text(json.dumps(dict(
+            data, edges=data["edges"][:drop] + data["edges"][drop + 1:])))
+        assert main(["solve", str(path), "--method", "lp",
+                     "--out", str(out)]) == EXIT_OK
+        assert f"LP value         {value} (duality certified)\n" \
+            in capsys.readouterr().out
+        assert json.loads(out.read_text())["lp"] == {
+            "value": value, "duality_certified": True,
+            "certificate": "simplex"}
+
+
+def test_solve_lp_past_the_simplex_cap(tmp_path, zk9_instance, capsys):
+    # zk9 and m7a3 have more LP variables than --lp-cap's default allows the
+    # simplex, and their LP point certifies; zk9 less one copy edge falls
+    # back to the simplex, which the cap stops
+    m7a3 = model.build_instance(families.subset_objects(7, 3, 1))
+    path = tmp_path / "inst.json"
+    for inst, value in ((zk9_instance, "15/4"), (m7a3, "39/20")):
+        path.write_text(model.instance_to_json(inst))
+        assert main(["solve", str(path), "--method", "lp"]) == EXIT_OK
+        assert f"LP value         {value} (duality certified)\n" \
+            in capsys.readouterr().out
+    data = model.instance_to_dict(zk9_instance)
+    drop = zk9_instance.classes.index(model.E3)
+    path.write_text(json.dumps(dict(
+        data, edges=data["edges"][:drop] + data["edges"][drop + 1:])))
+    assert main(["solve", str(path), "--method", "lp",
+                 "--lp-cap", "10"]) == EXIT_CAP
+    assert "> cap 10\n" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # bounds
 
