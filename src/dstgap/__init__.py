@@ -5,34 +5,38 @@ with matching-partitioned edges, checks the canonical fractional solution
 by exact max-flow, certifies integral lower bounds from per-vertex terminal
 sets, solves small instances exactly, and validates the tail-bound
 machinery in closed form.  All correctness-bearing arithmetic is exact.
+
+The names below are imported from their modules when first read, so that
+importing the package, or one of its modules, runs no solver's module.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .model import (
-    GapObjects,
-    DstInstance,
-    validate_objects,
-    build_instance,
-)
-from .families import zk_objects, subset_objects, default_j_sets
-from .flows import canonical_solution, verify_feasibility, path_witness
-from .lp import solve_lp_exact
-from .integral import certify_gap, solve_structured, brute_force_opt
+# exported name -> the module that defines it
+_EXPORTS = {
+    "GapObjects": "model",
+    "DstInstance": "model",
+    "validate_objects": "model",
+    "build_instance": "model",
+    "zk_objects": "families",
+    "subset_objects": "families",
+    "default_j_sets": "families",
+    "canonical_solution": "flows",
+    "verify_feasibility": "flows",
+    "path_witness": "flows",
+    "solve_lp_exact": "lp",
+    "certify_gap": "integral",
+    "solve_structured": "integral",
+    "brute_force_opt": "integral",
+}
 
-__all__ = [
-    "GapObjects",
-    "DstInstance",
-    "validate_objects",
-    "build_instance",
-    "zk_objects",
-    "subset_objects",
-    "default_j_sets",
-    "canonical_solution",
-    "verify_feasibility",
-    "path_witness",
-    "solve_lp_exact",
-    "certify_gap",
-    "solve_structured",
-    "brute_force_opt",
-]
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__),
+                   name)

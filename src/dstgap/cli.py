@@ -20,7 +20,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import __version__, bounds, families, flows, integral, lp, model
+from . import __version__, families, model
 from .model import InfeasibleError, SizeCapError
 from .rationals import render_rational
 
@@ -95,17 +95,30 @@ def report_header(args_line, instance_sha256=None) -> dict:
     return header
 
 
-def load_instance(path: str) -> tuple[model.DstInstance, str]:
-    """The instance in `path` and the SHA-256 of the file's bytes."""
+def _load(path: str, loader):
+    """loader(the file's bytes) and the SHA-256 of the bytes; a file that
+    cannot be read or loaded is a CliError, exit 3."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
-        return model.instance_from_json(data), hashlib.sha256(data).hexdigest()
+        return loader(data), hashlib.sha256(data).hexdigest()
     except RecursionError:  # JSON nested deeper than the parser recurses
         raise CliError(f"cannot load instance {path}: nested too deeply "
                        "to parse", EXIT_BAD_INPUT) from None
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise CliError(f"cannot load instance {path}: {exc}", EXIT_BAD_INPUT)
+
+
+def load_instance(path: str) -> tuple[model.DstInstance, str]:
+    """The instance in `path` and the SHA-256 of the file's bytes."""
+    return _load(path, model.instance_from_json)
+
+
+def load_objects(path: str) -> tuple[model.GapObjects, str]:
+    """The objects in `path`, with the same checks as load_instance, and
+    the SHA-256 of the file's bytes.  A family file as `gen` writes it
+    builds no instance."""
+    return _load(path, model.objects_from_json)
 
 
 def make_objects(args) -> model.GapObjects:
@@ -158,6 +171,8 @@ def cmd_generate(args, argline) -> int:
 
 
 def cmd_verify(args, argline) -> int:
+    from . import flows
+
     inst, sha256 = load_instance(args.instance)
     sol = flows.canonical_solution(inst)
     report = flows.verify_feasibility(inst, sol)
@@ -233,8 +248,9 @@ def certificate_payload(cert, thresh=None):
 
 
 def cmd_certify(args, argline) -> int:
-    inst, sha256 = load_instance(args.instance)
-    objects = inst.provenance
+    from . import integral
+
+    objects, sha256 = load_objects(args.instance)
     # the loader checked the params, so they raise no ValueError here
     shape = families.containment_params(objects.family, objects.params)
     if shape is None:
@@ -276,6 +292,11 @@ def cmd_certify(args, argline) -> int:
 
 
 def cmd_solve(args, argline) -> int:
+    from . import integral, lp
+
+    brute_cap = (integral.DEFAULT_BRUTE_CAP if args.brute_cap is None
+                 else args.brute_cap)
+    lp_cap = lp.DEFAULT_VAR_CAP if args.lp_cap is None else args.lp_cap
     inst, sha256 = load_instance(args.instance)
     methods = (["structured", "brute", "lp"] if args.method == "all"
                else [args.method])
@@ -305,7 +326,7 @@ def cmd_solve(args, argline) -> int:
                       f"{'' if res.optimal else ' (not proven optimal)'}")
                 opt_values[method] = res.value
             elif method == "brute":
-                res = integral.brute_force_opt(inst, cap=args.brute_cap)
+                res = integral.brute_force_opt(inst, cap=brute_cap)
                 if not res.feasible:
                     payload["brute"] = {"feasible": False,
                                         "unreachable": list(res.unreachable)}
@@ -323,7 +344,7 @@ def cmd_solve(args, argline) -> int:
                 res = lp.closed_form_lp(inst)
                 certificate = "cut-packing"
                 if res is None:
-                    res = lp.solve_lp_exact(inst, var_cap=args.lp_cap)
+                    res = lp.solve_lp_exact(inst, var_cap=lp_cap)
                     certificate = "simplex"
                 payload["lp"] = {
                     "value": render_rational(res.optimal_value),
@@ -360,13 +381,16 @@ def cmd_solve(args, argline) -> int:
 
 
 def cmd_bounds(args, argline) -> int:
-    if args.digits < 20:
+    from . import bounds
+
+    digits = bounds.DEFAULT_DIGITS if args.digits is None else args.digits
+    if digits < 20:
         raise CliError("precision must be at least 20 digits", EXIT_BAD_PARAMS)
     m_list = sorted(args.m_list)
     try:
-        reports = [(m, bounds.verify_ja_bound(m, args.digits),
-                    bounds.verify_kb_bound(m, args.digits)) for m in m_list]
-        alphas = bounds.alpha_asymptotics(m_list, args.digits)
+        reports = [(m, bounds.verify_ja_bound(m, digits),
+                    bounds.verify_kb_bound(m, digits)) for m in m_list]
+        alphas = bounds.alpha_asymptotics(m_list, digits)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_BAD_PARAMS)
 
@@ -461,16 +485,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--method", choices=["structured", "brute", "lp", "all"],
                    default="all")
-    p.add_argument("--brute-cap", type=non_negative_int,
-                   default=integral.DEFAULT_BRUTE_CAP)
-    p.add_argument("--lp-cap", type=non_negative_int,
-                   default=lp.DEFAULT_VAR_CAP)
+    # None: the cap its module sets, read when the command runs, so that
+    # the parser imports no solver
+    p.add_argument("--brute-cap", type=non_negative_int)
+    p.add_argument("--lp-cap", type=non_negative_int)
     p.add_argument("--out")
     p.add_argument("--config")
 
     p = command("bounds", help="closed-form lemma sweep")
     p.add_argument("--m-list", type=int_list, required=True)
-    p.add_argument("--digits", type=int, default=bounds.DEFAULT_DIGITS)
+    p.add_argument("--digits", type=int)
     p.add_argument("--csv")
     p.add_argument("--json-out")
     p.add_argument("--config")

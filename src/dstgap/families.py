@@ -24,7 +24,7 @@ import math
 from collections import defaultdict
 from itertools import combinations
 
-from .model import GapObjects, SizeCapError, label_set, set_label
+from .model import GapObjects, SizeCapError, label_set
 
 comb = math.comb
 
@@ -32,11 +32,13 @@ DEFAULT_EDGE_CAP = 10**7
 
 
 def colex_subsets(m: int, size: int):
-    """All size-subsets of {1..m} as frozensets, in colex order: by largest
-    element, then by the next largest, and so on.  combinations of m, ...,
-    1 lists the subsets in exactly the reverse of that order."""
-    return [frozenset(c) for c in
-            reversed(list(combinations(range(m, 0, -1), size)))]
+    """All size-subsets of {1..m} as ascending tuples, in colex order: by
+    largest element, then by the next largest, and so on.  combinations of
+    m, ..., 1 lists the subsets, each descending, in exactly the reverse of
+    that order."""
+    subsets = [t[::-1] for t in combinations(range(m, 0, -1), size)]
+    subsets.reverse()
+    return subsets
 
 
 def _comb_at_most(n: int, r: int, cap: int):
@@ -70,26 +72,39 @@ def _containment_objects(family: str, params: dict,
     a_sets = colex_subsets(m, a)
     b_sets = colex_subsets(m, a + c)
     c_sets = colex_subsets(m, c)
-    a_index = {x: i for i, x in enumerate(a_sets)}
-    c_index = {x: i for i, x in enumerate(c_sets)}
-
-    edges = []
-    for bi, b in enumerate(b_sets):
-        for color in map(frozenset, combinations(b, c)):
-            edges.append((a_index[b - color], bi, c_index[color]))
-    edges.sort()
-
-    k = len(c_sets)
-    d = comb(m - a, c)
+    k, d = len(c_sets), comb(m - a, c)
     s, rem = divmod(d * len(a_sets), k)
     if rem:
         raise RuntimeError(
             f"{name}: d*|A| = {d * len(a_sets)} is not a multiple of k")
+
+    # a subset as the int with bit x set for each element x: colex order is
+    # the order of these ints, and a disjoint union is a sum
+    bit = [1 << x for x in range(m + 1)]
+    a_masks = [sum(map(bit.__getitem__, t)) for t in a_sets]
+    b_index = {sum(map(bit.__getitem__, t)): i for i, t in enumerate(b_sets)}
+    c_index = {sum(map(bit.__getitem__, t)): i for i, t in enumerate(c_sets)}
+    # A-major: each A-set's supersets A + C, over the c-subsets C of its
+    # complement in colex order, which is their B-sets' order too; so the
+    # edges come out sorted
+    high_first = bit[:0:-1]
+    edges = []
+    for ai, am in enumerate(a_masks):
+        cms = list(map(sum, combinations(
+            [x for x in high_first if not am & x], c)))
+        cms.reverse()
+        edges += [(ai, b_index[am + cm], c_index[cm]) for cm in cms]
+
+    names = list(map(str, range(m + 1)))  # element x -> its text
+
+    def label(subset):
+        return "{" + ",".join(map(names.__getitem__, subset)) + "}"
+
     return GapObjects(
-        a_labels=tuple(map(set_label, a_sets)),
-        b_labels=tuple(map(set_label, b_sets)),
-        color_labels=tuple(str(*color) if family == "zk" else set_label(color)
-                           for color in c_sets),
+        a_labels=tuple(map(label, a_sets)),
+        b_labels=tuple(map(label, b_sets)),
+        color_labels=tuple(names[x] for (x,) in c_sets) if family == "zk"
+        else tuple(map(label, c_sets)),
         edges=tuple(edges),
         d=d,
         d_prime=comb(a + c, a),

@@ -20,7 +20,9 @@ label order of the objects; edges are sorted by (level, tail, head), so a
 given GapObjects value always builds the identical instance.  build_instance
 is the only builder: a file loads as the instance of its objects less the
 edges it leaves out, and a file edge that is not a built edge, or that
-costs other than its class cost, is rejected.
+costs other than its class cost, is rejected.  The file text is rendered
+from the objects alone, so a family file as `gen` writes it is checked
+against its bytes before, or without, any instance is built.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import reprlib
 from collections import Counter
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import NamedTuple
 
 from .rationals import parse_rational, render_rational
@@ -101,6 +104,39 @@ class GapObjects(_GapFields):
             kv[b].add(c)
         return tuple(map(frozenset, kv))
 
+    @functools.cached_property
+    def _failure(self):
+        """validate_objects' message, None if valid; found once."""
+        return _validation_failure(self)
+
+    @functools.cached_property
+    def _columns(self) -> tuple:
+        """The tails, heads, classes and colors of the instance the objects
+        build, in the one built order: E1 in A order, E2 from the sorted
+        triples, E3 once per B-vertex and E4 from each K_v in sorted order.
+        Made once per objects value, for the loader's render and then for
+        build_instance; the objects must be valid."""
+        na, nb, k = self.num_a, self.num_b, self.k
+        edges = sorted(self.edges)
+        kv = [sorted(x) for x in self.color_sets_by_b]
+        # one int object per vertex id, shared by every edge at the vertex
+        ids = list(range(1 + na + 2 * nb + k))
+        a_id, b_id = ids[1:1 + na], ids[1 + na:1 + na + nb]
+        bp_id, t_id = ids[1 + na + nb:1 + na + 2 * nb], ids[1 + na + 2 * nb:]
+        tails = [0] * na
+        tails += map(a_id.__getitem__, map(itemgetter(0), edges))
+        tails += b_id
+        tails += [v for v, cs in zip(bp_id, kv) for _ in cs]
+        heads = list(a_id)
+        heads += map(b_id.__getitem__, map(itemgetter(1), edges))
+        heads += bp_id
+        heads += [t_id[c] for cs in kv for c in cs]
+        n4 = sum(map(len, kv))
+        classes = (E1,) * na + (E2,) * len(edges) + (E3,) * nb + (E4,) * n4
+        colors = ((None,) * na + tuple(map(itemgetter(2), edges))
+                  + (None,) * (nb + n4))
+        return tuple(tails), tuple(heads), classes, colors
+
 
 def set_label(elements) -> str:
     return "{" + ",".join(str(x) for x in sorted(elements)) + "}"
@@ -128,27 +164,36 @@ def validate_objects(objects: GapObjects) -> None:
     one-line message names each failing invariant with its witness.
 
     Int d, d', s and k, in-range edge indices and distinct labels are
-    checked first, and raise at once.  Then regularity, the matching
-    partition, the counting identity, |K_v| = d', and for a family that
-    families.containment_params knows, k = C(m, c), d = C(m-a, c) and
+    checked first, and each is reported alone.  Then regularity, the
+    matching partition, the counting identity, |K_v| = d', and for a family
+    that families.containment_params knows, k = C(m, c), d = C(m-a, c) and
     d' = C(a+c, a), each computed no further than the value it must equal.
+    The objects are immutable, so the outcome is found once per objects
+    value: the loader validates before it renders, and build_instance again.
     """
+    failure = objects._failure
+    if failure is not None:
+        raise ValueError(failure)
+
+
+def _validation_failure(objects: GapObjects):
+    """validate_objects' message for the objects; None if they are valid."""
     from . import families  # families imports this module
 
     na, nb, nc = objects.num_a, objects.num_b, len(objects.color_labels)
     d, dp, s, k = objects.d, objects.d_prime, objects.s, objects.k
     if not all(type(x) is int for x in (d, dp, s, k)):
-        raise ValueError("d, d_prime, s and k must be integers")
+        return "d, d_prime, s and k must be integers"
     for a, b, c in objects.edges:
         if not (0 <= a < na and 0 <= b < nb and 0 <= c < nc):
-            raise ValueError(f"edge ({a},{b},{c}) has an out-of-range index")
+            return f"edge ({a},{b},{c}) has an out-of-range index"
     for name, labels in (
         ("A", objects.a_labels),
         ("B", objects.b_labels),
         ("color", objects.color_labels),
     ):
         if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate {name} labels")
+            return f"duplicate {name} labels"
     failures = []
 
     def check(name, passed, detail):
@@ -213,7 +258,8 @@ def validate_objects(objects: GapObjects) -> None:
                   f"d'={dp}")
 
     if failures:
-        raise ValueError("objects fail validation: " + "; ".join(failures))
+        return "objects fail validation: " + "; ".join(failures)
+    return None
 
 
 class _InstanceFields(NamedTuple):
@@ -259,11 +305,8 @@ class DstInstance(_InstanceFields):
 
     @functools.cached_property
     def class_costs(self) -> dict:
-        """Edge cost by class, the only place edge costs are set: root
-        edges |B|/|A|, copy edges v -> pi(v) 1, all other edges 0."""
-        na, nb = self.level_sizes[1], self.level_sizes[2]
-        return {E1: Fraction(nb, na), E2: Fraction(0), E3: Fraction(1),
-                E4: Fraction(0)}
+        """Edge cost by class: _class_costs of the level sizes."""
+        return _class_costs(self.level_sizes[1], self.level_sizes[2])
 
     @functools.cached_property
     def edge_index(self) -> dict:
@@ -274,12 +317,16 @@ class DstInstance(_InstanceFields):
                 for i, (t, h) in enumerate(zip(self.tails, self.heads))}
 
 
-def build_instance(objects: GapObjects) -> DstInstance:
-    """Build the 5-level instance; deterministic for a given GapObjects.
-    Raises ValueError if the objects fail validate_objects."""
-    validate_objects(objects)
+def _class_costs(num_a: int, num_b: int) -> dict:
+    """Edge cost by class, the only place edge costs are set: root edges
+    |B|/|A|, copy edges v -> pi(v) 1, all other edges 0."""
+    return {E1: Fraction(num_b, num_a), E2: Fraction(0), E3: Fraction(1),
+            E4: Fraction(0)}
 
-    na, nb, k = objects.num_a, objects.num_b, objects.k
+
+def _vertices(objects: GapObjects) -> tuple:
+    """The vertex labels, in id order, and the level sizes of the instance
+    the objects build."""
     labels = (
         (ROOT_LABEL,)
         + tuple(objects.a_labels)
@@ -287,18 +334,17 @@ def build_instance(objects: GapObjects) -> DstInstance:
         + tuple(lbl + "'" for lbl in objects.b_labels)
         + tuple(objects.color_labels)
     )
-    a_off, b_off = 1, 1 + na
-    bp_off, t_off = 1 + na + nb, 1 + na + 2 * nb
+    return labels, (1, objects.num_a, objects.num_b, objects.num_b, objects.k)
 
-    kv = objects.color_sets_by_b
-    rows = [(0, a_off + i, E1, None) for i in range(na)]
-    rows += [(a_off + a, b_off + b, E2, c) for a, b, c in sorted(objects.edges)]
-    rows += [(b_off + i, bp_off + i, E3, None) for i in range(nb)]
-    rows += [(bp_off + i, t_off + c, E4, None)
-             for i in range(nb) for c in sorted(kv[i])]
-    tails, heads, classes, colors = zip(*rows)  # there is an E1 edge: s >= 1
-    inst = DstInstance(labels, (1, na, nb, nb, k), tails, heads, classes,
-                       colors, provenance=objects)
+
+def build_instance(objects: GapObjects) -> DstInstance:
+    """Build the 5-level instance; deterministic for a given GapObjects.
+    Raises ValueError if the objects fail validate_objects."""
+    validate_objects(objects)
+
+    na, nb, k = objects.num_a, objects.num_b, objects.k
+    inst = DstInstance(*_vertices(objects), *objects._columns,
+                       provenance=objects)
 
     # DstInstance invariants; cheap, and they guard generator bugs
     if inst.n != 1 + na + 2 * nb + k:
@@ -325,23 +371,31 @@ def edge_class_counts(inst: DstInstance) -> dict:
 # ---------------------------------------------------------------------------
 # serialization
 
+def _meta(objects: GapObjects) -> dict:
+    return {
+        "family": objects.family,
+        "params": objects.params,
+        "d": objects.d,
+        "d_prime": objects.d_prime,
+        "s": objects.s,
+        "k": objects.k,
+    }
+
+
+def _levels(labels, level_sizes: tuple) -> list:
+    """The labels of each level, in id order: slices of `labels`."""
+    ends = itertools.accumulate(level_sizes)
+    return [labels[end - size:end] for end, size in zip(ends, level_sizes)]
+
+
 def _document(inst: DstInstance, edges: list) -> dict:
     """The file's top-level object around the given edge entries."""
-    obj = inst.provenance
-    labels = inst.labels
+    levels = _levels(inst.labels, inst.level_sizes)
     return {
-        "meta": {
-            "family": obj.family,
-            "params": obj.params,
-            "d": obj.d,
-            "d_prime": obj.d_prime,
-            "s": obj.s,
-            "k": obj.k,
-        },
-        "levels": [[labels[i] for i in inst.level_ids(lvl)]
-                   for lvl in range(5)],
+        "meta": _meta(inst.provenance),
+        "levels": list(map(list, levels)),
         "edges": edges,
-        "pi": {labels[i]: labels[inst.pi(i)] for i in inst.level_ids(2)},
+        "pi": dict(zip(levels[2], levels[3])),  # pi(v) = v + |B|
     }
 
 
@@ -383,42 +437,67 @@ def _quote(label) -> str:
 _HEAD = '{\n "meta": '
 
 
-def _e2_entry(tail: str, head: str, cost: str, color: str) -> str:
-    """An edge entry with a color, its values quoted, after a comma."""
-    return (f',\n  {{\n   "tail": {tail},\n   "head": {head},'
-            f'\n   "cost": {cost},\n   "color": {color}\n  }}')
+def _block(brackets: str, items: list, depth: int) -> str:
+    """A list or an object as json.dumps(indent=1) writes it `depth` levels
+    deep, from its items written already: values, or "key: value" texts."""
+    if not items:
+        return brackets
+    return (brackets[0] + "\n " + " " * depth
+            + (",\n " + " " * depth).join(items)
+            + "\n" + " " * depth + brackets[1])
 
 
-def _json_pieces(inst: DstInstance):
-    """instance_to_json's text, piece by piece: the header, one piece per
-    edge, then the tail.  The edges, the bulk of it, are written from one
-    template per shape with each label and cost quoted once, in place of
-    the per-edge dicts and the pure-Python indent encoder."""
-    d = _document(inst, [])
-    label = list(map(_quote, inst.labels))
-    color = list(map(_quote, inst.provenance.color_labels))
-    cost = {c: encode_basestring_ascii(render_rational(q))
-            for c, q in inst.class_costs.items()}
-    yield (_HEAD + _nested(d["meta"], 1)
-           + ',\n "levels": ' + _nested(d["levels"], 1) + ',\n "edges": [')
-    edges = (
-        f',\n  {{\n   "tail": {label[t]},\n   "head": {label[h]},'
-        f'\n   "cost": {cost[k]}\n  }}' if c is None else
-        _e2_entry(label[t], label[h], cost[k], color[c])
-        for t, h, k, c in zip(inst.tails, inst.heads, inst.classes,
-                              inst.colors))
+def _edge_start(tail: str) -> str:
+    """An edge entry, after a comma, up to its quoted head."""
+    return f',\n  {{\n   "tail": {tail},\n   "head": '
+
+
+def _edge_end(cost: str, color: str | None) -> str:
+    """The rest of an edge entry, after its quoted head."""
+    if color is None:
+        return f',\n   "cost": {cost}\n  }}'
+    return f',\n   "cost": {cost},\n   "color": {color}\n  }}'
+
+
+def _json_pieces(objects: GapObjects, labels: tuple, level_sizes: tuple,
+                 columns):
+    """The file text of the instance of these fields, piece by piece: the
+    header, one piece per edge of the columns (tails, heads, classes,
+    colors), then the tail.  No instance is needed, so the loader renders
+    a family file from its objects' columns alone.  The text is written
+    from templates with each label and cost quoted once, in place of the
+    per-edge dicts and the pure-Python indent encoder."""
+    quoted = list(map(_quote, labels))
+    color = list(map(_quote, objects.color_labels))
+    cost = _class_costs(level_sizes[1], level_sizes[2])
+    start = list(map(_edge_start, quoted))
+    close = {}  # class -> color index or None -> the entry's end
+    for klass, q in cost.items():
+        text = encode_basestring_ascii(render_rational(q))
+        close[klass] = dict(enumerate(_edge_end(text, c) for c in color))
+        close[klass][None] = _edge_end(text, None)
+    levels = _levels(quoted, level_sizes)
+    yield (_HEAD + _nested(_meta(objects), 1) + ',\n "levels": '
+           + _block("[]", [_block("[]", level, 2) for level in levels], 1)
+           + ',\n "edges": [')
+    edges = (start[t] + quoted[h] + close[k][c]
+             for t, h, k, c in zip(*columns))
     first = next(edges, None)
     if first is not None:
         yield first[1:]  # no comma before the first edge
         yield from edges
         yield "\n "
-    yield '],\n "pi": ' + _nested(d["pi"], 1) + "\n}\n"
+    pi = [f"{v}: {vp}" for v, vp in zip(levels[2], levels[3])]
+    yield '],\n "pi": ' + _block("{}", pi, 1) + "\n}\n"
 
 
 def instance_to_json(inst: DstInstance) -> str:
     """The file text: json.dumps(instance_to_dict(inst), indent=1) + "\\n",
-    byte for byte, joined once from _json_pieces."""
-    return "".join(_json_pieces(inst))
+    byte for byte, joined once from _json_pieces of the instance's own
+    fields."""
+    return "".join(_json_pieces(inst.provenance, inst.labels,
+                                inst.level_sizes, (inst.tails, inst.heads,
+                                                   inst.classes, inst.colors)))
 
 
 def instance_sha256(inst: DstInstance) -> str:
@@ -557,7 +636,7 @@ def instance_from_dict(data: dict) -> DstInstance:
 
 # the fewest characters an E2 edge entry takes in the text instance_to_json
 # writes, which has one such entry per edge of the objects
-_E2_ENTRY_CHARS = len(_e2_entry('""', '""', '""', '""'))
+_E2_ENTRY_CHARS = len(_edge_start('""') + '""' + _edge_end('""', '""'))
 
 
 def _same_text(pieces, data: bytes) -> bool:
@@ -571,29 +650,52 @@ def _same_text(pieces, data: bytes) -> bool:
     return pos == len(data)
 
 
-def instance_from_json(data: bytes) -> DstInstance:
-    """Load an instance file's bytes.  A family file as `gen` writes it is
-    the built instance of its meta's family: only the meta is parsed, and
-    the family is generated, rendered and compared with the bytes, so no
-    dict tree is made.  The edge cap that the file's length sets keeps a
-    small file whose meta claims a large family from building anything.
-    Any other file, a family file with one byte changed among them, loads
-    through instance_from_dict(json.loads(data))."""
+def _family_file_objects(data: bytes):
+    """The objects of a family file as `gen` writes it; None for any other
+    file.  Only the meta is parsed: the family is generated, validated,
+    rendered from its columns and compared with the bytes, so no dict tree
+    and no instance is made.  The edge cap that the file's length sets
+    keeps a small file whose meta claims a large family from generating
+    anything."""
     from . import families  # families imports this module
 
-    if data.startswith(_HEAD.encode()):
-        start = data[len(_HEAD):len(_HEAD) + 4096].decode("utf-8", "replace")
-        try:
-            meta = json.JSONDecoder().raw_decode(start)[0]
-            inst = build_instance(families.family_objects(
-                meta["family"], meta["params"],
-                max_edges=len(data) // _E2_ENTRY_CHARS))
-        except (ValueError, KeyError, TypeError, SizeCapError):
-            pass
-        else:
-            if _same_text(_json_pieces(inst), data):
-                return inst
-    return instance_from_dict(json.loads(data))
+    if not data.startswith(_HEAD.encode()):
+        return None
+    start = data[len(_HEAD):len(_HEAD) + 4096].decode("utf-8", "replace")
+    try:
+        meta = json.JSONDecoder().raw_decode(start)[0]
+        objects = families.family_objects(
+            meta["family"], meta["params"],
+            max_edges=len(data) // _E2_ENTRY_CHARS)
+        validate_objects(objects)
+    except (ValueError, KeyError, TypeError, SizeCapError):
+        return None
+    pieces = _json_pieces(objects, *_vertices(objects), objects._columns)
+    return objects if _same_text(pieces, data) else None
+
+
+def objects_from_json(data: bytes) -> GapObjects:
+    """The objects of an instance file's bytes, with every check that
+    instance_from_json makes.  A family file as `gen` writes it builds no
+    instance; any other file, a family file with one byte changed among
+    them, is the provenance of instance_from_dict(json.loads(data))."""
+    objects = _family_file_objects(data)
+    if objects is None:
+        objects = instance_from_dict(json.loads(data)).provenance
+    return objects
+
+
+def instance_from_json(data: bytes) -> DstInstance:
+    """Load an instance file's bytes.  A family file as `gen` writes it is
+    the built instance of its meta's family, built once its text has been
+    compared with the bytes, on the columns the compare rendered.  Any
+    other file, a family file with one byte changed among them, loads
+    through instance_from_dict(json.loads(data)) and is built once,
+    there."""
+    objects = _family_file_objects(data)
+    if objects is None:
+        return instance_from_dict(json.loads(data))
+    return build_instance(objects)
 
 
 def instance_to_dot(inst: DstInstance, max_vertices: int = 500) -> str:

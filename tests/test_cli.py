@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dstgap
-from dstgap import cli, families, model
+from dstgap import cli, families, flows, integral, model, simplex
 from dstgap.cli import (
     EXIT_BAD_INPUT,
     EXIT_BAD_PARAMS,
@@ -204,6 +204,28 @@ def test_cli_imports_no_dataclasses_or_inspect():
                               capture_output=True, text=True, timeout=120)
         assert (proc.returncode, proc.stderr) == (0, ""), flags
         assert proc.stdout == "[]\n", flags
+
+
+def test_gen_imports_no_solver(tmp_path):
+    # the package and cli import a solver's module only in the command that
+    # runs it, so gen, which writes a file, runs none of their bodies
+    src = os.path.dirname(os.path.dirname(dstgap.__file__))
+    child = ("import json, sys\n"
+             "from dstgap.cli import main\n"
+             "code = main(['gen', '--family=zk', '--k=4', '--out', "
+             "sys.argv[1]])\n"
+             "print(json.dumps([code, sorted(sys.modules)]))")
+    proc = subprocess.run([sys.executable, "-c", child,
+                           str(tmp_path / "zk4.json")],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert code == EXIT_OK
+    loaded = set(modules)
+    assert not loaded & {"dstgap.flows", "dstgap.simplex", "dstgap.lp",
+                         "dstgap.integral", "dstgap.bounds"}, loaded
+    assert "dstgap.families" in loaded
 
 
 def test_verify_wrong_s_is_invalid_witness(tmp_path, zk4_instance):
@@ -671,6 +693,44 @@ def test_report_headers_hash_file_bytes(tmp_path, zk4_instance, compact):
         assert header["instance_sha256"] == expected, argv[0]
 
 
+@pytest.mark.parametrize("edit, code", [
+    # a newline between two edge entries made a space: the same instance
+    (lambda text: text.replace("},\n  {", "},   {", 1), EXIT_OK),
+    # zk4's root edges cost 4/6, so a root edge at 2/5 is a bad file
+    (lambda text: text.replace('"cost": "2/3"', '"cost": "2/5"', 1),
+     EXIT_BAD_INPUT),
+], ids=["layout", "cost"])
+def test_one_edited_byte_builds_once(tmp_path, zk4_file, monkeypatch, capsys,
+                                     edit, code):
+    # a family file with one byte changed fails the re-render compare,
+    # which builds nothing; the full loader then builds the instance once
+    text = zk4_file.read_text()
+    edited = tmp_path / "edited.json"
+    edited.write_text(edit(text))
+    assert len(edited.read_bytes()) == len(text)
+    assert sum(x != y for x, y in zip(edited.read_text(), text)) == 1
+    callers = []
+    build = model.build_instance
+
+    def spy(objects):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return build(objects)
+
+    monkeypatch.setattr(model, "build_instance", spy)
+    for argv in (["verify"], ["certify"], ["solve", "--method=structured"]):
+        assert main(argv[:1] + [str(zk4_file)] + argv[1:]) == EXIT_OK
+        # the file as gen writes it is built by verify and solve alone
+        assert callers == ([] if argv[0] == "certify"
+                           else ["instance_from_json"])
+        stdout = capsys.readouterr().out
+        callers.clear()
+        assert main(argv[:1] + [str(edited)] + argv[1:]) == code, argv
+        assert callers == ["instance_from_dict"], argv
+        if code == EXIT_OK:
+            assert capsys.readouterr().out == stdout
+        callers.clear()
+
+
 # ---------------------------------------------------------------------------
 # certify
 
@@ -770,9 +830,9 @@ def test_solve_budget_stop_reports_certified_bound(tmp_path, zk9_instance,
     # 15/4; the certificate of the same run proves OPT >= 9/2
     path = tmp_path / "zk9.json"
     path.write_text(model.instance_to_json(zk9_instance))
-    solve = cli.integral.solve_structured
+    solve = integral.solve_structured
     assert solve(zk9_instance, budget=1).lower_bound == Fraction(15, 4)
-    monkeypatch.setattr(cli.integral, "solve_structured",
+    monkeypatch.setattr(integral, "solve_structured",
                         lambda inst: solve(inst, budget=1))
     out = tmp_path / "solve.json"
     assert main(["solve", str(path), "--method", "structured",
@@ -794,7 +854,7 @@ def test_solve_lp_certifies_without_the_simplex(zk4_file, tmp_path,
     def simplex_ran(*lp_data):
         raise RuntimeError("the simplex ran")
 
-    monkeypatch.setattr(cli.lp.simplex, "solve_lp", simplex_ran)
+    monkeypatch.setattr(simplex, "solve_lp", simplex_ran)
     out = tmp_path / "solve.json"
     assert main(["solve", str(zk4_file), "--method", "lp",
                  "--out", str(out)]) == EXIT_OK
@@ -903,7 +963,7 @@ def test_internal_error_exits_5(zk4_file, monkeypatch, capsys):
     def fail(*args):
         raise RuntimeError("flow layer failed")
 
-    monkeypatch.setattr(cli.flows, "verify_feasibility", fail)
+    monkeypatch.setattr(flows, "verify_feasibility", fail)
     assert main(["verify", str(zk4_file)]) == EXIT_INTERNAL
     assert capsys.readouterr().err == \
         "error: internal error: RuntimeError: flow layer failed\n"

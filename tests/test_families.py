@@ -127,8 +127,8 @@ def test_generators_pass_validation_grid():
 # colex order
 
 def test_colex_subsets_order():
-    # colex on pairs {i < j}: by j, then by i
-    expected = [frozenset({i, j}) for j in range(2, 7) for i in range(1, j)]
+    # colex on pairs {i < j}: by j, then by i; each pair ascending
+    expected = [(i, j) for j in range(2, 7) for i in range(1, j)]
     assert len(expected) == comb(6, 2)
     assert colex_subsets(6, 2) == expected
 

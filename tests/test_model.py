@@ -13,6 +13,7 @@ import pytest
 
 import dstgap
 from dstgap import families, model
+from dstgap.cli import main
 from dstgap.families import subset_objects, zk_objects
 from dstgap.model import (
     E1, E2, E3, E4,
@@ -361,6 +362,29 @@ def test_family_files_are_pinned(name):
     assert instance_sha256(inst) == PINNED_SHA256[name]
 
 
+def test_tampered_instance_writes_its_own_columns(zk4_instance):
+    # the writer renders the instance's fields, not its objects': an edge
+    # that is not a built edge, a dropped edge, an edge out of built order
+    # and level sizes that set other costs are all written as they are
+    inst = zk4_instance
+    vp, t = inst.level_offset(3), inst.terminals[-1]
+    extra = inst._replace(tails=inst.tails + (vp,), heads=inst.heads + (t,),
+                          classes=inst.classes + (E4,),
+                          colors=inst.colors + (None,))
+    order = list(range(len(inst.tails)))[::-1][1:]
+    shuffled = inst._replace(**{col: tuple(getattr(inst, col)[i]
+                                           for i in order)
+                                for col in ("tails", "heads", "classes",
+                                            "colors")})
+    resized = inst._replace(level_sizes=(1, 4, 6, 6, 4))
+    for tampered in (extra, shuffled, resized):
+        text = instance_to_json(tampered)
+        assert text == _oracle(tampered)
+        assert text != instance_to_json(inst)
+    last, entry = json.loads(instance_to_json(extra))["edges"][-2:]
+    assert entry == dict(last, tail=inst.labels[vp], head=inst.labels[t])
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_SHA256))
 def test_family_files_load_by_rendering(name, monkeypatch):
     # a file as gen writes it loads with no dict tree, into the instance
@@ -375,6 +399,50 @@ def test_family_files_load_by_rendering(name, monkeypatch):
     loaded = instance_from_json(text.encode())
     assert loaded == expected
     assert loaded.provenance == expected.provenance
+
+
+# SHA-256 of the stdout and the report of `certify NAME.json --out
+# NAME.certify`, run in the file's directory on the file `gen` writes
+CERTIFY_SHA256 = {
+    "m10a3": ("3cd9cf065c71c4d9fe3fba86bc59d96bd2874ba4d1b266b3e29813a69cb63a52",
+              "18a9e23aca880174d4fa1c1e9a140b0cb504af0eee4b31423e4f01bd5733f71e"),
+    "m4": ("cf09aa09ad8ad347725ca9e2d9d29a175ae6ce888fc9f4a6489f2198dca42e70",
+           "ebfe82b4c515c937561ad6888a790c57f3156c3c32495f4a40ae58ac6db29fc2"),
+    "m5a1": ("51db3667ab347d8a44288ada2f05193b9373c65c702254cde640a37530dc05dc",
+             "32a6f8a511a500851adbd7f34017ecd4f95cd0ba22b82495f6854c121e531177"),
+    "m6": ("4e62e10a6ad48a4a3390ebcdd92bc17a1575946c03783836ea509de7509c90e9",
+           "6e0dc25abaad61b439fed3757b0a52619d75dfc244654a16fbffeece06ca3c73"),
+    "m7a3": ("e9852d6d2e5e48c91f1a73bdc6177ecac80dc98ee8e2633cb2a73ca5332484a1",
+             "de7445ab476c5229ddf4da08347c6071b89e7a7e2e3a58fee5275751e663d7a2"),
+    "zk16": ("31614a3358cbf80fd8d9e7a90a6502d43c94ea6934b5e4b3efc8caf78dfa3740",
+             "ea94f345ac833293438d0122eadd6db58ef9c642d5383da55aa157db74816da7"),
+    "zk4": ("ee871307ad73c30e3be9f86848f5a590cd671a96edf2ee8572d5ef4c0bf1ea77",
+            "50584dc495a5b0373a8921d827f23dd279eeb7f44ac877ed25afef6468fa3a11"),
+    "zk9": ("efdf378174d0649ea85607d144bd10defa07706cc4763ecaf3c0f152864e4a09",
+            "a9f1961088a95b32950edd49c194a1df5d03c1e3157d6ab8ce7d853fb710b7b4"),
+}
+
+
+def test_certify_builds_no_instance(tmp_path, monkeypatch, capsys):
+    # certify reads only the objects: a family file as gen writes it is
+    # generated and compared with its bytes, and no graph is built
+    assert sorted(CERTIFY_SHA256) == sorted(FAMILY_OBJECTS)
+    for name in FAMILY_OBJECTS:
+        (tmp_path / f"{name}.json").write_text(
+            instance_to_json(build_instance(FAMILY_OBJECTS[name]())))
+
+    def refuse(objects):
+        raise AssertionError("certify built an instance")
+
+    monkeypatch.setattr(model, "build_instance", refuse)
+    monkeypatch.chdir(tmp_path)
+    for name, (stdout_sha, report_sha) in CERTIFY_SHA256.items():
+        assert main(["certify", f"{name}.json", "--out",
+                     f"{name}.certify"]) == 0, name
+        stdout = capsys.readouterr().out
+        report = (tmp_path / f"{name}.certify").read_bytes()
+        assert hashlib.sha256(stdout.encode()).hexdigest() == stdout_sha
+        assert hashlib.sha256(report).hexdigest() == report_sha
 
 
 def test_small_file_claiming_a_large_family_builds_nothing(monkeypatch):
