@@ -4,7 +4,6 @@ Everything here works on binomial coefficients, never on materialized
 graphs, so the construction's actual regime (ground sets of size 64 and up)
 is checkable exactly:
 
-* exact hypergeometric tails with big-integer binomials;
 * the two Chernoff-style bounds for negatively correlated indicators,
   e^(-delta^2 mu / (2+delta)) above and e^(-delta^2 mu / 2) below;
 * the per-vertex J-set and residual-color bounds of the subset-colored
@@ -19,36 +18,18 @@ therefore sound.
 
 from __future__ import annotations
 
+import functools
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import NamedTuple
 
-comb = math.comb
+from .families import containment_counts
 
 RHO = Fraction(1, 16)
 THETA = Fraction(1, 64)
 
 DEFAULT_DIGITS = 50
-
-
-# ---------------------------------------------------------------------------
-# exact hypergeometric machinery
-
-def hypergeom_count(population, successes, draws, threshold, direction):
-    """Number of draw-subsets whose overlap is > / <= the threshold."""
-    if not (0 <= successes <= population and 0 <= draws <= population):
-        raise ValueError("need 0 <= successes, draws <= population")
-    if direction == "above":
-        js = range(max(threshold + 1, 0), draws + 1)
-    elif direction == "at_most":
-        js = range(0, min(threshold, draws) + 1)
-    else:
-        raise ValueError(f"direction must be 'above' or 'at_most': {direction}")
-    return sum(
-        comb(successes, j) * comb(population - successes, draws - j)
-        for j in js
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -128,24 +109,15 @@ def frac_log(q: Fraction, digits: int = 30) -> Decimal:
 # ---------------------------------------------------------------------------
 # the two family lemmas at the paper constants
 
-def _regime(m: int) -> tuple[int, int]:
-    """(rho m, theta m), for an m that makes both positive integers."""
+@functools.cache  # the three reports of one m share its J-set sums
+def _regime(m: int):
+    """families.containment_counts at a = c = rho m and thresh theta m, for
+    an m that makes both positive integers: max_j is |J_A| and max_r is
+    |K_B \\ J_A| for A inside B."""
     unit = math.lcm(RHO.denominator, THETA.denominator)
     if m <= 0 or m % unit:
         raise ValueError(f"m must be a positive multiple of {unit}, got {m}")
-    return int(RHO * m), int(THETA * m)
-
-
-def ja_count(m: int) -> int:
-    """|J_A|: colors meeting a fixed rho*m-set in more than theta*m elements."""
-    rm, tm = _regime(m)
-    return hypergeom_count(m, rm, rm, tm, "above")
-
-
-def kb_residual_count(m: int) -> int:
-    """|K_B \\ J_A| for A inside B: colors within B missing J_A."""
-    rm, tm = _regime(m)
-    return hypergeom_count(2 * rm, rm, rm, tm, "at_most")
+    return containment_counts(m, int(RHO * m), int(RHO * m), int(THETA * m))
 
 
 class TailReport(NamedTuple):
@@ -166,21 +138,18 @@ def verify_ja_bound(m: int, digits: int = DEFAULT_DIGITS) -> TailReport:
     at mean mu = rho^2 m and delta = theta/rho^2 - 1 (theta m = (1 + delta)
     mu), and k/d against e^(mu/(1 - 2 rho)).  At rho = 1/16 and theta =
     1/64 these are e^(-23 mu/35), delta = 3, e^(-9 mu/5) and e^(8 mu/7)."""
-    rm, _ = _regime(m)
-    k = comb(m, rm)
-    d = comb(m - rm, rm)
-    ja = ja_count(m)
+    counts = _regime(m)
     mu = RHO * RHO * m
     delta = THETA / (RHO * RHO) - 1
 
-    tail = Fraction(ja, k)
+    tail = Fraction(counts.max_j, counts.k)
     tail_bound = chernoff_upper(mu, delta, digits)
 
-    kd = Fraction(k, d)
+    kd = Fraction(counts.k, counts.d)
     kd_exponent = mu / (1 - 2 * RHO)
     kd_bound = exp_bounds(kd_exponent, digits)
 
-    jad = Fraction(ja, d)
+    jad = Fraction(counts.max_j, counts.d)
     jad_bound = exp_bounds(
         kd_exponent - delta * delta * mu / (2 + delta), digits)
 
@@ -198,9 +167,8 @@ def verify_ja_bound(m: int, digits: int = DEFAULT_DIGITS) -> TailReport:
 def verify_kb_bound(m: int, digits: int = DEFAULT_DIGITS) -> TailReport:
     """Exact |K_B \\ J_A| / d' against chernoff_lower at mean rho m / 2 and
     delta = 1/2, e^(-m/256)."""
-    rm, _ = _regime(m)
-    dp = comb(2 * rm, rm)
-    exact = Fraction(kb_residual_count(m), dp)
+    counts = _regime(m)
+    exact = Fraction(counts.max_r, counts.d_prime)
     bound = chernoff_lower(RHO * m / 2, Fraction(1, 2), digits)
     return TailReport(m=m, exact=exact, chernoff=bound, extras={})
 
@@ -222,13 +190,9 @@ def alpha_asymptotics(m_list, digits: int = DEFAULT_DIGITS):
     """
     rows = []
     for m in sorted(m_list):
-        rm, _ = _regime(m)
-        d = comb(m - rm, rm)
-        dp = comb(2 * rm, rm)
-        ja = ja_count(m)
-        kb = kb_residual_count(m)
-        d_over_ja = Fraction(d, ja)
-        dp_over_kb = Fraction(dp, kb)
+        counts = _regime(m)
+        d_over_ja = Fraction(counts.d, counts.max_j)
+        dp_over_kb = Fraction(counts.d_prime, counts.max_r)
         alpha = min(d_over_ja, dp_over_kb)
         rows.append(AlphaRow(
             m=m,

@@ -394,8 +394,8 @@ def cmd_bounds(args, argline) -> int:
     except ValueError as exc:
         raise CliError(str(exc), EXIT_BAD_PARAMS)
 
-    def dec(q: Fraction) -> str:
-        return str(float(q))
+    def dec(q: Fraction) -> str:  # past 10**300, float(q) may overflow
+        return str(float(q)) if q < 10**300 else "inf-like"
 
     lines = ["m,exact_tail_JA,bound_JA,exact_tail_KB,bound_KB,"
              "k_over_d,bound_k_over_d,alpha,log_alpha_over_m"]
@@ -409,7 +409,7 @@ def cmd_bounds(args, argline) -> int:
             dec(ja.exact), ja.chernoff.decimal_str()[:24],
             dec(kb.exact), kb.chernoff.decimal_str()[:24],
             dec(kd), kd_bound.decimal_str()[:24],
-            dec(row.alpha) if row.alpha < 10**300 else "inf-like",
+            dec(row.alpha),
             str(row.log_alpha_over_m)[:24],
         ]))
         status = "ok" if ok else "VIOLATED"

@@ -4,10 +4,13 @@ Over the ground set {1..m}: A is all a-subsets, B is all (a+c)-subsets, an
 edge joins A to B exactly when A is contained in B, and its color is
 B \\ A, a c-subset.  The colors are the terminals.  Each A-set lies in
 C(m-a, c) B-sets and each B-set holds C(a+c, a) A-sets, so d = C(m-a, c),
-d' = C(a+c, a), k = C(m, c) and s = d|A|/k.
+d' = C(a+c, a), k = C(m, c) and s = d|A|/k = C(m-c, a).
 
 `containment_params` is the one family map: it reads a family name and its
 params as (m, a, c, thresh), and no other module compares a family name.
+`containment_counts` is the one counting layer: every binomial of the
+family, and the J-set sizes at a thresh, computed from (m, a, c, thresh)
+alone, with no objects built.
 
 * element-colored family ("zk", Zosin and Khuller), params {"k": k}: m = k,
   a = sqrt(k) and c = 1.  A color is one element, labelled by it ("3").
@@ -23,10 +26,9 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from itertools import combinations
+from typing import NamedTuple
 
 from .model import GapObjects, SizeCapError, label_set
-
-comb = math.comb
 
 DEFAULT_EDGE_CAP = 10**7
 
@@ -41,29 +43,63 @@ def colex_subsets(m: int, size: int):
     return subsets
 
 
-def _comb_at_most(n: int, r: int, cap: int):
-    """comb(n, r) if it is at most cap, else None.  C(n, i) grows with i up
-    to n/2 and is at least 2**i there, so a comb past the cap is found in
-    about log2(cap) steps, where math.comb of a large n and r would run for
-    minutes."""
-    value = 1 if 0 <= r <= n else 0
-    for i in range(min(r, n - r)):
-        if value > cap:
-            return None
-        value = value * (n - i) // (i + 1)  # C(n, i + 1), exactly
-    return value if value <= cap else None
+class ContainmentCounts(NamedTuple):
+    num_a: int | None    # |A| = C(m, a)
+    num_b: int | None    # |B| = C(m, a+c)
+    k: int | None        # C(m, c)
+    d: int | None        # C(m-a, c)
+    d_prime: int | None  # C(a+c, a)
+    s: int | None        # C(m-c, a): the A-sets that miss a color
+    max_j: int | None = None  # |J_u|, every u
+    max_r: int | None = None  # |K_v \ J_u|, every edge (u, v)
+
+
+def containment_counts(m: int, a: int, c: int, thresh: int,
+                       cap: int | None = None) -> ContainmentCounts:
+    """Every count of the containment family over {1..m}, for the J-sets
+    J_u = {C : |C intersect u| > thresh}: |J_u| is the sum over i > thresh
+    of C(a, i) C(m-a, c-i), and |K_v \\ J_u| for u inside v the sum over
+    i <= thresh of C(a, i) C(c, c-i).  A ValueError unless 1 <= a, 1 <= c,
+    a + c <= m and 0 <= thresh < c.
+
+    With a cap, a count above it is None, and neither J-set sum is made: a
+    file can claim a huge k, and the sums cost a number of binomials that
+    grows with a.  C(n, i) grows with i up to n/2 and is at least 2**i
+    there, so a count past the cap is found in about log2(cap) steps, where
+    math.comb of a large n and r would run for minutes."""
+    if not (1 <= a and 1 <= c and a + c <= m and 0 <= thresh < c):
+        raise ValueError(f"no containment family at {(m, a, c, thresh)}")
+
+    def comb(n, r):
+        if cap is None:
+            return math.comb(n, r)
+        value = 1
+        for i in range(min(r, n - r)):
+            if value > cap:
+                return None
+            value = value * (n - i) // (i + 1)  # C(n, i + 1), exactly
+        return value if value <= cap else None
+
+    counts = ContainmentCounts(comb(m, a), comb(m, a + c), comb(m, c),
+                               comb(m - a, c), comb(a + c, a), comb(m - c, a))
+    if cap is not None:
+        return counts
+    return counts._replace(
+        max_j=sum(comb(a, i) * comb(m - a, c - i)
+                  for i in range(thresh + 1, c + 1)),
+        max_r=sum(comb(a, i) * comb(c, c - i) for i in range(thresh + 1)))
 
 
 def _containment_objects(family: str, params: dict,
                          max_edges: int) -> GapObjects:
     """The objects of the containment family that containment_params reads
     from a family name and its params."""
-    m, a, c, _ = containment_params(family, params)
+    m, a, c, thresh = containment_params(family, params)
     name = f"{family} family " + ", ".join(f"{key}={value}"
                                            for key, value in params.items())
     # one edge per (B-set, c-subset of it), counted before enumerating
-    n_b = _comb_at_most(m, a + c, max_edges)
-    per_b = _comb_at_most(a + c, a, max_edges)
+    counts = containment_counts(m, a, c, thresh, cap=max_edges)
+    n_b, per_b = counts.num_b, counts.d_prime
     n_edges = None if None in (n_b, per_b) else n_b * per_b
     if n_edges is None or n_edges > max_edges:
         count = n_edges or f"more than {max_edges}"
@@ -72,7 +108,7 @@ def _containment_objects(family: str, params: dict,
     a_sets = colex_subsets(m, a)
     b_sets = colex_subsets(m, a + c)
     c_sets = colex_subsets(m, c)
-    k, d = len(c_sets), comb(m - a, c)
+    k, d = len(c_sets), counts.d
     s, rem = divmod(d * len(a_sets), k)
     if rem:
         raise RuntimeError(
@@ -107,7 +143,7 @@ def _containment_objects(family: str, params: dict,
         else tuple(map(label, c_sets)),
         edges=tuple(edges),
         d=d,
-        d_prime=comb(a + c, a),
+        d_prime=counts.d_prime,
         s=s,
         k=k,
         family=family,

@@ -166,8 +166,8 @@ def validate_objects(objects: GapObjects) -> None:
     Int d, d', s and k, in-range edge indices and distinct labels are
     checked first, and each is reported alone.  Then regularity, the
     matching partition, the counting identity, |K_v| = d', and for a family
-    that families.containment_params knows, k = C(m, c), d = C(m-a, c) and
-    d' = C(a+c, a), each computed no further than the value it must equal.
+    that families.containment_params knows, that |A|, |B|, k, d, d' and s
+    are families.containment_counts, computed no further than the largest.
     The objects are immutable, so the outcome is found once per objects
     value: the loader validates before it renders, and build_instance again.
     """
@@ -249,13 +249,13 @@ def _validation_failure(objects: GapObjects):
     else:
         if shape is not None:
             m, a, c, _ = shape
-            comb = families._comb_at_most
-            check("family-params",
-                  comb(m, c, k) == k and comb(m - a, c, d) == d
-                  and comb(a + c, a, dp) == dp,
-                  f"{family} params {params} give k=C({m},{c}), "
-                  f"d=C({m - a},{c}), d'=C({a + c},{a}), not k={k}, d={d}, "
-                  f"d'={dp}")
+            claimed = (na, nb, k, d, dp, s)
+            counts = families.containment_counts(*shape, cap=max(claimed))
+            check("family-params", counts[:6] == claimed,
+                  f"{family} params {params} give |A|=C({m},{a}), "
+                  f"|B|=C({m},{a + c}), k=C({m},{c}), d=C({m - a},{c}), "
+                  f"d'=C({a + c},{a}), s=C({m - c},{a}), not |A|={na}, "
+                  f"|B|={nb}, k={k}, d={d}, d'={dp}, s={s}")
 
     if failures:
         return "objects fail validation: " + "; ".join(failures)

@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+from math import comb
+
 from dstgap.model import GapObjects, build_instance, label_set, set_label
 
 
@@ -41,3 +43,27 @@ def toy_objects():
 
 def toy_instance():
     return build_instance(toy_objects())
+
+
+def overlap_count(m, a, c, lo, hi):
+    """The c-subsets of {1..m} that meet a fixed a-subset in lo..hi
+    elements, as an inline sum of binomials (0 <= lo, hi <= c): the oracle
+    for families.containment_counts, which it never calls."""
+    return sum(comb(a, i) * comb(m - a, c - i) for i in range(lo, hi + 1))
+
+
+def two_copies(obj, shift):
+    """Two disjoint copies of the objects that share their colors: the
+    second copy's A- and B-labels have every element moved up by shift.
+    Each color class is then a matching of size 2s, so the result is valid
+    generic objects with s doubled and k, d and d' kept."""
+    def moved(labels):
+        return tuple(set_label(x + shift for x in label_set(lbl))
+                     for lbl in labels)
+
+    na, nb = obj.num_a, obj.num_b
+    return obj._replace(
+        a_labels=obj.a_labels + moved(obj.a_labels),
+        b_labels=obj.b_labels + moved(obj.b_labels),
+        edges=obj.edges + tuple((a + na, b + nb, c) for a, b, c in obj.edges),
+        s=2 * obj.s, family="generic", family_params=())

@@ -15,7 +15,6 @@ from dstgap.bounds import (
     alpha_asymptotics,
     chernoff_lower,
     chernoff_upper,
-    hypergeom_count,
     verify_ja_bound,
     verify_kb_bound,
 )
@@ -24,6 +23,8 @@ from dstgap.flows import canonical_solution, solution_cost, verify_feasibility
 from dstgap.integral import brute_force_opt, certify_gap, solve_structured
 from dstgap.lp import solve_lp_exact
 from dstgap.model import build_instance, validate_objects
+
+from _util import overlap_count
 
 SWEEP = (64, 128, 256, 512, 1024)
 
@@ -195,20 +196,18 @@ def test_criterion_8_hypergeometric_oracle():
         rm, tm = m // 16, m // 64
         # the pmf sums to 1: every overlap 0..rho m counts all draw-subsets
         checks.append((f"m={m} pmf(m, rho m, rho m) sums to 1",
-                       hypergeom_count(m, rm, rm, rm, "at_most")
-                       == comb(m, rm)))
+                       overlap_count(m, rm, rm, 0, rm) == comb(m, rm)))
         checks.append((f"m={m} pmf(2rho m, rho m, rho m) sums to 1",
-                       hypergeom_count(2 * rm, rm, rm, rm, "at_most")
+                       overlap_count(2 * rm, rm, rm, 0, rm)
                        == comb(2 * rm, rm)))
         # first-lemma Chernoff instantiation: mu = rho^2 m, delta = 3
         mu = Fraction(rm * rm, m)
         upper = chernoff_upper(mu, Fraction(3))
-        tail = Fraction(hypergeom_count(m, rm, rm, tm, "above"),
-                        comb(m, rm))
+        tail = Fraction(overlap_count(m, rm, rm, tm + 1, rm), comb(m, rm))
         checks.append((f"m={m} upper tail <= Chernoff", tail <= upper.lower))
         # second-lemma instantiation: mu = rho m / 2, delta = 1/2
         lower = chernoff_lower(Fraction(rm, 2), Fraction(1, 2))
-        tail = Fraction(hypergeom_count(2 * rm, rm, rm, tm, "at_most"),
+        tail = Fraction(overlap_count(2 * rm, rm, rm, 0, tm),
                         comb(2 * rm, rm))
         checks.append((f"m={m} lower tail <= Chernoff", tail <= lower.lower))
     _report(8, "hypergeometric oracle vs Chernoff bounds", checks)

@@ -11,61 +11,65 @@ from dstgap.bounds import (
     chernoff_upper,
     exp_bounds,
     frac_log,
-    hypergeom_count,
-    ja_count,
-    kb_residual_count,
     verify_ja_bound,
     verify_kb_bound,
 )
-from dstgap.families import default_j_sets, subset_objects
+from dstgap.families import containment_counts, default_j_sets, subset_objects
+
+from _util import overlap_count
 
 
 # ---------------------------------------------------------------------------
-# hypergeometric oracle
-
-def _tail(population, successes, draws, threshold, direction):
-    """Exact Pr[X > threshold] ('above') or Pr[X <= threshold] ('at_most')."""
-    return Fraction(hypergeom_count(population, successes, draws, threshold,
-                                    direction), comb(population, draws))
-
+# the counting layer against the inline oracle
 
 def test_pmf_sums_to_one():
-    # every overlap 0..draws counted: all comb(pop, draws) draw-subsets
-    for pop, succ, draws in ((64, 4, 4), (8, 4, 4), (10, 3, 7), (5, 0, 2)):
-        assert _tail(pop, succ, draws, draws, "at_most") == 1
+    # every overlap 0..c counted: all k = C(m, c) colors, and within a
+    # B-set all d' = C(a+c, a) of its colors
+    for m, a, c in ((64, 4, 4), (8, 4, 4), (10, 3, 7), (5, 1, 2)):
+        counts = containment_counts(m, a, c, 0)
+        assert overlap_count(m, a, c, 0, c) == counts.k == comb(m, c)
+        assert overlap_count(a + c, a, c, 0, c) == counts.d_prime
 
 
 def test_tail_closed_form_64():
     expected = 1 - Fraction(comb(60, 4), comb(64, 4)) \
         - 4 * Fraction(comb(60, 3), comb(64, 4))
-    assert _tail(64, 4, 4, 1, "above") == expected
+    counts = containment_counts(64, 4, 4, 1)
+    assert Fraction(counts.max_j, counts.k) == expected
 
 
 def test_tail_17_70():
-    assert _tail(8, 4, 4, 1, "at_most") == Fraction(17, 70)
+    counts = containment_counts(64, 4, 4, 1)
+    assert Fraction(counts.max_r, counts.d_prime) == Fraction(17, 70)
 
 
 def test_tail_above_threshold_ge_draws():
-    assert _tail(10, 5, 3, 3, "above") == 0
-    assert _tail(10, 5, 3, 7, "above") == 0
+    # c > a: no color meets u in more than a elements, so at thresh >= a
+    # every J_u is empty and every color of K_v is residual
+    for m, a, c, thresh in ((10, 2, 3, 2), (10, 1, 3, 1), (10, 1, 3, 2)):
+        counts = containment_counts(m, a, c, thresh)
+        assert counts.max_j == 0
+        assert counts.max_r == counts.d_prime == comb(a + c, a)
 
 
 def test_tail_complement():
-    above = _tail(12, 5, 6, 2, "above")
-    at_most = _tail(12, 5, 6, 2, "at_most")
-    assert above + at_most == 1
-
-
-def test_count_direction_error():
-    with pytest.raises(ValueError):
-        hypergeom_count(8, 4, 4, 1, "below")
+    for m, a, c in ((12, 5, 6), (8, 3, 2), (64, 4, 4)):
+        for thresh in range(c):
+            counts = containment_counts(m, a, c, thresh)
+            assert counts.max_j + overlap_count(m, a, c, 0, thresh) \
+                == counts.k
+            assert counts.max_r \
+                + overlap_count(a + c, a, c, thresh + 1, c) == counts.d_prime
 
 
 def test_query_validation():
-    with pytest.raises(ValueError):
-        hypergeom_count(4, 5, 2, 0, "above")
-    with pytest.raises(ValueError):
-        hypergeom_count(4, 2, 5, 0, "above")
+    # a < 1, c < 1, a + c > m, thresh < 0 and thresh >= c
+    for shape in ((4, 0, 2, 0), (4, 2, 0, 0), (4, 3, 2, 0), (4, 2, 2, -1),
+                  (4, 2, 2, 2), (8, 1, 3, 3)):
+        with pytest.raises(ValueError, match="no containment family"):
+            containment_counts(*shape)
+        with pytest.raises(ValueError, match="no containment family"):
+            containment_counts(*shape, cap=10)
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +130,10 @@ def test_frac_log():
 # the two lemmas at paper constants
 
 def test_counts_m64():
-    assert ja_count(64) == 10861
-    assert kb_residual_count(64) == 17
+    counts = containment_counts(64, 4, 4, 1)
+    assert (counts.max_j, counts.max_r) == (10861, 17)
+    assert overlap_count(64, 4, 4, 2, 4) == 10861
+    assert overlap_count(8, 4, 4, 0, 1) == 17
 
 
 def test_regime_guard():
@@ -185,9 +191,12 @@ def test_alpha_m64():
 def test_j_set_sizes_match_hypergeometric_counts(m, a, thresh):
     obj = subset_objects(m, a, thresh)
     j = default_j_sets(obj)
-    expected_j = hypergeom_count(m, a, a, thresh, "above")
+    counts = containment_counts(m, a, a, thresh)
+    expected_j = overlap_count(m, a, a, thresh + 1, a)
+    assert counts.max_j == expected_j
     assert all(len(js) == expected_j for js in j)
     kv = obj.color_sets_by_b
-    expected_res = hypergeom_count(2 * a, a, a, thresh, "at_most")
+    expected_res = overlap_count(2 * a, a, a, 0, thresh)
+    assert counts.max_r == expected_res
     assert all(len(kv[b] - j[u]) == expected_res
                for u, b, _ in obj.edges)

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dstgap
-from dstgap import cli, families, flows, integral, model, simplex
+from dstgap import bounds, cli, families, flows, integral, model, simplex
 from dstgap.cli import (
     EXIT_BAD_INPUT,
     EXIT_BAD_PARAMS,
@@ -26,6 +26,8 @@ from dstgap.cli import (
     EXIT_OK,
     main,
 )
+
+from _util import two_copies
 
 
 @pytest.fixture()
@@ -406,6 +408,10 @@ FAMILY_PARAMS_MISFITS = {
     # d = 3 and d' = 2 where zk4 has 2 and 3
     "m4a1-as-zk4": ("m4a1", _in_gen_layout(
         lambda data: data["meta"].update(family="zk", params={"k": 4}))),
+    # two copies of zk4 sharing its colors: zk4's k, d and d', but |A| = 12,
+    # |B| = 8 and s = 6 where zk4 has 6, 4 and 3
+    "zk4-twice-as-zk4": ("zk4-twice", _in_gen_layout(
+        lambda data: data["meta"].update(family="zk", params={"k": 4}))),
 }
 
 
@@ -416,7 +422,9 @@ def tampered_runs(tmp_path_factory, zk4_instance, subset_m6_instance):
     per interpreter runs every case."""
     tmp = tmp_path_factory.mktemp("tampered")
     instances = {"zk4": zk4_instance, "m6": subset_m6_instance,
-                 "m4a1": model.build_instance(families.subset_objects(4, 1))}
+                 "m4a1": model.build_instance(families.subset_objects(4, 1)),
+                 "zk4-twice": model.build_instance(
+                     two_copies(families.zk_objects(4), 4))}
     cases = [(name, case, mutate)
              for name, table in (("zk4", ZK4_TAMPERED), ("zk4", ZK4_MALFORMED),
                                  ("m6", M6_TAMPERED))
@@ -930,6 +938,18 @@ def test_bounds_m_list_from_config(tmp_path, capsys):
     assert main(["bounds", "--config", str(cfg)]) == EXIT_OK
     text = capsys.readouterr().out
     assert text.startswith("m=   64 ") and "m=  128 " in text
+
+
+def test_bounds_alpha_past_float_range(tmp_path, capsys, monkeypatch):
+    # float() of a value past float range raises OverflowError, as alpha
+    # does from m = 86016 on; stdout and the CSV print it as inf-like
+    real = bounds.alpha_asymptotics
+    monkeypatch.setattr(bounds, "alpha_asymptotics", lambda m_list, digits: [
+        row._replace(alpha=Fraction(10**400)) for row in real(m_list, digits)])
+    csv = tmp_path / "bounds.csv"
+    assert main(["bounds", "--m-list", "64", "--csv", str(csv)]) == EXIT_OK
+    assert capsys.readouterr().out.endswith("  alpha inf-like  ok\n")
+    assert csv.read_text().splitlines()[1].split(",")[7] == "inf-like"
 
 
 def test_bounds_bad_params():

@@ -1,3 +1,4 @@
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -5,10 +6,12 @@ import pytest
 from dstgap import families
 from dstgap.families import (
     colex_subsets,
+    containment_counts,
     default_j_sets,
     subset_objects,
     zk_objects,
 )
+from dstgap.integral import certify_gap
 from dstgap.model import SizeCapError, label_set, validate_objects
 
 from _util import toy_objects
@@ -189,3 +192,58 @@ def test_j_sets_errors(subset_m6_objects):
         default_j_sets(toy_objects())  # generic family has no default
     with pytest.raises(ValueError):
         default_j_sets(subset_m6_objects, thresh=2)
+
+
+# ---------------------------------------------------------------------------
+# the counting layer against measured and enumerated counts
+
+@pytest.mark.parametrize("m,a,c,build", [
+    (4, 2, 1, lambda: zk_objects(4)), (9, 3, 1, lambda: zk_objects(9)),
+    (16, 4, 1, lambda: zk_objects(16)), (4, 2, 2, lambda: subset_objects(4, 2)),
+    (6, 2, 2, lambda: subset_objects(6, 2)),
+    (7, 3, 3, lambda: subset_objects(7, 3)),
+    (8, 2, 2, lambda: subset_objects(8, 2)),
+    (10, 3, 3, lambda: subset_objects(10, 3)),
+], ids=["zk4", "zk9", "zk16", "m4", "m6", "m7a3", "m8", "m10a3"])
+def test_containment_counts_match_measured(m, a, c, build):
+    obj = build()
+    assert validate_objects(obj) is None  # the degrees and matchings hold
+    for thresh in range(c):
+        counts = containment_counts(m, a, c, thresh)
+        assert counts[:6] == (obj.num_a, obj.num_b, obj.k, obj.d,
+                              obj.d_prime, obj.s)
+        per_u = certify_gap(obj, default_j_sets(obj, thresh)).per_u
+        assert {(j, r) for _, j, r in per_u} == {(counts.max_j,
+                                                  counts.max_r)}
+
+
+@pytest.mark.parametrize("m,a,c", [
+    (m, a, c) for m in range(3, 9) for a in range(1, m)
+    for c in range(2, m - a + 1) if c != a])
+def test_containment_counts_match_enumeration(m, a, c):
+    # every set counted by listing subsets of {0..m-1}, never by a binomial
+    subsets = {size: [frozenset(t) for t in combinations(range(m), size)]
+               for size in (a, c, a + c)}
+    u, color = subsets[a][0], subsets[c][0]
+    supersets = [v for v in subsets[a + c] if u <= v]
+    for thresh in range(c):
+        counts = containment_counts(m, a, c, thresh)
+        j_u = {x for x in subsets[c] if len(x & u) > thresh}
+        residuals = {len({x for x in subsets[c] if x <= v} - j_u)
+                     for v in supersets}
+        assert counts == (
+            len(subsets[a]), len(subsets[a + c]), len(subsets[c]),
+            len(supersets), sum(w <= supersets[0] for w in subsets[a]),
+            sum(not w & color for w in subsets[a]), len(j_u), *residuals)
+
+
+def test_containment_counts_cap():
+    exact = containment_counts(64, 4, 4, 1)
+    capped = containment_counts(64, 4, 4, 1, cap=exact.k)
+    # each count at most the cap is exact; |B| is above it; no J-set sums
+    assert capped == exact._replace(num_b=None, max_j=None, max_r=None)
+    assert containment_counts(64, 4, 4, 1, cap=exact.k - 1) == (
+        None, None, None, exact.d, exact.d_prime, exact.s, None, None)
+    # math.comb(4_000_000, 2_000_000) takes minutes; refused in a few steps
+    assert containment_counts(4_000_000, 1_000_000, 1_000_000, 0,
+                              cap=10**6) == (None,) * 8

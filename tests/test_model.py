@@ -6,8 +6,10 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -88,6 +90,20 @@ def test_validate_rejects_bad_indices(zk4_objects):
     bad = zk4_objects._replace(edges=zk4_objects.edges + ((99, 0, 0),))
     with pytest.raises(ValueError):
         validate_objects(bad)
+
+
+def test_validate_huge_claimed_family_is_quick():
+    # k = C(16000, 4000) has 3,906 digits, and d and d' match it; every
+    # count is computed no further than k, and neither J-set sum is made
+    bad = GapObjects(
+        a_labels=("u",), b_labels=("v",), color_labels=("t",),
+        edges=((0, 0, 0),), d=comb(12000, 4000), d_prime=comb(8000, 4000),
+        s=1, k=comb(16000, 4000), family="subset",
+        family_params=(("a", 4000), ("m", 16000), ("thresh", 0)))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="family-params"):
+        validate_objects(bad)
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +216,22 @@ def test_only_families_compares_a_family_name():
         and isinstance(node, (ast.Compare, ast.MatchValue))
         and any(isinstance(sub, ast.Constant) and sub.value in ("zk", "subset")
                 for sub in ast.walk(node))
+    ]
+    assert not found
+
+
+def test_only_containment_counts_calls_comb():
+    # one counting layer: every binomial of the family is computed in
+    # families.containment_counts, so no other code names comb
+    nodes = list(_package_nodes())
+    inside = {id(sub) for name, node in nodes
+              if (name, getattr(node, "name", None))
+              == ("families.py", "containment_counts")
+              for sub in ast.walk(node)}
+    found = [
+        f"{name}:{node.lineno}" for name, node in nodes
+        if id(node) not in inside
+        and "comb" in (getattr(node, "id", None), getattr(node, "attr", None))
     ]
     assert not found
 
