@@ -29,7 +29,7 @@ from .families import containment_counts
 RHO = Fraction(1, 16)
 THETA = Fraction(1, 64)
 
-DEFAULT_DIGITS = 50
+DIGITS = 50  # the precision of every enclosure and its decimal text
 
 
 # ---------------------------------------------------------------------------
@@ -40,29 +40,26 @@ class DirectedBound(NamedTuple):
 
     lower: Fraction
     upper: Fraction
-    digits: int
 
     def decimal_str(self) -> str:
         with localcontext() as ctx:
-            ctx.prec = self.digits
+            ctx.prec = DIGITS
             return str(Decimal(self.upper.numerator)
                        / Decimal(self.upper.denominator))
 
 
-def exp_bounds(x: Fraction, digits: int = DEFAULT_DIGITS) -> DirectedBound:
+def exp_bounds(x: Fraction) -> DirectedBound:
     """Certified enclosure of e^x by Taylor partial sums.
 
     For y >= 0 the partial sum is a lower bound and the tail is dominated
     by a geometric series once terms shrink; negative arguments go through
     e^(-y) = 1 / e^y with directed division.
     """
-    if digits < 1:
-        raise ValueError("digits must be positive")
     if x < 0:
-        inner = exp_bounds(-x, digits)
-        return DirectedBound(1 / inner.upper, 1 / inner.lower, digits)
+        inner = exp_bounds(-x)
+        return DirectedBound(1 / inner.upper, 1 / inner.lower)
 
-    eps = Fraction(1, 10 ** (digits + 5))
+    eps = Fraction(1, 10 ** (DIGITS + 5))
     term = Fraction(1)
     total = Fraction(1)
     i = 1
@@ -74,35 +71,33 @@ def exp_bounds(x: Fraction, digits: int = DEFAULT_DIGITS) -> DirectedBound:
         if i > 2 * x and term * x / i * 2 <= eps * total:
             break
     tail = term * x / i * 2
-    return DirectedBound(total, total + tail, digits)
+    return DirectedBound(total, total + tail)
 
 
-def chernoff_upper(mu: Fraction, delta: Fraction,
-                   digits: int = DEFAULT_DIGITS) -> DirectedBound:
+def chernoff_upper(mu: Fraction, delta: Fraction) -> DirectedBound:
     """Upper-tail bound e^(-delta^2 mu / (2 + delta)), delta > 0."""
     if delta <= 0:
         raise ValueError("upper-tail bound needs delta > 0")
     if mu < 0:
         raise ValueError("mu must be non-negative")
-    return exp_bounds(-(delta * delta * mu) / (2 + delta), digits)
+    return exp_bounds(-(delta * delta * mu) / (2 + delta))
 
 
-def chernoff_lower(mu: Fraction, delta: Fraction,
-                   digits: int = DEFAULT_DIGITS) -> DirectedBound:
+def chernoff_lower(mu: Fraction, delta: Fraction) -> DirectedBound:
     """Lower-tail bound e^(-delta^2 mu / 2), delta in (0, 1)."""
     if not 0 < delta < 1:
         raise ValueError("lower-tail bound needs delta in (0, 1)")
     if mu < 0:
         raise ValueError("mu must be non-negative")
-    return exp_bounds(-(delta * delta * mu) / 2, digits)
+    return exp_bounds(-(delta * delta * mu) / 2)
 
 
-def frac_log(q: Fraction, digits: int = 30) -> Decimal:
-    """ln(q) for display; not correctness-bearing."""
+def frac_log(q: Fraction) -> Decimal:
+    """ln(q) to 30 digits, for display; not correctness-bearing."""
     if q <= 0:
         raise ValueError("log of non-positive rational")
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = 30
         return Decimal(q.numerator).ln() - Decimal(q.denominator).ln()
 
 
@@ -132,7 +127,7 @@ class TailReport(NamedTuple):
                 and all(ok for _, _, ok in self.extras.values()))
 
 
-def verify_ja_bound(m: int, digits: int = DEFAULT_DIGITS) -> TailReport:
+def verify_ja_bound(m: int) -> TailReport:
     """Exact |J_A|/d against e^(mu/(1 - 2 rho) - delta^2 mu/(2 + delta)),
     with both intermediate inequalities: the tail against chernoff_upper
     at mean mu = rho^2 m and delta = theta/rho^2 - 1 (theta m = (1 + delta)
@@ -143,15 +138,14 @@ def verify_ja_bound(m: int, digits: int = DEFAULT_DIGITS) -> TailReport:
     delta = THETA / (RHO * RHO) - 1
 
     tail = Fraction(counts.max_j, counts.k)
-    tail_bound = chernoff_upper(mu, delta, digits)
+    tail_bound = chernoff_upper(mu, delta)
 
     kd = Fraction(counts.k, counts.d)
     kd_exponent = mu / (1 - 2 * RHO)
-    kd_bound = exp_bounds(kd_exponent, digits)
+    kd_bound = exp_bounds(kd_exponent)
 
     jad = Fraction(counts.max_j, counts.d)
-    jad_bound = exp_bounds(
-        kd_exponent - delta * delta * mu / (2 + delta), digits)
+    jad_bound = exp_bounds(kd_exponent - delta * delta * mu / (2 + delta))
 
     return TailReport(
         m=m,
@@ -164,12 +158,12 @@ def verify_ja_bound(m: int, digits: int = DEFAULT_DIGITS) -> TailReport:
     )
 
 
-def verify_kb_bound(m: int, digits: int = DEFAULT_DIGITS) -> TailReport:
+def verify_kb_bound(m: int) -> TailReport:
     """Exact |K_B \\ J_A| / d' against chernoff_lower at mean rho m / 2 and
     delta = 1/2, e^(-m/256)."""
     counts = _regime(m)
     exact = Fraction(counts.max_r, counts.d_prime)
-    bound = chernoff_lower(RHO * m / 2, Fraction(1, 2), digits)
+    bound = chernoff_lower(RHO * m / 2, Fraction(1, 2))
     return TailReport(m=m, exact=exact, chernoff=bound, extras={})
 
 
@@ -181,7 +175,7 @@ class AlphaRow(NamedTuple):
     log_alpha_over_m: Decimal
 
 
-def alpha_asymptotics(m_list, digits: int = DEFAULT_DIGITS):
+def alpha_asymptotics(m_list):
     """Certified alpha per ground-set size, in closed form.
 
     By symmetry |J_A| is the same for every A and |K_B \\ J_A| the same for

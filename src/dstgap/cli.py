@@ -383,14 +383,11 @@ def cmd_solve(args, argline) -> int:
 def cmd_bounds(args, argline) -> int:
     from . import bounds
 
-    digits = bounds.DEFAULT_DIGITS if args.digits is None else args.digits
-    if digits < 20:
-        raise CliError("precision must be at least 20 digits", EXIT_BAD_PARAMS)
     m_list = sorted(args.m_list)
     try:
-        reports = [(m, bounds.verify_ja_bound(m, digits),
-                    bounds.verify_kb_bound(m, digits)) for m in m_list]
-        alphas = bounds.alpha_asymptotics(m_list, digits)
+        reports = [(m, bounds.verify_ja_bound(m), bounds.verify_kb_bound(m))
+                   for m in m_list]
+        alphas = bounds.alpha_asymptotics(m_list)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_BAD_PARAMS)
 
@@ -494,7 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("bounds", help="closed-form lemma sweep")
     p.add_argument("--m-list", type=int_list, required=True)
-    p.add_argument("--digits", type=int)
     p.add_argument("--csv")
     p.add_argument("--json-out")
     p.add_argument("--config")

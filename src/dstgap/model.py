@@ -32,6 +32,7 @@ import functools
 import hashlib
 import itertools
 import json
+import re
 import reprlib
 from collections import Counter
 from fractions import Fraction
@@ -138,15 +139,10 @@ class GapObjects(_GapFields):
         return tuple(tails), tuple(heads), classes, colors
 
 
-def set_label(elements) -> str:
-    return "{" + ",".join(str(x) for x in sorted(elements)) + "}"
-
-
 def label_set(label) -> frozenset:
-    """The set a label names, the inverse of set_label: a set label
-    "{1,2}" is read as its set, and a bare integer, "3" or 3 (an
-    element-colored family's color), as {3}.  Any other label is a
-    ValueError that quotes it."""
+    """The set a label names: a set label "{1,2}" is read as its set, and
+    a bare integer, "3" or 3 (an element-colored family's color), as {3}.
+    Any other label is a ValueError that quotes it."""
     if type(label) is int:
         return frozenset((label,))
     if type(label) is str:
@@ -257,14 +253,14 @@ def _validation_failure(objects: GapObjects):
                   f"d'=C({a + c},{a}), s=C({m - c},{a}), not |A|={na}, "
                   f"|B|={nb}, k={k}, d={d}, d'={dp}, s={s}")
 
-    if failures:
-        return "objects fail validation: " + "; ".join(failures)
+    if failures:  # a claimed count can have thousands of digits: cut it
+        return re.sub(r"\d{31,}", lambda run: f"{run[0][:5]}...{run[0][-5:]}"
+                      f" ({len(run[0])} digits)",
+                      "objects fail validation: " + "; ".join(failures))
     return None
 
 
 class _InstanceFields(NamedTuple):
-    labels: tuple          # all vertex labels, id order
-    level_sizes: tuple     # (1, |A|, |B|, |B|, k)
     tails: tuple           # int vertex ids
     heads: tuple           # int vertex ids
     classes: tuple         # E1..E4: the level of the head
@@ -275,11 +271,27 @@ class _InstanceFields(NamedTuple):
 class DstInstance(_InstanceFields):
     """The built 5-level DST graph.  Vertex ids index into `labels`; edge i
     runs tails[i] -> heads[i] and costs class_costs[classes[i]].  Like
-    GapObjects, a NamedTuple of the fields with cached derived values."""
+    GapObjects, a NamedTuple of the fields with cached derived values: the
+    labels, level sizes and costs are read from the objects, so an instance
+    cannot disagree with them about |A|, |B| or k."""
+
+    @functools.cached_property
+    def labels(self) -> tuple:
+        """All vertex labels, in id order: r, A, B, B' (each B-label
+        primed) and the colors."""
+        p = self.provenance
+        return ((ROOT_LABEL,) + tuple(p.a_labels) + tuple(p.b_labels)
+                + tuple(lbl + "'" for lbl in p.b_labels)
+                + tuple(p.color_labels))
+
+    @functools.cached_property
+    def level_sizes(self) -> tuple:
+        p = self.provenance
+        return (1, p.num_a, p.num_b, p.num_b, p.k)
 
     @property
     def n(self) -> int:
-        return len(self.labels)
+        return sum(self.level_sizes)
 
     @property
     def root(self) -> int:
@@ -324,34 +336,17 @@ def _class_costs(num_a: int, num_b: int) -> dict:
             E4: Fraction(0)}
 
 
-def _vertices(objects: GapObjects) -> tuple:
-    """The vertex labels, in id order, and the level sizes of the instance
-    the objects build."""
-    labels = (
-        (ROOT_LABEL,)
-        + tuple(objects.a_labels)
-        + tuple(objects.b_labels)
-        + tuple(lbl + "'" for lbl in objects.b_labels)
-        + tuple(objects.color_labels)
-    )
-    return labels, (1, objects.num_a, objects.num_b, objects.num_b, objects.k)
-
-
 def build_instance(objects: GapObjects) -> DstInstance:
     """Build the 5-level instance; deterministic for a given GapObjects.
     Raises ValueError if the objects fail validate_objects."""
     validate_objects(objects)
 
-    na, nb, k = objects.num_a, objects.num_b, objects.k
-    inst = DstInstance(*_vertices(objects), *objects._columns,
-                       provenance=objects)
+    inst = DstInstance(*objects._columns, provenance=objects)
 
     # DstInstance invariants; cheap, and they guard generator bugs
-    if inst.n != 1 + na + 2 * nb + k:
-        raise RuntimeError(f"built instance has {inst.n} vertices, "
-                           f"expected {1 + na + 2 * nb + k}")
     counts = edge_class_counts(inst)
-    expected = {E1: na, E2: len(objects.edges), E3: nb,
+    nb = objects.num_b
+    expected = {E1: objects.num_a, E2: len(objects.edges), E3: nb,
                 E4: nb * objects.d_prime}
     if counts != expected:
         raise RuntimeError(f"built instance has edge classes {counts}, "
@@ -459,29 +454,28 @@ def _edge_end(cost: str, color: str | None) -> str:
     return f',\n   "cost": {cost},\n   "color": {color}\n  }}'
 
 
-def _json_pieces(objects: GapObjects, labels: tuple, level_sizes: tuple,
-                 columns):
-    """The file text of the instance of these fields, piece by piece: the
-    header, one piece per edge of the columns (tails, heads, classes,
-    colors), then the tail.  No instance is needed, so the loader renders
-    a family file from its objects' columns alone.  The text is written
-    from templates with each label and cost quoted once, in place of the
-    per-edge dicts and the pure-Python indent encoder."""
-    quoted = list(map(_quote, labels))
-    color = list(map(_quote, objects.color_labels))
-    cost = _class_costs(level_sizes[1], level_sizes[2])
+def _json_pieces(inst: DstInstance):
+    """The file text of the instance, piece by piece: the header, one piece
+    per edge, then the tail.  No check is made, so the loader renders a
+    family file from an instance of its objects' columns that it does not
+    build.  The text is written from templates with each label and cost
+    quoted once, in place of the per-edge dicts and the pure-Python indent
+    encoder."""
+    quoted = list(map(_quote, inst.labels))
+    color = list(map(_quote, inst.provenance.color_labels))
     start = list(map(_edge_start, quoted))
     close = {}  # class -> color index or None -> the entry's end
-    for klass, q in cost.items():
+    for klass, q in inst.class_costs.items():
         text = encode_basestring_ascii(render_rational(q))
         close[klass] = dict(enumerate(_edge_end(text, c) for c in color))
         close[klass][None] = _edge_end(text, None)
-    levels = _levels(quoted, level_sizes)
-    yield (_HEAD + _nested(_meta(objects), 1) + ',\n "levels": '
+    levels = _levels(quoted, inst.level_sizes)
+    yield (_HEAD + _nested(_meta(inst.provenance), 1) + ',\n "levels": '
            + _block("[]", [_block("[]", level, 2) for level in levels], 1)
            + ',\n "edges": [')
     edges = (start[t] + quoted[h] + close[k][c]
-             for t, h, k, c in zip(*columns))
+             for t, h, k, c in zip(inst.tails, inst.heads, inst.classes,
+                                   inst.colors))
     first = next(edges, None)
     if first is not None:
         yield first[1:]  # no comma before the first edge
@@ -495,9 +489,7 @@ def instance_to_json(inst: DstInstance) -> str:
     """The file text: json.dumps(instance_to_dict(inst), indent=1) + "\\n",
     byte for byte, joined once from _json_pieces of the instance's own
     fields."""
-    return "".join(_json_pieces(inst.provenance, inst.labels,
-                                inst.level_sizes, (inst.tails, inst.heads,
-                                                   inst.classes, inst.colors)))
+    return "".join(_json_pieces(inst))
 
 
 def instance_sha256(inst: DstInstance) -> str:
@@ -670,7 +662,7 @@ def _family_file_objects(data: bytes):
         validate_objects(objects)
     except (ValueError, KeyError, TypeError, SizeCapError):
         return None
-    pieces = _json_pieces(objects, *_vertices(objects), objects._columns)
+    pieces = _json_pieces(DstInstance(*objects._columns, provenance=objects))
     return objects if _same_text(pieces, data) else None
 
 

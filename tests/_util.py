@@ -2,7 +2,12 @@
 
 from math import comb
 
-from dstgap.model import GapObjects, build_instance, label_set, set_label
+from dstgap.model import GapObjects, build_instance, label_set
+
+
+def set_label(elements) -> str:
+    """The canonical label of a set, the inverse of model.label_set."""
+    return "{" + ",".join(str(x) for x in sorted(elements)) + "}"
 
 
 def permuted_subset_objects(obj, sigma):

@@ -86,7 +86,7 @@ def test_exp_bounds_enclose():
 
 
 def test_exp_bounds_tightness():
-    b = exp_bounds(Fraction(3, 7), digits=30)
+    b = exp_bounds(Fraction(3, 7))
     assert b.upper - b.lower < Fraction(1, 10**30)
     assert b.decimal_str().startswith("1.53506")  # e^(3/7) = 1.535063...
 

@@ -944,8 +944,8 @@ def test_bounds_alpha_past_float_range(tmp_path, capsys, monkeypatch):
     # float() of a value past float range raises OverflowError, as alpha
     # does from m = 86016 on; stdout and the CSV print it as inf-like
     real = bounds.alpha_asymptotics
-    monkeypatch.setattr(bounds, "alpha_asymptotics", lambda m_list, digits: [
-        row._replace(alpha=Fraction(10**400)) for row in real(m_list, digits)])
+    monkeypatch.setattr(bounds, "alpha_asymptotics", lambda m_list: [
+        row._replace(alpha=Fraction(10**400)) for row in real(m_list)])
     csv = tmp_path / "bounds.csv"
     assert main(["bounds", "--m-list", "64", "--csv", str(csv)]) == EXIT_OK
     assert capsys.readouterr().out.endswith("  alpha inf-like  ok\n")
@@ -954,8 +954,6 @@ def test_bounds_alpha_past_float_range(tmp_path, capsys, monkeypatch):
 
 def test_bounds_bad_params():
     assert main(["bounds", "--m-list", "65"]) == EXIT_BAD_PARAMS
-    assert main(["bounds", "--m-list", "64", "--digits", "10"]) \
-        == EXIT_BAD_PARAMS
 
 
 # ---------------------------------------------------------------------------
@@ -1094,7 +1092,7 @@ BAD_VALUES = [
     (["gen", "--family", "zk", "--k", "4"], "max-edges", "abc"),
     (["solve", "{zk4}"], "brute-cap", "abc"),
     (["solve", "{zk4}"], "lp-cap", "abc"),
-    (["bounds", "--m-list", "64"], "digits", "abc"),
+    (["bounds"], "m-list", "6x4"),
     (["gen", "--family", "zk"], "k", "x"),
     (["solve", "{zk4}"], "method", "fastest"),
     (["gen", "--family", "zk", "--k", "4"], "max-edges", "-1"),
@@ -1200,13 +1198,13 @@ def test_config_unknown_or_on_off_key_exits_2(tmp_path, m6_file, line):
 
 def test_config_bad_value_exits_2_under_O(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("digits = abc\n")
+    cfg.write_text("m_list = 6x4\n")
     for flags in ([], ["-O"]):
-        (proc,) = _run_cli(flags,
-                           ["bounds", "--m-list", "64", "--config", str(cfg)])
+        (proc,) = _run_cli(flags, ["bounds", "--config", str(cfg)])
         assert proc.returncode == EXIT_BAD_PARAMS, flags
         assert "Traceback" not in proc.stderr, flags
-        assert "argument --digits: invalid int value: 'abc'" in proc.stderr
+        assert "argument --m-list: invalid int_list value: '6x4'" \
+            in proc.stderr
 
 
 def test_config_beats_defaults(tmp_path, zk4_file, capsys):

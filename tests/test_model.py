@@ -29,13 +29,13 @@ from dstgap.model import (
     instance_to_dict,
     instance_to_dot,
     instance_to_json,
+    DstInstance,
     label_set,
-    set_label,
     validate_objects,
 )
 from dstgap.rationals import parse_rational, render_rational
 
-from _util import permuted_subset_objects
+from _util import permuted_subset_objects, set_label
 
 
 # ---------------------------------------------------------------------------
@@ -101,9 +101,16 @@ def test_validate_huge_claimed_family_is_quick():
         s=1, k=comb(16000, 4000), family="subset",
         family_params=(("a", 4000), ("m", 16000), ("thresh", 0)))
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="family-params"):
+    with pytest.raises(ValueError) as info:
         validate_objects(bad)
     assert time.perf_counter() - start < 1.0
+    # each claimed int is cut to its ends and its length in the one line
+    message = str(info.value)
+    assert len(message) < 1000
+    for name in ("color-count", "a-regular", "b-regular",
+                 "counting-identity", "kv-size", "family-params"):
+        assert f"{name} (" in message, name
+    assert f"k={str(bad.k)[:5]}...{str(bad.k)[-5:]} (3906 digits)" in message
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +338,8 @@ def test_loader_builds_no_edge_index(zk4_instance, subset_m6_instance):
         assert "edge_index" not in loaded.__dict__
 
 
-def test_replace_recomputes_cached_values(zk4_objects, zk4_instance):
+def test_replace_recomputes_cached_values(zk4_objects, zk4_instance,
+                                          subset_m6_instance):
     # _replace makes a new object whose cache is empty: each derived value,
     # read first on the original, is computed again from the new fields
     kv, inst = zk4_objects.color_sets_by_b, zk4_instance
@@ -349,9 +357,14 @@ def test_replace_recomputes_cached_values(zk4_objects, zk4_instance):
                                ("tails", "heads", "classes", "colors")})
     assert dropped.edge_index == {code: i - 1 for code, i in codes.items()
                                   if i}
-    resized = inst._replace(level_sizes=(1, 4, 6, 6, 4))
-    assert costs[E1] == Fraction(4, 6)
-    assert resized.class_costs[E1] == Fraction(6, 4)
+    # labels, level sizes and costs follow the objects
+    labels, sizes = inst.labels, inst.level_sizes
+    moved = inst._replace(provenance=subset_m6_instance.provenance)
+    assert sizes == (1, 6, 4, 4, 4) and costs[E1] == Fraction(4, 6)
+    assert moved.labels == subset_m6_instance.labels != labels
+    assert moved.level_sizes == (1, 15, 15, 15, 15)
+    assert moved.class_costs == subset_m6_instance.class_costs
+    assert moved.class_costs[E1] == 1
     # equality is by field values alone
     again = inst._replace()
     assert again == inst and "edge_index" not in again.__dict__
@@ -395,9 +408,9 @@ def test_family_files_are_pinned(name):
 
 
 def test_tampered_instance_writes_its_own_columns(zk4_instance):
-    # the writer renders the instance's fields, not its objects': an edge
-    # that is not a built edge, a dropped edge, an edge out of built order
-    # and level sizes that set other costs are all written as they are
+    # the writer renders the instance's edge columns, not its objects': an
+    # edge that is not a built edge, a dropped edge and an edge out of built
+    # order are all written as they are
     inst = zk4_instance
     vp, t = inst.level_offset(3), inst.terminals[-1]
     extra = inst._replace(tails=inst.tails + (vp,), heads=inst.heads + (t,),
@@ -408,13 +421,37 @@ def test_tampered_instance_writes_its_own_columns(zk4_instance):
                                            for i in order)
                                 for col in ("tails", "heads", "classes",
                                             "colors")})
-    resized = inst._replace(level_sizes=(1, 4, 6, 6, 4))
-    for tampered in (extra, shuffled, resized):
+    for tampered in (extra, shuffled):
         text = instance_to_json(tampered)
         assert text == _oracle(tampered)
         assert text != instance_to_json(inst)
     last, entry = json.loads(instance_to_json(extra))["edges"][-2:]
     assert entry == dict(last, tail=inst.labels[vp], head=inst.labels[t])
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_OBJECTS))
+def test_instance_values_are_its_objects(name):
+    # an instance has its edge columns and objects as fields; its labels,
+    # level sizes and costs are what the objects give, built or loaded
+    assert DstInstance._fields == ("tails", "heads", "classes", "colors",
+                                   "provenance")
+    obj = FAMILY_OBJECTS[name]()
+    built = build_instance(obj)
+    data = json.loads(instance_to_json(built))
+    data["edges"].pop()  # an E4 edge: the objects stay whole
+    loaded = instance_from_dict(data)
+    assert loaded.provenance == obj
+    assert len(loaded.tails) == len(built.tails) - 1
+    for inst in (built, loaded):
+        assert inst.labels == (("r",) + obj.a_labels + obj.b_labels
+                               + tuple(v + "'" for v in obj.b_labels)
+                               + obj.color_labels)
+        assert inst.labels == tuple(label for level in data["levels"]
+                                    for label in level)
+        assert inst.level_sizes == (1, obj.num_a, obj.num_b, obj.num_b,
+                                    obj.k)
+        assert inst.class_costs == {E1: Fraction(obj.num_b, obj.num_a),
+                                    E2: 0, E3: 1, E4: 0}
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_SHA256))
