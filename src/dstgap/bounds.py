@@ -30,6 +30,9 @@ RHO = Fraction(1, 16)
 THETA = Fraction(1, 64)
 
 DIGITS = 50  # the precision of every enclosure and its decimal text
+# binary places of exp_bounds' sums: 2**-240 < 10**-72, so rounding each
+# of a few hundred terms stays far below the DIGITS + 5 digits of its tail
+_BITS = 4 * (DIGITS + 10)
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +52,9 @@ class DirectedBound(NamedTuple):
 
 
 def exp_bounds(x: Fraction) -> DirectedBound:
-    """Certified enclosure of e^x by Taylor partial sums.
+    """Certified enclosure of e^x by Taylor partial sums, in integers scaled
+    by 2**_BITS: each term is rounded down for the lower sum and up for the
+    upper sum.
 
     For y >= 0 the partial sum is a lower bound and the tail is dominated
     by a geometric series once terms shrink; negative arguments go through
@@ -59,19 +64,24 @@ def exp_bounds(x: Fraction) -> DirectedBound:
         inner = exp_bounds(-x)
         return DirectedBound(1 / inner.upper, 1 / inner.lower)
 
-    eps = Fraction(1, 10 ** (DIGITS + 5))
-    term = Fraction(1)
-    total = Fraction(1)
+    p, q = x.numerator, x.denominator
+    eps = 10 ** (DIGITS + 5)  # the tail may be 1/eps of the sum
+    one = 1 << _BITS
+    low = high = one  # the current term, rounded down and up
+    total_low = total_high = one
     i = 1
     while True:
-        term = term * x / i
-        total += term
+        low = low * p // (q * i)
+        high = -(-high * p // (q * i))
+        total_low += low
+        total_high += high
         i += 1
         # once x/i <= 1/2 the remaining tail is at most 2 * next term
-        if i > 2 * x and term * x / i * 2 <= eps * total:
+        if i * q > 2 * p and high * p * 2 * eps <= total_low * q * i:
             break
-    tail = term * x / i * 2
-    return DirectedBound(total, total + tail)
+    tail = -(-high * p * 2 // (q * i))
+    return DirectedBound(Fraction(total_low, one),
+                         Fraction(total_high + tail, one))
 
 
 def chernoff_upper(mu: Fraction, delta: Fraction) -> DirectedBound:

@@ -14,7 +14,6 @@ import argparse
 import contextlib
 import functools
 import gc
-import hashlib
 import json
 import os
 import sys
@@ -98,6 +97,8 @@ def report_header(args_line, instance_sha256=None) -> dict:
 def _load(path: str, loader):
     """loader(the file's bytes) and the SHA-256 of the bytes; a file that
     cannot be read or loaded is a CliError, exit 3."""
+    import hashlib  # here, so that a command that hashes nothing skips it
+
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -147,6 +148,8 @@ def print_canonical_cost(objects: model.GapObjects) -> None:
 
 
 def cmd_generate(args, argline) -> int:
+    import hashlib
+
     objects = make_objects(args)
     inst = model.build_instance(objects)
     counts = model.edge_class_counts(inst)
@@ -247,6 +250,22 @@ def certificate_payload(cert, thresh=None):
     return data
 
 
+def certify_report_json(payload: dict) -> str:
+    """json.dumps(payload, indent=1) + "\n", byte for byte, with each
+    per_u entry written from a template in place of the pure-Python indent
+    encoder (zk16 has 1,820 of them)."""
+    def member(key, value):
+        if key != "per_u":
+            return f"{json.dumps(key)}: {model.json_nested(value, 1)}"
+        entries = [f'{{\n   "u": {model.json_label(e["u"])},\n   "j_size": '
+                   f'{e["j_size"]},\n   "max_residual": {e["max_residual"]}'
+                   '\n  }' for e in value]
+        return '"per_u": ' + model.json_block("[]", entries, 1)
+
+    members = [member(key, value) for key, value in payload.items()]
+    return model.json_block("{}", members, 0) + "\n"
+
+
 def cmd_certify(args, argline) -> int:
     from . import integral
 
@@ -282,7 +301,7 @@ def cmd_certify(args, argline) -> int:
     payload = {"header": report_header(argline, sha256)}
     payload.update(certificate_payload(cert, thresh))
     if args.out:
-        atomic_write(args.out, json.dumps(payload, indent=1) + "\n")
+        atomic_write(args.out, certify_report_json(payload))
     print(f"alpha            {render_rational(cert.alpha)}")
     if thresh is not None:
         print(f"thresh           {thresh}")
@@ -557,10 +576,36 @@ def _run(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except Exception as exc:
-        print(f"error: internal error: {type(exc).__name__}: {exc}",
-              file=sys.stderr)
-        return EXIT_INTERNAL
+        return _internal_error(exc)
+
+
+def _internal_error(exc: Exception) -> int:
+    print(f"error: internal error: {type(exc).__name__}: {exc}",
+          file=sys.stderr)
+    return EXIT_INTERNAL
+
+
+def console_entry() -> None:
+    """The `dstgap` command, and `python -m dstgap.cli`: run main and end
+    the process with its code as soon as stdout and stderr are flushed, so
+    the interpreter skips its module teardown and final collection.  A
+    flush that fails still ends it non-zero: with main's code, or, if that
+    is 0, with exit 5 and one line.  Under a profiler or tracer the process
+    exits normally, so that its report is written at exit."""
+    code = main()
+    if sys.getprofile() is not None or sys.gettrace() is not None:
+        sys.exit(code)
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None: started without that descriptor
+                stream.flush()
+    except (OSError, ValueError) as exc:  # ValueError: a closed file
+        if code == EXIT_OK:  # main reported no failure
+            code = EXIT_INTERNAL
+            with contextlib.suppress(OSError, ValueError):
+                _internal_error(exc)
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    console_entry()

@@ -80,14 +80,25 @@ def containment_counts(m: int, a: int, c: int, thresh: int,
             value = value * (n - i) // (i + 1)  # C(n, i + 1), exactly
         return value if value <= cap else None
 
+    def overlaps(n, lo, hi):
+        """The c-subsets of {1..n} that meet a fixed a-subset in lo..hi
+        elements, the sum of C(a, i) C(n-a, c-i): each term's two factors
+        come from the last term's by exact integer ratios.  n - a >= c, so
+        the second factor is never 0."""
+        x, y = comb(a, lo), comb(n - a, c - lo)
+        total = 0
+        for i in range(lo, hi + 1):
+            total += x * y
+            x = x * (a - i) // (i + 1)  # C(a, i + 1)
+            y = y * (c - i) // (n - a - c + i + 1)  # C(n-a, c-i-1)
+        return total
+
     counts = ContainmentCounts(comb(m, a), comb(m, a + c), comb(m, c),
                                comb(m - a, c), comb(a + c, a), comb(m - c, a))
     if cap is not None:
         return counts
-    return counts._replace(
-        max_j=sum(comb(a, i) * comb(m - a, c - i)
-                  for i in range(thresh + 1, c + 1)),
-        max_r=sum(comb(a, i) * comb(c, c - i) for i in range(thresh + 1)))
+    return counts._replace(max_j=overlaps(m, thresh + 1, c),
+                           max_r=overlaps(a + c, 0, thresh))
 
 
 def _containment_objects(family: str, params: dict,

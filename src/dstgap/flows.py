@@ -52,11 +52,17 @@ class FractionalSolution(_SolutionFields):
     repr are by x."""
 
     def __new__(cls, x):
-        self = super().__new__(cls, x)
         scale = math.lcm(*{v.denominator for v in x})
-        caps = tuple([v.numerator * (scale // v.denominator) for v in x])
+        return cls._scaled(x, scale, tuple(
+            [v.numerator * (scale // v.denominator) for v in x]))
+
+    @classmethod
+    def _scaled(cls, x, scale, caps):
+        """The solution x, whose integer form scale and caps the caller
+        knows."""
         if caps and min(caps) < 0:
             raise ValueError("capacities must be non-negative")
+        self = super().__new__(cls, x)
         self.scale, self.caps = scale, caps
         return self
 
@@ -66,8 +72,12 @@ class FractionalSolution(_SolutionFields):
 
 
 def canonical_solution(inst: DstInstance) -> FractionalSolution:
+    """x = 1/s on every edge: its integer form is scale s and every cap 1,
+    made without reading a property of each edge's Fraction."""
     w = Fraction(1, inst.provenance.s)
-    return FractionalSolution((w,) * len(inst.tails))
+    n = len(inst.tails)
+    return FractionalSolution._scaled((w,) * n, w.denominator,
+                                      (w.numerator,) * n)
 
 
 def solution_cost(inst: DstInstance, sol: FractionalSolution) -> Fraction:

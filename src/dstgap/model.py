@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import hashlib
 import itertools
 import json
 import re
@@ -414,25 +413,26 @@ def instance_to_dict(inst: DstInstance) -> dict:
     return _document(inst, edges)
 
 
-def _nested(value, depth: int) -> str:
+def json_nested(value, depth: int) -> str:
     """value as json.dumps(indent=1) writes it `depth` levels deep: a
     newline in that text is always layout (strings escape theirs), so
     `depth` more spaces after each nest it."""
     return json.dumps(value, indent=1).replace("\n", "\n" + " " * depth)
 
 
-def _quote(label) -> str:
-    """A label as an edge entry's value in the file; the labels of a loaded
-    file need not be strings."""
+def json_label(label) -> str:
+    """A label as the value of an entry three levels deep, as an edge entry
+    in an instance file is and a per_u entry in a certify report; the
+    labels of a loaded file need not be strings."""
     if type(label) is str:
         return encode_basestring_ascii(label)
-    return _nested(label, 3)
+    return json_nested(label, 3)
 
 
 _HEAD = '{\n "meta": '
 
 
-def _block(brackets: str, items: list, depth: int) -> str:
+def json_block(brackets: str, items: list, depth: int) -> str:
     """A list or an object as json.dumps(indent=1) writes it `depth` levels
     deep, from its items written already: values, or "key: value" texts."""
     if not items:
@@ -461,8 +461,8 @@ def _json_pieces(inst: DstInstance):
     build.  The text is written from templates with each label and cost
     quoted once, in place of the per-edge dicts and the pure-Python indent
     encoder."""
-    quoted = list(map(_quote, inst.labels))
-    color = list(map(_quote, inst.provenance.color_labels))
+    quoted = list(map(json_label, inst.labels))
+    color = list(map(json_label, inst.provenance.color_labels))
     start = list(map(_edge_start, quoted))
     close = {}  # class -> color index or None -> the entry's end
     for klass, q in inst.class_costs.items():
@@ -470,8 +470,10 @@ def _json_pieces(inst: DstInstance):
         close[klass] = dict(enumerate(_edge_end(text, c) for c in color))
         close[klass][None] = _edge_end(text, None)
     levels = _levels(quoted, inst.level_sizes)
-    yield (_HEAD + _nested(_meta(inst.provenance), 1) + ',\n "levels": '
-           + _block("[]", [_block("[]", level, 2) for level in levels], 1)
+    yield (_HEAD + json_nested(_meta(inst.provenance), 1)
+           + ',\n "levels": '
+           + json_block("[]", [json_block("[]", level, 2)
+                               for level in levels], 1)
            + ',\n "edges": [')
     edges = (start[t] + quoted[h] + close[k][c]
              for t, h, k, c in zip(inst.tails, inst.heads, inst.classes,
@@ -482,7 +484,7 @@ def _json_pieces(inst: DstInstance):
         yield from edges
         yield "\n "
     pi = [f"{v}: {vp}" for v, vp in zip(levels[2], levels[3])]
-    yield '],\n "pi": ' + _block("{}", pi, 1) + "\n}\n"
+    yield '],\n "pi": ' + json_block("{}", pi, 1) + "\n}\n"
 
 
 def instance_to_json(inst: DstInstance) -> str:
@@ -493,6 +495,8 @@ def instance_to_json(inst: DstInstance) -> str:
 
 
 def instance_sha256(inst: DstInstance) -> str:
+    import hashlib  # here, so that importing the model loads no OpenSSL
+
     return hashlib.sha256(instance_to_json(inst).encode()).hexdigest()
 
 

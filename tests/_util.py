@@ -1,7 +1,9 @@
 """Shared helpers for the test suite."""
 
+from fractions import Fraction
 from math import comb
 
+from dstgap.bounds import DIGITS
 from dstgap.model import GapObjects, build_instance, label_set
 
 
@@ -72,3 +74,23 @@ def two_copies(obj, shift):
         b_labels=obj.b_labels + moved(obj.b_labels),
         edges=obj.edges + tuple((a + na, b + nb, c) for a, b, c in obj.edges),
         s=2 * obj.s, family="generic", family_params=())
+
+
+def exp_bounds_reference(x):
+    """(lower, upper) around e^x from exact Fraction Taylor sums, stopped
+    as bounds.exp_bounds stops, with the same geometric tail: the oracle
+    for its scaled-integer enclosure, which it never calls."""
+    if x < 0:
+        lower, upper = exp_bounds_reference(-x)
+        return 1 / upper, 1 / lower
+    eps = Fraction(1, 10 ** (DIGITS + 5))
+    term = total = Fraction(1)
+    i = 1
+    while True:
+        term = term * x / i
+        total += term
+        i += 1
+        # once x/i <= 1/2 the remaining tail is at most 2 * next term
+        if i > 2 * x and term * x / i * 2 <= eps * total:
+            break
+    return total, total + term * x / i * 2

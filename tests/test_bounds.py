@@ -16,7 +16,7 @@ from dstgap.bounds import (
 )
 from dstgap.families import containment_counts, default_j_sets, subset_objects
 
-from _util import overlap_count
+from _util import exp_bounds_reference, overlap_count
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +50,20 @@ def test_tail_above_threshold_ge_draws():
         counts = containment_counts(m, a, c, thresh)
         assert counts.max_j == 0
         assert counts.max_r == counts.d_prime == comb(a + c, a)
+
+
+def test_j_set_sums_every_small_shape():
+    # the sums' ratio recurrence against the inline binomials, on every
+    # shape up to m = 12, c > a and thresh >= a among them
+    for m in range(2, 13):
+        for a in range(1, m):
+            for c in range(1, m - a + 1):
+                for thresh in range(c):
+                    counts = containment_counts(m, a, c, thresh)
+                    assert counts.max_j == overlap_count(m, a, c,
+                                                         thresh + 1, c)
+                    assert counts.max_r == overlap_count(a + c, a, c, 0,
+                                                         thresh)
 
 
 def test_tail_complement():
@@ -89,6 +103,21 @@ def test_exp_bounds_tightness():
     b = exp_bounds(Fraction(3, 7))
     assert b.upper - b.lower < Fraction(1, 10**30)
     assert b.decimal_str().startswith("1.53506")  # e^(3/7) = 1.535063...
+
+
+@pytest.mark.parametrize("x", sorted({
+    Fraction(0), Fraction(1), Fraction(-1), Fraction(3, 7), Fraction(230),
+    *(Fraction(sign * m, 256) for m in (64, 128, 256, 512, 1024)
+      for sign in (1, -1))}), ids=str)
+def test_exp_bounds_meets_the_fraction_reference(x):
+    # the scaled-integer enclosure and the exact Fraction sum overlap (both
+    # hold e^x), and each is narrower than 10**-50 of its value
+    b = exp_bounds(x)
+    lower, upper = exp_bounds_reference(x)
+    assert max(b.lower, lower) <= min(b.upper, upper)
+    for lo, hi in ((b.lower, b.upper), (lower, upper)):
+        assert 0 < lo <= hi
+        assert hi - lo < lo / 10**50
 
 
 def test_chernoff_plug_ins():

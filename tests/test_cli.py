@@ -230,6 +230,23 @@ def test_gen_imports_no_solver(tmp_path):
     assert "dstgap.families" in loaded
 
 
+def test_bounds_imports_no_hashlib():
+    # only the commands that hash a file import hashlib, which loads OpenSSL
+    src = os.path.dirname(os.path.dirname(dstgap.__file__))
+    child = ("import json, sys\n"
+             "from dstgap.cli import main\n"
+             "code = main(['bounds', '--m-list', '64'])\n"
+             "print(json.dumps([code, sorted(sys.modules)]))")
+    proc = subprocess.run([sys.executable, "-c", child],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert code == EXIT_OK
+    assert not set(modules) & {"hashlib", "_hashlib"}
+    assert "dstgap.bounds" in modules
+
+
 def test_verify_wrong_s_is_invalid_witness(tmp_path, zk4_instance):
     # meta.s = 2 against 3 matching edges per color: the loader rejects the
     # file (exit 3, one error line), the same with or without python -O
@@ -761,6 +778,26 @@ def test_certify_sweep(m6_file, capsys):
     assert "thresh           1" in text
 
 
+def test_certify_report_is_the_indent_encoders_text(tmp_path, zk4_file,
+                                                    m6_file, capsys):
+    # the per_u template writes json.dumps(indent=1) + "\n" byte for byte,
+    # on the family reports and on labels that are not plain strings
+    for path, flags in ((zk4_file, []), (m6_file, ["--sweep"])):
+        out = tmp_path / "cert.json"
+        assert main(["certify", str(path), *flags, "--out", str(out)]) \
+            == EXIT_OK
+        text = out.read_text()
+        assert text == json.dumps(json.loads(text), indent=1) + "\n"
+    capsys.readouterr()
+    labels = ["{1,2}", 'caf\u00e9 "\\\n', 7, None, ["a", {"b": [1, 2]}]]
+    for per_u in ([], [{"u": u, "j_size": 3, "max_residual": 0}
+                       for u in labels]):
+        payload = {"header": cli.report_header("dstgap certify x"),
+                   "alpha": "6/5", "per_u": per_u, "thresh": 1}
+        assert cli.certify_report_json(payload) \
+            == json.dumps(payload, indent=1) + "\n"
+
+
 def test_certify_family_less_file_exits_3(tmp_path, zk4_instance, capsys):
     # without meta.family the file loads as "generic", which has no default
     # J-sets: the file is at fault, whatever the flags
@@ -1006,6 +1043,66 @@ def test_closed_stdout_is_a_normal_end(zk4_file, flags, buffered):
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == EXIT_OK
     assert err == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="no /dev/full to write to")
+@pytest.mark.parametrize("buffered", [False, True],
+                         ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["bounds", "--m-list", "64"],
+                                  ["verify", "{zk4}"]],
+                         ids=["bounds", "verify"])
+def test_full_stdout_exits_5(zk4_file, argv, buffered):
+    # stdout on a full device: the failed write is an internal error, exit
+    # 5 with one line, whether it fails in a print (unbuffered) or in the
+    # flush after the command (buffered), which the command end retries
+    src = os.path.dirname(os.path.dirname(dstgap.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [arg.format(zk4=zk4_file) for arg in argv]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "dstgap.cli", *argv],
+                              env=env, stdout=full, stderr=subprocess.PIPE,
+                              text=True, timeout=120)
+    assert proc.returncode == EXIT_INTERNAL
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: internal error: OSError")
+
+
+def test_no_stdout_descriptor_exits_5():
+    # started with descriptor 1 closed, Python has no sys.stdout, so the
+    # command's flush fails: exit 5 and one line, and the end of the
+    # process flushes only the streams there are
+    src = os.path.dirname(os.path.dirname(dstgap.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dstgap.cli", "bounds", "--m-list", "64"],
+        env=dict(os.environ, PYTHONPATH=src), stderr=subprocess.PIPE,
+        text=True, timeout=120, preexec_fn=lambda: os.close(1))
+    assert proc.returncode == EXIT_INTERNAL
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: internal error: AttributeError")
+
+
+@pytest.mark.parametrize("tool,expected", [
+    (["cProfile", "-m"], "function calls"),  # sys.setprofile
+    (["trace", "--count", "--summary", "--coverdir", "{tmp}", "--module"],
+     "dstgap.cli"),  # sys.settrace
+], ids=["profiler", "tracer"])
+def test_profiled_command_exits_normally(tmp_path, tool, expected):
+    # a profiler or tracer writes its report when the interpreter exits, so
+    # under one the command does not end at its last flush
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dstgap.__file__)))
+    tool = [arg.format(tmp=tmp_path) for arg in tool]
+    proc = subprocess.run(
+        [sys.executable, "-m", *tool, "dstgap.cli", "bounds", "--m-list",
+         "64"], cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    command, report = proc.stdout.split("  ok\n", 1)
+    assert command.startswith("m=   64")
+    assert expected in report
 
 
 def test_atomic_write(tmp_path):

@@ -63,6 +63,17 @@ def test_canonical_degenerate_s1(subset_m4_instance):
     assert solution_cost(subset_m4_instance, sol) == 2 * 1
 
 
+def test_canonical_integer_form(zk9_instance, subset_m8_instance,
+                                subset_m4_instance):
+    # canonical_solution sets scale s and unit caps without reading x: the
+    # integer form FractionalSolution reads off the same x
+    for inst in (zk9_instance, subset_m8_instance, subset_m4_instance):
+        sol = canonical_solution(inst)
+        made = FractionalSolution(sol.x)
+        assert (sol, sol.scale, sol.caps) == (made, made.scale, made.caps)
+        assert sol.scale == inst.provenance.s
+
+
 def test_solution_rejects_negative():
     with pytest.raises(ValueError):
         FractionalSolution((Fraction(-1, 2),))

@@ -243,6 +243,21 @@ def test_only_containment_counts_calls_comb():
     assert not found
 
 
+def test_only_the_console_entry_calls_os_exit():
+    # main returns its code to an in-process caller; only cli's console
+    # entry ends the process, and it names os._exit once
+    nodes = list(_package_nodes())
+    inside = {id(sub) for name, node in nodes
+              if (name, getattr(node, "name", None))
+              == ("cli.py", "console_entry")
+              for sub in ast.walk(node)}
+    named = [(name, id(node) in inside) for name, node in nodes
+             if "_exit" in (getattr(node, "id", None),
+                            getattr(node, "attr", None),
+                            getattr(node, "name", None))]  # an import
+    assert named == [("cli.py", True)]
+
+
 def test_build_deterministic(zk4_objects):
     a = build_instance(zk4_objects)
     b = build_instance(zk4_objects)
