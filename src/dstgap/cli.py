@@ -14,7 +14,6 @@ import argparse
 import contextlib
 import functools
 import gc
-import json
 import os
 import sys
 from fractions import Fraction
@@ -87,11 +86,24 @@ def read_config(path: str) -> list:
     return tokens
 
 
-def report_header(args_line, instance_sha256=None) -> dict:
-    header = {"tool": "dstgap", "version": __version__, "command": args_line}
+def report_json(argline, instance_sha256, body: dict) -> str:
+    """Every JSON report: its header, then the members of body, as
+    json.dumps(report, indent=1) + "\n" writes it, byte for byte.  Each
+    per_u list is written from a template (zk16 has 1,820 entries)."""
+    header = {"tool": "dstgap", "version": __version__, "command": argline}
     if instance_sha256 is not None:
         header["instance_sha256"] = instance_sha256
-    return header
+    return model.json_nested({"header": header, **body}, 0,
+                             {"per_u": _per_u_json}) + "\n"
+
+
+def _per_u_json(entries: list, depth: int) -> str:
+    """A per_u list `depth` levels deep, each entry from a template."""
+    pad = " " * (depth + 2)  # the entries' members
+    return model.json_block("[]", [
+        f'{{\n{pad}"u": {model.json_nested(e["u"], depth + 2)},\n{pad}'
+        f'"j_size": {e["j_size"]},\n{pad}"max_residual": '
+        f'{e["max_residual"]}\n{pad[1:]}}}' for e in entries], depth)
 
 
 def _load(path: str, loader):
@@ -198,8 +210,7 @@ def cmd_verify(args, argline) -> int:
               f"{status}")
     all_unit = all(e.value == 1 for e in report.entries)
     if args.json_out:
-        payload = {
-            "header": report_header(argline, sha256),
+        body = {
             "feasible": report.feasible,
             "all_flows_unit": all_unit,
             "path_witnesses_ok": witnesses_ok,
@@ -222,7 +233,7 @@ def cmd_verify(args, argline) -> int:
                 labels[t] for t in report.representatives
             ],
         }
-        atomic_write(args.json_out, json.dumps(payload, indent=1) + "\n")
+        atomic_write(args.json_out, report_json(argline, sha256, body))
     if report.feasible and all_unit and witnesses_ok:
         print("verified: feasible, all flows exactly 1")
         return EXIT_OK
@@ -248,22 +259,6 @@ def certificate_payload(cert, thresh=None):
     if thresh is not None:
         data["thresh"] = thresh
     return data
-
-
-def certify_report_json(payload: dict) -> str:
-    """json.dumps(payload, indent=1) + "\n", byte for byte, with each
-    per_u entry written from a template in place of the pure-Python indent
-    encoder (zk16 has 1,820 of them)."""
-    def member(key, value):
-        if key != "per_u":
-            return f"{json.dumps(key)}: {model.json_nested(value, 1)}"
-        entries = [f'{{\n   "u": {model.json_label(e["u"])},\n   "j_size": '
-                   f'{e["j_size"]},\n   "max_residual": {e["max_residual"]}'
-                   '\n  }' for e in value]
-        return '"per_u": ' + model.json_block("[]", entries, 1)
-
-    members = [member(key, value) for key, value in payload.items()]
-    return model.json_block("{}", members, 0) + "\n"
 
 
 def cmd_certify(args, argline) -> int:
@@ -298,10 +293,9 @@ def cmd_certify(args, argline) -> int:
                        EXIT_BAD_INPUT)
     # the first thresh of the largest alpha
     cert, thresh = max(certs, key=lambda pair: pair[0].alpha)
-    payload = {"header": report_header(argline, sha256)}
-    payload.update(certificate_payload(cert, thresh))
     if args.out:
-        atomic_write(args.out, certify_report_json(payload))
+        atomic_write(args.out, report_json(argline, sha256,
+                                           certificate_payload(cert, thresh)))
     print(f"alpha            {render_rational(cert.alpha)}")
     if thresh is not None:
         print(f"thresh           {thresh}")
@@ -319,7 +313,7 @@ def cmd_solve(args, argline) -> int:
     inst, sha256 = load_instance(args.instance)
     methods = (["structured", "brute", "lp"] if args.method == "all"
                else [args.method])
-    payload = {"header": report_header(argline, sha256)}
+    body = {}
     capped = False
     opt_values = {}
     try:  # it bounds OPT on every file of the objects
@@ -334,7 +328,7 @@ def cmd_solve(args, argline) -> int:
                 res = integral.solve_structured(inst)
                 bound = res.lower_bound if cert is None else max(
                     res.lower_bound, cert.opt_lower_bound)
-                payload["structured"] = {
+                body["structured"] = {
                     "value": render_rational(res.value),
                     "optimal": res.optimal,
                     "lower_bound": render_rational(bound),
@@ -347,11 +341,11 @@ def cmd_solve(args, argline) -> int:
             elif method == "brute":
                 res = integral.brute_force_opt(inst, cap=brute_cap)
                 if not res.feasible:
-                    payload["brute"] = {"feasible": False,
+                    body["brute"] = {"feasible": False,
                                         "unreachable": list(res.unreachable)}
                     print(f"brute: INFEASIBLE, unreachable {res.unreachable}")
                 else:
-                    payload["brute"] = {
+                    body["brute"] = {
                         "feasible": True,
                         "value": render_rational(res.value),
                         "opened_a": list(res.opened_a),
@@ -365,7 +359,7 @@ def cmd_solve(args, argline) -> int:
                 if res is None:
                     res = lp.solve_lp_exact(inst, var_cap=lp_cap)
                     certificate = "simplex"
-                payload["lp"] = {
+                body["lp"] = {
                     "value": render_rational(res.optimal_value),
                     "duality_certified": res.certified,
                     "certificate": certificate,
@@ -375,16 +369,16 @@ def cmd_solve(args, argline) -> int:
                 opt_values[method] = res.optimal_value
         except SizeCapError as exc:
             capped = True
-            payload[method] = {"capped": str(exc)}
+            body[method] = {"capped": str(exc)}
             print(f"{method}: {exc}")
         except InfeasibleError:
-            payload[method] = {"feasible": False}
+            body[method] = {"feasible": False}
             if method == "lp":  # raised only with a checked Farkas vector
-                payload[method]["farkas_certified"] = True
+                body[method]["farkas_certified"] = True
             print(f"{method}: INFEASIBLE")
 
     if cert is not None:
-        payload["certificate"] = certificate_payload(cert)
+        body["certificate"] = certificate_payload(cert)
         print(f"certified alpha  {render_rational(cert.alpha)}, "
               f"OPT >= {render_rational(cert.opt_lower_bound)}")
     print_canonical_cost(inst.provenance)
@@ -395,7 +389,7 @@ def cmd_solve(args, argline) -> int:
                 print(f"observed OPT/LP  {render_rational(ratio)} ({key})")
 
     if args.out:
-        atomic_write(args.out, json.dumps(payload, indent=1) + "\n")
+        atomic_write(args.out, report_json(argline, sha256, body))
     return EXIT_CAP if capped else EXIT_OK
 
 
@@ -433,8 +427,7 @@ def cmd_bounds(args, argline) -> int:
               f" |K_B\\J_A|/d' {dec(kb.exact)}  alpha {dec(row.alpha)}  {status}")
     files = [args.csv, "\n".join(lines) + "\n"] if args.csv else []
     if args.json_out:
-        payload = {
-            "header": report_header(argline),
+        body = {
             "rows": [
                 {
                     "m": m,
@@ -446,7 +439,7 @@ def cmd_bounds(args, argline) -> int:
                 for (m, ja, kb), row in zip(reports, alphas)
             ],
         }
-        files += [args.json_out, json.dumps(payload, indent=1) + "\n"]
+        files += [args.json_out, report_json(argline, None, body)]
     atomic_write(*files)
     return EXIT_OK if all_ok else EXIT_FALSE
 
@@ -545,6 +538,8 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
+    if sys.stdout is None:  # started with descriptor 1 closed
+        return _internal_error("no standard output")
     argv = list(sys.argv[1:] if argv is None else argv)
     argline = "dstgap " + " ".join(argv)
     handlers = {
@@ -576,12 +571,11 @@ def _run(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except Exception as exc:
-        return _internal_error(exc)
+        return _internal_error(f"{type(exc).__name__}: {exc}")
 
 
-def _internal_error(exc: Exception) -> int:
-    print(f"error: internal error: {type(exc).__name__}: {exc}",
-          file=sys.stderr)
+def _internal_error(message: str) -> int:
+    print(f"error: internal error: {message}", file=sys.stderr)
     return EXIT_INTERNAL
 
 
@@ -603,7 +597,7 @@ def console_entry() -> None:
         if code == EXIT_OK:  # main reported no failure
             code = EXIT_INTERNAL
             with contextlib.suppress(OSError, ValueError):
-                _internal_error(exc)
+                _internal_error(f"{type(exc).__name__}: {exc}")
     os._exit(code)
 
 

@@ -23,12 +23,12 @@ ground set (model.label_set reads a bare integer x, a zk color, as {x}), so
 a permutation of the ground set proposes a vertex map, level by level.  Two
 are tried: the full cycle of the ground set and the transposition of its two
 smallest elements.  A permutation is kept only when it is checked exactly
-on the instance: every edge maps to an edge, and x is kept.  It is then an
-automorphism of the network, and carries a terminal's largest min-cut
-source side onto that of the terminal's image, so a terminal's cut is its
-orbit representative's, mapped; so is a path witness.  Nothing is read
-from the family name; with no permutation kept, every terminal is its own
-orbit.
+on the instance's edges: every edge maps to an edge.  Where its edge map
+also keeps x, it is an automorphism of the network, and carries a
+terminal's largest min-cut source side onto that of the terminal's image,
+so a terminal's cut is its orbit representative's, mapped; so is a path
+witness.  Nothing is read from the family name; with no permutation kept,
+every terminal is its own orbit.
 """
 
 from __future__ import annotations
@@ -226,17 +226,17 @@ class FeasibilityReport(NamedTuple):
 
 
 class Automorphism(NamedTuple):
-    """A ground-set permutation checked on an instance and a solution: its
-    vertex map fixes the root and each level, sends every edge to an edge
-    (edge_map) and keeps x.  So it maps a terminal's max-flows, min cuts
-    and path witnesses onto its image's."""
+    """A ground-set permutation checked on an instance: its vertex map
+    fixes the root and each level and sends every edge to an edge
+    (edge_map).  Where the edge map also keeps x, it maps a terminal's
+    max-flows, min cuts and path witnesses onto its image's."""
 
     cycle: tuple       # ground-set elements, each mapped to the next
     vertex_map: list   # vertex id -> vertex id
     edge_map: list     # edge position -> edge position
 
 
-def label_automorphisms(inst: DstInstance, sol: FractionalSolution) -> tuple:
+def label_automorphisms(inst: DstInstance) -> tuple:
     """The full cycle of the labels' ground set and the transposition of its
     two smallest elements, each kept if it passes every check.
 
@@ -263,15 +263,15 @@ def label_automorphisms(inst: DstInstance, sol: FractionalSolution) -> tuple:
     for cycle in dict.fromkeys((tuple(ground), tuple(ground[:2]))):
         sigma = dict(zip(ground, ground))
         sigma.update(zip(cycle, cycle[1:] + cycle[:1]))
-        g = _check_automorphism(inst, sol, cycle, sigma.__getitem__, levels)
+        g = _check_automorphism(inst, cycle, sigma.__getitem__, levels)
         if g is not None:
             found.append(g)
     return tuple(found)
 
 
-def _check_automorphism(inst, sol, cycle, move, levels):
+def _check_automorphism(inst, cycle, move, levels):
     """The Automorphism the ground-set map `move` induces, or None if an
-    image label is missing or an edge or a capacity is not kept."""
+    image label or an edge's image is missing."""
     vmap = [0] * inst.n  # the root is fixed
     for ids, keys, index in levels:
         images = [index.get(frozenset(map(move, key))) for key in keys]
@@ -287,9 +287,6 @@ def _check_automorphism(inst, sol, cycle, move, levels):
     emap = [edge_at(scaled[u] + vmap[v])
             for u, v in zip(inst.tails, inst.heads)]
     if None in emap:
-        return None
-    caps = sol.caps
-    if tuple(map(caps.__getitem__, emap)) != caps:
         return None
     return Automorphism(cycle, vmap, emap)
 
@@ -320,20 +317,22 @@ def verify_feasibility(inst: DstInstance, sol: FractionalSolution,
     """Max-flow >= 1 for every terminal; empty terminal set is vacuous.
 
     With terminals=None, one max-flow runs per orbit of the terminals under
-    label_automorphisms(inst, sol); every other terminal's min cut is its
-    representative's, mapped through the automorphisms that carry the
-    representative to it.  An explicit list runs each listed terminal.
-    One integer network carries the integer capacities; each run starts
-    from them and ends with its min cut, whose integer capacity must equal
-    the integer flow.
+    the label automorphisms whose edge map keeps x; every other terminal's
+    min cut is its representative's, mapped through the automorphisms that
+    carry the representative to it.  An explicit list runs each listed
+    terminal.  One integer network carries the integer capacities; each run
+    starts from them and ends with its min cut, whose integer capacity must
+    equal the integer flow.
     """
+    caps = sol.caps
     if terminals is None:
-        automorphisms = label_automorphisms(inst, sol)
+        automorphisms = tuple(
+            g for g in label_automorphisms(inst)
+            if tuple(map(caps.__getitem__, g.edge_map)) == caps)
         terminals = inst.terminals
     else:
         automorphisms = ()
     tree = orbit_tree(terminals, automorphisms)
-    caps = sol.caps
     net = _Dinic(inst.n, inst.tails, inst.heads, caps)
     base = net.cap[:]
     head, to = net.head, net.to

@@ -142,11 +142,9 @@ def _greedy_cover(kv, nbr, na: int, nb: int, full: int):
 
 def _transitive_on_a(inst: DstInstance) -> bool:
     """Whether the label automorphisms checked on the file's edges carry
-    A-vertex 0 to every A-vertex.  The canonical x is uniform, so the
-    automorphisms' check of x is vacuous."""
+    A-vertex 0 to every A-vertex."""
     a_ids = inst.level_ids(1)
-    automorphisms = flows.label_automorphisms(
-        inst, flows.canonical_solution(inst))
+    automorphisms = flows.label_automorphisms(inst)
     return len(flows.orbit_tree(a_ids[:1], automorphisms)) == len(a_ids)
 
 

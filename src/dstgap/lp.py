@@ -11,9 +11,10 @@ family name read; where either check fails it returns None.
 
 solve_lp_exact solves the compact per-terminal formulation by the exact
 simplex, on any instance within its variable cap.  Variables are the edge
-capacities x_e plus, for every terminal t, a flow f^t_e on each edge that
-lies on some root-to-t path.  Constraints: flow conservation at internal
-vertices, one unit delivered to t, and f^t_e <= x_e.  This is the
+capacities x_e plus, for every terminal t, a flow f^t_e on each edge
+whose head reaches t, as the packing check's search backward from t over
+in-edges finds them, in any column order.  Constraints: flow conservation
+at internal vertices, one unit delivered to t, and f^t_e <= x_e.  This is the
 polynomial-sized equivalent of the path formulation; the path view
 survives only as the witness checker in `flows.path_witness`.
 """
@@ -65,35 +66,38 @@ def _two_cut_packing(inst: DstInstance, into: list) -> tuple:
     return tuple(packing)
 
 
+def _reach_back(inst: DstInstance, into: list, t: int, cut=()) -> set:
+    """The vertices that reach t without using an edge of cut: a search
+    backward from t over the edges into each vertex it reaches."""
+    tails = inst.tails
+    seen = {t}
+    queue = [t]
+    for v in queue:
+        for i in into[v]:
+            u = tails[i]
+            if u not in seen and i not in cut:
+                seen.add(u)
+                queue.append(u)
+    return seen
+
+
 def _packing_value(inst: DstInstance, packing, into: list) -> Fraction | None:
     """The packing's value, the sum of its weights, if it is a solution of
     the flow LP's dual, else None.  Checked exactly, in integers: every
     weight is non-negative; every cut separates its terminal from the root,
-    as a search backward from the terminal over the edges outside the cut
-    does not reach the root; and no edge carries more weight, summed over
-    the cuts that hold it, than its cost.  Then any x of the flow LP costs
-    at least the value, since each cut holds at least 1 of x."""
+    as the vertices that reach the terminal without it exclude the root;
+    and no edge carries more weight, summed over the cuts that hold it,
+    than its cost.  Then any x of the flow LP costs at least the value,
+    since each cut holds at least 1 of x."""
     costs = inst.class_costs
     scale = math.lcm(*(w.denominator for _, _, w, _ in packing),
                      *(q.denominator for q in costs.values()))
     cap = {k: q.numerator * (scale // q.denominator) for k, q in costs.items()}
-    tails, root = inst.tails, inst.root
-    load = [0] * len(tails)
+    load = [0] * len(inst.tails)
     for _, t, w, cut in packing:
-        if w < 0:
-            return None
         inside = set(cut)
-        seen = {t}
-        queue = [t]
-        for v in queue:
-            for i in into[v]:
-                u = tails[i]
-                if i in inside or u in seen:
-                    continue
-                if u == root:
-                    return None
-                seen.add(u)
-                queue.append(u)
+        if w < 0 or inst.root in _reach_back(inst, into, t, inside):
+            return None
         wi = w.numerator * (scale // w.denominator)
         for i in inside:
             load[i] += wi
@@ -126,17 +130,6 @@ def closed_form_lp(inst: DstInstance) -> LpResult | None:
     return LpResult(cost, x, duals, True, simplex.SimplexStats())
 
 
-def _edges_toward(inst: DstInstance, t: int):
-    """Indices of edges on some r->t path (graph is layered, so this is
-    exactly the set of edges whose head can still reach t)."""
-    back = {t}
-    # walk levels upward; edges are sorted by class so a reverse sweep works
-    for tail, head in zip(reversed(inst.tails), reversed(inst.heads)):
-        if head in back:
-            back.add(tail)
-    return [i for i, head in enumerate(inst.heads) if head in back]
-
-
 def solve_lp_exact(inst: DstInstance, var_cap: int = DEFAULT_VAR_CAP) -> LpResult:
     """The exact flow LP optimum with its duality certificate.  Raises
     InfeasibleError if some terminal cannot be reached from the root, once
@@ -144,7 +137,10 @@ def solve_lp_exact(inst: DstInstance, var_cap: int = DEFAULT_VAR_CAP) -> LpResul
     it fails that check."""
     ne = len(inst.tails)
     terminals = list(inst.terminals)
-    rel = {t: _edges_toward(inst, t) for t in terminals}
+    into = _in_edges(inst)
+    reach = {t: _reach_back(inst, into, t) for t in terminals}
+    rel = {t: [i for i, head in enumerate(inst.heads) if head in reach[t]]
+           for t in terminals}  # in column order
 
     nvars = ne + sum(len(r) for r in rel.values())
     if nvars > var_cap:

@@ -413,20 +413,27 @@ def instance_to_dict(inst: DstInstance) -> dict:
     return _document(inst, edges)
 
 
-def json_nested(value, depth: int) -> str:
-    """value as json.dumps(indent=1) writes it `depth` levels deep: a
-    newline in that text is always layout (strings escape theirs), so
-    `depth` more spaces after each nest it."""
-    return json.dumps(value, indent=1).replace("\n", "\n" + " " * depth)
-
-
-def json_label(label) -> str:
-    """A label as the value of an entry three levels deep, as an edge entry
-    in an instance file is and a per_u entry in a certify report; the
-    labels of a loaded file need not be strings."""
-    if type(label) is str:
-        return encode_basestring_ascii(label)
-    return json_nested(label, 3)
+def json_nested(value, depth: int, writers=None) -> str:
+    """value as json.dumps(indent=1) writes it `depth` levels deep.  The
+    value of a key in writers, in an object at any depth, is written by
+    writers[key](value, its depth) instead.  A scalar is written by the C
+    encoder, as the indent encoder would write it; the indent encoder's
+    closures would make reference cycles.  The labels of a loaded file need
+    not be strings, so a label is written by this too."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if isinstance(value, dict):
+        members = []
+        for key, item in value.items():
+            write = writers.get(key) if writers else None
+            text = (write(item, depth + 1) if write
+                    else json_nested(item, depth + 1, writers))
+            members.append(f"{encode_basestring_ascii(key)}: {text}")
+        return json_block("{}", members, depth)
+    if isinstance(value, (list, tuple)):
+        return json_block("[]", [json_nested(item, depth + 1, writers)
+                                 for item in value], depth)
+    return json.dumps(value)
 
 
 _HEAD = '{\n "meta": '
@@ -461,8 +468,9 @@ def _json_pieces(inst: DstInstance):
     build.  The text is written from templates with each label and cost
     quoted once, in place of the per-edge dicts and the pure-Python indent
     encoder."""
-    quoted = list(map(json_label, inst.labels))
-    color = list(map(json_label, inst.provenance.color_labels))
+    # labels and colors are values of an edge entry, three levels deep
+    quoted = [json_nested(label, 3) for label in inst.labels]
+    color = [json_nested(label, 3) for label in inst.provenance.color_labels]
     start = list(map(_edge_start, quoted))
     close = {}  # class -> color index or None -> the entry's end
     for klass, q in inst.class_costs.items():

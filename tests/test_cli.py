@@ -780,22 +780,39 @@ def test_certify_sweep(m6_file, capsys):
 
 def test_certify_report_is_the_indent_encoders_text(tmp_path, zk4_file,
                                                     m6_file, capsys):
-    # the per_u template writes json.dumps(indent=1) + "\n" byte for byte,
-    # on the family reports and on labels that are not plain strings
-    for path, flags in ((zk4_file, []), (m6_file, ["--sweep"])):
-        out = tmp_path / "cert.json"
-        assert main(["certify", str(path), *flags, "--out", str(out)]) \
-            == EXIT_OK
-        text = out.read_text()
-        assert text == json.dumps(json.loads(text), indent=1) + "\n"
+    # every report is json.dumps(indent=1) + "\n" byte for byte, with its
+    # per_u lists written from a template, on the family reports and on
+    # labels that are not plain strings
+    zk16 = tmp_path / "zk16.json"
+    assert main(["gen", "--family", "zk", "--k", "16", "--out", str(zk16)]) \
+        == EXIT_OK
+    out = str(tmp_path / "report.json")
+    for argv in (["verify", zk4_file, "--json-out", out],
+                 ["verify", m6_file, "--json-out", out],
+                 ["certify", zk4_file, "--out", out],
+                 ["certify", m6_file, "--out", out],
+                 ["certify", m6_file, "--sweep", "--out", out],
+                 ["solve", zk4_file, "--method", "all", "--out", out],
+                 ["solve", zk16, "--method", "lp", "--out", out],
+                 ["bounds", "--m-list", "64,128", "--json-out", out]):
+        assert main(list(map(str, argv))) == EXIT_OK, argv
+        text = open(out).read()
+        assert text == json.dumps(json.loads(text), indent=1) + "\n", argv
     capsys.readouterr()
-    labels = ["{1,2}", 'caf\u00e9 "\\\n', 7, None, ["a", {"b": [1, 2]}]]
+    labels = ["{1,2}", 'caf\u00e9 "\\\n', "\u2603", 7, None, [],
+              ["a", {"b": [1, [2, "\u00e9"]]}], {}]
+    header = {"tool": "dstgap", "version": dstgap.__version__,
+              "command": "dstgap solve x", "instance_sha256": "ab" * 32}
     for per_u in ([], [{"u": u, "j_size": 3, "max_residual": 0}
                        for u in labels]):
-        payload = {"header": cli.report_header("dstgap certify x"),
-                   "alpha": "6/5", "per_u": per_u, "thresh": 1}
-        assert cli.certify_report_json(payload) \
-            == json.dumps(payload, indent=1) + "\n"
+        certificate = {"alpha": "6/5", "per_u": per_u, "thresh": 1}
+        # per_u at the top, as certify writes it, and one object down, as
+        # solve does
+        for body in (certificate, {"brute": {"feasible": False,
+                                             "unreachable": labels},
+                                   "certificate": certificate}):
+            assert cli.report_json("dstgap solve x", "ab" * 32, body) \
+                == json.dumps({"header": header, **body}, indent=1) + "\n"
 
 
 def test_certify_family_less_file_exits_3(tmp_path, zk4_instance, capsys):
@@ -1071,18 +1088,20 @@ def test_full_stdout_exits_5(zk4_file, argv, buffered):
     assert line.startswith("error: internal error: OSError")
 
 
-def test_no_stdout_descriptor_exits_5():
+def test_no_stdout_descriptor_exits_5(tmp_path):
     # started with descriptor 1 closed, Python has no sys.stdout, so the
-    # command's flush fails: exit 5 and one line, and the end of the
-    # process flushes only the streams there are
+    # command does not run: exit 5 and one line, no file written, and the
+    # end of the process flushes only the streams there are
     src = os.path.dirname(os.path.dirname(dstgap.__file__))
+    out = tmp_path / "bounds.json"
     proc = subprocess.run(
-        [sys.executable, "-m", "dstgap.cli", "bounds", "--m-list", "64"],
+        [sys.executable, "-m", "dstgap.cli", "bounds", "--m-list", "64",
+         "--json-out", str(out)],
         env=dict(os.environ, PYTHONPATH=src), stderr=subprocess.PIPE,
         text=True, timeout=120, preexec_fn=lambda: os.close(1))
     assert proc.returncode == EXIT_INTERNAL
-    (line,) = proc.stderr.splitlines()
-    assert line.startswith("error: internal error: AttributeError")
+    assert proc.stderr == "error: internal error: no standard output\n"
+    assert not os.listdir(tmp_path)
 
 
 @pytest.mark.parametrize("tool,expected", [

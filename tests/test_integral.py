@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 import dstgap
-from dstgap import build_instance, subset_objects
+from dstgap import build_instance, subset_objects, zk_objects
 from dstgap.families import default_j_sets
+from dstgap.flows import canonical_solution, verify_feasibility
 from dstgap.integral import (
     brute_force_opt,
     certify_gap,
@@ -262,6 +263,43 @@ def test_structured_fixes_a_only_when_transitive(zk4_instance):
         s, b = solve_structured(inst), brute_force_opt(inst)
         assert s.fixed_a is None
         assert s.optimal and s.value == b.value == Fraction(8, 3), v
+
+
+def _a_label_names_no_set(inst):
+    """The instance's file with its first A-label renamed "x0"."""
+    data = instance_to_dict(inst)
+    old = data["levels"][1][0]
+    data["levels"][1][0] = "x0"
+    for entry in data["edges"]:
+        for key in ("tail", "head"):
+            if entry[key] == old:
+                entry[key] = "x0"
+    return instance_from_dict(data)
+
+
+@pytest.mark.parametrize("make, ground, reps, fixed_a, nodes", [
+    (lambda: build_instance(zk_objects(4)), 4, ["1"], "{1,2}", 3),
+    (lambda: build_instance(zk_objects(9)), 9, ["1"], "{1,2,3}", 2427),
+    (lambda: build_instance(subset_objects(6, 2, 1)), 6, ["{1,2}"],
+     "{1,2}", 123),
+    (lambda: build_instance(subset_objects(7, 3, 1)), 7, ["{1,2,3}"],
+     "{1,2,3}", 1681),
+    (lambda: _a_label_names_no_set(build_instance(zk_objects(4))), 0,
+     ["1", "2", "3", "4"], None, 10),
+], ids=["zk4", "zk9", "m6", "m7a3", "label-names-no-set"])
+def test_symmetry_found_on_labels_and_edges(make, ground, reps, fixed_a,
+                                            nodes):
+    # the label automorphisms are checked on the file's edges alone: verify
+    # keeps those that keep x, and the search opens an A-vertex first only
+    # where they are transitive on A.  With a ground set 1..m, both the
+    # full cycle and the transposition (1 2) are kept
+    inst = make()
+    rep = verify_feasibility(inst, canonical_solution(inst))
+    assert [g.cycle for g in rep.automorphisms] \
+        == ([tuple(range(1, ground + 1)), (1, 2)] if ground else [])
+    assert [inst.labels[t] for t in rep.representatives] == reps
+    res = solve_structured(inst)
+    assert (res.fixed_a, res.nodes) == (fixed_a, nodes)
 
 
 def test_brute_size_cap(zk9_instance):

@@ -50,6 +50,20 @@ def test_subset_m4_lp(m4_lp):
     assert m4_lp.optimal_value == Fraction(7, 6)
 
 
+@pytest.mark.parametrize("name, value", [("zk4_instance", 2),
+                                         ("subset_m4_instance",
+                                          Fraction(7, 6))])
+def test_lp_reads_edge_columns_in_any_order(request, name, value):
+    # each terminal's edges are found by a search over each vertex's
+    # in-edges, so the optimum does not depend on the columns' order
+    inst = request.getfixturevalue(name)
+    flipped = inst._replace(**{col: getattr(inst, col)[::-1]
+                               for col in ("tails", "heads", "classes",
+                                           "colors")})
+    res = solve_lp_exact(flipped)
+    assert res.certified and res.optimal_value == value
+
+
 def test_lp_symmetry_under_relabeling(m4_lp):
     obj = subset_objects(4, 2, 0)
     rng = random.Random(11)

@@ -243,6 +243,17 @@ def test_only_containment_counts_calls_comb():
     assert not found
 
 
+def test_no_module_calls_the_indent_encoder():
+    # one encoder: model.json_nested writes json.dumps(indent=1)'s text for
+    # the instance file and every report, so no module, model included,
+    # calls json.dumps with an indent
+    found = [f"{name}:{node.lineno}" for name, node in _package_nodes()
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", None) == "dumps"
+             and any(k.arg == "indent" for k in node.keywords)]
+    assert not found
+
+
 def test_only_the_console_entry_calls_os_exit():
     # main returns its code to an in-process caller; only cli's console
     # entry ends the process, and it names os._exit once
