@@ -119,11 +119,6 @@ def _containment_objects(family: str, params: dict,
     a_sets = colex_subsets(m, a)
     b_sets = colex_subsets(m, a + c)
     c_sets = colex_subsets(m, c)
-    k, d = len(c_sets), counts.d
-    s, rem = divmod(d * len(a_sets), k)
-    if rem:
-        raise RuntimeError(
-            f"{name}: d*|A| = {d * len(a_sets)} is not a multiple of k")
 
     # a subset as the int with bit x set for each element x: colex order is
     # the order of these ints, and a disjoint union is a sum
@@ -153,10 +148,6 @@ def _containment_objects(family: str, params: dict,
         color_labels=tuple(names[x] for (x,) in c_sets) if family == "zk"
         else tuple(map(label, c_sets)),
         edges=tuple(edges),
-        d=d,
-        d_prime=counts.d_prime,
-        s=s,
-        k=k,
         family=family,
         family_params=tuple(sorted(params.items())),
     )

@@ -382,7 +382,7 @@ def path_witness(inst: DstInstance, terminal: int) -> PathWitness:
     One path per matching edge (u, v) of the terminal's color; weight 1/s
     each, so the witness saturates the canonical solution exactly.  Raises
     ValueError if `terminal` is not a terminal or its color does not have
-    exactly s matching edges (a file whose s disagrees with its edges).
+    exactly s matching edges (objects that fail validation).
     """
     obj = inst.provenance
     t_off = inst.level_offset(4)

@@ -216,7 +216,7 @@ def solve_structured(inst: DstInstance,
     best_cost = nb * greedy[0].bit_count() + na * greedy[1].bit_count()
 
     # Each further B-vertex covers at most dp colors.  dp is read off the
-    # edges: the d' a loaded file claims is not trusted in a bound.
+    # instance's edges, not the objects' d': a file may leave edges out.
     dp = max(map(len, kv_sets))
     nodes = examined = 0
     exhausted = True

@@ -111,7 +111,7 @@ def closed_form_lp(inst: DstInstance) -> LpResult | None:
     check and the two-cut packing of equal value; None if the instance has
     no terminal, or the point is infeasible, or the packing fails its check
     or falls short of the point's cost.  Reads the edge columns, the level
-    sizes and the meta's s and d', never the family name."""
+    sizes and s and d' of the objects' edges, never the family name."""
     if not inst.terminals:
         return None
     point = dict.fromkeys(inst.class_costs, Fraction(1))

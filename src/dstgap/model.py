@@ -3,8 +3,8 @@
 `GapObjects` is the abstract structure: a bipartite graph H on A and B with
 every A-vertex of degree d, every B-vertex of degree d', and the edge set
 partitioned into k color classes that are matchings of size s each (one
-color per terminal).  `DstInstance` is the concrete 5-level layered DST
-graph built from it:
+color per terminal), all four read from its edges.  `DstInstance` is the
+concrete 5-level layered DST graph built from it:
 
     level 0: root r
     level 1: A                    (edges r->u, cost |B|/|A|)
@@ -36,7 +36,7 @@ import reprlib
 from collections import Counter
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from operator import add, itemgetter, mul
 from typing import NamedTuple
 
 from .rationals import parse_rational, render_rational
@@ -61,10 +61,6 @@ class _GapFields(NamedTuple):
     b_labels: tuple
     color_labels: tuple
     edges: tuple
-    d: int
-    d_prime: int
-    s: int
-    k: int
     family: str = "generic"
     family_params: tuple = ()
 
@@ -75,7 +71,8 @@ class GapObjects(_GapFields):
     edges are (a_index, b_index, color_index) triples; labels are canonical
     strings (subset labels rendered as sorted element lists).  family /
     family_params record provenance so that the per-vertex J-sets of the
-    known families can be rebuilt later.
+    known families can be rebuilt later.  k is the number of colors, and
+    d, d' and s are read from the edges.
 
     The fields are a NamedTuple, compared by value; this subclass adds the
     derived values, cached per object.  _replace makes a new object whose
@@ -93,6 +90,26 @@ class GapObjects(_GapFields):
     @property
     def num_b(self) -> int:
         return len(self.b_labels)
+
+    @functools.cached_property
+    def _edge_counts(self) -> tuple:
+        """The edges at each A-vertex, at each B-vertex and of each color."""
+        return tuple(
+            list(map(Counter(map(itemgetter(i), self.edges)).__getitem__,
+                     range(n)))
+            for i, n in enumerate((self.num_a, self.num_b, self.k)))
+
+    @functools.cached_property
+    def _most_common(self) -> tuple:
+        """(d, d', s): the most common of each kind of edge count, which
+        for valid objects is the only one; the smaller on a tie, 0 if none."""
+        return tuple(min(tally, key=lambda n: (-tally[n], n), default=0)
+                     for tally in map(Counter, self._edge_counts))
+
+    k = property(lambda self: len(self.color_labels))
+    d = property(lambda self: self._most_common[0])
+    d_prime = property(lambda self: self._most_common[1])
+    s = property(lambda self: self._most_common[2])
 
     @functools.cached_property
     def color_sets_by_b(self) -> tuple:
@@ -158,12 +175,12 @@ def validate_objects(objects: GapObjects) -> None:
     """None if every GapObjects invariant holds; else one ValueError whose
     one-line message names each failing invariant with its witness.
 
-    Int d, d', s and k, in-range edge indices and distinct labels are
-    checked first, and each is reported alone.  Then regularity, the
-    matching partition, the counting identity, |K_v| = d', and for a family
-    that families.containment_params knows, that |A|, |B|, k, d, d' and s
-    are families.containment_counts, computed no further than the largest.
-    The objects are immutable, so the outcome is found once per objects
+    In-range edge indices and distinct labels are checked first, and each
+    is reported alone.  Then no parallel edges, regularity, the matching
+    partition, s >= 1, and for a family that families.containment_params
+    knows, that |A|, |B|, k, d, d' and s are families.containment_counts,
+    computed no further than the largest.  These imply sk = d|A| = d'|B|,
+    |K_v| = d', s <= |A| and d <= k.  The outcome is found once per objects
     value: the loader validates before it renders, and build_instance again.
     """
     failure = objects._failure
@@ -171,22 +188,23 @@ def validate_objects(objects: GapObjects) -> None:
         raise ValueError(failure)
 
 
+def _cut_digits(message: str) -> str:
+    """The message with each run of more than 30 digits cut to its ends and
+    its length: a count a file claims can have thousands of digits."""
+    return re.sub(r"\d{31,}", lambda run: f"{run[0][:5]}...{run[0][-5:]}"
+                  f" ({len(run[0])} digits)", message)
+
+
 def _validation_failure(objects: GapObjects):
     """validate_objects' message for the objects; None if they are valid."""
     from . import families  # families imports this module
 
-    na, nb, nc = objects.num_a, objects.num_b, len(objects.color_labels)
-    d, dp, s, k = objects.d, objects.d_prime, objects.s, objects.k
-    if not all(type(x) is int for x in (d, dp, s, k)):
-        return "d, d_prime, s and k must be integers"
-    for a, b, c in objects.edges:
-        if not (0 <= a < na and 0 <= b < nb and 0 <= c < nc):
+    na, nb, k, edges = objects.num_a, objects.num_b, objects.k, objects.edges
+    for a, b, c in edges:
+        if not (0 <= a < na and 0 <= b < nb and 0 <= c < k):
             return f"edge ({a},{b},{c}) has an out-of-range index"
-    for name, labels in (
-        ("A", objects.a_labels),
-        ("B", objects.b_labels),
-        ("color", objects.color_labels),
-    ):
+    for name, labels in (("A", objects.a_labels), ("B", objects.b_labels),
+                         ("color", objects.color_labels)):
         if len(set(labels)) != len(labels):
             return f"duplicate {name} labels"
     failures = []
@@ -195,20 +213,20 @@ def _validation_failure(objects: GapObjects):
         if not passed:
             failures.append(f"{name} ({detail})")
 
-    check("color-count", k == nc, f"k={k} but {nc} color labels")
+    def repeated(i, n, j):
+        """(e[i], e[j]) shared by two or more edges e, by int e[i]*n + e[j]."""
+        counts = Counter(map(add, map(mul, map(itemgetter(i), edges),
+                                      itertools.repeat(n)),
+                             map(itemgetter(j), edges)))
+        return [] if len(counts) == len(edges) else sorted(
+            divmod(x, n) for x, m in counts.items() if m > 1)
 
-    seen = set()
-    dupes = [(a, b) for a, b, _ in objects.edges
-             if (a, b) in seen or seen.add((a, b))]
+    dupes = repeated(0, nb, 1)
     check("no-parallel-edges", not dupes,
-          f"duplicate (A,B) pairs: {sorted(set(dupes))[:5]}")
+          f"duplicate (A,B) pairs: {dupes[:5]}")
 
-    deg_a, deg_b = [0] * na, [0] * nb
-    by_color = [[] for _ in objects.color_labels]
-    for a, b, c in objects.edges:
-        deg_a[a] += 1
-        deg_b[b] += 1
-        by_color[c].append((a, b))
+    d, dp, s = objects.d, objects.d_prime, objects.s
+    deg_a, deg_b, sizes = objects._edge_counts
     bad_a = [objects.a_labels[i] for i, x in enumerate(deg_a) if x != d]
     check("a-regular", not bad_a,
           f"A-vertices with degree != d={d}: {bad_a[:5]}")
@@ -216,25 +234,15 @@ def _validation_failure(objects: GapObjects):
     check("b-regular", not bad_b,
           f"B-vertices with degree != d'={dp}: {bad_b[:5]}")
 
-    bad_matchings = [objects.color_labels[c] for c, es in enumerate(by_color)
-                     if len(es) != s or len({a for a, _ in es}) != s
-                     or len({b for _, b in es}) != s]
-    check("color-classes-are-matchings-of-size-s", not bad_matchings,
-          f"colors failing: {bad_matchings[:5]}")
-
-    check("counting-identity",
-          s * k == d * na == dp * nb == len(objects.edges),
-          f"sk={s * k}, d|A|={d * na}, d'|B|={dp * nb}, "
-          f"|E|={len(objects.edges)}")
-
-    bad_kv = [objects.b_labels[i]
-              for i, kv in enumerate(objects.color_sets_by_b) if len(kv) != dp]
-    check("kv-size", not bad_kv,
-          f"B-vertices with |K_v| != d'={dp}: {bad_kv[:5]}")
-
+    # a matching of size s: s edges, none two at a vertex (so |K_v| = deg v)
+    bad_colors = {c for c, x in enumerate(sizes) if x != s}
+    bad_colors.update(c for c, _ in repeated(2, na, 0))
+    if sum(map(len, objects.color_sets_by_b)) != len(edges):
+        bad_colors.update(c for c, _ in repeated(2, nb, 1))
+    check("color-classes-are-matchings-of-size-s", not bad_colors,
+          f"colors failing: "
+          f"{[objects.color_labels[c] for c in sorted(bad_colors)][:5]}")
     check("s-positive", s >= 1, f"s={s}: a terminal needs an in-edge")
-    check("s-at-most-A", s <= na, f"s={s} > |A|={na}")
-    check("k-at-least-d", k >= d, f"k={k} < d={d}")
 
     family, params = objects.family, objects.params
     try:
@@ -244,18 +252,16 @@ def _validation_failure(objects: GapObjects):
     else:
         if shape is not None:
             m, a, c, _ = shape
-            claimed = (na, nb, k, d, dp, s)
-            counts = families.containment_counts(*shape, cap=max(claimed))
-            check("family-params", counts[:6] == claimed,
+            found = (na, nb, k, d, dp, s)
+            counts = families.containment_counts(*shape, cap=max(found))
+            check("family-params", counts[:6] == found,
                   f"{family} params {params} give |A|=C({m},{a}), "
                   f"|B|=C({m},{a + c}), k=C({m},{c}), d=C({m - a},{c}), "
                   f"d'=C({a + c},{a}), s=C({m - c},{a}), not |A|={na}, "
                   f"|B|={nb}, k={k}, d={d}, d'={dp}, s={s}")
 
-    if failures:  # a claimed count can have thousands of digits: cut it
-        return re.sub(r"\d{31,}", lambda run: f"{run[0][:5]}...{run[0][-5:]}"
-                      f" ({len(run[0])} digits)",
-                      "objects fail validation: " + "; ".join(failures))
+    if failures:  # params can have thousands of digits
+        return _cut_digits("objects fail validation: " + "; ".join(failures))
     return None
 
 
@@ -365,15 +371,13 @@ def edge_class_counts(inst: DstInstance) -> dict:
 # ---------------------------------------------------------------------------
 # serialization
 
+# the counts a file's meta claims, each read from the objects' edges
+_CLAIMS = ("d", "d_prime", "s", "k")
+
+
 def _meta(objects: GapObjects) -> dict:
-    return {
-        "family": objects.family,
-        "params": objects.params,
-        "d": objects.d,
-        "d_prime": objects.d_prime,
-        "s": objects.s,
-        "k": objects.k,
-    }
+    return {"family": objects.family, "params": objects.params,
+            **{key: getattr(objects, key) for key in _CLAIMS}}
 
 
 def _levels(labels, level_sizes: tuple) -> list:
@@ -540,8 +544,9 @@ def instance_from_dict(data: dict) -> DstInstance:
     So a corrupted file, e.g. with a level-3 edge deleted, loads into an
     instance whose feasibility check then fails with a named terminal.  A
     file that contradicts itself raises ValueError: its objects must pass
-    validate_objects, and every edge must be a built edge, listed once,
-    costing its class cost.
+    validate_objects, its meta's d, d_prime, s and k must be the ints that
+    the objects' edges give, and every edge must be a built edge, listed
+    once, costing its class cost.
     """
     _json_node(data, dict, "the file")
     meta = _json_node(_member(data, "meta", "the file"), dict, "meta")
@@ -592,13 +597,16 @@ def instance_from_dict(data: dict) -> DstInstance:
         b_labels=tuple(levels[2]),
         color_labels=tuple(levels[4]),
         edges=tuple(sorted(h_edges)),
-        d=_member(meta, "d", "meta"),
-        d_prime=_member(meta, "d_prime", "meta"),
-        s=_member(meta, "s", "meta"),
-        k=_member(meta, "k", "meta"),
         family=family,
         family_params=tuple(sorted(params.items())),
     )
+    validate_objects(objects)
+    for key in _CLAIMS:
+        claim, value = _member(meta, key, "meta"), getattr(objects, key)
+        if type(claim) is not int or claim != value:
+            shown = str(claim) if type(claim) is int else reprlib.repr(claim)
+            raise ValueError(_cut_digits(f"meta.{key} is {shown}, but the "
+                                         f"edges give {key}={value}"))
     inst = build_instance(objects)
 
     label = inst.labels.__getitem__

@@ -41,10 +41,6 @@ def toy_objects():
         b_labels=("v",),
         color_labels=("t",),
         edges=((0, 0, 0),),
-        d=1,
-        d_prime=1,
-        s=1,
-        k=1,
     )
 
 
@@ -73,7 +69,7 @@ def two_copies(obj, shift):
         a_labels=obj.a_labels + moved(obj.a_labels),
         b_labels=obj.b_labels + moved(obj.b_labels),
         edges=obj.edges + tuple((a + na, b + nb, c) for a, b, c in obj.edges),
-        s=2 * obj.s, family="generic", family_params=())
+        family="generic", family_params=())
 
 
 def exp_bounds_reference(x):

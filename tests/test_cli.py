@@ -249,7 +249,7 @@ def test_bounds_imports_no_hashlib():
 
 def test_verify_wrong_s_is_invalid_witness(tmp_path, zk4_instance):
     # meta.s = 2 against 3 matching edges per color: the loader rejects the
-    # file (exit 3, one error line), the same with or without python -O
+    # claim (exit 3, one error line), the same with or without python -O
     data = model.instance_to_dict(zk4_instance)
     data["meta"]["s"] = 2
     path = tmp_path / "s2.json"
@@ -259,7 +259,8 @@ def test_verify_wrong_s_is_invalid_witness(tmp_path, zk4_instance):
         (proc,) = _run_cli(flags, ["verify", str(path)])
         assert proc.returncode == EXIT_BAD_INPUT, flags
         assert "Traceback" not in proc.stderr, flags
-        assert "color-classes-are-matchings-of-size-s" in proc.stderr, flags
+        assert proc.stderr == (f"error: cannot load instance {path}: "
+                               "meta.s is 2, but the edges give s=3\n"), flags
         stdouts.append(proc.stdout)
     assert stdouts[0] == stdouts[1]
 
@@ -327,6 +328,7 @@ ZK4_TAMPERED = {
     "e1-cost-5": (_set_e1_costs("5/1"), EXIT_BAD_INPUT),  # would give OPT < LP
     "cost-negative": (_set_first_cost("-2/3"), EXIT_BAD_INPUT),
     "cost-zero-den": (_set_first_cost("1/0"), EXIT_BAD_INPUT),
+    # meta claims that are not the ints the edges give
     "s-2": (_set_meta("s", 2), EXIT_BAD_INPUT),
     "s-0": (_set_meta("s", 0), EXIT_BAD_INPUT),
     "k-5": (_set_meta("k", 5), EXIT_BAD_INPUT),
@@ -334,7 +336,6 @@ ZK4_TAMPERED = {
     "repeated-e1-edge": (_repeat_first_edge, EXIT_BAD_INPUT),
     # no a, m, thresh
     "family-subset": (_set_meta("family", "subset"), EXIT_BAD_INPUT),
-    # passes the counting identity
     "s-float": (_set_meta("s", 3.0), EXIT_BAD_INPUT),
     "params-k-9": (_set_param("k", 9), EXIT_BAD_INPUT),
     "params-k-float": (_set_param("k", 4.0), EXIT_BAD_INPUT),
@@ -363,6 +364,13 @@ ZK4_MALFORMED = {
                   "meta is ['zk'], not an object"),
     "no-meta-d": (lambda data: data["meta"].__delitem__("d"),
                   "meta has no 'd'"),
+    "no-meta-k": (lambda data: data["meta"].__delitem__("k"),
+                  "meta has no 'k'"),
+    "meta-d-3": (_set_meta("d", 3), "meta.d is 3, but the edges give d=2"),
+    "meta-d-prime-4": (_set_meta("d_prime", 4),
+                       "meta.d_prime is 4, but the edges give d_prime=3"),
+    "meta-s-str": (_set_meta("s", "3"),
+                   "meta.s is '3', but the edges give s=3"),
     "level-2-number": (lambda data: data["levels"].__setitem__(2, 5),
                        "levels[2] is 5, not a list"),
     "level-1-list-label": (
@@ -406,6 +414,13 @@ M6_TAMPERED = {
     "thresh-0": (_set_param("thresh", 0), EXIT_OK),
 }
 
+# subset m=2 a=1 has d = s = 1, which true equals but is not
+M2A1_TAMPERED = {
+    "d-true": (_set_meta("d", True), EXIT_BAD_INPUT),
+    "s-true": (_set_meta("s", True), EXIT_BAD_INPUT),
+    "unchanged": (lambda data: None, EXIT_OK),
+}
+
 
 def _in_gen_layout(edit):
     """The edit, then the tree's text as gen lays it out, so that the
@@ -440,11 +455,13 @@ def tampered_runs(tmp_path_factory, zk4_instance, subset_m6_instance):
     tmp = tmp_path_factory.mktemp("tampered")
     instances = {"zk4": zk4_instance, "m6": subset_m6_instance,
                  "m4a1": model.build_instance(families.subset_objects(4, 1)),
+                 "m2a1": model.build_instance(families.subset_objects(2, 1)),
                  "zk4-twice": model.build_instance(
                      two_copies(families.zk_objects(4), 4))}
     cases = [(name, case, mutate)
              for name, table in (("zk4", ZK4_TAMPERED), ("zk4", ZK4_MALFORMED),
-                                 ("m6", M6_TAMPERED))
+                                 ("m6", M6_TAMPERED),
+                                 ("m2a1", M2A1_TAMPERED))
              for case, (mutate, _) in table.items()]
     cases += [(name, case, mutate)
               for case, (name, mutate) in FAMILY_PARAMS_MISFITS.items()]
@@ -473,6 +490,11 @@ def test_tampered_zk4_files(tampered_runs, case):
 @pytest.mark.parametrize("case", list(M6_TAMPERED))
 def test_tampered_m6_files(tampered_runs, case):
     _check_tampered(tampered_runs["m6", case], M6_TAMPERED[case][1])
+
+
+@pytest.mark.parametrize("case", list(M2A1_TAMPERED))
+def test_tampered_m2a1_files(tampered_runs, case):
+    _check_tampered(tampered_runs["m2a1", case], M2A1_TAMPERED[case][1])
 
 
 @pytest.mark.parametrize("case", list(ZK4_MALFORMED))

@@ -455,11 +455,15 @@ def test_witness_rejects_non_terminal(zk4_instance):
 
 
 def test_witness_rejects_wrong_s(zk4_instance):
-    # the loader refuses such a file; the witness checks s on its own
-    lying = zk4_instance._replace(
-        provenance=zk4_instance.provenance._replace(s=2))
-    with pytest.raises(ValueError, match="3 matching edges, but s = 2"):
-        path_witness(lying, lying.terminals[0])
+    # objects less one edge: its color has 2 matching edges, and s is 3,
+    # the size of the other classes.  The loader refuses such objects; the
+    # witness checks s on its own
+    objects = zk4_instance.provenance
+    color = objects.edges[0][2]
+    fewer = zk4_instance._replace(
+        provenance=objects._replace(edges=objects.edges[1:]))
+    with pytest.raises(ValueError, match="2 matching edges, but s = 3"):
+        path_witness(fewer, fewer.terminals[color])
 
 
 def test_check_witness_rejects_tampering(zk4_instance):

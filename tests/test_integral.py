@@ -139,10 +139,14 @@ def test_structured_subset_m7a3():
 
 
 def test_structured_ignores_claimed_d_prime(zk9_instance):
-    # the bound divides by max |K_v| from the edges, not by meta.d_prime;
-    # trusting a claimed d' = 1 would prune the whole tree at the root
+    # the bound divides by max |K_v| from the instance's edges, not by the
+    # objects' d': objects that keep one edge per B-vertex have d' = 1, and
+    # trusting it would prune the whole tree at the root
     obj = zk9_instance.provenance
-    lying = zk9_instance._replace(provenance=obj._replace(d_prime=1))
+    first = {b: (a, b, c) for a, b, c in reversed(obj.edges)}
+    lying = zk9_instance._replace(
+        provenance=obj._replace(edges=tuple(sorted(first.values()))))
+    assert (lying.provenance.d_prime, obj.d_prime) == (1, 4)
     res = solve_structured(lying)
     assert res.optimal and res.value == 6
     assert res.nodes == 2_427

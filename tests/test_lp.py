@@ -146,10 +146,16 @@ def test_closed_form_lp_is_none_less_one_edge(zk4_instance, klass, value):
 
 
 def test_closed_form_lp_is_none_past_the_optimum(zk4_instance):
-    # with s = 2 in place of 3, x = 1/2 on E3 edges is feasible, but it
-    # costs 8/3 and the packing proves only the optimum, 2
+    # objects less the edges at B-vertex 0 and one edge of the fourth
+    # color have two edges per color, so s = 2 in place of 3, and d' = 3
+    # still: x = 1/2 on the E3 edges of zk4 is feasible, but it costs 8/3
+    # and the packing proves only the optimum, 2
     objects = zk4_instance.provenance
-    inst = zk4_instance._replace(provenance=objects._replace(s=2))
+    fewer = [e for e in objects.edges if e[1] != 0]
+    fewer.remove(next(e for e in fewer if e[2] == 3))
+    inst = zk4_instance._replace(
+        provenance=objects._replace(edges=tuple(fewer)))
+    assert (inst.provenance.s, inst.provenance.d_prime) == (2, 3)
     into = lp._in_edges(inst)
     assert lp._packing_value(inst, lp._two_cut_packing(inst, into), into) == 2
     assert closed_form_lp(inst) is None

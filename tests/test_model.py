@@ -35,7 +35,7 @@ from dstgap.model import (
 )
 from dstgap.rationals import parse_rational, render_rational
 
-from _util import permuted_subset_objects, set_label
+from _util import permuted_subset_objects, set_label, toy_instance, two_copies
 
 
 # ---------------------------------------------------------------------------
@@ -71,19 +71,70 @@ def test_validate_recolored_edge_fails(zk4_objects):
             f"{colors})") in str(info.value)
 
 
-def test_validate_reports_all_failures(zk4_objects):
-    # drop an edge: breaks regularity on both sides plus the counting
-    # identity, all named in one line with their witnesses
-    a, b, _ = zk4_objects.edges[0]
+def test_validate_color_twice_at_a_b_vertex(zk4_objects):
+    # two edges at different B-vertices swap colors: every degree and class
+    # size stays, but each color is then twice at one B-vertex, and only
+    # the matchings check fails
+    obj = zk4_objects
+    at_a = [{c for a, _, c in obj.edges if a == u} for u in range(obj.num_a)]
+    kv = obj.color_sets_by_b
+    i, j = next((i, j) for i, (a1, b1, c1) in enumerate(obj.edges)
+                for j, (a2, b2, c2) in enumerate(obj.edges)
+                if b1 != b2 and c2 in kv[b1] and c1 in kv[b2]
+                and c2 not in at_a[a1] and c1 not in at_a[a2])
+    edges = list(obj.edges)
+    (a1, b1, c1), (a2, b2, c2) = edges[i], edges[j]
+    edges[i], edges[j] = (a1, b1, c2), (a2, b2, c1)
     with pytest.raises(ValueError) as info:
-        validate_objects(zk4_objects._replace(edges=zk4_objects.edges[1:]))
+        validate_objects(obj._replace(edges=tuple(edges)))
+    colors = sorted(obj.color_labels[c] for c in (c1, c2))
+    assert str(info.value) == ("objects fail validation: color-classes-are-"
+                               f"matchings-of-size-s (colors failing: "
+                               f"{colors})")
+
+
+def test_validate_reports_all_failures(zk4_objects):
+    # drop an edge: breaks regularity on both sides and the edge's color
+    # class, all named in one line with their witnesses; d, d' and s are
+    # the most common degrees and class size, so each names only the one
+    # vertex or color that differs
+    a, b, c = zk4_objects.edges[0]
+    fewer = zk4_objects._replace(edges=zk4_objects.edges[1:])
+    with pytest.raises(ValueError) as info:
+        validate_objects(fewer)
     message = str(info.value)
     assert "\n" not in message
     assert (f"a-regular (A-vertices with degree != d=2: "
             f"{[zk4_objects.a_labels[a]]})") in message
     assert (f"b-regular (B-vertices with degree != d'=3: "
             f"{[zk4_objects.b_labels[b]]})") in message
-    assert "counting-identity (sk=12, d|A|=12, d'|B|=12, |E|=11)" in message
+    assert (f"color-classes-are-matchings-of-size-s (colors failing: "
+            f"{[zk4_objects.color_labels[c]]})") in message
+    assert (fewer.d, fewer.d_prime, fewer.s, fewer.k) == (2, 3, 3, 4)
+
+
+def test_objects_are_their_edges(zk4_objects):
+    # d, d', s and k are read from the edges, not stored beside them
+    assert GapObjects._fields == ("a_labels", "b_labels", "color_labels",
+                                  "edges", "family", "family_params")
+    # invalid objects: the A-degrees, the B-degrees and the class sizes
+    # are each one 1 and one 2, and each tie goes to the smaller
+    uneven = GapObjects(a_labels=("u", "w"), b_labels=("v", "x"),
+                        color_labels=("t", "z"),
+                        edges=((0, 0, 0), (1, 0, 1), (1, 1, 0)))
+    assert (uneven.d, uneven.d_prime, uneven.s, uneven.k) == (1, 1, 1, 2)
+
+
+def test_objects_with_no_color_fail_s_positive():
+    # s, the size of every color class, is 0 when there is no color, and
+    # no terminal means no instance to solve
+    for b_labels in ((), ("v",)):
+        objects = GapObjects(a_labels=("u",), b_labels=b_labels,
+                             color_labels=(), edges=())
+        with pytest.raises(ValueError) as info:
+            validate_objects(objects)
+        assert str(info.value) == ("objects fail validation: s-positive "
+                                   "(s=0: a terminal needs an in-edge)")
 
 
 def test_validate_rejects_bad_indices(zk4_objects):
@@ -93,24 +144,29 @@ def test_validate_rejects_bad_indices(zk4_objects):
 
 
 def test_validate_huge_claimed_family_is_quick():
-    # k = C(16000, 4000) has 3,906 digits, and d and d' match it; every
-    # count is computed no further than k, and neither J-set sum is made
-    bad = GapObjects(
-        a_labels=("u",), b_labels=("v",), color_labels=("t",),
-        edges=((0, 0, 0),), d=comb(12000, 4000), d_prime=comb(8000, 4000),
-        s=1, k=comb(16000, 4000), family="subset",
-        family_params=(("a", 4000), ("m", 16000), ("thresh", 0)))
+    # the toy's file claiming subset m = 16000, a = 4000 in its meta, with
+    # d, d' and k = C(16000, 4000), 3,906 digits, to match: every count is
+    # computed no further than the objects' largest, and neither J-set sum
+    # is made
+    data = instance_to_dict(toy_instance())
+    huge = {"d": comb(12000, 4000), "d_prime": comb(8000, 4000),
+            "k": comb(16000, 4000)}
+    data["meta"].update(huge, family="subset",
+                        params={"m": 16000, "a": 4000, "thresh": 0})
     start = time.perf_counter()
     with pytest.raises(ValueError) as info:
-        validate_objects(bad)
+        instance_from_dict(data)
     assert time.perf_counter() - start < 1.0
-    # each claimed int is cut to its ends and its length in the one line
-    message = str(info.value)
-    assert len(message) < 1000
-    for name in ("color-count", "a-regular", "b-regular",
-                 "counting-identity", "kv-size", "family-params"):
-        assert f"{name} (" in message, name
-    assert f"k={str(bad.k)[:5]}...{str(bad.k)[-5:]} (3906 digits)" in message
+    assert str(info.value).startswith("objects fail validation: "
+                                      "family-params (subset params ")
+    # valid objects: the first claim is checked against them, and the
+    # claimed int is cut to its ends and its length in the one line
+    data["meta"].update(family="generic", params={})
+    with pytest.raises(ValueError) as info:
+        instance_from_dict(data)
+    d = str(huge["d"])
+    assert str(info.value) == (f"meta.d is {d[:5]}...{d[-5:]} ({len(d)} "
+                               "digits), but the edges give d=1")
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +226,15 @@ def test_build_invariants_raise_under_optimize():
         if __debug__:
             sys.exit("not running under -O")
         real = families.colex_subsets
-        # one extra A-set breaks the counting identity d*|A| = s*k
+        # one A-set fewer leaves its B-sets short of d' edges
         families.colex_subsets = lambda m, size: (
-            real(m, size) + [frozenset()] if size == 2 else real(m, size))
+            real(m, size)[1:] if size == 2 else real(m, size))
         try:
-            families.zk_objects(4)
-        except RuntimeError as exc:
+            model.build_instance(families.zk_objects(4))
+        except ValueError as exc:
             print(exc)
         else:
-            sys.exit("zk_objects: no error raised")
+            sys.exit("build_instance: no error raised")
         families.colex_subsets = real
         model.edge_class_counts = lambda inst: {}
         try:
@@ -194,7 +250,7 @@ def test_build_invariants_raise_under_optimize():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     first, second = proc.stdout.splitlines()
-    assert "is not a multiple of k" in first
+    assert first.startswith("objects fail validation: b-regular (")
     assert "built instance has edge classes {}" in second
 
 
@@ -351,8 +407,7 @@ def test_loader_rejects_labels_that_merge_two_edges():
     # A-vertex "v'" and terminal "v" make the E2 edge v' -> v and the E4
     # edge pi(v) -> v the same (tail, head) label pair
     objects = GapObjects(a_labels=("v'",), b_labels=("v",),
-                         color_labels=("v",), edges=((0, 0, 0),),
-                         d=1, d_prime=1, s=1, k=1)
+                         color_labels=("v",), edges=((0, 0, 0),))
     data = json.loads(instance_to_json(build_instance(objects)))
     with pytest.raises(ValueError, match="same \\(tail, head\\) labels"):
         instance_from_dict(data)
@@ -371,13 +426,18 @@ def test_replace_recomputes_cached_values(zk4_objects, zk4_instance,
     kv, inst = zk4_objects.color_sets_by_b, zk4_instance
     codes, costs = inst.edge_index, inst.class_costs
     a, b, c = zk4_objects.edges[0]
+    assert (zk4_objects.d, zk4_objects.d_prime, zk4_objects.s) == (2, 3, 3)
+    assert validate_objects(zk4_objects) is None
     fewer = zk4_objects._replace(edges=zk4_objects.edges[1:])
     assert fewer.color_sets_by_b == kv[:b] + (kv[b] - {c},) + kv[b + 1:]
     with pytest.raises(ValueError) as info:
         validate_objects(fewer)
-    assert (f"kv-size (B-vertices with |K_v| != d'=3: "
+    assert (f"b-regular (B-vertices with degree != d'=3: "
             f"{[zk4_objects.b_labels[b]]})") in str(info.value)
-    assert "b-regular" in str(info.value)
+    # two copies sharing the colors: the classes double, and so does s
+    twice = two_copies(zk4_objects, 4)
+    assert (twice.d, twice.d_prime, twice.s, twice.k) == (2, 3, 6, 4)
+    assert validate_objects(twice) is None
 
     dropped = inst._replace(**{col: getattr(inst, col)[1:] for col in
                                ("tails", "heads", "classes", "colors")})
@@ -556,7 +616,7 @@ def test_small_file_claiming_a_large_family_builds_nothing(monkeypatch):
         raise SizeCapError("refused")
 
     monkeypatch.setattr(families, "zk_objects", spy)
-    with pytest.raises(ValueError, match="color-count"):
+    with pytest.raises(ValueError, match="family-params"):
         instance_from_json(text.encode())
     # every edge of the objects is an entry of 50 or more characters
     assert len(caps) == 1 and 0 < caps[0] <= len(text) // 50
