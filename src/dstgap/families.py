@@ -24,11 +24,10 @@ order) so generated objects are reproducible byte for byte.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from itertools import combinations
 from typing import NamedTuple
 
-from .model import GapObjects, SizeCapError, label_set
+from .model import GapObjects, SizeCapError
 
 DEFAULT_EDGE_CAP = 10**7
 
@@ -217,6 +216,8 @@ def default_j_sets(objects: GapObjects, thresh: int | None = None) -> tuple:
     J_u = {C : |C intersect u| > thresh}, where 0 <= thresh < |C| = c and
     thresh defaults to the family's, as containment_params reads them.  A
     zk color is one element, so J_u is u itself, read as a set of colors.
+    Colors and A-sets are the int masks of model.label_masks, so
+    |C intersect u| is a popcount.
     """
     shape = containment_params(objects.family, objects.params)
     if shape is None:
@@ -227,17 +228,8 @@ def default_j_sets(objects: GapObjects, thresh: int | None = None) -> tuple:
     if not 0 <= thresh < size:
         raise ValueError(
             f"need 0 <= thresh < {size} (the color size), got {thresh}")
-    # only a color that shares an element with u can meet it in more than
-    # thresh >= 0 elements, so each u visits the colors of its elements
-    by_element = defaultdict(list)
-    for ci, lbl in enumerate(objects.color_labels):
-        for x in label_set(lbl):
-            by_element[x].append(ci)
-    j = []
-    for u in map(label_set, objects.a_labels):
-        meets = {}  # color index -> |C intersect u|, for the colors met
-        for x in u:
-            for ci in by_element[x]:
-                meets[ci] = meets.get(ci, 0) + 1
-        j.append(frozenset([ci for ci, n in meets.items() if n > thresh]))
-    return tuple(j)
+    colors, a_sets = objects.color_and_a_masks
+    return tuple(
+        frozenset([ci for ci, color in enumerate(colors)
+                   if (color & u).bit_count() > thresh])
+        for u in a_sets)

@@ -19,12 +19,12 @@ finding its edges walks only the sink side.  A terminal's record keeps the
 cut edges and the sink side, which the canonical solution makes {t}.
 
 A max-flow runs once per terminal orbit.  Every label names a subset of a
-ground set (model.label_set reads a bare integer x, a zk color, as {x}), so
-a permutation of the ground set proposes a vertex map, level by level.  Two
-are tried: the full cycle of the ground set and the transposition of its two
-smallest elements.  A permutation is kept only when it is checked exactly
-on the instance's edges: every edge maps to an edge.  Where its edge map
-also keeps x, it is an automorphism of the network, and carries a
+ground set (model.label_masks reads a bare integer x, a zk color, as {x}),
+so a permutation of the ground set proposes a vertex map, level by level.
+Two are tried: the full cycle of the ground set and the transposition of
+its two smallest elements.  A permutation is kept only when it is checked
+exactly on the instance's edges: every edge maps to an edge.  Where its
+edge map also keeps x, it is an automorphism of the network, and carries a
 terminal's largest min-cut source side onto that of the terminal's image,
 so a terminal's cut is its orbit representative's, mapped; so is a path
 witness.  Nothing is read from the family name; with no permutation kept,
@@ -37,7 +37,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .model import DstInstance, label_set
+from .model import DstInstance, label_masks
 
 
 class _SolutionFields(NamedTuple):
@@ -240,41 +240,52 @@ def label_automorphisms(inst: DstInstance) -> tuple:
     """The full cycle of the labels' ground set and the transposition of its
     two smallest elements, each kept if it passes every check.
 
-    The labels of levels 1, 2 and 4 are read once; level 3 is level 2
-    primed, so it follows level 2.  A label that label_set cannot read, or
-    two labels of one level that name the same set, keep none.
+    The labels of levels 1, 2 and 4 are read once, by label_masks, into
+    int masks over the sorted ground set, so the cycle moves a mask by a
+    bit rotation and the transposition swaps its bits 0 and 1.  Level 3 is
+    level 2 primed, so it follows level 2.  A label that label_masks
+    cannot read, or two labels of one level that name the same set, keep
+    none.
     """
-    levels = []  # (vertex ids, label keys, key -> vertex id) per level
-    for lvl in (1, 2, 4):
+    p = inst.provenance
+    try:
+        ground, masks = label_masks(p.a_labels, p.b_labels, p.color_labels)
+    except ValueError:
+        return ()
+    levels = []  # (vertex ids, label masks, mask -> vertex id) per level
+    for lvl, keys in zip((1, 2, 4), masks):
         ids = inst.level_ids(lvl)
-        try:
-            keys = [label_set(inst.labels[v]) for v in ids]
-        except ValueError:
-            return ()
         index = dict(zip(keys, ids))
         if len(index) != len(keys):
             return ()
         levels.append((ids, keys, index))
-    ground = sorted(set().union(*(key for _, keys, _ in levels
-                                  for key in keys)))
     if len(ground) < 2:
         return ()
+    full, top = (1 << len(ground)) - 1, len(ground) - 1
+
+    def rotate(mask):  # bit i to bit i + 1, the top bit to bit 0
+        return (mask << 1 & full) | mask >> top
+
+    def swap(mask):  # bits 0 and 1 exchanged
+        return mask ^ 3 if (mask ^ mask >> 1) & 1 else mask
+
+    moves = [(tuple(ground), rotate)]
+    if len(ground) > 2:  # with two elements the cycle is the transposition
+        moves.append((tuple(ground[:2]), swap))
     found = []
-    for cycle in dict.fromkeys((tuple(ground), tuple(ground[:2]))):
-        sigma = dict(zip(ground, ground))
-        sigma.update(zip(cycle, cycle[1:] + cycle[:1]))
-        g = _check_automorphism(inst, cycle, sigma.__getitem__, levels)
+    for cycle, move in moves:
+        g = _check_automorphism(inst, cycle, move, levels)
         if g is not None:
             found.append(g)
     return tuple(found)
 
 
 def _check_automorphism(inst, cycle, move, levels):
-    """The Automorphism the ground-set map `move` induces, or None if an
+    """The Automorphism that the mask map `move` induces, or None if an
     image label or an edge's image is missing."""
     vmap = [0] * inst.n  # the root is fixed
     for ids, keys, index in levels:
-        images = [index.get(frozenset(map(move, key))) for key in keys]
+        images = list(map(index.get, map(move, keys)))
         if None in images:
             return None
         vmap[ids.start:ids.stop] = images
@@ -326,9 +337,12 @@ def verify_feasibility(inst: DstInstance, sol: FractionalSolution,
     """
     caps = sol.caps
     if terminals is None:
-        automorphisms = tuple(
-            g for g in label_automorphisms(inst)
-            if tuple(map(caps.__getitem__, g.edge_map)) == caps)
+        automorphisms = label_automorphisms(inst)
+        # any edge map keeps x when every capacity is the same
+        if caps and caps.count(caps[0]) != len(caps):
+            automorphisms = tuple(
+                g for g in automorphisms
+                if tuple(map(caps.__getitem__, g.edge_map)) == caps)
         terminals = inst.terminals
     else:
         automorphisms = ()
@@ -385,12 +399,11 @@ def path_witness(inst: DstInstance, terminal: int) -> PathWitness:
     exactly s matching edges (objects that fail validation).
     """
     obj = inst.provenance
-    t_off = inst.level_offset(4)
+    a_off, b_off, t_off = map(inst.level_offset, (1, 2, 4))
     color = terminal - t_off
     if not 0 <= color < obj.k:
         raise ValueError(f"vertex {terminal} is not a terminal")
-    eidx, n = inst.edge_index, inst.n
-    a_off, b_off = 1, 1 + obj.num_a
+    r, n, eidx = inst.root, inst.n, inst.edge_index
 
     paths = []
     for a, b, c in obj.edges:
@@ -399,7 +412,7 @@ def path_witness(inst: DstInstance, terminal: int) -> PathWitness:
         u, v = a_off + a, b_off + b
         vp = inst.pi(v)
         paths.append((
-            eidx[inst.root * n + u],
+            eidx[r * n + u],
             eidx[u * n + v],
             eidx[v * n + vp],
             eidx[vp * n + terminal],
@@ -416,7 +429,11 @@ def check_path_witness(inst: DstInstance, witness: PathWitness,
     """Witness invariants: simple edge-disjoint r->t paths, unit total
     weight, and each path's weight within x on each of its edges (the paths
     share no edge, so that weight is the edge's whole load)."""
-    if sum(witness.weights, Fraction(0)) != 1:
+    # the weights sum to 1 exactly when their numerators over one common
+    # denominator sum to it
+    den = math.lcm(*(w.denominator for w in witness.weights))
+    if sum(w.numerator * (den // w.denominator)
+           for w in witness.weights) != den:
         return False
     caps, scale = sol.caps, sol.scale
     used_edges = set()

@@ -56,11 +56,15 @@ def certify_gap(objects: GapObjects, j: tuple) -> GapCertificate:
         raise ValueError("J-set family must assign a set to every A-vertex")
 
     d, dp = objects.d, objects.d_prime
-    kv = objects.color_sets_by_b
+    # K_v and the complement of J_u as int masks of color indices, so
+    # |K_v \ J_u| is a popcount
+    kv = [sum(map((1).__lshift__, colors))
+          for colors in objects.color_sets_by_b]
+    outside = [~sum(map((1).__lshift__, js)) for js in j]
 
     residual_max = [0] * objects.num_a
     for a, b, _ in objects.edges:
-        r = len(kv[b] - j[a])
+        r = (kv[b] & outside[a]).bit_count()
         if r > residual_max[a]:
             residual_max[a] = r
     j_max = max(map(len, j), default=0)
@@ -75,7 +79,8 @@ def certify_gap(objects: GapObjects, j: tuple) -> GapCertificate:
     # num/den meets every constraint, and one of them with equality, so no
     # larger alpha does
     num, den = alpha.numerator, alpha.denominator
-    residuals = {len(kv[b] - j[a]) for a, b, _ in objects.edges} - {0}
+    residuals = {(kv[b] & outside[a]).bit_count()
+                 for a, b, _ in objects.edges} - {0}
     slack = [d * den - len(js) * num for js in j if js]
     slack += [dp * den - r * num for r in residuals]
     if 0 not in slack or any(x < 0 for x in slack):

@@ -36,7 +36,7 @@ import reprlib
 from collections import Counter
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from operator import add, itemgetter, mul
+from operator import add, itemgetter, mul, or_
 from typing import NamedTuple
 
 from .rationals import parse_rational, render_rational
@@ -122,6 +122,13 @@ class GapObjects(_GapFields):
         return tuple(map(frozenset, kv))
 
     @functools.cached_property
+    def color_and_a_masks(self) -> list:
+        """The color labels' and the A-labels' sets as label_masks reads
+        them, read once per objects value: default_j_sets reads them for
+        every thresh, and no B-label is read."""
+        return label_masks(self.color_labels, self.a_labels)[1]
+
+    @functools.cached_property
     def _failure(self):
         """validate_objects' message, None if valid; found once."""
         return _validation_failure(self)
@@ -155,20 +162,49 @@ class GapObjects(_GapFields):
         return tuple(tails), tuple(heads), classes, colors
 
 
-def label_set(label) -> frozenset:
-    """The set a label names: a set label "{1,2}" is read as its set, and
-    a bare integer, "3" or 3 (an element-colored family's color), as {3}.
-    Any other label is a ValueError that quotes it."""
-    if type(label) is int:
-        return frozenset((label,))
+def _element_texts(label):
+    """The elements a label names, each as the text (or int) that int()
+    reads, or None if the label has no such form: a set label "{1,2}" has
+    its elements, and a bare integer, "3" or 3 (an element-colored
+    family's color), is one element."""
     if type(label) is str:
         body = label.strip()
+        if body[:1] == "{" and body[-1:] == "}":
+            body = body[1:-1].strip()
+            return body.split(",") if body else ()
+        return (label,)
+    return (label,) if type(label) is int else None
+
+
+def label_masks(*levels) -> tuple:
+    """(ground, masks): the sorted ground set of the sets that the labels of
+    the given levels name, and for each level the list of its labels' sets
+    as int masks, bit i standing for ground[i].  The one label reader: a set
+    label "{1,2}" names its set, and a bare integer, "3" or 3 (an
+    element-colored family's color), names {3}.  Each label is read once,
+    and each distinct element text by int() once.  A label that names no
+    set is a ValueError that quotes the first such label, in level order."""
+    texts = [list(map(_element_texts, level)) for level in levels]
+    # element text -> its int, None if it reads as none
+    value = dict.fromkeys(itertools.chain.from_iterable(
+        filter(None, itertools.chain(*texts))))
+    for text in value:
         with contextlib.suppress(ValueError):
-            if body[:1] == "{" and body[-1:] == "}":
-                body = body[1:-1].strip()
-                return frozenset(map(int, body.split(",")) if body else ())
-            return frozenset((int(label),))
-    raise ValueError(f"label {label!r} names no set")
+            value[text] = int(text)
+    if None in value.values() or any(None in level for level in texts):
+        bad = {text for text, x in value.items() if x is None}
+        for label, elements in zip(itertools.chain(*levels),
+                                   itertools.chain(*texts)):
+            if elements is None or not bad.isdisjoint(elements):
+                raise ValueError(f"label {label!r} names no set")
+    ground = sorted(set(value.values()))
+    rank = {x: 1 << i for i, x in enumerate(ground)}
+    bit = {text: rank[x] for text, x in value.items()}
+    masks = []
+    for level in texts:
+        masks.append([functools.reduce(or_, map(bit.__getitem__, elements), 0)
+                      for elements in level])
+    return tuple(ground), masks
 
 
 def validate_objects(objects: GapObjects) -> None:

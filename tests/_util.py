@@ -4,12 +4,28 @@ from fractions import Fraction
 from math import comb
 
 from dstgap.bounds import DIGITS
-from dstgap.model import GapObjects, build_instance, label_set
+from dstgap.model import GapObjects, build_instance
 
 
 def set_label(elements) -> str:
-    """The canonical label of a set, the inverse of model.label_set."""
+    """The canonical label of a set, the inverse of label_set."""
     return "{" + ",".join(str(x) for x in sorted(elements)) + "}"
+
+
+def label_set(label) -> frozenset:
+    """The set a label names, parsed here apart from model.label_masks so
+    the reference computations do not share its reader: a set label "{1,2}"
+    is read as its set, and a bare integer, "3" or 3, as {3}.  Any other
+    label is a ValueError."""
+    if type(label) is int:
+        return frozenset((label,))
+    if type(label) is str:
+        body = label.strip()
+        if body[:1] == "{" and body[-1:] == "}":
+            body = body[1:-1].strip()
+            return frozenset(map(int, body.split(",")) if body else ())
+        return frozenset((int(label),))
+    raise ValueError(f"label {label!r} names no set")
 
 
 def permuted_subset_objects(obj, sigma):
@@ -70,6 +86,22 @@ def two_copies(obj, shift):
         b_labels=obj.b_labels + moved(obj.b_labels),
         edges=obj.edges + tuple((a + na, b + nb, c) for a, b, c in obj.edges),
         family="generic", family_params=())
+
+
+def certify_reference(objects, j):
+    """(alpha, per_u, OPT bound, gap bound) of the J-sets j from set algebra,
+    |K_v \\ J_u| as len(kv[b] - j[a]) at each edge: the oracle for
+    integral.certify_gap's popcounts, which it never calls."""
+    kv = objects.color_sets_by_b
+    residual = [0] * objects.num_a
+    for a, b, _ in objects.edges:
+        residual[a] = max(residual[a], len(kv[b] - j[a]))
+    sizes = [len(js) for js in j]
+    alpha = min(Fraction(n, max(counts)) for n, counts in
+                ((objects.d, sizes), (objects.d_prime, residual))
+                if max(counts))
+    return (alpha, tuple(zip(objects.a_labels, sizes, residual)),
+            alpha * Fraction(objects.num_b, objects.s), alpha / 2)
 
 
 def exp_bounds_reference(x):

@@ -624,6 +624,51 @@ def test_loader_messages_quote_labels(tmp_path, zk4_instance, capsys):
     assert "edge 'r' -> '{1,\\n9}' is not an edge" in err
 
 
+def _count_label_reads(monkeypatch) -> collections.Counter:
+    """A Counter, by label, of the labels that model.label_masks, the one
+    label reader, reads from now on, in every module that holds it."""
+    reads = collections.Counter()
+    real = model.label_masks
+
+    def counted(*levels):
+        for level in levels:
+            reads.update(level)
+        return real(*levels)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("dstgap") \
+                and getattr(module, "label_masks", None) is real:
+            monkeypatch.setattr(module, "label_masks", counted)
+    return reads
+
+
+def test_each_label_is_read_once(tmp_path, monkeypatch, capsys,
+                                 subset_m6_objects):
+    # verify reads every label of levels 1, 2 and 4 once, for the label
+    # automorphisms; certify reads the A-labels and the colors once for the
+    # J-sets of every thresh of a sweep, and no B-label
+    zk9 = tmp_path / "zk9.json"
+    m6 = tmp_path / "m6.json"
+    assert main(["gen", "--family=zk", "--k=9", f"--out={zk9}"]) == EXIT_OK
+    assert main(["gen", "--family=subset", "--m=6", "--a=2", "--thresh=1",
+                 f"--out={m6}"]) == EXIT_OK
+    objects = families.zk_objects(9)
+
+    reads = _count_label_reads(monkeypatch)
+    assert main(["verify", str(zk9)]) == EXIT_OK
+    assert reads == collections.Counter(
+        objects.a_labels + objects.b_labels + objects.color_labels)
+    assert max(reads.values()) == 1  # every label of zk9 differs
+
+    reads.clear()
+    assert main(["certify", str(m6), "--sweep"]) == EXIT_OK
+    objects = subset_m6_objects
+    # an m6 color is a 2-set, as an A-label is
+    assert reads == collections.Counter(objects.a_labels
+                                        + objects.color_labels)
+    assert not reads.keys() & set(objects.b_labels)
+
+
 def test_integer_labels_run_as_zk4(tmp_path, zk4_instance, zk4_file):
     # a file's labels need not be strings: with integer terminals zk4
     # verifies, certifies and solves as its file of string labels does

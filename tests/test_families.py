@@ -12,9 +12,9 @@ from dstgap.families import (
     zk_objects,
 )
 from dstgap.integral import certify_gap
-from dstgap.model import SizeCapError, label_set, validate_objects
+from dstgap.model import SizeCapError, validate_objects
 
-from _util import toy_objects
+from _util import label_set, toy_objects
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,9 @@ from dstgap.model import (
     build_instance,
     instance_from_dict,
     instance_to_dict,
-    label_set,
 )
 
-from _util import permuted_subset_objects, toy_instance
+from _util import label_set, permuted_subset_objects, toy_instance
 
 
 @pytest.fixture(scope="module")
@@ -491,6 +490,20 @@ def test_check_witness_rejects_tampering(zk4_instance):
         zk4_instance, w, FractionalSolution((Fraction(3, 10),) * m))
     assert check_path_witness(
         zk4_instance, w, FractionalSolution((Fraction(7, 20),) * m))
+
+
+def test_check_witness_sums_mixed_denominators(zk4_instance):
+    # the weights are summed in integers over their lcm, 30, which is no
+    # one weight's denominator: 3/10 + 1/6 + 8/15 is 1, and with 1/2 or
+    # 17/30 in place of 8/15 the sum is 1 - 1/30 or 1 + 1/30.  Under x = 1
+    # every weight fits on its path
+    w = path_witness(zk4_instance, zk4_instance.terminals[0])
+    sol = FractionalSolution((Fraction(1),) * len(zk4_instance.tails))
+    for last, ok in ((Fraction(8, 15), True), (Fraction(1, 2), False),
+                     (Fraction(17, 30), False)):
+        weights = (Fraction(3, 10), Fraction(1, 6), last)
+        assert check_path_witness(zk4_instance, w._replace(weights=weights),
+                                  sol) is ok
 
 
 def test_toy_witness():

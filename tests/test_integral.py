@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -23,7 +24,7 @@ from dstgap.model import (
     instance_to_dict,
 )
 
-from _util import toy_instance
+from _util import certify_reference, label_set, set_label, toy_instance
 
 
 # ---------------------------------------------------------------------------
@@ -35,6 +36,27 @@ def test_certify_zk9(zk9_objects):
     assert cert.opt_lower_bound == 2 * Fraction(126, 56) == Fraction(9, 2)
     assert cert.gap_lower_bound == 1
     assert all(js == 3 and res == 1 for _, js, res in cert.per_u)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: zk_objects(4), lambda: zk_objects(9),
+    lambda: subset_objects(6, 2, 1), lambda: subset_objects(7, 3, 1),
+], ids=["zk4", "zk9", "m6", "m7a3"])
+def test_certify_matches_set_algebra(make):
+    # seeded random J-sets of every density, with an empty J-set and one
+    # that holds every color, and the family's own J-sets
+    obj = make()
+    rng = random.Random(obj.num_a)
+    js = [default_j_sets(obj)]
+    for _ in range(12):
+        p = rng.random()
+        j = [frozenset(c for c in range(obj.k) if rng.random() < p)
+             for _ in range(obj.num_a)]
+        j[rng.randrange(obj.num_a)] = frozenset()
+        j[rng.randrange(obj.num_a)] = frozenset(range(obj.k))
+        js.append(tuple(j))
+    for j in js:
+        assert certify_gap(obj, j) == certify_reference(obj, j)
 
 
 def test_certify_zk4(zk4_objects):
@@ -281,26 +303,53 @@ def _a_label_names_no_set(inst):
     return instance_from_dict(data)
 
 
+def _zk4_far_ground():
+    """zk4 with its ground set 1, 2, 3, 4 written -7, 0, 5, 10**30."""
+    far = {1: -7, 2: 0, 3: 5, 4: 10**30}
+    obj = zk_objects(4)
+
+    def moved(label):
+        return set_label(far[x] for x in label_set(label))
+
+    return build_instance(obj._replace(
+        a_labels=tuple(map(moved, obj.a_labels)),
+        b_labels=tuple(map(moved, obj.b_labels)),
+        color_labels=tuple(str(far[int(c)]) for c in obj.color_labels)))
+
+
+def _zk4_a_label_repeats_an_element():
+    """zk4 with its first A-label, {1,2}, written "{2,1,1}"."""
+    obj = zk_objects(4)
+    assert obj.a_labels[0] == "{1,2}"
+    return build_instance(obj._replace(
+        a_labels=("{2,1,1}",) + obj.a_labels[1:]))
+
+
 @pytest.mark.parametrize("make, ground, reps, fixed_a, nodes", [
-    (lambda: build_instance(zk_objects(4)), 4, ["1"], "{1,2}", 3),
-    (lambda: build_instance(zk_objects(9)), 9, ["1"], "{1,2,3}", 2427),
-    (lambda: build_instance(subset_objects(6, 2, 1)), 6, ["{1,2}"],
-     "{1,2}", 123),
-    (lambda: build_instance(subset_objects(7, 3, 1)), 7, ["{1,2,3}"],
-     "{1,2,3}", 1681),
-    (lambda: _a_label_names_no_set(build_instance(zk_objects(4))), 0,
+    (lambda: build_instance(zk_objects(4)), (1, 2, 3, 4), ["1"], "{1,2}", 3),
+    (lambda: build_instance(zk_objects(9)), tuple(range(1, 10)), ["1"],
+     "{1,2,3}", 2427),
+    (lambda: build_instance(subset_objects(6, 2, 1)), tuple(range(1, 7)),
+     ["{1,2}"], "{1,2}", 123),
+    (lambda: build_instance(subset_objects(7, 3, 1)), tuple(range(1, 8)),
+     ["{1,2,3}"], "{1,2,3}", 1681),
+    (lambda: _a_label_names_no_set(build_instance(zk_objects(4))), (),
      ["1", "2", "3", "4"], None, 10),
-], ids=["zk4", "zk9", "m6", "m7a3", "label-names-no-set"])
+    (_zk4_far_ground, (-7, 0, 5, 10**30), ["-7"], "{-7,0}", 3),
+    (_zk4_a_label_repeats_an_element, (1, 2, 3, 4), ["1"], "{2,1,1}", 3),
+], ids=["zk4", "zk9", "m6", "m7a3", "label-names-no-set", "zk4-far-ground",
+        "zk4-repeated-element"])
 def test_symmetry_found_on_labels_and_edges(make, ground, reps, fixed_a,
                                             nodes):
     # the label automorphisms are checked on the file's edges alone: verify
     # keeps those that keep x, and the search opens an A-vertex first only
-    # where they are transitive on A.  With a ground set 1..m, both the
-    # full cycle and the transposition (1 2) are kept
+    # where they are transitive on A.  Both the full cycle of the sorted
+    # ground set and the transposition of its two smallest elements are
+    # kept, whatever the elements are and however often a label names one
     inst = make()
     rep = verify_feasibility(inst, canonical_solution(inst))
     assert [g.cycle for g in rep.automorphisms] \
-        == ([tuple(range(1, ground + 1)), (1, 2)] if ground else [])
+        == ([ground, ground[:2]] if ground else [])
     assert [inst.labels[t] for t in rep.representatives] == reps
     res = solve_structured(inst)
     assert (res.fixed_a, res.nodes) == (fixed_a, nodes)

@@ -30,12 +30,13 @@ from dstgap.model import (
     instance_to_dot,
     instance_to_json,
     DstInstance,
-    label_set,
+    label_masks,
     validate_objects,
 )
 from dstgap.rationals import parse_rational, render_rational
 
-from _util import permuted_subset_objects, set_label, toy_instance, two_copies
+from _util import (label_set, permuted_subset_objects, set_label, toy_instance,
+                   two_copies)
 
 
 # ---------------------------------------------------------------------------
@@ -701,13 +702,21 @@ def test_set_label_round_trip():
         label_set("1,2")
 
 
-def test_label_set_reads_sets_and_bare_integers():
-    assert label_set("{1,2}") == frozenset({1, 2})
-    assert label_set("3") == label_set("{3}") == frozenset({3})
-    assert label_set(3) == frozenset({3})  # a file's labels need not be str
+def test_label_masks_read_sets_and_bare_integers():
+    # one sorted ground set over every level; bit i stands for ground[i].
+    # A file's labels need not be str: 3 names {3}, as "3" and "{3}" do
+    ground, masks = label_masks(("{1,2}", "3", 3, "{}"),
+                                ("{3}", " { 5 , 1 } "))
+    assert ground == (1, 2, 3, 5)
+    assert masks == [[0b11, 0b100, 0b100, 0], [0b100, 0b1001]]
+    # an element named twice is one bit, however it is written
+    assert label_masks(("{2,1,1}", "{1, 1}")) == ((1, 2), [[0b11, 0b1]])
+    # a ground set far from 1..m is ranked, not used as bit positions
+    assert label_masks(("{-7,0}", f"{{5,{10**30}}}")) \
+        == ((-7, 0, 5, 10**30), [[0b11, 0b1100]])
     for label in ("x", "{1,x}", 1.5, True, None, ("u", 1)):
         with pytest.raises(ValueError) as info:
-            label_set(label)
+            label_masks(("{1}",), ("{2}", label, "y"))
         assert str(info.value) == f"label {label!r} names no set"
 
 
