@@ -212,12 +212,12 @@ def subset_objects(m: int, a: int, thresh: int = 0,
 
 
 def default_j_sets(objects: GapObjects, thresh: int | None = None) -> tuple:
-    """Canonical J-sets, one frozenset of color indices per A-vertex:
-    J_u = {C : |C intersect u| > thresh}, where 0 <= thresh < |C| = c and
-    thresh defaults to the family's, as containment_params reads them.  A
-    zk color is one element, so J_u is u itself, read as a set of colors.
-    Colors and A-sets are the int masks of model.label_masks, so
-    |C intersect u| is a popcount.
+    """Canonical J-sets, one int mask of color indices per A-vertex, bit c
+    for color c: J_u = {C : |C intersect u| > thresh}, where 0 <= thresh <
+    |C| = c and thresh defaults to the family's, as containment_params
+    reads them.  A zk color is one element, so J_u is u itself, read as a
+    set of colors.  Colors and A-sets are the ground-set masks of
+    model.label_masks, so |C intersect u| is a popcount.
     """
     shape = containment_params(objects.family, objects.params)
     if shape is None:
@@ -230,6 +230,6 @@ def default_j_sets(objects: GapObjects, thresh: int | None = None) -> tuple:
             f"need 0 <= thresh < {size} (the color size), got {thresh}")
     colors, a_sets = objects.color_and_a_masks
     return tuple(
-        frozenset([ci for ci, color in enumerate(colors)
-                   if (color & u).bit_count() > thresh])
+        sum(1 << ci for ci, color in enumerate(colors)
+            if (color & u).bit_count() > thresh)
         for u in a_sets)

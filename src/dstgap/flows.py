@@ -332,8 +332,8 @@ def verify_feasibility(inst: DstInstance, sol: FractionalSolution,
     min cut is its representative's, mapped through the automorphisms that
     carry the representative to it.  An explicit list runs each listed
     terminal.  One integer network carries the integer capacities; each run
-    starts from them and ends with its min cut, whose integer capacity must
-    equal the integer flow.
+    starts from them, restored in place after an earlier run, and ends with
+    its min cut, whose integer capacity must equal the integer flow.
     """
     caps = sol.caps
     if terminals is None:
@@ -348,8 +348,7 @@ def verify_feasibility(inst: DstInstance, sol: FractionalSolution,
         automorphisms = ()
     tree = orbit_tree(terminals, automorphisms)
     net = _Dinic(inst.n, inst.tails, inst.heads, caps)
-    base = net.cap[:]
-    head, to = net.head, net.to
+    head, to, cap = net.head, net.to, net.cap
 
     found = {}  # terminal -> TerminalFlow
     for t, step in tree.items():
@@ -363,7 +362,8 @@ def verify_feasibility(inst: DstInstance, sol: FractionalSolution,
                                              e.cut_edges))),
                 frozenset(map(g.vertex_map.__getitem__, e.sink_side)))
             continue
-        net.cap[:] = base
+        if found:  # an earlier run left its flow in the network
+            cap[0::2], cap[1::2] = caps, [0] * len(caps)
         flow = net.max_flow(inst.root, t)
         level, sink = net.level, net.sink_side
         # edges into the sink side from outside it: edge j enters v as arc

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from . import flows
 from .model import (E1, E2, E3, DstInstance, GapObjects, InfeasibleError,
-                    SizeCapError)
+                    SizeCapError, bit_indices)
 
 
 # ---------------------------------------------------------------------------
@@ -46,28 +46,26 @@ class GapCertificate(NamedTuple):
 def certify_gap(objects: GapObjects, j: tuple) -> GapCertificate:
     """Largest alpha with |J_u| <= d/alpha and |K_v \\ J_u| <= d'/alpha.
 
-    j holds one J-set per A-vertex, a frozenset of color indices, as
-    `families.default_j_sets` returns.  Empty sets impose no constraint, so
-    alpha = min(d / max |J_u|, d' / max |K_v \\ J_u|), skipping a maximum
-    of 0.  The result is then checked edge by edge, in integers, by a
-    second and independent enumeration.
+    j holds one J-set per A-vertex, an int mask of color indices (bit c for
+    color c) as `families.default_j_sets` returns, and K_v is
+    objects.color_masks_by_b, so each size is a popcount.  Empty sets impose
+    no constraint, so alpha = min(d / max |J_u|, d' / max |K_v \\ J_u|),
+    skipping a maximum of 0.  The result is then checked edge by edge, in
+    integers, by a second and independent enumeration.
     """
     if len(j) != objects.num_a:
         raise ValueError("J-set family must assign a set to every A-vertex")
 
     d, dp = objects.d, objects.d_prime
-    # K_v and the complement of J_u as int masks of color indices, so
-    # |K_v \ J_u| is a popcount
-    kv = [sum(map((1).__lshift__, colors))
-          for colors in objects.color_sets_by_b]
-    outside = [~sum(map((1).__lshift__, js)) for js in j]
+    kv = objects.color_masks_by_b
+    j_sizes = list(map(int.bit_count, j))
 
     residual_max = [0] * objects.num_a
     for a, b, _ in objects.edges:
-        r = (kv[b] & outside[a]).bit_count()
+        r = (kv[b] & ~j[a]).bit_count()
         if r > residual_max[a]:
             residual_max[a] = r
-    j_max = max(map(len, j), default=0)
+    j_max = max(j_sizes, default=0)
     r_max = max(residual_max, default=0)
     bounds = [Fraction(n, size) for n, size in ((d, j_max), (dp, r_max))
               if size]
@@ -79,9 +77,9 @@ def certify_gap(objects: GapObjects, j: tuple) -> GapCertificate:
     # num/den meets every constraint, and one of them with equality, so no
     # larger alpha does
     num, den = alpha.numerator, alpha.denominator
-    residuals = {(kv[b] & outside[a]).bit_count()
+    residuals = {(kv[b] & ~j[a]).bit_count()
                  for a, b, _ in objects.edges} - {0}
-    slack = [d * den - len(js) * num for js in j if js]
+    slack = [d * den - js.bit_count() * num for js in j if js]
     slack += [dp * den - r * num for r in residuals]
     if 0 not in slack or any(x < 0 for x in slack):
         raise RuntimeError(f"self-check failed: alpha mismatch ({alpha} is "
@@ -89,7 +87,7 @@ def certify_gap(objects: GapObjects, j: tuple) -> GapCertificate:
 
     return GapCertificate(
         alpha=alpha,
-        per_u=tuple(zip(objects.a_labels, map(len, j), residual_max)),
+        per_u=tuple(zip(objects.a_labels, j_sizes, residual_max)),
         opt_lower_bound=alpha * Fraction(objects.num_b, objects.s),
         gap_lower_bound=alpha / 2,
     )
@@ -106,16 +104,6 @@ class StructuredResult(NamedTuple):
     lower_bound: Fraction
     nodes: int             # popped search nodes
     fixed_a: str | None    # label of the A-vertex opened first, if any
-
-
-def _bit_indices(mask: int):
-    """The indices of the set bits of mask, lowest first."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def _greedy_cover(kv, nbr, na: int, nb: int, full: int):
@@ -210,7 +198,7 @@ def solve_structured(inst: DstInstance,
         pos[c] = i
     by_pos = [by_color[c] for c in order]
     kv = [sum(1 << pos[c] for c in colors) for colors in kv_sets]
-    nbr_bits = [[1 << u for u in _bit_indices(m)] for m in nbr]
+    nbr_bits = [[1 << u for u in bit_indices(m)] for m in nbr]
     full = (1 << k) - 1
 
     greedy = _greedy_cover(kv, nbr, na, nb, full)
@@ -273,8 +261,8 @@ def solve_structured(inst: DstInstance,
     lower = value if exhausted else min(
         value, Fraction(k * na + nb * dp, na * dp))
     return StructuredResult(
-        tuple(sorted(obj.a_labels[u] for u in _bit_indices(s_mask))),
-        tuple(sorted(obj.b_labels[v] for v in _bit_indices(v_mask))),
+        tuple(sorted(obj.a_labels[u] for u in bit_indices(s_mask))),
+        tuple(sorted(obj.b_labels[v] for v in bit_indices(v_mask))),
         value, exhausted, lower, nodes, obj.a_labels[0] if fixed else None)
 
 

@@ -112,14 +112,14 @@ class GapObjects(_GapFields):
     s = property(lambda self: self._most_common[2])
 
     @functools.cached_property
-    def color_sets_by_b(self) -> tuple:
-        """K_v for every B-vertex: the set of color indices incident to v.
-        Computed once per objects value: validate_objects, build_instance
-        and certify_gap all read it."""
-        kv = [set() for _ in self.b_labels]
+    def color_masks_by_b(self) -> tuple:
+        """K_v for every B-vertex: the int mask of the color indices
+        incident to v, bit c for color c.  Computed once per objects value:
+        validate_objects, _columns and certify_gap all read it."""
+        kv = [0] * self.num_b
         for _, b, c in self.edges:
-            kv[b].add(c)
-        return tuple(map(frozenset, kv))
+            kv[b] |= 1 << c
+        return tuple(kv)
 
     @functools.cached_property
     def color_and_a_masks(self) -> list:
@@ -137,12 +137,12 @@ class GapObjects(_GapFields):
     def _columns(self) -> tuple:
         """The tails, heads, classes and colors of the instance the objects
         build, in the one built order: E1 in A order, E2 from the sorted
-        triples, E3 once per B-vertex and E4 from each K_v in sorted order.
-        Made once per objects value, for the loader's render and then for
-        build_instance; the objects must be valid."""
+        triples, E3 once per B-vertex and E4 from each K_v mask's bits,
+        lowest first.  Made once per objects value, for the loader's render
+        and then for build_instance; the objects must be valid."""
         na, nb, k = self.num_a, self.num_b, self.k
         edges = sorted(self.edges)
-        kv = [sorted(x) for x in self.color_sets_by_b]
+        kv = list(map(bit_indices, self.color_masks_by_b))
         # one int object per vertex id, shared by every edge at the vertex
         ids = list(range(1 + na + 2 * nb + k))
         a_id, b_id = ids[1:1 + na], ids[1 + na:1 + na + nb]
@@ -160,6 +160,17 @@ class GapObjects(_GapFields):
         colors = ((None,) * na + tuple(map(itemgetter(2), edges))
                   + (None,) * (nb + n4))
         return tuple(tails), tuple(heads), classes, colors
+
+
+def bit_indices(mask: int) -> list:
+    """The indices of the set bits of mask, lowest first: the one reader of
+    a mask's bits."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _element_texts(label):
@@ -215,7 +226,8 @@ def validate_objects(objects: GapObjects) -> None:
     is reported alone.  Then no parallel edges, regularity, the matching
     partition, s >= 1, and for a family that families.containment_params
     knows, that |A|, |B|, k, d, d' and s are families.containment_counts,
-    computed no further than the largest.  These imply sk = d|A| = d'|B|,
+    computed no further than the largest.  A color twice at a B-vertex shows
+    as fewer K_v mask bits than edges.  These imply sk = d|A| = d'|B|,
     |K_v| = d', s <= |A| and d <= k.  The outcome is found once per objects
     value: the loader validates before it renders, and build_instance again.
     """
@@ -271,13 +283,13 @@ def _validation_failure(objects: GapObjects):
           f"B-vertices with degree != d'={dp}: {bad_b[:5]}")
 
     # a matching of size s: s edges, none two at a vertex (so |K_v| = deg v)
-    bad_colors = {c for c, x in enumerate(sizes) if x != s}
-    bad_colors.update(c for c, _ in repeated(2, na, 0))
-    if sum(map(len, objects.color_sets_by_b)) != len(edges):
-        bad_colors.update(c for c, _ in repeated(2, nb, 1))
-    check("color-classes-are-matchings-of-size-s", not bad_colors,
-          f"colors failing: "
-          f"{[objects.color_labels[c] for c in sorted(bad_colors)][:5]}")
+    bad = [c for c, x in enumerate(sizes) if x != s]
+    bad += map(itemgetter(0), repeated(2, na, 0))
+    if sum(map(int.bit_count, objects.color_masks_by_b)) != len(edges):
+        bad += map(itemgetter(0), repeated(2, nb, 1))
+    failing = bit_indices(functools.reduce(or_, map((1).__lshift__, bad), 0))
+    check("color-classes-are-matchings-of-size-s", not failing,
+          f"colors failing: {[objects.color_labels[c] for c in failing][:5]}")
     check("s-positive", s >= 1, f"s={s}: a terminal needs an in-edge")
 
     family, params = objects.family, objects.params

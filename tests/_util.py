@@ -88,11 +88,34 @@ def two_copies(obj, shift):
         family="generic", family_params=())
 
 
+def kv_sets(objects) -> tuple:
+    """K_v for every B-vertex, the frozenset of its color indices, read
+    from objects.edges: the oracle for GapObjects.color_masks_by_b, which
+    it never reads."""
+    kv = [set() for _ in objects.b_labels]
+    for _, b, c in objects.edges:
+        kv[b].add(c)
+    return tuple(map(frozenset, kv))
+
+
+def mask_set(mask: int) -> frozenset:
+    """The indices of the set bits of an int mask, tested one bit at a
+    time, apart from model.bit_indices."""
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def set_mask(indices) -> int:
+    """The int mask with bit i set for each index i, the inverse of
+    mask_set."""
+    return sum(1 << i for i in set(indices))
+
+
 def certify_reference(objects, j):
-    """(alpha, per_u, OPT bound, gap bound) of the J-sets j from set algebra,
-    |K_v \\ J_u| as len(kv[b] - j[a]) at each edge: the oracle for
-    integral.certify_gap's popcounts, which it never calls."""
-    kv = objects.color_sets_by_b
+    """(alpha, per_u, OPT bound, gap bound) of the J-sets j, frozensets of
+    color indices, from set algebra: |K_v \\ J_u| as len(kv[b] - j[a]) at
+    each edge, with K_v from kv_sets.  The oracle for integral.certify_gap's
+    popcounts over masks, which it never calls."""
+    kv = kv_sets(objects)
     residual = [0] * objects.num_a
     for a, b, _ in objects.edges:
         residual[a] = max(residual[a], len(kv[b] - j[a]))

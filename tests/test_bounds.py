@@ -16,7 +16,7 @@ from dstgap.bounds import (
 )
 from dstgap.families import containment_counts, default_j_sets, subset_objects
 
-from _util import exp_bounds_reference, overlap_count
+from _util import exp_bounds_reference, kv_sets, mask_set, overlap_count
 
 
 # ---------------------------------------------------------------------------
@@ -219,12 +219,12 @@ def test_alpha_m64():
 @pytest.mark.parametrize("m,a,thresh", [(6, 2, 0), (6, 2, 1), (8, 2, 1)])
 def test_j_set_sizes_match_hypergeometric_counts(m, a, thresh):
     obj = subset_objects(m, a, thresh)
-    j = default_j_sets(obj)
+    j = tuple(map(mask_set, default_j_sets(obj)))
     counts = containment_counts(m, a, a, thresh)
     expected_j = overlap_count(m, a, a, thresh + 1, a)
     assert counts.max_j == expected_j
     assert all(len(js) == expected_j for js in j)
-    kv = obj.color_sets_by_b
+    kv = kv_sets(obj)
     expected_res = overlap_count(2 * a, a, a, 0, thresh)
     assert counts.max_r == expected_res
     assert all(len(kv[b] - j[u]) == expected_res

@@ -24,7 +24,8 @@ from dstgap.model import (
     instance_to_dict,
 )
 
-from _util import certify_reference, label_set, set_label, toy_instance
+from _util import (certify_reference, label_set, mask_set, set_label,
+                   set_mask, toy_instance)
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +48,7 @@ def test_certify_matches_set_algebra(make):
     # that holds every color, and the family's own J-sets
     obj = make()
     rng = random.Random(obj.num_a)
-    js = [default_j_sets(obj)]
+    js = [tuple(map(mask_set, default_j_sets(obj)))]
     for _ in range(12):
         p = rng.random()
         j = [frozenset(c for c in range(obj.k) if rng.random() < p)
@@ -56,7 +57,8 @@ def test_certify_matches_set_algebra(make):
         j[rng.randrange(obj.num_a)] = frozenset(range(obj.k))
         js.append(tuple(j))
     for j in js:
-        assert certify_gap(obj, j) == certify_reference(obj, j)
+        assert (certify_gap(obj, tuple(map(set_mask, j)))
+                == certify_reference(obj, j))
 
 
 def test_certify_zk4(zk4_objects):
@@ -76,7 +78,7 @@ def test_certify_subset_m6(subset_m6_objects):
 
 def test_certify_vacuous_j_sets(zk4_objects):
     # J_u = K everywhere: residuals vanish, alpha degrades to d/k
-    full = tuple(frozenset(range(zk4_objects.k))
+    full = tuple(set_mask(range(zk4_objects.k))
                  for _ in zk4_objects.a_labels)
     cert = certify_gap(zk4_objects, full)
     assert cert.alpha == Fraction(zk4_objects.d, zk4_objects.k) == Fraction(1, 2)
@@ -85,7 +87,7 @@ def test_certify_vacuous_j_sets(zk4_objects):
 
 def test_certify_rejects_wrong_length(zk4_objects):
     with pytest.raises(ValueError):
-        certify_gap(zk4_objects, (frozenset(),))
+        certify_gap(zk4_objects, (set_mask(()),))
 
 
 def test_certify_self_check_raises_under_optimize():

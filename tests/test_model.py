@@ -35,8 +35,8 @@ from dstgap.model import (
 )
 from dstgap.rationals import parse_rational, render_rational
 
-from _util import (label_set, permuted_subset_objects, set_label, toy_instance,
-                   two_copies)
+from _util import (kv_sets, label_set, mask_set, permuted_subset_objects,
+                   set_label, toy_instance, toy_objects, two_copies)
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +61,7 @@ def test_validate_subset_m6(subset_m6_objects):
 def test_validate_recolored_edge_fails(zk4_objects):
     edges = list(zk4_objects.edges)
     a, b, c = edges[0]
-    kv = zk4_objects.color_sets_by_b
+    kv = kv_sets(zk4_objects)
     c2 = next(x for x in sorted(kv[b]) if x != c)
     edges[0] = (a, b, c2)
     with pytest.raises(ValueError) as info:
@@ -78,7 +78,7 @@ def test_validate_color_twice_at_a_b_vertex(zk4_objects):
     # the matchings check fails
     obj = zk4_objects
     at_a = [{c for a, _, c in obj.edges if a == u} for u in range(obj.num_a)]
-    kv = obj.color_sets_by_b
+    kv = kv_sets(obj)
     i, j = next((i, j) for i, (a1, b1, c1) in enumerate(obj.edges)
                 for j, (a2, b2, c2) in enumerate(obj.edges)
                 if b1 != b2 and c2 in kv[b1] and c1 in kv[b2]
@@ -191,7 +191,7 @@ def test_build_subset_m6_counts(subset_m6_instance):
 def test_pi_out_neighbors_are_color_sets(zk4_instance, subset_m6_instance):
     for inst in (zk4_instance, subset_m6_instance):
         obj = inst.provenance
-        kv = obj.color_sets_by_b
+        kv = kv_sets(obj)
         t_off = inst.level_offset(4)
         for i, v in enumerate(inst.level_ids(2)):
             nbrs = {w - t_off for u, w in zip(inst.tails, inst.heads)
@@ -296,6 +296,36 @@ def test_only_containment_counts_calls_comb():
         f"{name}:{node.lineno}" for name, node in nodes
         if id(node) not in inside
         and "comb" in (getattr(node, "id", None), getattr(node, "attr", None))
+    ]
+    assert not found
+
+
+def test_only_bit_indices_walks_a_mask():
+    # one bit reader: a loop that peels a mask's lowest bit, mask & -mask,
+    # while the mask is not 0 is model.bit_indices, and nowhere else
+    nodes = list(_package_nodes())
+    inside = {id(sub) for name, node in nodes
+              if (name, getattr(node, "name", None))
+              == ("model.py", "bit_indices")
+              for sub in ast.walk(node)}
+
+    def lowest_bit_of(node):
+        """The name x of an expression x & -x, else None."""
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd)
+                and isinstance(node.left, ast.Name)
+                and isinstance(node.right, ast.UnaryOp)
+                and isinstance(node.right.op, ast.USub)
+                and isinstance(node.right.operand, ast.Name)
+                and node.left.id == node.right.operand.id):
+            return node.left.id
+        return None
+
+    found = [
+        f"{name}:{sub.lineno}" for name, node in nodes
+        if isinstance(node, ast.While) and id(node) not in inside
+        for sub in ast.walk(node)
+        if lowest_bit_of(sub) in {n.id for n in ast.walk(node.test)
+                                  if isinstance(n, ast.Name)}
     ]
     assert not found
 
@@ -424,13 +454,15 @@ def test_replace_recomputes_cached_values(zk4_objects, zk4_instance,
                                           subset_m6_instance):
     # _replace makes a new object whose cache is empty: each derived value,
     # read first on the original, is computed again from the new fields
-    kv, inst = zk4_objects.color_sets_by_b, zk4_instance
+    kv, inst = zk4_objects.color_masks_by_b, zk4_instance
     codes, costs = inst.edge_index, inst.class_costs
     a, b, c = zk4_objects.edges[0]
     assert (zk4_objects.d, zk4_objects.d_prime, zk4_objects.s) == (2, 3, 3)
     assert validate_objects(zk4_objects) is None
     fewer = zk4_objects._replace(edges=zk4_objects.edges[1:])
-    assert fewer.color_sets_by_b == kv[:b] + (kv[b] - {c},) + kv[b + 1:]
+    sets = tuple(map(mask_set, kv))
+    assert (tuple(map(mask_set, fewer.color_masks_by_b))
+            == sets[:b] + (sets[b] - {c},) + sets[b + 1:])
     with pytest.raises(ValueError) as info:
         validate_objects(fewer)
     assert (f"b-regular (B-vertices with degree != d'=3: "
@@ -479,6 +511,16 @@ FAMILY_OBJECTS = {
     "m10a3": lambda: subset_objects(10, 3, 1),
     "m5a1": lambda: subset_objects(5, 1, 0),
 }
+
+
+@pytest.mark.parametrize("make", [
+    *FAMILY_OBJECTS.values(), toy_objects,
+    lambda: two_copies(zk_objects(4), 4),
+], ids=[*FAMILY_OBJECTS, "toy", "zk4x2"])
+def test_color_masks_are_the_color_sets(make):
+    # K_v as a mask, bit c for color c, holds the colors of v's edges
+    obj = make()
+    assert tuple(map(mask_set, obj.color_masks_by_b)) == kv_sets(obj)
 
 
 def _oracle(inst):
