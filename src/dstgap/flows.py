@@ -23,18 +23,22 @@ ground set (model.label_masks reads a bare integer x, a zk color, as {x}),
 so a permutation of the ground set proposes a vertex map, level by level.
 Two are tried: the full cycle of the ground set and the transposition of
 its two smallest elements.  A permutation is kept only when it is checked
-exactly on the instance's edges: every edge maps to an edge.  Where its
-edge map also keeps x, it is an automorphism of the network, and carries a
-terminal's largest min-cut source side onto that of the terminal's image,
-so a terminal's cut is its orbit representative's, mapped; so is a path
-witness.  Nothing is read from the family name; with no permutation kept,
-every terminal is its own orbit.
+exactly on the instance's edges: the sorted int codes tail * n + head of
+the edges' images are the sorted edge codes, so every edge maps to an
+edge, with no lookup per edge.  Where it also keeps x, it is an
+automorphism of the network, and carries a terminal's largest min-cut
+source side onto that of the terminal's image, so a terminal's sink side
+is its orbit representative's, mapped, and its cut is read off that side
+and checked as a run terminal's is; a path witness maps too.  Nothing is
+read from the family name; with no permutation kept, every terminal is
+its own orbit.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 from typing import NamedTuple
 
 from .model import DstInstance, label_masks
@@ -112,10 +116,10 @@ class _Dinic:
         self.to[1::2] = tails
         self.cap = [0] * (2 * m)
         self.cap[0::2] = caps
-        self.head = [[] for _ in range(n)]  # per vertex: its arc indices
-        for j, (u, v) in enumerate(zip(tails, heads)):
-            self.head[u].append(2 * j)
-            self.head[v].append(2 * j + 1)
+        head = self.head = [[] for _ in range(n)]  # per vertex: its arcs
+        for i, u, v in zip(range(0, 2 * m, 2), tails, heads):
+            head[u].append(i)
+            head[v].append(i + 1)
 
     def _levels(self, s, t):
         """Residual distances to t (-1 for vertices not reached before s),
@@ -180,15 +184,15 @@ class _Dinic:
                 u = to[path.pop() ^ 1]
 
     def max_flow(self, s, t):
-        """The flow value.  The last phase's levels and labelled vertices
-        stay as self.level and self.sink_side: the vertices that still
-        reach t in the residual network."""
+        """The flow value.  The last phase's labelled vertices stay as
+        self.sink_side: the vertices that still reach t in the residual
+        network."""
         flow = 0
         while True:
-            self.level, self.sink_side = self._levels(s, t)
-            if self.level[s] < 0:
+            level, self.sink_side = self._levels(s, t)
+            if level[s] < 0:
                 return flow
-            flow += self._blocking_flow(s, t, self.level)
+            flow += self._blocking_flow(s, t, level)
 
 
 class TerminalFlow(NamedTuple):
@@ -227,13 +231,13 @@ class FeasibilityReport(NamedTuple):
 
 class Automorphism(NamedTuple):
     """A ground-set permutation checked on an instance: its vertex map
-    fixes the root and each level and sends every edge to an edge
-    (edge_map).  Where the edge map also keeps x, it maps a terminal's
-    max-flows, min cuts and path witnesses onto its image's."""
+    fixes the root and each level and sends the edges onto the edges, as
+    the sorted codes of the edges' images are the sorted edge codes.
+    Where it also keeps x, it maps a terminal's max-flows, min cuts and
+    path witnesses onto its image's."""
 
     cycle: tuple       # ground-set elements, each mapped to the next
     vertex_map: list   # vertex id -> vertex id
-    edge_map: list     # edge position -> edge position
 
 
 def label_automorphisms(inst: DstInstance) -> tuple:
@@ -282,7 +286,8 @@ def label_automorphisms(inst: DstInstance) -> tuple:
 
 def _check_automorphism(inst, cycle, move, levels):
     """The Automorphism that the mask map `move` induces, or None if an
-    image label or an edge's image is missing."""
+    image label or an edge's image is missing.  The vertex map is one to
+    one, so the images' codes are distinct."""
     vmap = [0] * inst.n  # the root is fixed
     for ids, keys, index in levels:
         images = list(map(index.get, map(move, keys)))
@@ -292,14 +297,17 @@ def _check_automorphism(inst, cycle, move, levels):
         if ids.start == inst.level_offset(2):  # level 3 is level 2 primed
             nb = len(ids)
             vmap[ids.stop:ids.stop + nb] = [w + nb for w in images]
-    # the image of edge (u, v) has code vmap[u] * n + vmap[v]
-    edge_at, n = inst.edge_index.get, inst.n
-    scaled = [w * n for w in vmap]
-    emap = [edge_at(scaled[u] + vmap[v])
-            for u, v in zip(inst.tails, inst.heads)]
-    if None in emap:
+    if sorted(_image_codes(inst, vmap)) != inst.sorted_codes:
         return None
-    return Automorphism(cycle, vmap, emap)
+    return Automorphism(cycle, vmap)
+
+
+def _image_codes(inst, vmap) -> list:
+    """The codes of the images of the edges under the vertex map."""
+    n = inst.n
+    scaled = [w * n for w in vmap]
+    return list(map(add, map(scaled.__getitem__, inst.tails),
+                    map(vmap.__getitem__, inst.heads)))
 
 
 def orbit_tree(vertices, automorphisms) -> dict:
@@ -328,21 +336,23 @@ def verify_feasibility(inst: DstInstance, sol: FractionalSolution,
     """Max-flow >= 1 for every terminal; empty terminal set is vacuous.
 
     With terminals=None, one max-flow runs per orbit of the terminals under
-    the label automorphisms whose edge map keeps x; every other terminal's
+    the instance's label automorphisms that keep x; every other terminal's
     min cut is its representative's, mapped through the automorphisms that
     carry the representative to it.  An explicit list runs each listed
     terminal.  One integer network carries the integer capacities; each run
-    starts from them, restored in place after an earlier run, and ends with
-    its min cut, whose integer capacity must equal the integer flow.
+    starts from them, restored in place after an earlier run.  Every
+    terminal's min cut, run or mapped, must have an integer capacity equal
+    to its integer flow.
     """
     caps = sol.caps
     if terminals is None:
-        automorphisms = label_automorphisms(inst)
-        # any edge map keeps x when every capacity is the same
+        automorphisms = inst.automorphisms
+        # with unequal capacities, the (code, capacity) pairs of the edges'
+        # images must be the edges' own
         if caps and caps.count(caps[0]) != len(caps):
-            automorphisms = tuple(
-                g for g in automorphisms
-                if tuple(map(caps.__getitem__, g.edge_map)) == caps)
+            keyed = sorted(zip(inst.edge_codes, caps))
+            automorphisms = tuple(g for g in automorphisms if sorted(zip(
+                _image_codes(inst, g.vertex_map), caps)) == keyed)
         terminals = inst.terminals
     else:
         automorphisms = ()
@@ -350,36 +360,32 @@ def verify_feasibility(inst: DstInstance, sol: FractionalSolution,
     net = _Dinic(inst.n, inst.tails, inst.heads, caps)
     head, to, cap = net.head, net.to, net.cap
 
-    found = {}  # terminal -> TerminalFlow
+    found = {}  # terminal -> (TerminalFlow, its integer flow)
     for t, step in tree.items():
-        if step is not None:
-            # an automorphism keeps x, so the mapped cut has the same
-            # capacity and is the image's largest-source-side min cut
+        if step is None:
+            if found:  # an earlier run left its flow in the network
+                cap[0::2], cap[1::2] = caps, [0] * len(caps)
+            flow = net.max_flow(inst.root, t)
+            sink = frozenset(net.sink_side)
+        else:
+            # an automorphism that keeps x carries the sink side and the
+            # flow of the terminal it maps from onto this terminal's
             p, g = step
-            e = found[p]
-            found[t] = TerminalFlow(
-                t, e.value, tuple(sorted(map(g.edge_map.__getitem__,
-                                             e.cut_edges))),
-                frozenset(map(g.vertex_map.__getitem__, e.sink_side)))
-            continue
-        if found:  # an earlier run left its flow in the network
-            cap[0::2], cap[1::2] = caps, [0] * len(caps)
-        flow = net.max_flow(inst.root, t)
-        level, sink = net.level, net.sink_side
+            e, flow = found[p]
+            sink = frozenset(map(g.vertex_map.__getitem__, e.sink_side))
         # edges into the sink side from outside it: edge j enters v as arc
         # 2j + 1 of v
         cut = tuple(sorted(i >> 1 for v in sink for i in head[v]
-                           if i & 1 and level[to[i]] < 0))
+                           if i & 1 and to[i] not in sink))
         cut_int = sum(map(caps.__getitem__, cut))
         if cut_int != flow:
             raise RuntimeError(
                 f"max-flow/min-cut mismatch at terminal {inst.labels[t]}: "
                 f"flow {Fraction(flow, sol.scale)}, cut capacity "
                 f"{Fraction(cut_int, sol.scale)}")
-        found[t] = TerminalFlow(t, Fraction(flow, sol.scale), cut,
-                                frozenset(sink))
+        found[t] = TerminalFlow(t, Fraction(flow, sol.scale), cut, sink), flow
 
-    entries = tuple(map(found.__getitem__, terminals))
+    entries = tuple(found[t][0] for t in terminals)
     representatives = tuple(t for t, step in tree.items() if step is None)
     return FeasibilityReport(entries, automorphisms, representatives)
 
@@ -403,20 +409,17 @@ def path_witness(inst: DstInstance, terminal: int) -> PathWitness:
     color = terminal - t_off
     if not 0 <= color < obj.k:
         raise ValueError(f"vertex {terminal} is not a terminal")
-    r, n, eidx = inst.root, inst.n, inst.edge_index
+    r, n = inst.root, inst.n
 
-    paths = []
+    codes = []  # r -> u -> v -> pi(v) -> terminal, per matching edge
     for a, b, c in obj.edges:
         if c != color:
             continue
         u, v = a_off + a, b_off + b
         vp = inst.pi(v)
-        paths.append((
-            eidx[r * n + u],
-            eidx[u * n + v],
-            eidx[v * n + vp],
-            eidx[vp * n + terminal],
-        ))
+        codes += (r * n + u, u * n + v, v * n + vp, vp * n + terminal)
+    at = inst.edge_positions(codes)
+    paths = [tuple(at[i:i + 4]) for i in range(0, len(at), 4)]
     if len(paths) != obj.s:
         raise ValueError(f"terminal {inst.labels[terminal]} has {len(paths)} "
                          f"matching edges, but s = {obj.s}")

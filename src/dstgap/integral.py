@@ -137,8 +137,7 @@ def _transitive_on_a(inst: DstInstance) -> bool:
     """Whether the label automorphisms checked on the file's edges carry
     A-vertex 0 to every A-vertex."""
     a_ids = inst.level_ids(1)
-    automorphisms = flows.label_automorphisms(inst)
-    return len(flows.orbit_tree(a_ids[:1], automorphisms)) == len(a_ids)
+    return len(flows.orbit_tree(a_ids[:1], inst.automorphisms)) == len(a_ids)
 
 
 # Candidate B-vertices the search may examine.  Subset m8 a=2 is proven

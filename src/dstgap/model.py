@@ -33,10 +33,11 @@ import itertools
 import json
 import re
 import reprlib
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from operator import add, itemgetter, mul, or_
+from operator import add, getitem, itemgetter, lt, mul, or_
 from typing import NamedTuple
 
 from .rationals import parse_rational, render_rational
@@ -262,12 +263,13 @@ def _validation_failure(objects: GapObjects):
             failures.append(f"{name} ({detail})")
 
     def repeated(i, n, j):
-        """(e[i], e[j]) shared by two or more edges e, by int e[i]*n + e[j]."""
-        counts = Counter(map(add, map(mul, map(itemgetter(i), edges),
-                                      itertools.repeat(n)),
-                             map(itemgetter(j), edges)))
-        return [] if len(counts) == len(edges) else sorted(
-            divmod(x, n) for x, m in counts.items() if m > 1)
+        """(e[i], e[j]) shared by two or more edges e, by int e[i]*n + e[j].
+        A set finds whether there is any; only then are they counted."""
+        codes = list(map(add, map(mul, map(itemgetter(i), edges),
+                                  itertools.repeat(n)),
+                         map(itemgetter(j), edges)))
+        return [] if len(set(codes)) == len(codes) else sorted(
+            divmod(x, n) for x, m in Counter(codes).items() if m > 1)
 
     dupes = repeated(0, nb, 1)
     check("no-parallel-edges", not dupes,
@@ -326,7 +328,9 @@ class DstInstance(_InstanceFields):
     runs tails[i] -> heads[i] and costs class_costs[classes[i]].  Like
     GapObjects, a NamedTuple of the fields with cached derived values: the
     labels, level sizes and costs are read from the objects, so an instance
-    cannot disagree with them about |A|, |B| or k."""
+    cannot disagree with them about |A|, |B| or k.  An edge is found by its
+    int code tail * n + head, bisected in the sorted codes; the columns may
+    be in any order."""
 
     @functools.cached_property
     def labels(self) -> tuple:
@@ -374,12 +378,41 @@ class DstInstance(_InstanceFields):
         return _class_costs(self.level_sizes[1], self.level_sizes[2])
 
     @functools.cached_property
-    def edge_index(self) -> dict:
-        """Edge code tail * n + head -> edge position; built once per
-        instance.  An int code costs no tuple per edge."""
+    def edge_codes(self) -> list:
+        """Edge i's int code tails[i] * n + heads[i], which names the edge:
+        no two edges share a tail and a head."""
         n = self.n
-        return {t * n + h: i
-                for i, (t, h) in enumerate(zip(self.tails, self.heads))}
+        scaled = list(range(0, n * n, n))  # vertex id -> id * n
+        return list(map(add, map(scaled.__getitem__, self.tails), self.heads))
+
+    @functools.cached_property
+    def _code_order(self) -> tuple:
+        """(the edge codes ascending, the edge position of each), or (the
+        code column, None) for columns in code order, as built ones are."""
+        codes = self.edge_codes
+        if all(map(lt, codes, itertools.islice(codes, 1, None))):
+            return codes, None
+        order = sorted(range(len(codes)), key=codes.__getitem__)
+        return list(map(codes.__getitem__, order)), order
+
+    sorted_codes = property(lambda self: self._code_order[0])
+
+    def edge_positions(self, codes: list) -> list:
+        """The positions of the edges with the given codes, found by
+        bisecting the sorted codes; KeyError if a code names no edge."""
+        ordered, order = self._code_order
+        at = list(map(bisect_left, itertools.repeat(ordered), codes))
+        if at and max(at) == len(ordered) \
+                or list(map(ordered.__getitem__, at)) != codes:
+            raise KeyError("a code names no edge of the instance")
+        return at if order is None else list(map(order.__getitem__, at))
+
+    @functools.cached_property
+    def automorphisms(self) -> tuple:
+        """flows.label_automorphisms of the instance, found once for every
+        reader: solve's structured search and its LP's max-flow check."""
+        from . import flows  # flows imports this module
+        return flows.label_automorphisms(self)
 
 
 def _class_costs(num_a: int, num_b: int) -> dict:
@@ -513,13 +546,16 @@ def _edge_end(cost: str, color: str | None) -> str:
     return f',\n   "cost": {cost},\n   "color": {color}\n  }}'
 
 
+# the edge entries rendered per piece of the file text
+_EDGE_CHUNK = 4096
+
+
 def _json_pieces(inst: DstInstance):
     """The file text of the instance, piece by piece: the header, one piece
-    per edge, then the tail.  No check is made, so the loader renders a
-    family file from an instance of its objects' columns that it does not
-    build.  The text is written from templates with each label and cost
-    quoted once, in place of the per-edge dicts and the pure-Python indent
-    encoder."""
+    per _EDGE_CHUNK edges, then the tail.  No check is made, so the loader
+    renders a family file from an instance of its objects' columns that it
+    does not build.  Each label and entry end is quoted once, and a chunk
+    is joined once from them, laid out by slice assignment from map."""
     # labels and colors are values of an edge entry, three levels deep
     quoted = [json_nested(label, 3) for label in inst.labels]
     color = [json_nested(label, 3) for label in inst.provenance.color_labels]
@@ -535,16 +571,18 @@ def _json_pieces(inst: DstInstance):
            + json_block("[]", [json_block("[]", level, 2)
                                for level in levels], 1)
            + ',\n "edges": [')
-    edges = (start[t] + quoted[h] + close[k][c]
-             for t, h, k, c in zip(inst.tails, inst.heads, inst.classes,
-                                   inst.colors))
-    first = next(edges, None)
-    if first is not None:
-        yield first[1:]  # no comma before the first edge
-        yield from edges
-        yield "\n "
+    for lo in range(0, len(inst.tails), _EDGE_CHUNK):
+        chunk = slice(lo, lo + _EDGE_CHUNK)
+        parts = [""] * (3 * len(inst.tails[chunk]))
+        parts[0::3] = map(start.__getitem__, inst.tails[chunk])
+        parts[1::3] = map(quoted.__getitem__, inst.heads[chunk])
+        parts[2::3] = map(getitem, map(close.__getitem__, inst.classes[chunk]),
+                          inst.colors[chunk])
+        text = "".join(parts)
+        yield text if lo else text[1:]  # no comma before the first edge
     pi = [f"{v}: {vp}" for v, vp in zip(levels[2], levels[3])]
-    yield '],\n "pi": ' + json_block("{}", pi, 1) + "\n}\n"
+    yield ("\n " if inst.tails else "") + '],\n "pi": ' \
+        + json_block("{}", pi, 1) + "\n}\n"
 
 
 def instance_to_json(inst: DstInstance) -> str:
@@ -700,13 +738,13 @@ _E2_ENTRY_CHARS = len(_edge_start('""') + '""' + _edge_end('""', '""'))
 
 
 def _same_text(pieces, data: bytes) -> bool:
-    """Whether the iterator of ASCII pieces, joined, is data.  It is
-    compared a batch at a time, so the joined text is never held."""
+    """Whether the iterable of ASCII pieces, joined, is data.  It is
+    compared a piece at a time, so the joined text is never held."""
     pos = 0
-    while batch := "".join(itertools.islice(pieces, 4096)).encode():
-        if not data.startswith(batch, pos):
+    for piece in map(str.encode, pieces):
+        if not data.startswith(piece, pos):
             return False
-        pos += len(batch)
+        pos += len(piece)
     return pos == len(data)
 
 

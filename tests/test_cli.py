@@ -660,6 +660,14 @@ def test_each_label_is_read_once(tmp_path, monkeypatch, capsys,
         objects.a_labels + objects.b_labels + objects.color_labels)
     assert max(reads.values()) == 1  # every label of zk9 differs
 
+    # solve reads the A-labels and the colors for its certificate, and
+    # every label once for the label automorphisms, which the structured
+    # search and the LP's max-flow check share: two label_masks calls
+    reads.clear()
+    assert main(["solve", str(zk9), "--method=all"]) == EXIT_CAP  # brute
+    assert reads == collections.Counter(
+        2 * objects.a_labels + objects.b_labels + 2 * objects.color_labels)
+
     reads.clear()
     assert main(["certify", str(m6), "--sweep"]) == EXIT_OK
     objects = subset_m6_objects

@@ -282,28 +282,50 @@ def test_max_flow_matches_oracle(name, request):
 
 def test_cut_mismatch_raises_under_optimize():
     # the flow/cut equality is an explicit check, not an assert, so it
-    # still runs under python -O
+    # still runs under python -O: on a terminal whose max-flow is run, and
+    # on one whose sink side is mapped from its orbit representative's
     code = textwrap.dedent("""
         import sys
-        from dstgap import build_instance, flows, zk_objects
+        from fractions import Fraction
+        from dstgap import build_instance, flows, model, zk_objects
         if __debug__:
             sys.exit("not running under -O")
+        inst = build_instance(zk_objects(4))
+
+        def check(sol):
+            try:
+                flows.verify_feasibility(inst, sol)
+            except RuntimeError as exc:
+                print(exc)
+            else:
+                sys.exit("no error raised")
+
         real = flows._Dinic.max_flow
         flows._Dinic.max_flow = lambda self, s, t: real(self, s, t) + 1
-        inst = build_instance(zk_objects(4))
-        try:
-            flows.verify_feasibility(inst, flows.canonical_solution(inst))
-        except RuntimeError as exc:
-            print(exc)
-        else:
-            sys.exit("no error raised")
+        check(flows.canonical_solution(inst))
+        flows._Dinic.max_flow = real
+        # E3 edges of 1/3 under E4 edges of 1: the first terminal's sink
+        # side holds its in-neighbours, which a map that moves only the
+        # first two terminals does not carry to the second's
+        t0, t1, *rest = inst.terminals
+        vmap = list(range(inst.n))
+        vmap[t0], vmap[t1] = t1, t0
+        moved = flows.Automorphism((), vmap)
+        flows.orbit_tree = lambda vertices, automorphisms: {
+            t0: None, t1: (t0, moved), **dict.fromkeys(rest)}
+        check(flows.FractionalSolution(tuple(
+            Fraction(1, 3 if k == model.E3 else 1) for k in inst.classes)))
     """)
     src = os.path.dirname(os.path.dirname(dstgap.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert "max-flow/min-cut mismatch" in proc.stdout
+    run, mapped = proc.stdout.splitlines()
+    assert run == "max-flow/min-cut mismatch at terminal 1: flow 4/3, " \
+        "cut capacity 1"
+    assert mapped == "max-flow/min-cut mismatch at terminal 2: flow 1, " \
+        "cut capacity 2"
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +423,41 @@ def test_orbit_path_matches_per_terminal_oracle(name):
                 assert rep.representatives == tuple(inst.terminals)
         elif n == 1 and kept == FULL and inst.level_sizes[2] > 1:
             assert cycles == ["(1 2)"]
+
+
+FLIPPED = ("tails", "heads", "classes", "colors")
+
+
+@pytest.mark.parametrize("name", ["zk4", "m6", "m10a3", "zk9-e3-at-12"])
+def test_verify_reads_edge_columns_in_any_order(name):
+    # automorphisms are checked on the sorted edge codes, a mapped cut is
+    # read off its sink side and a path edge is found by bisecting the
+    # codes, so reversed columns give the same report, with edge i at
+    # position m - 1 - i
+    inst = ORBIT_CASES[name][0]()
+    flipped = inst._replace(**{col: getattr(inst, col)[::-1]
+                               for col in FLIPPED})
+    last = len(inst.tails) - 1
+    for sol in _orbit_solutions(inst):
+        rep = verify_feasibility(inst, sol)
+        back = verify_feasibility(flipped, FractionalSolution(sol.x[::-1]))
+        assert back.automorphisms == rep.automorphisms
+        assert back.representatives == rep.representatives
+        for e, f in zip(rep.entries, back.entries, strict=True):
+            assert (f.terminal, f.value, f.sink_side) \
+                == (e.terminal, e.value, e.sink_side)
+            assert f.cut_edges == tuple(sorted(last - i for i in e.cut_edges))
+    canon = canonical_solution(flipped)
+    for t in inst.terminals:
+        try:
+            paths = path_witness(inst, t).paths
+        except KeyError:  # a path edge is left out
+            with pytest.raises(KeyError):
+                path_witness(flipped, t)
+            continue
+        w = path_witness(flipped, t)
+        assert w.paths == tuple(tuple(last - i for i in p) for p in paths)
+        assert check_path_witness(flipped, w, canon)
 
 
 def test_explicit_terminals_run_directly(zk4_instance):

@@ -444,10 +444,10 @@ def test_loader_rejects_labels_that_merge_two_edges():
         instance_from_dict(data)
 
 
-def test_loader_builds_no_edge_index(zk4_instance, subset_m6_instance):
+def test_loader_builds_no_edge_codes(zk4_instance, subset_m6_instance):
     for inst in (zk4_instance, subset_m6_instance):
         loaded = instance_from_json(instance_to_json(inst).encode())
-        assert "edge_index" not in loaded.__dict__
+        assert not {"edge_codes", "_code_order"} & loaded.__dict__.keys()
 
 
 def test_replace_recomputes_cached_values(zk4_objects, zk4_instance,
@@ -455,7 +455,8 @@ def test_replace_recomputes_cached_values(zk4_objects, zk4_instance,
     # _replace makes a new object whose cache is empty: each derived value,
     # read first on the original, is computed again from the new fields
     kv, inst = zk4_objects.color_masks_by_b, zk4_instance
-    codes, costs = inst.edge_index, inst.class_costs
+    codes, costs = inst.edge_codes, inst.class_costs
+    assert inst.edge_positions(codes) == list(range(len(codes)))
     a, b, c = zk4_objects.edges[0]
     assert (zk4_objects.d, zk4_objects.d_prime, zk4_objects.s) == (2, 3, 3)
     assert validate_objects(zk4_objects) is None
@@ -474,8 +475,10 @@ def test_replace_recomputes_cached_values(zk4_objects, zk4_instance,
 
     dropped = inst._replace(**{col: getattr(inst, col)[1:] for col in
                                ("tails", "heads", "classes", "colors")})
-    assert dropped.edge_index == {code: i - 1 for code, i in codes.items()
-                                  if i}
+    assert dropped.edge_codes == codes[1:] == dropped.sorted_codes
+    assert dropped.edge_positions(codes[1:]) == list(range(len(codes) - 1))
+    with pytest.raises(KeyError):
+        dropped.edge_positions(codes[:1])
     # labels, level sizes and costs follow the objects
     labels, sizes = inst.labels, inst.level_sizes
     moved = inst._replace(provenance=subset_m6_instance.provenance)
@@ -486,7 +489,7 @@ def test_replace_recomputes_cached_values(zk4_objects, zk4_instance,
     assert moved.class_costs[E1] == 1
     # equality is by field values alone
     again = inst._replace()
-    assert again == inst and "edge_index" not in again.__dict__
+    assert again == inst and "edge_codes" not in again.__dict__
 
 
 # SHA-256 of the files `gen` writes; a writer change must keep every byte
@@ -700,6 +703,29 @@ def test_writer_matches_oracle_on_loaded_files(zk4_instance):
     loaded = instance_from_dict(numbered)
     assert instance_to_json(loaded) == _oracle(loaded)
     assert json.loads(instance_to_json(loaded)) == numbered
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 33, 34, 4096])
+def test_writer_chunks_match_oracle(zk4_instance, monkeypatch, chunk):
+    # the edge entries are rendered and joined a chunk at a time; zk4 has
+    # 34 edges, and 33 once its first is left out
+    monkeypatch.setattr(model, "_EDGE_CHUNK", chunk)
+    data = instance_to_dict(zk4_instance)
+    del data["edges"][0]
+    loaded = instance_from_dict(data)
+    for inst in (zk4_instance, loaded):
+        pieces = list(model._json_pieces(inst))
+        assert len(pieces) == 2 + -(-len(inst.tails) // chunk)
+        assert "".join(pieces) == instance_to_json(inst) == _oracle(inst)
+    assert len(zk4_instance.tails) == 34
+
+
+def test_same_text_compares_every_byte(zk4_instance, monkeypatch):
+    monkeypatch.setattr(model, "_EDGE_CHUNK", 5)
+    data = instance_to_json(zk4_instance).encode()
+    assert model._same_text(model._json_pieces(zk4_instance), data)
+    for other in (data[:-1] + b"\0", data + b"\n", data[:-1], b""):
+        assert not model._same_text(model._json_pieces(zk4_instance), other)
 
 
 def test_writer_matches_oracle_on_awkward_labels(zk4_objects):
