@@ -12,8 +12,8 @@ concrete 5-level layered DST graph built from it:
     level 3: B' (copy of B)       (matching v->pi(v), cost 1)
     level 4: terminals K          (pi(v)->t for each color t at v, cost 0)
 
-Costs are fixed by the edge class (the level of the head), as above: an
-instance keeps int edge columns and one cost per class.
+Costs are fixed by the edge class, the level of the head, as above: an
+instance keeps int tail, head and color columns and one cost per class.
 
 Vertex ids are dense integers assigned level by level in the canonical
 label order of the objects; edges are sorted by (level, tail, head), so a
@@ -136,11 +136,10 @@ class GapObjects(_GapFields):
 
     @functools.cached_property
     def _columns(self) -> tuple:
-        """The tails, heads, classes and colors of the instance the objects
-        build, in the one built order: E1 in A order, E2 from the sorted
-        triples, E3 once per B-vertex and E4 from each K_v mask's bits,
-        lowest first.  Made once per objects value, for the loader's render
-        and then for build_instance; the objects must be valid."""
+        """The tails, heads and colors of the instance valid objects build,
+        in the one built order: E1 in A order, E2 from the sorted triples,
+        E3 once per B-vertex and E4 from each K_v mask's bits, lowest
+        first.  Made once, for the loader's render and build_instance."""
         na, nb, k = self.num_a, self.num_b, self.k
         edges = sorted(self.edges)
         kv = list(map(bit_indices, self.color_masks_by_b))
@@ -156,11 +155,9 @@ class GapObjects(_GapFields):
         heads += map(b_id.__getitem__, map(itemgetter(1), edges))
         heads += bp_id
         heads += [t_id[c] for cs in kv for c in cs]
-        n4 = sum(map(len, kv))
-        classes = (E1,) * na + (E2,) * len(edges) + (E3,) * nb + (E4,) * n4
         colors = ((None,) * na + tuple(map(itemgetter(2), edges))
-                  + (None,) * (nb + n4))
-        return tuple(tails), tuple(heads), classes, colors
+                  + (None,) * (nb + sum(map(len, kv))))
+        return tuple(tails), tuple(heads), colors
 
 
 def bit_indices(mask: int) -> list:
@@ -318,19 +315,18 @@ def _validation_failure(objects: GapObjects):
 class _InstanceFields(NamedTuple):
     tails: tuple           # int vertex ids
     heads: tuple           # int vertex ids
-    classes: tuple         # E1..E4: the level of the head
     colors: tuple          # color index on E2 edges, None elsewhere
     provenance: GapObjects
 
 
 class DstInstance(_InstanceFields):
-    """The built 5-level DST graph.  Vertex ids index into `labels`; edge i
-    runs tails[i] -> heads[i] and costs class_costs[classes[i]].  Like
-    GapObjects, a NamedTuple of the fields with cached derived values: the
-    labels, level sizes and costs are read from the objects, so an instance
-    cannot disagree with them about |A|, |B| or k.  An edge is found by its
-    int code tail * n + head, bisected in the sorted codes; the columns may
-    be in any order."""
+    """The built 5-level DST graph: int tail, head and color columns and the
+    objects.  Vertex ids index into `labels`; edge i runs tails[i] -> heads[i],
+    is of class levels[heads[i]] and costs class_costs[classes[i]].  Like
+    GapObjects, a NamedTuple of the fields with cached values read from the
+    objects, so an instance cannot disagree with them about |A|, |B|, k or an
+    edge's class.  An edge is found by its int code tail * n + head, bisected
+    in the sorted codes; the columns may be in any order."""
 
     @functools.cached_property
     def labels(self) -> tuple:
@@ -365,10 +361,18 @@ class DstInstance(_InstanceFields):
     def terminals(self):
         return self.level_ids(4)
 
+    @functools.cached_property
+    def levels(self) -> bytes:
+        """The level of each vertex, by id."""
+        return b"".join(bytes([i]) * n for i, n in enumerate(self.level_sizes))
+
+    # each edge's class E1..E4: the level of its head
+    classes = functools.cached_property(
+        lambda self: bytes(map(self.levels.__getitem__, self.heads)))
+
     def pi(self, b_id: int) -> int:
         """The copy in level 3 of a level-2 vertex."""
-        off2 = self.level_offset(2)
-        if not off2 <= b_id < self.level_offset(3):
+        if not 0 <= b_id < self.n or self.levels[b_id] != 2:
             raise ValueError(f"vertex {b_id} is not in level 2")
         return b_id + self.level_sizes[2]
 
@@ -424,24 +428,20 @@ def _class_costs(num_a: int, num_b: int) -> dict:
 
 def build_instance(objects: GapObjects) -> DstInstance:
     """Build the 5-level instance; deterministic for a given GapObjects.
-    Raises ValueError if the objects fail validate_objects."""
+    ValueError if the objects fail validate_objects; RuntimeError if a built
+    vertex's in-degree is not its level's, which fixes each class's size."""
     validate_objects(objects)
 
     inst = DstInstance(*objects._columns, provenance=objects)
 
-    # DstInstance invariants; cheap, and they guard generator bugs
-    counts = edge_class_counts(inst)
-    nb = objects.num_b
-    expected = {E1: objects.num_a, E2: len(objects.edges), E3: nb,
-                E4: nb * objects.d_prime}
-    if counts != expected:
-        raise RuntimeError(f"built instance has edge classes {counts}, "
-                           f"expected {expected}")
+    # cheap, and it guards generator bugs
     indeg = Counter(inst.heads)
-    bad = [inst.labels[t] for t in inst.terminals if indeg[t] != objects.s]
+    want = (0, 1, objects.d_prime, 1, objects.s)
+    bad = [(inst.labels[v], indeg[v]) for v, level in enumerate(inst.levels)
+           if indeg[v] != want[level]]
     if bad:
-        raise RuntimeError(
-            f"terminals with in-degree != s={objects.s}: {bad[:5]}")
+        raise RuntimeError(f"built (vertex, in-degree) pairs off the (root, "
+                           f"A, B, B', terminal) in-degrees {want}: {bad[:5]}")
     return inst
 
 
@@ -565,6 +565,7 @@ def _json_pieces(inst: DstInstance):
         text = encode_basestring_ascii(render_rational(q))
         close[klass] = dict(enumerate(_edge_end(text, c) for c in color))
         close[klass][None] = _edge_end(text, None)
+    end = list(map(close.get, inst.levels))  # head id -> its class's ends
     levels = _levels(quoted, inst.level_sizes)
     yield (_HEAD + json_nested(_meta(inst.provenance), 1)
            + ',\n "levels": '
@@ -573,10 +574,11 @@ def _json_pieces(inst: DstInstance):
            + ',\n "edges": [')
     for lo in range(0, len(inst.tails), _EDGE_CHUNK):
         chunk = slice(lo, lo + _EDGE_CHUNK)
-        parts = [""] * (3 * len(inst.tails[chunk]))
+        heads = inst.heads[chunk]
+        parts = [""] * (3 * len(heads))
         parts[0::3] = map(start.__getitem__, inst.tails[chunk])
-        parts[1::3] = map(quoted.__getitem__, inst.heads[chunk])
-        parts[2::3] = map(getitem, map(close.__getitem__, inst.classes[chunk]),
+        parts[1::3] = map(quoted.__getitem__, heads)
+        parts[2::3] = map(getitem, map(end.__getitem__, heads),
                           inst.colors[chunk])
         text = "".join(parts)
         yield text if lo else text[1:]  # no comma before the first edge
@@ -718,18 +720,16 @@ def instance_from_dict(data: dict) -> DstInstance:
         if type(cost) is not str:
             raise ValueError(f"edge {entry['tail']!r} -> {entry['head']!r} "
                              f"has cost {cost!r}, not a \"num/den\" string")
-    costs = inst.class_costs
-    for klass, text in dict.fromkeys(zip(map(inst.classes.__getitem__, listed),
-                                         listed.values())):
+    costs, level = inst.class_costs, inst.levels.__getitem__
+    for klass, text in dict.fromkeys(zip(
+            map(level, map(inst.heads.__getitem__, listed)), listed.values())):
         if parse_rational(text) != costs[klass]:
             raise ValueError(f"an E{klass} edge costs {text!r}, but every E{klass} "
                              f"edge costs {render_rational(costs[klass])}")
     keep = sorted(listed)
-    tails, heads, classes, colors = (
-        tuple(map(column.__getitem__, keep))
-        for column in (inst.tails, inst.heads, inst.classes, inst.colors))
-    return inst._replace(tails=tails, heads=heads, classes=classes,
-                         colors=colors)
+    tails, heads, colors = (tuple(map(column.__getitem__, keep)) for column
+                            in (inst.tails, inst.heads, inst.colors))
+    return inst._replace(tails=tails, heads=heads, colors=colors)
 
 
 # the fewest characters an E2 edge entry takes in the text instance_to_json

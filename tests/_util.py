@@ -4,7 +4,8 @@ from fractions import Fraction
 from math import comb
 
 from dstgap.bounds import DIGITS
-from dstgap.model import GapObjects, build_instance
+from dstgap.model import (GapObjects, build_instance, instance_from_dict,
+                          instance_to_dict)
 
 
 def set_label(elements) -> str:
@@ -48,6 +49,19 @@ def permuted_subset_objects(obj, sigma):
 
     edges = tuple(sorted((amap(a), bmap(b), amap(c)) for a, b, c in obj.edges))
     return obj._replace(edges=edges)
+
+
+def e3_edge_left_out(inst, holds_1_and_2):
+    """The instance that inst's file loads as with the E3 edge of one
+    B-vertex left out: the first B-vertex whose set holds both 1 and 2, or
+    the first that holds exactly one of them."""
+    data = instance_to_dict(inst)
+    want = 2 if holds_1_and_2 else 1
+    i = next(i for i, e in enumerate(data["edges"])
+             if e["cost"] == "1/1" and e["head"].endswith("'")
+             and len(label_set(e["tail"]) & {1, 2}) == want)
+    del data["edges"][i]
+    return instance_from_dict(data)
 
 
 def toy_objects():

@@ -369,7 +369,7 @@ def test_brute_reports_isolated_terminal(zk4_instance):
             if not (k == E4 and w == t)]
     bad = zk4_instance._replace(**{
         col: tuple(getattr(zk4_instance, col)[i] for i in keep)
-        for col in ("tails", "heads", "classes", "colors")})
+        for col in ("tails", "heads", "colors")})
     res = brute_force_opt(bad)
     assert not res.feasible
     assert res.value is None

@@ -58,8 +58,7 @@ def test_lp_reads_edge_columns_in_any_order(request, name, value):
     # in-edges, so the optimum does not depend on the columns' order
     inst = request.getfixturevalue(name)
     flipped = inst._replace(**{col: getattr(inst, col)[::-1]
-                               for col in ("tails", "heads", "classes",
-                                           "colors")})
+                               for col in ("tails", "heads", "colors")})
     res = solve_lp_exact(flipped)
     assert res.certified and res.optimal_value == value
 
@@ -100,7 +99,7 @@ def _keep(inst, keep):
     """inst with only the edges at the positions in keep."""
     return inst._replace(**{
         col: tuple(map(getattr(inst, col).__getitem__, keep))
-        for col in ("tails", "heads", "classes", "colors")})
+        for col in ("tails", "heads", "colors")})
 
 
 def _cut_off(inst, label):
@@ -182,7 +181,6 @@ def _wide_copy_edge(inst, packing):
     reached = {h for tail, h in zip(inst.tails, inst.heads) if tail == vp}
     other = next(t for t in inst.terminals if t not in reached)
     wide = inst._replace(tails=inst.tails + (vp,), heads=inst.heads + (other,),
-                         classes=inst.classes + (E4,),
                          colors=inst.colors + (None,))
     return wide, lp._two_cut_packing(wide, lp._in_edges(wide))
 

@@ -35,8 +35,9 @@ from dstgap.model import (
 )
 from dstgap.rationals import parse_rational, render_rational
 
-from _util import (kv_sets, label_set, mask_set, permuted_subset_objects,
-                   set_label, toy_instance, toy_objects, two_copies)
+from _util import (e3_edge_left_out, kv_sets, label_set, mask_set,
+                   permuted_subset_objects, set_label, toy_instance,
+                   toy_objects, two_copies)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +238,10 @@ def test_build_invariants_raise_under_optimize():
         else:
             sys.exit("build_instance: no error raised")
         families.colex_subsets = real
-        model.edge_class_counts = lambda inst: {}
+        # a _columns bug: the last E4 edge, into terminal '4', is dropped
+        columns = model.GapObjects._columns.func
+        model.GapObjects._columns = property(
+            lambda objects: tuple(col[:-1] for col in columns(objects)))
         try:
             model.build_instance(families.zk_objects(4))
         except RuntimeError as exc:
@@ -252,7 +256,29 @@ def test_build_invariants_raise_under_optimize():
     assert proc.returncode == 0, proc.stderr
     first, second = proc.stdout.splitlines()
     assert first.startswith("objects fail validation: b-regular (")
-    assert "built instance has edge classes {}" in second
+    assert second == ("built (vertex, in-degree) pairs off the (root, A, B, "
+                      "B', terminal) in-degrees (0, 1, 3, 1, 3): [('4', 2)]")
+
+
+def test_build_checks_every_in_degree(zk4_objects, monkeypatch):
+    # a _columns bug that moves the first E2 head to the next B-vertex keeps
+    # every class size and every terminal's in-degree, but leaves one
+    # B-vertex short of d' in-edges and gives the next one more
+    columns = GapObjects._columns.func
+
+    def moved(objects):
+        tails, heads, *rest = columns(objects)
+        heads = list(heads)
+        heads[objects.num_a] += 1
+        return (tails, tuple(heads), *rest)
+
+    monkeypatch.setattr(GapObjects, "_columns", property(moved))
+    first, second = zk4_objects.b_labels[:2]
+    with pytest.raises(RuntimeError) as info:
+        build_instance(zk4_objects)
+    assert str(info.value) == (
+        "built (vertex, in-degree) pairs off the (root, A, B, B', terminal) "
+        f"in-degrees (0, 1, 3, 1, 3): [({first!r}, 2), ({second!r}, 4)]")
 
 
 def _package_nodes():
@@ -444,10 +470,20 @@ def test_loader_rejects_labels_that_merge_two_edges():
         instance_from_dict(data)
 
 
-def test_loader_builds_no_edge_codes(zk4_instance, subset_m6_instance):
-    for inst in (zk4_instance, subset_m6_instance):
-        loaded = instance_from_json(instance_to_json(inst).encode())
-        assert not {"edge_codes", "_code_order"} & loaded.__dict__.keys()
+def test_loader_builds_no_edge_codes(zk4_instance, subset_m6_instance,
+                                     monkeypatch):
+    # nor a class column: a family file is rendered and a listed edge's cost
+    # checked by the level of its head
+    texts = [instance_to_json(inst) for inst in (zk4_instance,
+                                                 subset_m6_instance)]
+    monkeypatch.setattr(DstInstance, "classes", property(
+        lambda inst: pytest.fail("the loader read the classes")))
+    for text in texts:
+        data = json.loads(text)
+        data["edges"].pop()
+        for loaded in (instance_from_json(text.encode()),
+                       instance_from_dict(data)):
+            assert not {"edge_codes", "_code_order"} & loaded.__dict__.keys()
 
 
 def test_replace_recomputes_cached_values(zk4_objects, zk4_instance,
@@ -474,7 +510,7 @@ def test_replace_recomputes_cached_values(zk4_objects, zk4_instance,
     assert validate_objects(twice) is None
 
     dropped = inst._replace(**{col: getattr(inst, col)[1:] for col in
-                               ("tails", "heads", "classes", "colors")})
+                               ("tails", "heads", "colors")})
     assert dropped.edge_codes == codes[1:] == dropped.sorted_codes
     assert dropped.edge_positions(codes[1:]) == list(range(len(codes) - 1))
     with pytest.raises(KeyError):
@@ -516,6 +552,41 @@ FAMILY_OBJECTS = {
 }
 
 
+def _head_levels(inst) -> list:
+    """The level of each edge's head, found in the level_offset ranges."""
+    ranges = list(map(inst.level_ids, range(5)))
+    return [next(level for level, ids in enumerate(ranges) if head in ids)
+            for head in inst.heads]
+
+
+def _reversed(inst):
+    return inst._replace(**{col: getattr(inst, col)[::-1]
+                            for col in ("tails", "heads", "colors")})
+
+
+HEAD_LEVEL_CASES = {
+    "m6-loaded": lambda: instance_from_json(instance_to_json(
+        build_instance(FAMILY_OBJECTS["m6"]())).encode()),
+    "zk9-less-e3": lambda: e3_edge_left_out(build_instance(zk_objects(9)),
+                                            True),
+    "zk9-reversed": lambda: _reversed(build_instance(zk_objects(9))),
+}
+
+
+@pytest.mark.parametrize("name", [*FAMILY_OBJECTS, *HEAD_LEVEL_CASES])
+def test_classes_are_head_levels(name):
+    if name in FAMILY_OBJECTS:
+        obj = FAMILY_OBJECTS[name]()
+        inst = build_instance(obj)
+        # the built order: E1 in A order, E2, E3 once per B-vertex, then E4
+        assert list(inst.classes) == (
+            [E1] * obj.num_a + [E2] * len(obj.edges) + [E3] * obj.num_b
+            + [E4] * (obj.num_b * obj.d_prime))
+    else:
+        inst = HEAD_LEVEL_CASES[name]()
+    assert list(inst.classes) == _head_levels(inst)
+
+
 @pytest.mark.parametrize("make", [
     *FAMILY_OBJECTS.values(), toy_objects,
     lambda: two_copies(zk_objects(4), 4),
@@ -546,13 +617,11 @@ def test_tampered_instance_writes_its_own_columns(zk4_instance):
     inst = zk4_instance
     vp, t = inst.level_offset(3), inst.terminals[-1]
     extra = inst._replace(tails=inst.tails + (vp,), heads=inst.heads + (t,),
-                          classes=inst.classes + (E4,),
                           colors=inst.colors + (None,))
     order = list(range(len(inst.tails)))[::-1][1:]
     shuffled = inst._replace(**{col: tuple(getattr(inst, col)[i]
                                            for i in order)
-                                for col in ("tails", "heads", "classes",
-                                            "colors")})
+                                for col in ("tails", "heads", "colors")})
     for tampered in (extra, shuffled):
         text = instance_to_json(tampered)
         assert text == _oracle(tampered)
@@ -565,8 +634,7 @@ def test_tampered_instance_writes_its_own_columns(zk4_instance):
 def test_instance_values_are_its_objects(name):
     # an instance has its edge columns and objects as fields; its labels,
     # level sizes and costs are what the objects give, built or loaded
-    assert DstInstance._fields == ("tails", "heads", "classes", "colors",
-                                   "provenance")
+    assert DstInstance._fields == ("tails", "heads", "colors", "provenance")
     obj = FAMILY_OBJECTS[name]()
     built = build_instance(obj)
     data = json.loads(instance_to_json(built))
@@ -742,8 +810,7 @@ def test_writer_matches_oracle_on_awkward_labels(zk4_objects):
         inst = build_instance(objects)
         assert instance_to_json(inst) == _oracle(inst)
         assert instance_to_json(inst).isascii()
-    no_edges = build_instance(quoted)._replace(tails=(), heads=(),
-                                               classes=(), colors=())
+    no_edges = build_instance(quoted)._replace(tails=(), heads=(), colors=())
     assert instance_to_json(no_edges) == _oracle(no_edges)
 
 
