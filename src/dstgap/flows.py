@@ -23,22 +23,22 @@ ground set (model.label_masks reads a bare integer x, a zk color, as {x}),
 so a permutation of the ground set proposes a vertex map, level by level.
 Two are tried: the full cycle of the ground set and the transposition of
 its two smallest elements.  A permutation is kept only when it is checked
-exactly on the instance's edges: the sorted int codes tail * n + head of
-the edges' images are the sorted edge codes, so every edge maps to an
-edge, with no lookup per edge.  Where it also keeps x, it is an
-automorphism of the network, and carries a terminal's largest min-cut
-source side onto that of the terminal's image, so a terminal's sink side
-is its orbit representative's, mapped, and its cut is read off that side
-and checked as a run terminal's is; a path witness maps too.  Nothing is
-read from the family name; with no permutation kept, every terminal is
-its own orbit.
+exactly on the instance's edges: the int codes of the edges' images
+(DstInstance.image_codes), sorted, are the instance's edge codes, which
+ascend in edge order, so every edge maps to an edge, with no lookup per
+edge.  Where it also keeps x, it is an automorphism of the network, and
+carries a terminal's largest min-cut source side onto that of the
+terminal's image, so a terminal's sink side is its orbit representative's,
+mapped, and its cut is read off that side and checked as a run terminal's
+is; a path witness maps too.  Nothing is read from the family name; with
+no permutation kept, every terminal is its own orbit.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from fractions import Fraction
-from operator import add
 from typing import NamedTuple
 
 from .model import DstInstance, label_masks
@@ -232,7 +232,7 @@ class FeasibilityReport(NamedTuple):
 class Automorphism(NamedTuple):
     """A ground-set permutation checked on an instance: its vertex map
     fixes the root and each level and sends the edges onto the edges, as
-    the sorted codes of the edges' images are the sorted edge codes.
+    the codes of the edges' images, sorted, are the edge codes.
     Where it also keeps x, it maps a terminal's max-flows, min cuts and
     path witnesses onto its image's."""
 
@@ -297,17 +297,9 @@ def _check_automorphism(inst, cycle, move, levels):
         if ids.start == inst.level_offset(2):  # level 3 is level 2 primed
             nb = len(ids)
             vmap[ids.stop:ids.stop + nb] = [w + nb for w in images]
-    if sorted(_image_codes(inst, vmap)) != inst.sorted_codes:
+    if array("q", sorted(inst.image_codes(vmap))) != inst.edge_codes:
         return None
     return Automorphism(cycle, vmap)
-
-
-def _image_codes(inst, vmap) -> list:
-    """The codes of the images of the edges under the vertex map."""
-    n = inst.n
-    scaled = [w * n for w in vmap]
-    return list(map(add, map(scaled.__getitem__, inst.tails),
-                    map(vmap.__getitem__, inst.heads)))
 
 
 def orbit_tree(vertices, automorphisms) -> dict:
@@ -350,9 +342,9 @@ def verify_feasibility(inst: DstInstance, sol: FractionalSolution,
         # with unequal capacities, the (code, capacity) pairs of the edges'
         # images must be the edges' own
         if caps and caps.count(caps[0]) != len(caps):
-            keyed = sorted(zip(inst.edge_codes, caps))
+            keyed = list(zip(inst.edge_codes, caps))  # in code order
             automorphisms = tuple(g for g in automorphisms if sorted(zip(
-                _image_codes(inst, g.vertex_map), caps)) == keyed)
+                inst.image_codes(g.vertex_map), caps)) == keyed)
         terminals = inst.terminals
     else:
         automorphisms = ()
@@ -409,16 +401,18 @@ def path_witness(inst: DstInstance, terminal: int) -> PathWitness:
     color = terminal - t_off
     if not 0 <= color < obj.k:
         raise ValueError(f"vertex {terminal} is not a terminal")
-    r, n = inst.root, inst.n
+    r = inst.root
 
-    codes = []  # r -> u -> v -> pi(v) -> terminal, per matching edge
+    # r -> u -> v -> pi(v) -> terminal, per matching edge
+    tails, heads = [], []
     for a, b, c in obj.edges:
         if c != color:
             continue
         u, v = a_off + a, b_off + b
         vp = inst.pi(v)
-        codes += (r * n + u, u * n + v, v * n + vp, vp * n + terminal)
-    at = inst.edge_positions(codes)
+        tails += (r, u, v, vp)
+        heads += (u, v, vp, terminal)
+    at = inst.edge_positions(tails, heads)
     paths = [tuple(at[i:i + 4]) for i in range(0, len(at), 4)]
     if len(paths) != obj.s:
         raise ValueError(f"terminal {inst.labels[terminal]} has {len(paths)} "

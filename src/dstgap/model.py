@@ -17,7 +17,8 @@ instance keeps int tail, head and color columns and one cost per class.
 
 Vertex ids are dense integers assigned level by level in the canonical
 label order of the objects; edges are sorted by (level, tail, head), so a
-given GapObjects value always builds the identical instance.  build_instance
+given GapObjects value always builds the identical instance, whose edge
+codes tail * n + head ascend with the edge position.  build_instance
 is the only builder: a file loads as the instance of its objects less the
 edges it leaves out, and a file edge that is not a built edge, or that
 costs other than its class cost, is rejected.  The file text is rendered
@@ -33,11 +34,12 @@ import itertools
 import json
 import re
 import reprlib
+from array import array
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from operator import add, getitem, itemgetter, lt, mul, or_
+from operator import add, getitem, itemgetter, mul, or_
 from typing import NamedTuple
 
 from .rationals import parse_rational, render_rational
@@ -325,8 +327,10 @@ class DstInstance(_InstanceFields):
     is of class levels[heads[i]] and costs class_costs[classes[i]].  Like
     GapObjects, a NamedTuple of the fields with cached values read from the
     objects, so an instance cannot disagree with them about |A|, |B|, k or an
-    edge's class.  An edge is found by its int code tail * n + head, bisected
-    in the sorted codes; the columns may be in any order."""
+    edge's class.  Built and loaded columns are in code order: an edge's
+    int code tail * n + head ascends with its position, so edge_codes, an
+    array('q') (codes are below n**2), is the one edge index, and
+    edge_positions bisects it."""
 
     @functools.cached_property
     def labels(self) -> tuple:
@@ -382,34 +386,34 @@ class DstInstance(_InstanceFields):
         return _class_costs(self.level_sizes[1], self.level_sizes[2])
 
     @functools.cached_property
-    def edge_codes(self) -> list:
+    def edge_codes(self) -> array:
         """Edge i's int code tails[i] * n + heads[i], which names the edge:
-        no two edges share a tail and a head."""
+        no two edges share a tail and a head.  The codes ascend, as the
+        columns are in code order."""
         n = self.n
         scaled = list(range(0, n * n, n))  # vertex id -> id * n
-        return list(map(add, map(scaled.__getitem__, self.tails), self.heads))
+        # image_codes of the identity map, without its lookup per head
+        return array("q", list(map(add, map(scaled.__getitem__, self.tails),
+                                   self.heads)))
 
-    @functools.cached_property
-    def _code_order(self) -> tuple:
-        """(the edge codes ascending, the edge position of each), or (the
-        code column, None) for columns in code order, as built ones are."""
-        codes = self.edge_codes
-        if all(map(lt, codes, itertools.islice(codes, 1, None))):
-            return codes, None
-        order = sorted(range(len(codes)), key=codes.__getitem__)
-        return list(map(codes.__getitem__, order)), order
+    def image_codes(self, vmap: list) -> list:
+        """The codes of the edges' images under the vertex map vmap (vertex
+        id -> vertex id), in edge order."""
+        n = self.n
+        scaled = [w * n for w in vmap]
+        return list(map(add, map(scaled.__getitem__, self.tails),
+                        map(vmap.__getitem__, self.heads)))
 
-    sorted_codes = property(lambda self: self._code_order[0])
-
-    def edge_positions(self, codes: list) -> list:
-        """The positions of the edges with the given codes, found by
-        bisecting the sorted codes; KeyError if a code names no edge."""
-        ordered, order = self._code_order
-        at = list(map(bisect_left, itertools.repeat(ordered), codes))
-        if at and max(at) == len(ordered) \
-                or list(map(ordered.__getitem__, at)) != codes:
-            raise KeyError("a code names no edge of the instance")
-        return at if order is None else list(map(order.__getitem__, at))
+    def edge_positions(self, tails, heads) -> list:
+        """The positions of the edges tails[j] -> heads[j], found by
+        bisecting the edge codes; KeyError if a pair is no edge."""
+        n, codes = self.n, self.edge_codes
+        want = [u * n + v for u, v in zip(tails, heads)]
+        at = list(map(bisect_left, itertools.repeat(codes), want))
+        if at and max(at) == len(codes) \
+                or list(map(codes.__getitem__, at)) != want:
+            raise KeyError("a (tail, head) pair names no edge of the instance")
+        return at
 
     @functools.cached_property
     def automorphisms(self) -> tuple:

@@ -412,41 +412,6 @@ def test_orbit_path_matches_per_terminal_oracle(name):
             assert cycles == ["(1 2)"]
 
 
-FLIPPED = ("tails", "heads", "colors")
-
-
-@pytest.mark.parametrize("name", ["zk4", "m6", "m10a3", "zk9-e3-at-12"])
-def test_verify_reads_edge_columns_in_any_order(name):
-    # automorphisms are checked on the sorted edge codes, a mapped cut is
-    # read off its sink side and a path edge is found by bisecting the
-    # codes, so reversed columns give the same report, with edge i at
-    # position m - 1 - i
-    inst = ORBIT_CASES[name][0]()
-    flipped = inst._replace(**{col: getattr(inst, col)[::-1]
-                               for col in FLIPPED})
-    last = len(inst.tails) - 1
-    for sol in _orbit_solutions(inst):
-        rep = verify_feasibility(inst, sol)
-        back = verify_feasibility(flipped, FractionalSolution(sol.x[::-1]))
-        assert back.automorphisms == rep.automorphisms
-        assert back.representatives == rep.representatives
-        for e, f in zip(rep.entries, back.entries, strict=True):
-            assert (f.terminal, f.value, f.sink_side) \
-                == (e.terminal, e.value, e.sink_side)
-            assert f.cut_edges == tuple(sorted(last - i for i in e.cut_edges))
-    canon = canonical_solution(flipped)
-    for t in inst.terminals:
-        try:
-            paths = path_witness(inst, t).paths
-        except KeyError:  # a path edge is left out
-            with pytest.raises(KeyError):
-                path_witness(flipped, t)
-            continue
-        w = path_witness(flipped, t)
-        assert w.paths == tuple(tuple(last - i for i in p) for p in paths)
-        assert check_path_witness(flipped, w, canon)
-
-
 def test_explicit_terminals_run_directly(zk4_instance):
     rep = verify_feasibility(zk4_instance, canonical_solution(zk4_instance),
                              terminals=list(zk4_instance.terminals))

@@ -1,12 +1,14 @@
 import ast
 import hashlib
 import json
+import operator
 import os
 import random
 import subprocess
 import sys
 import textwrap
 import time
+from array import array
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -483,7 +485,7 @@ def test_loader_builds_no_edge_codes(zk4_instance, subset_m6_instance,
         data["edges"].pop()
         for loaded in (instance_from_json(text.encode()),
                        instance_from_dict(data)):
-            assert not {"edge_codes", "_code_order"} & loaded.__dict__.keys()
+            assert "edge_codes" not in loaded.__dict__
 
 
 def test_replace_recomputes_cached_values(zk4_objects, zk4_instance,
@@ -492,7 +494,8 @@ def test_replace_recomputes_cached_values(zk4_objects, zk4_instance,
     # read first on the original, is computed again from the new fields
     kv, inst = zk4_objects.color_masks_by_b, zk4_instance
     codes, costs = inst.edge_codes, inst.class_costs
-    assert inst.edge_positions(codes) == list(range(len(codes)))
+    assert inst.edge_positions(inst.tails, inst.heads) \
+        == list(range(len(codes)))
     a, b, c = zk4_objects.edges[0]
     assert (zk4_objects.d, zk4_objects.d_prime, zk4_objects.s) == (2, 3, 3)
     assert validate_objects(zk4_objects) is None
@@ -511,10 +514,11 @@ def test_replace_recomputes_cached_values(zk4_objects, zk4_instance,
 
     dropped = inst._replace(**{col: getattr(inst, col)[1:] for col in
                                ("tails", "heads", "colors")})
-    assert dropped.edge_codes == codes[1:] == dropped.sorted_codes
-    assert dropped.edge_positions(codes[1:]) == list(range(len(codes) - 1))
+    assert dropped.edge_codes == codes[1:]
+    assert dropped.edge_positions(inst.tails[1:], inst.heads[1:]) \
+        == list(range(len(codes) - 1))
     with pytest.raises(KeyError):
-        dropped.edge_positions(codes[:1])
+        dropped.edge_positions(inst.tails[:1], inst.heads[:1])
     # labels, level sizes and costs follow the objects
     labels, sizes = inst.labels, inst.level_sizes
     moved = inst._replace(provenance=subset_m6_instance.provenance)
@@ -585,6 +589,44 @@ def test_classes_are_head_levels(name):
     else:
         inst = HEAD_LEVEL_CASES[name]()
     assert list(inst.classes) == _head_levels(inst)
+
+
+def _terminal_cut_off():
+    """zk4's file less every in-edge of its first terminal, loaded."""
+    data = instance_to_dict(build_instance(zk_objects(4)))
+    t = data["levels"][4][0]
+    data["edges"] = [e for e in data["edges"] if e["head"] != t]
+    return instance_from_dict(data)
+
+
+CODE_ORDER_CASES = {
+    **{name: lambda make=make: build_instance(make())
+       for name, make in FAMILY_OBJECTS.items()},
+    "m6-loaded": HEAD_LEVEL_CASES["m6-loaded"],
+    "zk9-less-e3": HEAD_LEVEL_CASES["zk9-less-e3"],
+    "zk4-less-a-terminal": _terminal_cut_off,
+}
+
+
+@pytest.mark.parametrize("name", list(CODE_ORDER_CASES))
+def test_edge_codes_ascend_in_built_order(name):
+    # built and loaded columns are in code order, so the edge codes are
+    # the one edge index, bisected as they stand
+    inst = CODE_ORDER_CASES[name]()
+    codes, m = inst.edge_codes, len(inst.tails)
+    assert type(codes) is array and codes.typecode == "q" and len(codes) == m
+    assert all(map(operator.lt, codes, codes[1:]))
+    assert codes.tolist() == [u * inst.n + v
+                              for u, v in zip(inst.tails, inst.heads)]
+    assert inst.edge_positions(inst.tails, inst.heads) == list(range(m))
+    # before the first code, past the last, and between two codes
+    t, r = inst.terminals[-1], inst.root
+    for pair in ((r, r), (t, r), (inst.heads[0], inst.tails[0])):
+        with pytest.raises(KeyError):
+            inst.edge_positions(*zip(pair))
+        with pytest.raises(KeyError):
+            inst.edge_positions(inst.tails[:1] + pair[:1],
+                                inst.heads[:1] + pair[1:])
 
 
 @pytest.mark.parametrize("make", [
