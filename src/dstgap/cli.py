@@ -192,15 +192,12 @@ def cmd_verify(args, argline) -> int:
     sol = flows.canonical_solution(inst)
     report = flows.verify_feasibility(inst, sol)
     # an automorphism that keeps x maps a representative's witness onto a
-    # witness for each terminal of its orbit
-    witnesses_ok = True
-    for t in report.representatives:
-        try:
-            w = flows.path_witness(inst, t)
-            if not flows.check_path_witness(inst, w, sol):
-                witnesses_ok = False
-        except KeyError:  # corrupted instance: a path edge is missing
-            witnesses_ok = False
+    # witness for each terminal of its orbit.  verify_feasibility checked
+    # the witnesses of the representatives whose in-edges hold one unit
+    checked = dict(report.witnessed)
+    witnesses_ok = all(checked[t] if t in checked
+                       else flows.witness_holds(inst, t, sol)
+                       for t in report.representatives)
 
     print(f"{'terminal':>12} {'flow':>8} status")
     labels = inst.labels

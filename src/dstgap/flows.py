@@ -3,42 +3,56 @@
 The canonical solution puts capacity 1/s on every edge; it routes one unit
 to each terminal along the s edge-disjoint paths r -> u -> v -> pi(v) -> t,
 one per matching edge (u, v) of the terminal's color.  Feasibility of an
-arbitrary capacity vector is checked terminal by terminal with an exact
-max-flow: capacities are scaled once by their common denominator into one
-integer network (Dinic), whose capacities are restored before each
-terminal's run; the flow is scaled back, so values are exact.  Dinic's
-levels are distances to the terminal, found by a BFS backward from it, so
-a run only works on the part of the network that can still reach its
-terminal.  Every terminal gets a min-cut witness of equal capacity, checked
-in integers.  It is read off the final backward BFS, the one that fails to
-reach the root: the vertices it labels still reach the terminal in the
-residual network, and the rest are the unique largest min-cut source side.
-That side is the same for every maximum flow (Picard and Queyranne 1980),
-so the witness does not depend on which maximum flow Dinic finds, and
-finding its edges walks only the sink side.  A terminal's record keeps the
-cut edges and the sink side, which the canonical solution makes {t}.
+arbitrary capacity vector is checked terminal by terminal, in integers:
+capacities are scaled once by their common denominator.  Where a
+terminal's in-edges hold exactly one unit, its path witness, checked
+under the capacities, is a flow of value 1 and its in-edges a cut of
+capacity 1, so by weak duality its max-flow is 1.  Every in-edge is then
+saturated, so no other vertex reaches the terminal in the residual
+network: its sink side is the terminal alone, and its min cut its
+in-edges, the same entries an exact max-flow gives, with no flow network
+built (a certifying check in the sense of McConnell, Mehlhorn, Naher and
+Schweitzer 2011).  Elsewhere, as under a damaged file or lp's LP point,
+the max-flow runs on one integer network (Dinic), built at the first
+such terminal, whose capacities are restored before each later run; the
+flow is scaled back, so values are exact.  Dinic's levels are distances
+to the terminal, found by a BFS backward from it, so a run only works on
+the part of the network that can still reach its terminal.  Every
+terminal gets a min-cut witness of equal capacity, checked in integers.
+A run's is read off the final backward BFS, the one that fails to reach
+the root: the vertices it labels still reach the terminal in the
+residual network, and the rest are the unique largest min-cut source
+side.  That side is the same for every maximum flow (Picard and
+Queyranne 1980), so the witness does not depend on which maximum flow
+Dinic finds, and finding its edges walks only the sink side.  A
+terminal's record keeps the cut edges and the sink side, which the
+canonical solution makes {t}.
 
-A max-flow runs once per terminal orbit.  Every label names a subset of a
-ground set (model.label_masks reads a bare integer x, a zk color, as {x}),
-so a permutation of the ground set proposes a vertex map, level by level.
-Two are tried: the full cycle of the ground set and the transposition of
-its two smallest elements.  A permutation is kept only when it is checked
-exactly on the instance's edges: the int codes of the edges' images
-(DstInstance.image_codes), sorted, are the instance's edge codes, which
-ascend in edge order, so every edge maps to an edge, with no lookup per
-edge.  Where it also keeps x, it is an automorphism of the network, and
-carries a terminal's largest min-cut source side onto that of the
-terminal's image, so a terminal's sink side is its orbit representative's,
-mapped, and its cut is read off that side and checked as a run terminal's
-is; a path witness maps too.  Nothing is read from the family name; with
-no permutation kept, every terminal is its own orbit.
+A max-flow is certified or run once per terminal orbit.  Every label
+names a subset of a ground set (model.label_masks reads a bare integer x,
+a zk color, as {x}), so a permutation of the ground set proposes a vertex
+map, level by level.  Two are tried: the full cycle of the ground set and
+the transposition of its two smallest elements.  A permutation is kept
+only when it is checked exactly on the instance's edges: the int codes of
+the edges' images (DstInstance.image_codes), sorted, are the instance's
+edge codes, which ascend in edge order, so every edge maps to an edge,
+with no lookup per edge.  Where it also keeps x, it is an automorphism of
+the network, and carries a terminal's largest min-cut source side onto
+that of the terminal's image, so a terminal's sink side is its orbit
+representative's, mapped, and its cut is read off that side (the
+terminal's in-edges where that side is the terminal alone) and checked as
+a run terminal's is; a path witness maps too.  Nothing is read from the
+family name; with no permutation kept, every terminal is its own orbit.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import accumulate, chain, compress, repeat
+from operator import add, attrgetter, lt, mul
 from typing import NamedTuple
 
 from .model import DstInstance, label_masks
@@ -219,7 +233,11 @@ def max_flow_value(inst: DstInstance, sol: FractionalSolution,
 class FeasibilityReport(NamedTuple):
     entries: tuple
     automorphisms: tuple = ()    # the kept label automorphisms
-    representatives: tuple = ()  # the terminals whose max-flow was run
+    representatives: tuple = ()  # the terminals whose max-flow was found
+    # (representative, verdict) for each representative whose path witness
+    # was checked, as its in-edges hold one unit: those whose witness holds
+    # are certified, with no max-flow run
+    witnessed: tuple = ()
 
     @property
     def feasible(self) -> bool:
@@ -323,20 +341,45 @@ def orbit_tree(vertices, automorphisms) -> dict:
     return tree
 
 
+def _terminal_in_edges(inst: DstInstance) -> dict:
+    """terminal -> the ascending ids of the edges into it.  Those are the
+    edges out of level 3, the last ones in code order, grouped by head."""
+    into = {t: [] for t in inst.terminals}
+    heads = inst.heads
+    for j in range(bisect_left(inst.tails, inst.level_offset(3)), len(heads)):
+        into[heads[j]].append(j)
+    return {t: tuple(js) for t, js in into.items()}
+
+
+def witness_holds(inst: DstInstance, terminal: int,
+                   sol: FractionalSolution) -> bool:
+    """Whether the terminal's path witness exists and check_path_witness
+    accepts it under sol."""
+    try:
+        return check_path_witness(inst, path_witness(inst, terminal), sol)
+    # a missing path edge, or a color with other than s matching edges
+    except (KeyError, ValueError):
+        return False
+
+
 def verify_feasibility(inst: DstInstance, sol: FractionalSolution,
                        terminals=None) -> FeasibilityReport:
     """Max-flow >= 1 for every terminal; empty terminal set is vacuous.
 
-    With terminals=None, one max-flow runs per orbit of the terminals under
-    the instance's label automorphisms that keep x; every other terminal's
-    min cut is its representative's, mapped through the automorphisms that
-    carry the representative to it.  An explicit list runs each listed
-    terminal.  One integer network carries the integer capacities; each run
-    starts from them, restored in place after an earlier run.  Every
-    terminal's min cut, run or mapped, must have an integer capacity equal
+    With terminals=None, one max-flow is found per orbit of the terminals
+    under the instance's label automorphisms that keep x; every other
+    terminal's min cut is its representative's, mapped through the
+    automorphisms that carry the representative to it.  An explicit list
+    finds each listed terminal's.  A representative whose in-edges hold
+    exactly one unit is certified by its path witness: a flow of 1 under a
+    cut of 1, so its max-flow is 1, its in-edges are saturated and its
+    sink side is itself.  Any other runs Dinic on one integer network,
+    built at the first such run; each run starts from the integer
+    capacities, restored in place after an earlier run.  Every terminal's
+    min cut, certified, run or mapped, must have an integer capacity equal
     to its integer flow.
     """
-    caps = sol.caps
+    caps, scale = sol.caps, sol.scale
     if terminals is None:
         automorphisms = inst.automorphisms
         # with unequal capacities, the (code, capacity) pairs of the edges'
@@ -349,37 +392,51 @@ def verify_feasibility(inst: DstInstance, sol: FractionalSolution,
     else:
         automorphisms = ()
     tree = orbit_tree(terminals, automorphisms)
-    net = _Dinic(inst.n, inst.tails, inst.heads, caps)
-    head, to, cap = net.head, net.to, net.cap
+    into = _terminal_in_edges(inst)
+    net = None
+    witnessed = {}  # representative -> whether its path witness holds
 
     found = {}  # terminal -> (TerminalFlow, its integer flow)
     for t, step in tree.items():
         if step is None:
-            if found:  # an earlier run left its flow in the network
-                cap[0::2], cap[1::2] = caps, [0] * len(caps)
-            flow = net.max_flow(inst.root, t)
-            sink = frozenset(net.sink_side)
+            in_t = into.get(t)
+            if in_t is not None and sum(map(caps.__getitem__, in_t)) == scale:
+                witnessed[t] = witness_holds(inst, t, sol)
+            if witnessed.get(t):
+                flow, sink = scale, frozenset((t,))
+            else:
+                if net is None:
+                    net = _Dinic(inst.n, inst.tails, inst.heads, caps)
+                else:  # an earlier run left its flow in the network
+                    net.cap[0::2], net.cap[1::2] = caps, [0] * len(caps)
+                flow = net.max_flow(inst.root, t)
+                sink = frozenset(net.sink_side)
         else:
             # an automorphism that keeps x carries the sink side and the
             # flow of the terminal it maps from onto this terminal's
             p, g = step
             e, flow = found[p]
             sink = frozenset(map(g.vertex_map.__getitem__, e.sink_side))
-        # edges into the sink side from outside it: edge j enters v as arc
-        # 2j + 1 of v
-        cut = tuple(sorted(i >> 1 for v in sink for i in head[v]
-                           if i & 1 and to[i] not in sink))
+        if len(sink) == 1 and t in into:  # the sink side is {t}
+            cut = into[t]
+        else:
+            # edges into the sink side from outside it: edge j enters v as
+            # arc 2j + 1 of v.  A sink side other than {t} comes from a run
+            head, to = net.head, net.to
+            cut = tuple(sorted(i >> 1 for v in sink for i in head[v]
+                               if i & 1 and to[i] not in sink))
         cut_int = sum(map(caps.__getitem__, cut))
         if cut_int != flow:
             raise RuntimeError(
                 f"max-flow/min-cut mismatch at terminal {inst.labels[t]}: "
-                f"flow {Fraction(flow, sol.scale)}, cut capacity "
-                f"{Fraction(cut_int, sol.scale)}")
-        found[t] = TerminalFlow(t, Fraction(flow, sol.scale), cut, sink), flow
+                f"flow {Fraction(flow, scale)}, cut capacity "
+                f"{Fraction(cut_int, scale)}")
+        found[t] = TerminalFlow(t, Fraction(flow, scale), cut, sink), flow
 
     entries = tuple(found[t][0] for t in terminals)
     representatives = tuple(t for t, step in tree.items() if step is None)
-    return FeasibilityReport(entries, automorphisms, representatives)
+    return FeasibilityReport(entries, automorphisms, representatives,
+                             tuple(witnessed.items()))
 
 
 class PathWitness(NamedTuple):
@@ -425,28 +482,56 @@ def check_path_witness(inst: DstInstance, witness: PathWitness,
                        sol: FractionalSolution) -> bool:
     """Witness invariants: simple edge-disjoint r->t paths, unit total
     weight, and each path's weight within x on each of its edges (the paths
-    share no edge, so that weight is the edge's whole load)."""
+    share no edge, so that weight is the edge's whole load).  Each path is
+    paired with a weight as zip pairs them.  The checks run on all paths at
+    once: one set of their edges, and one capacity test per distinct
+    weight."""
+    weights = witness.weights
+    nums = list(map(attrgetter("numerator"), weights))
+    dens = list(map(attrgetter("denominator"), weights))
     # the weights sum to 1 exactly when their numerators over one common
     # denominator sum to it
-    den = math.lcm(*(w.denominator for w in witness.weights))
-    if sum(w.numerator * (den // w.denominator)
-           for w in witness.weights) != den:
+    den = math.lcm(*set(dens))
+    if sum(map(mul, nums, map(den.__floordiv__, dens))) != den:
         return False
-    caps, scale = sol.caps, sol.scale
-    used_edges = set()
-    for path, w in zip(witness.paths, witness.weights):
-        if w < 0 or used_edges.intersection(path):
+    paths = witness.paths[:len(weights)]
+    if min(nums[:len(paths)], default=0) < 0:
+        return False
+    root, terminal = inst.root, witness.terminal
+    # an empty path's walk is the root alone
+    walks = [path for path in paths if path]
+    if len(walks) < len(paths) and root != terminal:
+        return False
+    # no edge twice, in one path or two
+    edges = list(chain.from_iterable(walks))
+    if len(set(edges)) != len(edges):
+        return False
+    # each path's walk is the root, then each edge's head: each edge leaves
+    # the vertex before it on its walk, and the last is the terminal
+    heads = list(map(inst.heads.__getitem__, edges))
+    ends = list(accumulate(map(len, walks)))
+    before = [root, *heads][:-1]
+    for end in ends[:-1]:
+        before[end] = root
+    if list(map(inst.tails.__getitem__, edges)) != before \
+            or any(heads[end - 1] != terminal for end in ends):
+        return False
+    # no vertex repeats on one walk.  Where ids rise along every walk, as
+    # they do up the levels, none can; else no head may be the root, and
+    # no walk may have a head twice (its index times n plus the head, as
+    # one int, would repeat)
+    if not all(map(lt, before, heads)):
+        offsets = chain.from_iterable(map(
+            repeat, range(0, len(walks) * inst.n, inst.n), map(len, walks)))
+        if root in heads or len(set(map(add, offsets, heads))) != len(heads):
             return False
-        used_edges.update(path)
-        # w <= x[i] exactly when ceil(w * scale) <= caps[i]
-        need = -(-w.numerator * scale // w.denominator)
-        at = inst.root
-        seen = {at}
-        for i in path:
-            if inst.tails[i] != at or inst.heads[i] in seen or need > caps[i]:
-                return False
-            at = inst.heads[i]
-            seen.add(at)
-        if at != witness.terminal:
+    # w <= x[i] exactly when ceil(w * scale) <= caps[i]: per distinct
+    # weight, one test against the least capacity on its paths
+    caps, scale = sol.caps, sol.scale
+    keys = list(zip(nums, dens))
+    for num, d in set(keys[:len(paths)]):
+        ids = list(chain.from_iterable(
+            compress(paths, map((num, d).__eq__, keys))))
+        if ids and -(-num * scale // d) > min(map(caps.__getitem__, ids)):
             return False
     return True

@@ -4,8 +4,22 @@ from fractions import Fraction
 from math import comb
 
 from dstgap.bounds import DIGITS
+from dstgap.families import subset_objects, zk_objects
 from dstgap.model import (GapObjects, build_instance, instance_from_dict,
                           instance_to_dict)
+
+
+# name -> the objects of each family file whose SHA-256 is pinned
+FAMILY_OBJECTS = {
+    "zk4": lambda: zk_objects(4),
+    "zk9": lambda: zk_objects(9),
+    "zk16": lambda: zk_objects(16),
+    "m4": lambda: subset_objects(4, 2, 0),
+    "m6": lambda: subset_objects(6, 2, 1),
+    "m7a3": lambda: subset_objects(7, 3, 1),
+    "m10a3": lambda: subset_objects(10, 3, 1),
+    "m5a1": lambda: subset_objects(5, 1, 0),
+}
 
 
 def set_label(elements) -> str:

@@ -27,7 +27,7 @@ from dstgap.cli import (
     main,
 )
 
-from _util import two_copies
+from _util import FAMILY_OBJECTS, two_copies
 
 
 @pytest.fixture()
@@ -135,6 +135,36 @@ def test_verify_ok(zk4_file, tmp_path, capsys):
     # S_4 is transitive on the terminals: one max-flow and one witness
     assert payload["automorphisms"] == ["(1 2 3 4)", "(1 2)"]
     assert payload["orbit_representatives"] == ["1"]
+
+
+@pytest.mark.parametrize("name", list(FAMILY_OBJECTS))
+def test_verify_family_file_builds_no_flow_network(name, tmp_path,
+                                                   monkeypatch, capsys):
+    # on a family file each orbit representative's in-edges hold one unit
+    # under x = 1/s and its path witness holds, which certifies its
+    # max-flow: no flow network is built, and each representative's
+    # witness is built once
+    path = tmp_path / f"{name}.json"
+    path.write_text(model.instance_to_json(
+        model.build_instance(FAMILY_OBJECTS[name]())))
+    networks, witnessed = [], []
+    build, witness = flows._Dinic.__init__, flows.path_witness
+
+    def counted_build(self, *args):
+        networks.append(args)
+        build(self, *args)
+
+    def counted_witness(inst, t):
+        witnessed.append(inst.labels[t])
+        return witness(inst, t)
+
+    monkeypatch.setattr(flows._Dinic, "__init__", counted_build)
+    monkeypatch.setattr(flows, "path_witness", counted_witness)
+    report = tmp_path / "verify.json"
+    assert main(["verify", str(path), "--json-out", str(report)]) == EXIT_OK
+    assert "verified: feasible, all flows exactly 1" in capsys.readouterr().out
+    assert networks == []
+    assert witnessed == json.loads(report.read_text())["orbit_representatives"]
 
 
 def test_verify_corrupted_instance(tmp_path, zk4_instance, capsys):

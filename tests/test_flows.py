@@ -13,6 +13,7 @@ import dstgap
 from dstgap.families import subset_objects, zk_objects
 from dstgap.flows import (
     FractionalSolution,
+    PathWitness,
     canonical_solution,
     check_path_witness,
     max_flow_value,
@@ -262,9 +263,38 @@ def _oracle_solutions(inst):
     return sols + [FractionalSolution(tuple(cut_off))]
 
 
-@pytest.mark.parametrize("name", ["zk4", "subset_m4", "subset_m6"])
+def _e1_edge_left_out(inst):
+    """The instance that inst's file loads as with its first root edge
+    left out."""
+    data = instance_to_dict(inst)
+    del data["edges"][next(i for i, e in enumerate(data["edges"])
+                           if e["tail"] == "r")]
+    return instance_from_dict(data)
+
+
+# name -> the instance.  Under the canonical solution the path witness
+# certifies every terminal of the family instances; on the two less an
+# edge, it fails at some terminals, whose max-flow Dinic finds
+ORACLE_CASES = {
+    "zk4": lambda request: request.getfixturevalue("zk4_instance"),
+    "subset_m4": lambda request: request.getfixturevalue("subset_m4_instance"),
+    "subset_m6": lambda request: request.getfixturevalue("subset_m6_instance"),
+    "zk9-less-e3": lambda request: e3_edge_left_out(
+        request.getfixturevalue("zk9_instance"), True),
+    "zk4-less-e1": lambda request: _e1_edge_left_out(
+        request.getfixturevalue("zk4_instance")),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_CASES))
 def test_max_flow_matches_oracle(name, request):
-    inst = request.getfixturevalue(f"{name}_instance")
+    inst = ORACLE_CASES[name](request)
+    canon = verify_feasibility(inst, canonical_solution(inst))
+    certified = tuple(t for t, ok in canon.witnessed if ok)
+    if "less" in name:  # both the certificate and Dinic ran
+        assert 0 < len(certified) < len(canon.representatives)
+    else:
+        assert certified == canon.representatives
     for sol in _oracle_solutions(inst):
         rep = verify_feasibility(inst, sol)
         assert [e.terminal for e in rep.entries] == list(inst.terminals)
@@ -273,17 +303,23 @@ def test_max_flow_matches_oracle(name, request):
             assert e.value == _cut_capacity(sol, e) == value
             assert e.cut_edges == cut
             assert e.sink_side == side
-    # the last solution cuts the first terminal off, and only it: the root
-    # still reaches every other terminal
+    # the last solution cuts the first terminal off, and only it: every
+    # other terminal keeps its canonical max-flow, which is 1 on the family
+    # instances
     first, *rest = rep.entries
-    assert first.value == 0 and all(e.value == 1 for e in rest)
+    assert first.value == 0
+    assert [e.value for e in rest] == [e.value for e in canon.entries[1:]]
+    assert "less" in name or all(e.value == 1 for e in rest)
     assert first.sink_side.isdisjoint(inst.terminals[1:])
 
 
 def test_cut_mismatch_raises_under_optimize():
     # the flow/cut equality is an explicit check, not an assert, so it
     # still runs under python -O: on a terminal whose max-flow is run, and
-    # on one whose sink side is mapped from its orbit representative's
+    # on one whose sink side is mapped from its orbit representative's.
+    # Dinic runs where a terminal's in-edges do not hold one unit, as under
+    # x = 1 on every edge, or where check_path_witness rejects the witness:
+    # its entries are then Dinic's, and equal the certified ones
     code = textwrap.dedent("""
         import sys
         from fractions import Fraction
@@ -302,8 +338,21 @@ def test_cut_mismatch_raises_under_optimize():
 
         real = flows._Dinic.max_flow
         flows._Dinic.max_flow = lambda self, s, t: real(self, s, t) + 1
-        check(flows.canonical_solution(inst))
-        flows._Dinic.max_flow = real
+        check(flows.FractionalSolution((Fraction(1),) * len(inst.tails)))
+        runs = []
+        flows._Dinic.max_flow = lambda self, s, t: runs.append(t) or real(
+            self, s, t)
+        canon = flows.canonical_solution(inst)
+        certified = flows.verify_feasibility(inst, canon)
+        print(len(runs), certified.witnessed == ((inst.terminals[0], True),))
+        # weights of 1/2, 1/2 and 0 sum to 1, but 1/2 is over x = 1/3
+        witness = flows.path_witness
+        flows.path_witness = lambda inst, t: witness(inst, t)._replace(
+            weights=(Fraction(1, 2), Fraction(1, 2), Fraction(0)))
+        fallback = flows.verify_feasibility(inst, canon)
+        print(len(runs), fallback.witnessed == ((inst.terminals[0], False),),
+              fallback.entries == certified.entries)
+        flows._Dinic.max_flow, flows.path_witness = real, witness
         # E3 edges of 1/3 under E4 edges of 1: the first terminal's sink
         # side holds its in-neighbours, which a map that moves only the
         # first two terminals does not carry to the second's
@@ -321,9 +370,11 @@ def test_cut_mismatch_raises_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    run, mapped = proc.stdout.splitlines()
-    assert run == "max-flow/min-cut mismatch at terminal 1: flow 4/3, " \
-        "cut capacity 1"
+    run, certified, fallback, mapped = proc.stdout.splitlines()
+    assert run == "max-flow/min-cut mismatch at terminal 1: flow 4, " \
+        "cut capacity 3"
+    assert certified == "0 True"
+    assert fallback == "1 True True"
     assert mapped == "max-flow/min-cut mismatch at terminal 2: flow 1, " \
         "cut capacity 2"
 
@@ -521,3 +572,111 @@ def test_toy_witness():
     w = path_witness(inst, t)
     assert len(w.paths) == 1 and w.weights == (Fraction(1),)
     assert check_path_witness(inst, w, canonical_solution(inst))
+
+
+def _reference_check_path_witness(inst, witness, sol):
+    """check_path_witness as a walk over each path's edges in turn, with
+    Fraction weights against x: the reference for its checks on all paths
+    at once."""
+    if sum(witness.weights, Fraction(0)) != 1:
+        return False
+    used = set()
+    for path, w in zip(witness.paths, witness.weights):
+        if w < 0 or used & set(path):
+            return False
+        used |= set(path)
+        at, seen = inst.root, {inst.root}
+        for i in path:
+            if inst.tails[i] != at or inst.heads[i] in seen or w > sol.x[i]:
+                return False
+            at = inst.heads[i]
+            seen.add(at)
+        if at != witness.terminal:
+            return False
+    return True
+
+
+def _random_witness(rng, inst):
+    """A path witness of one of inst's terminals, or random walks from the
+    root, each most often with one edit: an edge dropped, added or moved,
+    a path copied or emptied, or the paths reordered.  Most weights are
+    equal; the rest have any sign, one too many or too few."""
+    m = len(inst.tails)
+    terminal = rng.choice(inst.terminals)
+    try:  # a graph with cycles has no path witness
+        paths = [list(p) for p in path_witness(inst, terminal).paths]
+    except KeyError:
+        paths = None
+    if paths is None or rng.random() < 0.5:
+        paths = []
+        for _ in range(rng.randint(1, 3)):
+            at, path = inst.root, []
+            for _ in range(rng.randint(1, 5)):
+                out = [j for j in range(m) if inst.tails[j] == at]
+                if not out:
+                    break
+                path.append(rng.choice(out))
+                at = inst.heads[path[-1]]
+            paths.append(path)
+        terminal = at if rng.random() < 0.8 else terminal
+    edit = rng.randrange(8)
+    path = rng.choice(paths)
+    if edit == 0 and path:
+        path.pop()
+    elif edit == 1:
+        path.append(rng.randrange(m))
+    elif edit == 2:
+        paths.append(list(path))
+    elif edit == 3:
+        paths.append([])
+    elif edit == 4 and path:
+        path[rng.randrange(len(path))] = rng.randrange(m)
+    elif edit == 5:
+        rng.shuffle(paths)
+    if rng.random() < 0.7:
+        weights = [Fraction(1, len(paths))] * len(paths)
+    else:
+        weights = [Fraction(rng.randint(-1, 3), rng.randint(1, 6))
+                   for _ in range(max(0, len(paths) + rng.randint(-1, 1)))]
+        if weights:
+            weights[-1] = 1 - sum(weights[:-1], Fraction(0))
+    return PathWitness(terminal, tuple(map(tuple, paths)), tuple(weights))
+
+
+def test_check_witness_matches_per_edge_reference(zk4_instance,
+                                                  subset_m6_instance):
+    # random and tampered witnesses on two family instances and on random
+    # graphs with cycles, where a walk's vertex ids need not rise.  The
+    # capacities are uniform, random, or each edge's largest weight on the
+    # witness's paths, which holds a witness of unequal weights, at times
+    # with one edge's lowered
+    rng = random.Random(7)
+    cyclic = [zk4_instance._replace(
+        tails=tuple(rng.randrange(4) for _ in range(30)),
+        heads=tuple(rng.randrange(5) for _ in range(30)),
+        colors=(None,) * 30) for _ in range(3)]
+    verdicts = set()
+    for inst in (zk4_instance, subset_m6_instance, *cyclic):
+        m = len(inst.tails)
+        for n in range(200):
+            witness = _random_witness(rng, inst)
+            if n % 3 == 0:
+                x = [Fraction(rng.randint(0, 3), rng.randint(1, 6))
+                     for _ in range(m)]
+            elif n % 3 == 1:
+                x = [Fraction(1, rng.randint(1, 3))] * m
+            else:
+                x = [Fraction(0)] * m
+                for path, w in zip(witness.paths, witness.weights):
+                    for i in path:
+                        x[i] = max(x[i], w)
+                if rng.random() < 0.5:  # one edge just below its weight
+                    i = rng.randrange(m)
+                    x[i] = max(x[i] - Fraction(1, 100), Fraction(0))
+            sol = FractionalSolution(tuple(x))
+            verdict = check_path_witness(inst, witness, sol)
+            assert verdict is _reference_check_path_witness(
+                inst, witness, sol), witness
+            verdicts.add((inst in cyclic, verdict))
+    assert verdicts == {(False, True), (False, False), (True, True),
+                        (True, False)}

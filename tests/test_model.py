@@ -37,9 +37,9 @@ from dstgap.model import (
 )
 from dstgap.rationals import parse_rational, render_rational
 
-from _util import (e3_edge_left_out, kv_sets, label_set, mask_set,
-                   permuted_subset_objects, set_label, toy_instance,
-                   toy_objects, two_copies)
+from _util import (FAMILY_OBJECTS, e3_edge_left_out, kv_sets, label_set,
+                   mask_set, permuted_subset_objects, set_label,
+                   toy_instance, toy_objects, two_copies)
 
 
 # ---------------------------------------------------------------------------
@@ -543,16 +543,6 @@ PINNED_SHA256 = {
     "m10a3": "1c33cf57b39b87ad90c820affc681af16f5aab429c0effa3a7040b00e598570c",
     # the one file whose colors are 1-sets, written "{x}" and not "x"
     "m5a1": "658004539a34062b524cbc8bca4d430776a6f2a793b1a534d1f499632433ee35",
-}
-FAMILY_OBJECTS = {
-    "zk4": lambda: zk_objects(4),
-    "zk9": lambda: zk_objects(9),
-    "zk16": lambda: zk_objects(16),
-    "m4": lambda: subset_objects(4, 2, 0),
-    "m6": lambda: subset_objects(6, 2, 1),
-    "m7a3": lambda: subset_objects(7, 3, 1),
-    "m10a3": lambda: subset_objects(10, 3, 1),
-    "m5a1": lambda: subset_objects(5, 1, 0),
 }
 
 
