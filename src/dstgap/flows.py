@@ -4,11 +4,12 @@ The canonical solution puts capacity 1/s on every edge; it routes one unit
 to each terminal along the s edge-disjoint paths r -> u -> v -> pi(v) -> t,
 one per matching edge (u, v) of the terminal's color.  Feasibility of an
 arbitrary capacity vector is checked terminal by terminal, in integers:
-capacities are scaled once by their common denominator.  Where a
-terminal's in-edges hold exactly one unit, its path witness, checked
-under the capacities, is a flow of value 1 and its in-edges a cut of
-capacity 1, so by weak duality its max-flow is 1.  Every in-edge is then
-saturated, so no other vertex reaches the terminal in the residual
+capacities are scaled once by their common denominator.  Each orbit
+representative's path witness is checked once, under the capacities, and
+its verdict reported.  Where it holds and the terminal's in-edges hold
+exactly one unit, the witness is a flow of value 1 and the in-edges a cut
+of capacity 1, so by weak duality its max-flow is 1.  Every in-edge is
+then saturated, so no other vertex reaches the terminal in the residual
 network: its sink side is the terminal alone, and its min cut its
 in-edges, the same entries an exact max-flow gives, with no flow network
 built (a certifying check in the sense of McConnell, Mehlhorn, Naher and
@@ -231,13 +232,18 @@ def max_flow_value(inst: DstInstance, sol: FractionalSolution,
 
 
 class FeasibilityReport(NamedTuple):
+    """One TerminalFlow per terminal, in the order asked for; the label
+    automorphisms that keep x; and (representative, whether its path
+    witness holds) for each orbit representative, the terminals whose
+    max-flow was certified or run, in orbit-tree order."""
+
     entries: tuple
-    automorphisms: tuple = ()    # the kept label automorphisms
-    representatives: tuple = ()  # the terminals whose max-flow was found
-    # (representative, verdict) for each representative whose path witness
-    # was checked, as its in-edges hold one unit: those whose witness holds
-    # are certified, with no max-flow run
+    automorphisms: tuple = ()
     witnessed: tuple = ()
+
+    @property
+    def representatives(self) -> tuple:
+        return tuple(t for t, _ in self.witnessed)
 
     @property
     def feasible(self) -> bool:
@@ -351,8 +357,8 @@ def _terminal_in_edges(inst: DstInstance) -> dict:
     return {t: tuple(js) for t, js in into.items()}
 
 
-def witness_holds(inst: DstInstance, terminal: int,
-                   sol: FractionalSolution) -> bool:
+def _witness_holds(inst: DstInstance, terminal: int,
+                    sol: FractionalSolution) -> bool:
     """Whether the terminal's path witness exists and check_path_witness
     accepts it under sol."""
     try:
@@ -370,14 +376,16 @@ def verify_feasibility(inst: DstInstance, sol: FractionalSolution,
     under the instance's label automorphisms that keep x; every other
     terminal's min cut is its representative's, mapped through the
     automorphisms that carry the representative to it.  An explicit list
-    finds each listed terminal's.  A representative whose in-edges hold
-    exactly one unit is certified by its path witness: a flow of 1 under a
-    cut of 1, so its max-flow is 1, its in-edges are saturated and its
-    sink side is itself.  Any other runs Dinic on one integer network,
-    built at the first such run; each run starts from the integer
-    capacities, restored in place after an earlier run.  Every terminal's
-    min cut, certified, run or mapped, must have an integer capacity equal
-    to its integer flow.
+    finds each listed terminal's; ValueError names the first listed vertex
+    that is not a terminal.  Each representative's path witness is checked
+    once, and its verdict reported.  Where it holds and the in-edges hold
+    exactly one unit, it certifies the max-flow: a flow of 1 under a cut
+    of 1, so the max-flow is 1, the in-edges are saturated and the sink
+    side is the terminal itself.  Any other representative runs Dinic on
+    one integer network, built at the first such run; each run starts
+    from the integer capacities, restored in place after an earlier run.
+    Every terminal's min cut, certified, run or mapped, must have an
+    integer capacity equal to its integer flow.
     """
     caps, scale = sol.caps, sol.scale
     if terminals is None:
@@ -390,6 +398,9 @@ def verify_feasibility(inst: DstInstance, sol: FractionalSolution,
                 inst.image_codes(g.vertex_map), caps)) == keyed)
         terminals = inst.terminals
     else:
+        for v in terminals:
+            if v not in inst.terminals:
+                raise ValueError(f"vertex {v} is not a terminal")
         automorphisms = ()
     tree = orbit_tree(terminals, automorphisms)
     into = _terminal_in_edges(inst)
@@ -399,10 +410,8 @@ def verify_feasibility(inst: DstInstance, sol: FractionalSolution,
     found = {}  # terminal -> (TerminalFlow, its integer flow)
     for t, step in tree.items():
         if step is None:
-            in_t = into.get(t)
-            if in_t is not None and sum(map(caps.__getitem__, in_t)) == scale:
-                witnessed[t] = witness_holds(inst, t, sol)
-            if witnessed.get(t):
+            witnessed[t] = _witness_holds(inst, t, sol)
+            if witnessed[t] and sum(map(caps.__getitem__, into[t])) == scale:
                 flow, sink = scale, frozenset((t,))
             else:
                 if net is None:
@@ -417,7 +426,7 @@ def verify_feasibility(inst: DstInstance, sol: FractionalSolution,
             p, g = step
             e, flow = found[p]
             sink = frozenset(map(g.vertex_map.__getitem__, e.sink_side))
-        if len(sink) == 1 and t in into:  # the sink side is {t}
+        if len(sink) == 1:  # the sink side is {t}
             cut = into[t]
         else:
             # edges into the sink side from outside it: edge j enters v as
@@ -434,9 +443,7 @@ def verify_feasibility(inst: DstInstance, sol: FractionalSolution,
         found[t] = TerminalFlow(t, Fraction(flow, scale), cut, sink), flow
 
     entries = tuple(found[t][0] for t in terminals)
-    representatives = tuple(t for t, step in tree.items() if step is None)
-    return FeasibilityReport(entries, automorphisms, representatives,
-                             tuple(witnessed.items()))
+    return FeasibilityReport(entries, automorphisms, tuple(witnessed.items()))
 
 
 class PathWitness(NamedTuple):
@@ -458,15 +465,15 @@ def path_witness(inst: DstInstance, terminal: int) -> PathWitness:
     color = terminal - t_off
     if not 0 <= color < obj.k:
         raise ValueError(f"vertex {terminal} is not a terminal")
-    r = inst.root
+    r, nb = inst.root, inst.level_sizes[2]
 
-    # r -> u -> v -> pi(v) -> terminal, per matching edge
+    # r -> u -> v -> pi(v) -> terminal, per matching edge; pi(v) = v + |B|
     tails, heads = [], []
     for a, b, c in obj.edges:
         if c != color:
             continue
         u, v = a_off + a, b_off + b
-        vp = inst.pi(v)
+        vp = v + nb
         tails += (r, u, v, vp)
         heads += (u, v, vp, terminal)
     at = inst.edge_positions(tails, heads)

@@ -288,7 +288,7 @@ def _validation_failure(objects: GapObjects):
     bad += map(itemgetter(0), repeated(2, na, 0))
     if sum(map(int.bit_count, objects.color_masks_by_b)) != len(edges):
         bad += map(itemgetter(0), repeated(2, nb, 1))
-    failing = bit_indices(functools.reduce(or_, map((1).__lshift__, bad), 0))
+    failing = sorted(set(bad))
     check("color-classes-are-matchings-of-size-s", not failing,
           f"colors failing: {[objects.color_labels[c] for c in failing][:5]}")
     check("s-positive", s >= 1, f"s={s}: a terminal needs an in-edge")
@@ -373,12 +373,6 @@ class DstInstance(_InstanceFields):
     # each edge's class E1..E4: the level of its head
     classes = functools.cached_property(
         lambda self: bytes(map(self.levels.__getitem__, self.heads)))
-
-    def pi(self, b_id: int) -> int:
-        """The copy in level 3 of a level-2 vertex."""
-        if not 0 <= b_id < self.n or self.levels[b_id] != 2:
-            raise ValueError(f"vertex {b_id} is not in level 2")
-        return b_id + self.level_sizes[2]
 
     @functools.cached_property
     def class_costs(self) -> dict:

@@ -5,7 +5,7 @@ from math import comb
 
 from dstgap.bounds import DIGITS
 from dstgap.families import subset_objects, zk_objects
-from dstgap.model import (GapObjects, build_instance, instance_from_dict,
+from dstgap.model import (E4, GapObjects, build_instance, instance_from_dict,
                           instance_to_dict)
 
 
@@ -75,6 +75,14 @@ def e3_edge_left_out(inst, holds_1_and_2):
              if e["cost"] == "1/1" and e["head"].endswith("'")
              and len(label_set(e["tail"]) & {1, 2}) == want)
     del data["edges"][i]
+    return instance_from_dict(data)
+
+
+def e4_edge_left_out(inst):
+    """The instance that inst's file loads as with its first E4 edge left
+    out: on a family instance, an edge into the first terminal."""
+    data = instance_to_dict(inst)
+    del data["edges"][inst.classes.index(E4)]
     return instance_from_dict(data)
 
 

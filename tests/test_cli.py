@@ -27,7 +27,7 @@ from dstgap.cli import (
     main,
 )
 
-from _util import FAMILY_OBJECTS, two_copies
+from _util import FAMILY_OBJECTS, e4_edge_left_out, two_copies
 
 
 @pytest.fixture()
@@ -147,6 +147,38 @@ def test_verify_family_file_builds_no_flow_network(name, tmp_path,
     path = tmp_path / f"{name}.json"
     path.write_text(model.instance_to_json(
         model.build_instance(FAMILY_OBJECTS[name]())))
+    networks, witnessed = _count_flow_builds(monkeypatch)
+    report = tmp_path / "verify.json"
+    assert main(["verify", str(path), "--json-out", str(report)]) == EXIT_OK
+    assert "verified: feasible, all flows exactly 1" in capsys.readouterr().out
+    assert networks == []
+    assert witnessed == json.loads(report.read_text())["orbit_representatives"]
+
+
+def test_verify_damaged_file_builds_each_witness_once(
+        tmp_path, zk9_instance, monkeypatch, capsys):
+    # zk9 less one E4 edge: terminal 1's witness needs the missing edge.
+    # Every terminal is a representative, whose witness is built once, and
+    # one flow network is built, for terminal 1
+    path = tmp_path / "less-e4.json"
+    path.write_text(model.instance_to_json(e4_edge_left_out(zk9_instance)))
+    networks, witnessed = _count_flow_builds(monkeypatch)
+    report = tmp_path / "verify.json"
+    assert main(["verify", str(path), "--json-out",
+                 str(report)]) == EXIT_FALSE
+    out = capsys.readouterr().out
+    assert "FAIL terminal 1: flow 55/56 < 1, cut capacity 55/56\n" in out
+    assert out.endswith("FAIL path witness invalid\n")
+    payload = json.loads(report.read_text())
+    assert payload["path_witnesses_ok"] is False
+    assert witnessed == payload["orbit_representatives"] \
+        == [str(c) for c in range(1, 10)]
+    assert len(networks) == 1
+
+
+def _count_flow_builds(monkeypatch):
+    """Patch flows to record each flow network built and the label of each
+    terminal whose path witness is built; the two lists."""
     networks, witnessed = [], []
     build, witness = flows._Dinic.__init__, flows.path_witness
 
@@ -160,11 +192,7 @@ def test_verify_family_file_builds_no_flow_network(name, tmp_path,
 
     monkeypatch.setattr(flows._Dinic, "__init__", counted_build)
     monkeypatch.setattr(flows, "path_witness", counted_witness)
-    report = tmp_path / "verify.json"
-    assert main(["verify", str(path), "--json-out", str(report)]) == EXIT_OK
-    assert "verified: feasible, all flows exactly 1" in capsys.readouterr().out
-    assert networks == []
-    assert witnessed == json.loads(report.read_text())["orbit_representatives"]
+    return networks, witnessed
 
 
 def test_verify_corrupted_instance(tmp_path, zk4_instance, capsys):
@@ -1452,6 +1480,21 @@ def test_read_config_errors(tmp_path):
         cli.read_config(str(bad))
     with pytest.raises(cli.CliError):
         cli.read_config(str(tmp_path / "missing.cfg"))
+
+
+@pytest.mark.parametrize("name", ["missing", "not-utf-8"])
+def test_unreadable_config_exits_3(name, tmp_path, capsys):
+    # a config that cannot be read, or whose bytes are not UTF-8, exits 3
+    # with one error line
+    cfg = tmp_path / f"{name}.cfg"
+    if name == "not-utf-8":
+        cfg.write_bytes(b"k = 4\n# \xff\n")
+    assert main(["gen", "--family", "zk", "--config", str(cfg)]) \
+        == EXIT_BAD_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cannot read config: ")
+    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

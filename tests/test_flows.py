@@ -29,7 +29,12 @@ from dstgap.model import (
     instance_to_dict,
 )
 
-from _util import e3_edge_left_out, permuted_subset_objects, toy_instance
+from _util import (
+    e3_edge_left_out,
+    e4_edge_left_out,
+    permuted_subset_objects,
+    toy_instance,
+)
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +125,44 @@ def test_max_flow_scales_linearly(zk4_instance):
     doubled = FractionalSolution(tuple(2 * v for v in sol.x))
     for t in zk4_instance.terminals:
         assert max_flow_value(zk4_instance, doubled, t).value == 2
+
+
+@pytest.mark.parametrize("where", ["root", "n"])
+def test_a_listed_vertex_must_be_a_terminal(where, zk4_instance):
+    # the root and vertex n are named as no terminal, before any max-flow
+    # runs (which would take min() of an empty path at the root, and
+    # index past the network at n)
+    inst = zk4_instance
+    sol = canonical_solution(inst)
+    v = inst.root if where == "root" else inst.n
+    message = f"^vertex {v} is not a terminal$"
+    with pytest.raises(ValueError, match=message):
+        verify_feasibility(inst, sol, terminals=[inst.terminals[0], v, -1])
+    with pytest.raises(ValueError, match=message):
+        max_flow_value(inst, sol, v)
+
+
+def test_a_negative_vertex_is_not_a_terminal():
+    # -1 would index the last vertex from the end, and a max-flow to it
+    # would repeat a phase that pushes nothing: a child with a timeout, so
+    # that such a loop fails the test rather than hangs it
+    code = textwrap.dedent("""
+        from dstgap import build_instance, flows, zk_objects
+        inst = build_instance(zk_objects(4))
+        sol = flows.canonical_solution(inst)
+        for call in (lambda: flows.verify_feasibility(inst, sol, [-1]),
+                     lambda: flows.max_flow_value(inst, sol, -1)):
+            try:
+                call()
+            except ValueError as exc:
+                print(exc)
+    """)
+    src = os.path.dirname(os.path.dirname(dstgap.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["vertex -1 is not a terminal"] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +354,21 @@ def test_max_flow_matches_oracle(name, request):
     assert [e.value for e in rest] == [e.value for e in canon.entries[1:]]
     assert "less" in name or all(e.value == 1 for e in rest)
     assert first.sink_side.isdisjoint(inst.terminals[1:])
+
+
+def test_every_representative_has_one_witness_verdict(zk9_instance):
+    # zk9 less one E4 edge keeps no automorphism, so every terminal is a
+    # representative.  Terminal 1's in-edges hold (s - 1)/s and its
+    # witness needs the missing edge: its verdict is reported as failed,
+    # beside the holding ones, and Dinic finds its max-flow
+    inst = e4_edge_left_out(zk9_instance)
+    rep = verify_feasibility(inst, canonical_solution(inst))
+    t1, *rest = inst.terminals
+    assert inst.labels[t1] == "1"
+    assert rep.witnessed == ((t1, False), *((t, True) for t in rest))
+    assert rep.representatives == tuple(inst.terminals)
+    assert [e.terminal for e in rep.failing()] == [t1]
+    assert rep.entries[0].value == Fraction(55, 56)
 
 
 def test_cut_mismatch_raises_under_optimize():

@@ -195,10 +195,10 @@ def test_pi_out_neighbors_are_color_sets(zk4_instance, subset_m6_instance):
     for inst in (zk4_instance, subset_m6_instance):
         obj = inst.provenance
         kv = kv_sets(obj)
-        t_off = inst.level_offset(4)
-        for i, v in enumerate(inst.level_ids(2)):
+        t_off, nb = inst.level_offset(4), inst.level_sizes[2]
+        for i, v in enumerate(inst.level_ids(2)):  # pi(v) = v + |B|
             nbrs = {w - t_off for u, w in zip(inst.tails, inst.heads)
-                    if u == inst.pi(v)}
+                    if u == v + nb}
             assert nbrs == set(kv[i])
 
 
@@ -389,11 +389,6 @@ def test_build_deterministic(zk4_objects):
     b = build_instance(zk4_objects)
     assert instance_to_json(a) == instance_to_json(b)
     assert instance_sha256(a) == instance_sha256(b)
-
-
-def test_pi_rejects_non_level2(zk4_instance):
-    with pytest.raises(ValueError):
-        zk4_instance.pi(0)
 
 
 def test_terminal_in_degree_is_s(zk9_instance):
