@@ -36,15 +36,16 @@ class CliError(Exception):
         self.code = code
 
 
-def atomic_write(*paths_and_texts: str) -> None:
-    """Write each text to its path (the arguments alternate path, text)
-    through a .tmp file beside it, and replace the paths only once every
-    .tmp file is written: no path is half written, and a path that cannot
-    be written leaves every path as it was.  A symbolic link is followed,
-    so its target is written, and any other path that exists but is no
-    regular file, such as a directory or a FIFO, is not written.  Either
-    is a bad parameter: CliError, exit 2, and no .tmp file is left behind.
-    Of two texts for one file, the last is written."""
+def atomic_write(*paths_and_texts) -> None:
+    """Write each text to its path (the arguments alternate path, text; a
+    bytes text is written as it is) through a .tmp file beside it, and
+    replace the paths only once every .tmp file is written: no path is
+    half written, and a path that cannot be written leaves every path as
+    it was.  A symbolic link is followed, so its target is written, and
+    any other path that exists but is no regular file, such as a directory
+    or a FIFO, is not written.  Either is a bad parameter: CliError, exit
+    2, and no .tmp file is left behind.  Of two texts for one file, the
+    last is written."""
     files = {}  # the file written -> (the path given, its text)
     for path, text in zip(paths_and_texts[::2], paths_and_texts[1::2]):
         files[os.path.realpath(path)] = (path, text)
@@ -55,7 +56,8 @@ def atomic_write(*paths_and_texts: str) -> None:
             if os.path.exists(real) and not os.path.isfile(real):
                 raise OSError("not a regular file")
             started.append(real)
-            with open(real + ".tmp", "w") as fh:
+            with open(real + ".tmp", "wb" if type(text) is bytes
+                      else "w") as fh:
                 fh.write(text)
         for real, (path, _) in files.items():
             os.replace(real + ".tmp", real)
@@ -165,12 +167,16 @@ def cmd_generate(args, argline) -> int:
 
     objects = make_objects(args)
     inst = model.build_instance(objects)
-    counts = model.edge_class_counts(inst)
+    # build_instance checked every vertex's in-degree, so each class has
+    # its head level's size times that level's in-degree edges
+    counts = dict(zip((model.E1, model.E2, model.E3, model.E4),
+                      (objects.num_a, objects.num_b * objects.d_prime,
+                       objects.num_b, objects.k * objects.s)))
     total = sum((inst.class_costs[c] * n for c, n in counts.items()),
                 Fraction(0))
-    text = model.instance_to_json(inst)
+    data = model.instance_to_json(inst).encode()
     # the DOT text can exceed its cap, so it is rendered before any write
-    files = [args.out, text] if args.out else []
+    files = [args.out, data] if args.out else []
     if args.dot:
         files += [args.dot, model.instance_to_dot(inst)]
     atomic_write(*files)
@@ -182,7 +188,7 @@ def cmd_generate(args, argline) -> int:
           f"{objects.k}")
     print(f"total cost       {render_rational(total)}")
     print_canonical_cost(objects)
-    print(f"sha256           {hashlib.sha256(text.encode()).hexdigest()}")
+    print(f"sha256           {hashlib.sha256(data).hexdigest()}")
     return EXIT_OK
 
 

@@ -119,9 +119,11 @@ def _containment_objects(family: str, params: dict,
     b_sets = colex_subsets(m, a + c)
     c_sets = colex_subsets(m, c)
 
-    # a subset as the int with bit x set for each element x: colex order is
-    # the order of these ints, and a disjoint union is a sum
-    bit = [1 << x for x in range(m + 1)]
+    # a subset as the int with bit x - 1 set for each element x, the mask
+    # that model.label_masks reads from its label over the ground set
+    # 1..m: colex order is the order of these ints, and a disjoint union
+    # is a sum
+    bit = [0] + [1 << (x - 1) for x in range(1, m + 1)]
     a_masks = [sum(map(bit.__getitem__, t)) for t in a_sets]
     b_index = {sum(map(bit.__getitem__, t)): i for i, t in enumerate(b_sets)}
     c_index = {sum(map(bit.__getitem__, t)): i for i, t in enumerate(c_sets)}
@@ -141,7 +143,7 @@ def _containment_objects(family: str, params: dict,
     def label(subset):
         return "{" + ",".join(map(names.__getitem__, subset)) + "}"
 
-    return GapObjects(
+    objects = GapObjects(
         a_labels=tuple(map(label, a_sets)),
         b_labels=tuple(map(label, b_sets)),
         color_labels=tuple(names[x] for (x,) in c_sets) if family == "zk"
@@ -150,6 +152,12 @@ def _containment_objects(family: str, params: dict,
         family=family,
         family_params=tuple(sorted(params.items())),
     )
+    # the labels' sets, recorded as the masks they were written from
+    b_masks, c_masks = list(b_index), list(c_index)
+    vars(objects).update(
+        label_sets=(tuple(range(1, m + 1)), [a_masks, b_masks, c_masks]),
+        color_and_a_masks=[c_masks, a_masks])
+    return objects
 
 
 # family name -> its params, each with the value `gen` gives it when its

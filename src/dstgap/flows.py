@@ -32,18 +32,21 @@ canonical solution makes {t}.
 A max-flow is certified or run once per terminal orbit.  Every label
 names a subset of a ground set (model.label_masks reads a bare integer x,
 a zk color, as {x}), so a permutation of the ground set proposes a vertex
-map, level by level.  Two are tried: the full cycle of the ground set and
-the transposition of its two smallest elements.  A permutation is kept
-only when it is checked exactly on the instance's edges: the int codes of
-the edges' images (DstInstance.image_codes), sorted, are the instance's
-edge codes, which ascend in edge order, so every edge maps to an edge,
-with no lookup per edge.  Where it also keeps x, it is an automorphism of
-the network, and carries a terminal's largest min-cut source side onto
-that of the terminal's image, so a terminal's sink side is its orbit
-representative's, mapped, and its cut is read off that side (the
-terminal's in-edges where that side is the terminal alone) and checked as
-a run terminal's is; a path witness maps too.  Nothing is read from the
-family name; with no permutation kept, every terminal is its own orbit.
+map, level by level.  The sets are the objects' label_sets: the family
+generator records the masks it writes the labels from, and any other
+objects read each label once.  Two permutations are tried: the full cycle
+of the ground set and the transposition of its two smallest elements.  A
+permutation is kept only when it is checked exactly on the instance's
+edges: the int codes of the edges' images (DstInstance.image_codes),
+sorted, are the instance's edge codes, which ascend in edge order, so
+every edge maps to an edge, with no lookup per edge.  Where it also keeps
+x, it is an automorphism of the network, and carries a terminal's largest
+min-cut source side onto that of the terminal's image, so a terminal's
+sink side is its orbit representative's, mapped, and its cut is read off
+that side (the terminal's in-edges where that side is the terminal alone)
+and checked as a run terminal's is; a path witness maps too.  Nothing is
+read from the family name; with no permutation kept, every terminal is
+its own orbit.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from itertools import accumulate, chain, compress, repeat
 from operator import add, attrgetter, lt, mul
 from typing import NamedTuple
 
-from .model import DstInstance, label_masks
+from .model import DstInstance
 
 
 class _SolutionFields(NamedTuple):
@@ -268,16 +271,15 @@ def label_automorphisms(inst: DstInstance) -> tuple:
     """The full cycle of the labels' ground set and the transposition of its
     two smallest elements, each kept if it passes every check.
 
-    The labels of levels 1, 2 and 4 are read once, by label_masks, into
-    int masks over the sorted ground set, so the cycle moves a mask by a
-    bit rotation and the transposition swaps its bits 0 and 1.  Level 3 is
-    level 2 primed, so it follows level 2.  A label that label_masks
-    cannot read, or two labels of one level that name the same set, keep
-    none.
+    The sets that the labels of levels 1, 2 and 4 name are the objects'
+    label_sets, int masks over the sorted ground set, so the cycle moves a
+    mask by a bit rotation and the transposition swaps its bits 0 and 1.
+    Level 3 is level 2 primed, so it follows level 2.  A label that
+    model.label_masks cannot read, or two labels of one level that name
+    the same set, keep none.
     """
-    p = inst.provenance
     try:
-        ground, masks = label_masks(p.a_labels, p.b_labels, p.color_labels)
+        ground, masks = inst.provenance.label_sets
     except ValueError:
         return ()
     levels = []  # (vertex ids, label masks, mask -> vertex id) per level

@@ -132,6 +132,15 @@ class GapObjects(_GapFields):
         return label_masks(self.color_labels, self.a_labels)[1]
 
     @functools.cached_property
+    def label_sets(self) -> tuple:
+        """label_masks of the A-labels, the B-labels and the color labels,
+        read once per objects value: flows.label_automorphisms reads them.
+        The family generator records this and color_and_a_masks from the
+        masks it writes the labels from, so a family's labels are not
+        read back."""
+        return label_masks(self.a_labels, self.b_labels, self.color_labels)
+
+    @functools.cached_property
     def _failure(self):
         """validate_objects' message, None if valid; found once."""
         return _validation_failure(self)
@@ -441,10 +450,6 @@ def build_instance(objects: GapObjects) -> DstInstance:
         raise RuntimeError(f"built (vertex, in-degree) pairs off the (root, "
                            f"A, B, B', terminal) in-degrees {want}: {bad[:5]}")
     return inst
-
-
-def edge_class_counts(inst: DstInstance) -> dict:
-    return {c: inst.classes.count(c) for c in (E1, E2, E3, E4)}
 
 
 # ---------------------------------------------------------------------------

@@ -55,8 +55,11 @@ def test_gen_zk9(tmp_path, capsys):
     assert "346" in text
     # round trip: generate -> load -> re-serialize is byte-identical
     data = out.read_bytes()
-    assert model.instance_to_json(model.instance_from_json(data)).encode() \
-        == data
+    inst = model.instance_from_json(data)
+    assert model.instance_to_json(inst).encode() == data
+    # the class sizes printed are the built edges' classes, counted
+    counts = {c: inst.classes.count(c) for c in (1, 2, 3, 4)}
+    assert f"\nedges            {counts}\n" in text
 
 
 def test_gen_subset_m8(capsys):
@@ -702,18 +705,30 @@ def _count_label_reads(monkeypatch) -> collections.Counter:
 
 def test_each_label_is_read_once(tmp_path, monkeypatch, capsys,
                                  subset_m6_objects):
-    # verify reads every label of levels 1, 2 and 4 once, for the label
-    # automorphisms; certify reads the A-labels and the colors once for the
-    # J-sets of every thresh of a sweep, and no B-label
+    # a family file as gen writes it reads no label: its objects carry the
+    # sets their generator wrote.  Through the full loader, verify reads
+    # every label of levels 1, 2 and 4 once, for the label automorphisms;
+    # certify reads the A-labels and the colors once for the J-sets of
+    # every thresh of a sweep, and no B-label
     zk9 = tmp_path / "zk9.json"
     m6 = tmp_path / "m6.json"
     assert main(["gen", "--family=zk", "--k=9", f"--out={zk9}"]) == EXIT_OK
     assert main(["gen", "--family=subset", "--m=6", "--a=2", "--thresh=1",
                  f"--out={m6}"]) == EXIT_OK
+    compact = {}
+    for path in (zk9, m6):
+        compact[path] = tmp_path / f"compact-{path.name}"
+        compact[path].write_text(json.dumps(json.loads(path.read_bytes()),
+                                            separators=(",", ":")))
     objects = families.zk_objects(9)
 
     reads = _count_label_reads(monkeypatch)
     assert main(["verify", str(zk9)]) == EXIT_OK
+    assert main(["certify", str(m6), "--sweep"]) == EXIT_OK
+    assert main(["solve", str(zk9), "--method=all"]) == EXIT_CAP  # brute
+    assert not reads
+
+    assert main(["verify", str(compact[zk9])]) == EXIT_OK
     assert reads == collections.Counter(
         objects.a_labels + objects.b_labels + objects.color_labels)
     assert max(reads.values()) == 1  # every label of zk9 differs
@@ -722,12 +737,12 @@ def test_each_label_is_read_once(tmp_path, monkeypatch, capsys,
     # every label once for the label automorphisms, which the structured
     # search and the LP's max-flow check share: two label_masks calls
     reads.clear()
-    assert main(["solve", str(zk9), "--method=all"]) == EXIT_CAP  # brute
+    assert main(["solve", str(compact[zk9]), "--method=all"]) == EXIT_CAP
     assert reads == collections.Counter(
         2 * objects.a_labels + objects.b_labels + 2 * objects.color_labels)
 
     reads.clear()
-    assert main(["certify", str(m6), "--sweep"]) == EXIT_OK
+    assert main(["certify", str(compact[m6]), "--sweep"]) == EXIT_OK
     objects = subset_m6_objects
     # an m6 color is a 2-set, as an A-label is
     assert reads == collections.Counter(objects.a_labels
@@ -1261,6 +1276,9 @@ def test_atomic_write(tmp_path):
     target = tmp_path / "out.txt"
     cli.atomic_write(str(target), "hello\n")
     assert target.read_text() == "hello\n"
+    assert not (tmp_path / "out.txt.tmp").exists()
+    cli.atomic_write(str(target), b"\x00bytes\n")  # written as they are
+    assert target.read_bytes() == b"\x00bytes\n"
     assert not (tmp_path / "out.txt.tmp").exists()
 
 

@@ -24,7 +24,6 @@ from dstgap.model import (
     GapObjects,
     SizeCapError,
     build_instance,
-    edge_class_counts,
     instance_from_dict,
     instance_from_json,
     instance_sha256,
@@ -179,7 +178,7 @@ def test_validate_huge_claimed_family_is_quick():
 def test_build_zk4_counts(zk4_instance):
     inst = zk4_instance
     assert inst.n == 1 + 6 + 8 + 4 == 19
-    counts = edge_class_counts(inst)
+    counts = {c: inst.classes.count(c) for c in (E1, E2, E3, E4)}
     assert counts == {E1: 6, E2: 12, E3: 4, E4: 12}
     assert sum(counts.values()) == 34
     assert inst.class_costs[E1] == Fraction(2, 3)
@@ -882,6 +881,26 @@ def test_label_masks_read_sets_and_bare_integers():
         assert str(info.value) == f"label {label!r} names no set"
 
 
+@pytest.mark.parametrize("name", sorted(FAMILY_OBJECTS))
+def test_family_label_sets_are_the_labels_sets(name):
+    # the generator records the masks it writes the labels from: they are
+    # what label_masks reads from the labels, and each names the label's
+    # set; _replace with new labels reads the new labels
+    obj = FAMILY_OBJECTS[name]()
+    levels = (obj.a_labels, obj.b_labels, obj.color_labels)
+    assert obj.label_sets == label_masks(*levels)
+    assert obj.color_and_a_masks \
+        == label_masks(obj.color_labels, obj.a_labels)[1]
+    ground, masks = obj.label_sets
+    for labels, level in zip(levels, masks):
+        assert [frozenset(map(ground.__getitem__, mask_set(mask)))
+                for mask in level] == list(map(label_set, labels))
+
+    reversed_colors = obj._replace(color_labels=obj.color_labels[::-1])
+    assert reversed_colors.label_sets == (ground, masks[:2] + [masks[2][::-1]])
+    assert reversed_colors.color_and_a_masks == [masks[2][::-1], masks[0]]
+
+
 def test_random_relabelings_build_valid_instances():
     rng = random.Random(7)
     for _ in range(8):
@@ -894,6 +913,5 @@ def test_random_relabelings_build_valid_instances():
         assert validate_objects(relabeled) is None
         inst = build_instance(relabeled)
         assert inst.n == 1 + obj.num_a + 2 * obj.num_b + obj.k
-        counts = edge_class_counts(inst)
-        assert counts[E4] == obj.s * obj.k
-        assert counts[E2] == len(obj.edges)
+        assert inst.classes.count(E4) == obj.s * obj.k
+        assert inst.classes.count(E2) == len(obj.edges)
